@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -211,8 +211,12 @@ class AmplitudeTable:
         norms = np.array([max(abs(c) for c in n) for n in self.sites], float)
         return float((norms**p) @ self.values)
 
+    @cached_property
+    def _index(self) -> dict[Coords, int]:
+        return {p: i for i, p in enumerate(self.sites)}
+
     def value_at(self, n: Coords) -> float:
-        return float(self.values[self.sites.index(tuple(n))])
+        return float(self.values[self._index[tuple(n)]])
 
 
 def _time_quadrature(T: float, spread: float) -> tuple[np.ndarray, np.ndarray]:

@@ -17,13 +17,20 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
 from .lattice import Coords, ElementaryRegion, enumerate_shapes, tile_disjoint
-from .operators import OperatorSpec, assemble, site_list
+from .operators import (
+    OperatorSpec,
+    assemble,
+    hopping_block,
+    potential_values,
+    site_list,
+)
 
 MAX_DENSE_POINTS = 4500
 
@@ -67,19 +74,19 @@ class GreensMatrix:
     matrix: np.ndarray
     residual: float
 
+    @cached_property
+    def _index(self) -> dict[Coords, int]:
+        return {p: i for i, p in enumerate(self.sites)}
+
     def entry(self, n: Coords, nprime: Coords) -> complex:
-        i = self.sites.index(tuple(n))
-        j = self.sites.index(tuple(nprime))
-        return self.matrix[i, j]
+        return self.matrix[self._index[tuple(n)], self._index[tuple(nprime)]]
 
     def norm(self) -> float:
         """Spectral norm of G, computed independently via SVD."""
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
-    """Solve (H_volume - z) G = I by dense LU factorisation."""
-    zc = _as_complex(z)
+def _dense_sites(region_or_points) -> tuple[Coords, ...]:
     sites = site_list(region_or_points)
     if not sites:
         raise ValueError("region is empty")
@@ -88,13 +95,22 @@ def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
             f"volume has {len(sites)} points; dense solves are capped at "
             f"{MAX_DENSE_POINTS}"
         )
+    return sites
+
+
+def _singular(z: complex) -> str:
+    return f"volume is singular at z={z}; use epsilon > 0 away from eigenvalues"
+
+
+def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
+    """Solve (H_volume - z) G = I by dense LU factorisation."""
+    zc = _as_complex(z)
+    sites = _dense_sites(region_or_points)
     H = assemble(spec, sites)
     A = H.astype(np.complex128, copy=True)
     A[np.diag_indices(len(sites))] -= zc
     eye = np.eye(len(sites), dtype=np.complex128)
-    singular = (
-        f"volume is singular at z={zc}; use epsilon > 0 away from eigenvalues"
-    )
+    singular = _singular(zc)
     try:
         with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -177,29 +193,50 @@ class DecayWitness:
         return math.log(self.value) - math.log(self.bound)
 
 
+def _pair_geometry(sites: np.ndarray, min_dist: int, c2: float):
+    """Mask of the pairs at sup-distance >= min_dist and the exponents
+    c2 |n - n'| of their decay bounds, for an (n, d) array of sites."""
+    coords = sites.astype(float)
+    dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    return dist >= min_dist, c2 * dist
+
+
+def _worst_decay_pairs(
+    sites: np.ndarray, absG: np.ndarray, far: np.ndarray, decay: np.ndarray
+) -> list[DecayWitness | None]:
+    """Worst pair of each of b volumes: ``sites`` is (b, n, d), ``absG`` the
+    (b, n, n) moduli |G| and ``far`` / ``decay`` the shared pair geometry."""
+    if not far.any():
+        return [None] * len(absG)
+    with np.errstate(divide="ignore"):
+        margin = np.where(far, np.log(np.maximum(absG, 1e-300)) + decay, -np.inf)
+    n = absG.shape[1]
+    witnesses = []
+    for k, flat in enumerate(margin.reshape(len(absG), -1).argmax(axis=1)):
+        i, j = divmod(int(flat), n)
+        witnesses.append(DecayWitness(
+            (tuple(sites[k, i].tolist()), tuple(sites[k, j].tolist())),
+            float(absG[k, i, j]),
+            math.exp(-decay[i, j]),
+        ))
+    return witnesses
+
+
 def _worst_decay_pair(
     sites: Sequence[Coords], G: np.ndarray, min_dist: int, c2: float
 ) -> DecayWitness | None:
-    coords = np.asarray(sites, dtype=float)
-    diff = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
-    mask = diff >= min_dist
-    if not mask.any():
-        return None
-    absG = np.abs(G)
-    with np.errstate(divide="ignore"):
-        margin = np.where(mask, np.log(np.maximum(absG, 1e-300)) + c2 * diff, -np.inf)
-    i, j = np.unravel_index(np.argmax(margin), margin.shape)
-    d = diff[i, j]
-    return DecayWitness(
-        (tuple(sites[i]), tuple(sites[j])),
-        float(absG[i, j]),
-        math.exp(-c2 * d),
-    )
+    coords = np.asarray(sites, dtype=np.int64)
+    far, decay = _pair_geometry(coords, min_dist, c2)
+    return _worst_decay_pairs(coords[None], np.abs(G)[None], far, decay)[0]
 
 
 @dataclass(frozen=True)
 class BoxVerdict:
-    """Classification record for one box at one complex energy."""
+    """Classification record for one box at one complex energy.
+
+    ``residual`` is ||(H - z) G - I|| of the resolvent the verdict came
+    from, with the norm convention of ``GreensMatrix.residual``.
+    """
 
     region: ElementaryRegion
     z: complex
@@ -208,10 +245,119 @@ class BoxVerdict:
     witness: DecayWitness | None
     good: bool
     strongly_good: bool
+    residual: float
 
     @property
     def decay_margin(self) -> float:
         return self.witness.margin if self.witness is not None else -math.inf
+
+
+BATCH_ENTRIES = 1 << 14
+# matrix entries per batched eigendecomposition: bounds the working memory
+# of a scan to a few MB whatever the scan size or the task chunk
+
+RECONSTRUCTION_RTOL = 1e-9
+# G = V diag(1/(w - z)) V^H carries an absolute rounding error of up to about
+# n eps cond(H - z) ||G||, while the LU solve keeps the small entries of a
+# banded inverse accurate to a relative error.  A box takes its G from LU
+# unless that error is below this fraction of the worst pair's |G| scaled to
+# the smallest decay bound; then every decay margin is accurate to it.
+
+
+class _TranslateEngine:
+    """Resolvents of the translates of one shape at one complex energy.
+
+    The shape's hopping block and pair distances are built once.  Each batch
+    of translates adds its potential diagonals to the block and runs one
+    batched Hermitian eigendecomposition H = V diag(w) V^H, from which
+    ||G|| = 1/min|w - z| (as in ``resolvent_norm``) and, where the decay
+    bounds lie well above its rounding error, G = V diag(1/(w - z)) V^H
+    follow; the other boxes solve (H - z) G = I by LU, as ``greens`` does.
+    The worst decay pair and the residual ||(H - z) G - I|| come from G.
+    """
+
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+                 c2: float):
+        sites = _dense_sites(shape)
+        self.spec = spec
+        self.z = z
+        self.sites = np.asarray(sites, dtype=np.int64)
+        self.hopping = hopping_block(spec, self.sites)
+        self.far, self.decay = _pair_geometry(
+            self.sites, pair_distance_threshold(shape.size), c2
+        )
+        # every shape has pairs at distance 2N >= ceil(N/10)
+        self.smallest_bound = math.exp(-self.decay[self.far].max())
+        self.batch = max(1, BATCH_ENTRIES // len(sites) ** 2)
+
+    def resolve(
+        self, shifts
+    ) -> list[tuple[float, DecayWitness | None, float]]:
+        """(||G||, worst decay pair, residual) of the shape translated by
+        each row of ``shifts``."""
+        # raises ValueError when a shift has the wrong dimension
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(
+            len(shifts), self.sites.shape[1]
+        )
+        out = []
+        for start in range(0, len(shifts), self.batch):
+            out.extend(self._resolve_batch(shifts[start : start + self.batch]))
+        return out
+
+    def _resolve_batch(self, shifts: np.ndarray):
+        b, (n, d) = len(shifts), self.sites.shape
+        z = self.z
+        translated = self.sites[None, :, :] + shifts[:, None, :]
+        diag = np.arange(n)
+        H = np.repeat(self.hopping[None, :, :], b, axis=0)
+        H[:, diag, diag] += potential_values(
+            self.spec, translated.reshape(-1, d)
+        ).reshape(b, n)
+        w, V = np.linalg.eigh(H)
+        distances = np.hypot(w - z.real, z.imag)
+        nearest = distances.min(axis=1)
+        if not nearest.all():
+            raise np.linalg.LinAlgError(_singular(z))
+        norm = 1.0 / nearest
+        G = (V * (1.0 / (w - z))[:, None, :]) @ V.conj().swapaxes(1, 2)
+        witnesses = _worst_decay_pairs(translated, np.abs(G), self.far, self.decay)
+        # cond(H - z) ||G|| = max|w - z| / min|w - z|^2
+        error = n * np.finfo(float).eps * distances.max(axis=1) * norm**2
+        scale = [self.smallest_bound * wit.value / wit.bound for wit in witnesses]
+        exact = np.flatnonzero(error > RECONSTRUCTION_RTOL * np.array(scale))
+        if exact.size:
+            A = H[exact] - z * np.eye(n)
+            G[exact] = np.linalg.solve(A, np.broadcast_to(np.eye(n), A.shape))
+            redone = _worst_decay_pairs(
+                translated[exact], np.abs(G[exact]), self.far, self.decay
+            )
+            for k, witness in zip(exact, redone):
+                witnesses[k] = witness
+        R = H @ G - z * G
+        R[:, diag, diag] -= 1.0
+        if n <= 1024:
+            residual = np.linalg.norm(R, 2, axis=(1, 2))
+        else:
+            residual = np.linalg.norm(R, axis=(1, 2))
+        return zip(norm.tolist(), witnesses, residual.tolist())
+
+
+def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):
+    engine = _TranslateEngine(spec, region, z, c2)
+    return engine.resolve([(0,) * region.dimension])[0]
+
+
+def _decays(witness: DecayWitness | None) -> bool:
+    return witness is None or witness.margin <= 0.0
+
+
+def _verdict(region, z, norm, witness, residual, sigma) -> BoxVerdict:
+    good = _decays(witness)
+    norm_bound = math.exp(region.size**sigma)
+    strongly_good = good and norm <= norm_bound
+    return BoxVerdict(
+        region, z, norm, norm_bound, witness, good, strongly_good, residual
+    )
 
 
 def classify_box(
@@ -222,15 +368,9 @@ def classify_box(
 ) -> BoxVerdict:
     """Good / strongly-good verdict for one elementary region."""
     zc = _as_complex(z)
-    g = greens(spec, region, zc)
-    witness = _worst_decay_pair(
-        g.sites, g.matrix, pair_distance_threshold(region.size), params.c2
+    return _verdict(
+        region, zc, *_resolve_box(spec, region, zc, params.c2), params.sigma
     )
-    good = witness is None or witness.margin <= 0.0
-    norm = resolvent_norm(spec, region, zc)
-    norm_bound = math.exp(region.size**params.sigma)
-    strongly_good = good and norm <= norm_bound
-    return BoxVerdict(region, zc, norm, norm_bound, witness, good, strongly_good)
 
 
 def is_good(
@@ -238,34 +378,32 @@ def is_good(
 ) -> tuple[bool, DecayWitness | None]:
     """Class-G check: |G(n,n')| <= exp(-c2 |n-n'|) for all pairs at
     sup-distance >= ceil(N/10).  Returns the verdict and the worst pair."""
-    zc = _as_complex(z)
-    g = greens(spec, region, zc)
-    witness = _worst_decay_pair(
-        g.sites, g.matrix, pair_distance_threshold(region.size), c2
-    )
-    return witness is None or witness.margin <= 0.0, witness
+    _, witness, _ = _resolve_box(spec, region, _as_complex(z), c2)
+    return _decays(witness), witness
 
 
 def is_strongly_good(
     spec: OperatorSpec, region: ElementaryRegion, z, c2: float, sigma: float
 ) -> bool:
     """Class-SG check: class G plus ||G|| <= exp(N^sigma)."""
-    good, _ = is_good(spec, region, z, c2)
-    if not good:
-        return False
-    return resolvent_norm(spec, region, z) <= math.exp(region.size**sigma)
+    zc = _as_complex(z)
+    return _verdict(
+        region, zc, *_resolve_box(spec, region, zc, c2), sigma
+    ).strongly_good
 
 
 @dataclass(frozen=True)
 class BadSetReport:
     """Bad centers of one scan: n is bad when some shape of size N1
-    translated to n fails strong goodness."""
+    translated to n fails strong goodness.  ``max_residual`` is the largest
+    ||(H - z) G - I|| over the boxes the scan resolved."""
 
     size: int
     sub_size: int
     z: complex
     bad_centers: tuple[Coords, ...]
     total_centers: int
+    max_residual: float
 
     @property
     def count(self) -> int:
@@ -281,6 +419,19 @@ def scan_centers(size: int, d: int) -> Iterable[Coords]:
     return itertools.product(range(-size, size + 1), repeat=d)
 
 
+def _scan_setup(spec, size, sub_size, z, params, centers):
+    """The shapes of size N1, one engine per shape, and the scan centers in
+    batches that every engine resolves in one call."""
+    if sub_size >= size:
+        raise ValueError("sub-box size must be smaller than the scan size")
+    shapes = enumerate_shapes(spec.dimension, sub_size)
+    engines = [_TranslateEngine(spec, s, z, params.c2) for s in shapes]
+    it = iter(centers if centers is not None else scan_centers(size, spec.dimension))
+    batch_size = min(e.batch for e in engines)
+    batches = iter(lambda: [tuple(c) for c in itertools.islice(it, batch_size)], [])
+    return shapes, engines, batches
+
+
 def scan_boxes(
     spec: OperatorSpec,
     size: int,
@@ -294,16 +445,17 @@ def scan_boxes(
 
     ``centers`` restricts the scan to a subset, letting a pool of workers
     split the cube into chunks while keeping center order deterministic."""
-    if sub_size >= size:
-        raise ValueError("sub-box size must be smaller than the scan size")
-    d = spec.dimension
-    shapes = enumerate_shapes(d, sub_size)
     zc = _as_complex(z)
-    for center in centers if centers is not None else scan_centers(size, d):
-        center = tuple(center)
-        for shape_id, shape in enumerate(shapes):
-            verdict = classify_box(spec, shape.translate(center), zc, params)
-            yield center, shape_id, verdict
+    shapes, engines, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
+    for batch in batches:
+        resolved = [engine.resolve(batch) for engine in engines]
+        for k, center in enumerate(batch):
+            for shape_id, shape in enumerate(shapes):
+                verdict = _verdict(
+                    shape.translate(center), zc, *resolved[shape_id][k],
+                    params.sigma,
+                )
+                yield center, shape_id, verdict
 
 
 def bad_set(
@@ -314,24 +466,33 @@ def bad_set(
     params: ClassificationParams,
     centers: Iterable[Coords] | None = None,
 ) -> BadSetReport:
-    """Scan of [-N, N]^d for centers with a non-strongly-good shape."""
-    if sub_size >= size:
-        raise ValueError("sub-box size must be smaller than the scan size")
-    d = spec.dimension
-    shapes = enumerate_shapes(d, sub_size)
+    """Scan of [-N, N]^d for centers with a non-strongly-good shape.
+
+    Each shape only resolves the centers that every earlier shape left
+    strongly good."""
     zc = _as_complex(z)
+    _, engines, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
+    norm_bound = math.exp(sub_size**params.sigma)
     bad: list[Coords] = []
     total = 0
-    for center in centers if centers is not None else scan_centers(size, d):
-        center = tuple(center)
-        total += 1
-        for shape in shapes:
-            if not is_strongly_good(
-                spec, shape.translate(center), zc, params.c2, params.sigma
-            ):
-                bad.append(center)
+    max_residual = 0.0
+    for batch in batches:
+        total += len(batch)
+        remaining = batch
+        for engine in engines:
+            if not remaining:
                 break
-    return BadSetReport(size, sub_size, zc, tuple(bad), total)
+            still_good = []
+            for center, (norm, witness, residual) in zip(
+                remaining, engine.resolve(remaining)
+            ):
+                max_residual = max(max_residual, residual)
+                if _decays(witness) and norm <= norm_bound:
+                    still_good.append(center)
+            remaining = still_good
+        good = set(remaining)
+        bad.extend(c for c in batch if c not in good)
+    return BadSetReport(size, sub_size, zc, tuple(bad), total, max_residual)
 
 
 @dataclass(frozen=True)
@@ -491,11 +652,13 @@ def multiscale_decay_check(
     if M < 10:
         raise ValueError("sub-box scale N^xi must be at least 10")
     tiles = tile_disjoint(region, M)
-    bad = 0
-    for tile in tiles:
-        good, _ = is_good(spec, tile, zc, params.c2)
-        if not good:
-            bad += 1
+    cube = _TranslateEngine(
+        spec, ElementaryRegion((0,) * region.dimension, M), zc, params.c2
+    )
+    bad = sum(
+        not _decays(witness)
+        for _, witness, _ in cube.resolve([t.center for t in tiles])
+    )
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound
     decay_holds: bool | None = None
@@ -506,7 +669,7 @@ def multiscale_decay_check(
         witness = _worst_decay_pair(
             g.sites, g.matrix, pair_distance_threshold(N), rate
         )
-        decay_holds = witness is None or witness.margin <= 0.0
+        decay_holds = _decays(witness)
     return MultiscaleReport(
         size=N,
         sub_size=M,

@@ -135,10 +135,12 @@ def _fit_series(mode, p, times, values):
 
 def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
     rows = []
+    residual = 0.0
     z = complex(energy, eps)
     for center, shape_id, verdict in scan_boxes(
         spec, size, sub_size, z, params, centers=centers
     ):
+        residual = max(residual, verdict.residual)
         witness = verdict.witness
         rows.append(
             (
@@ -154,7 +156,7 @@ def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
                 verdict.strongly_good,
             )
         )
-    return {"main": rows, "flags": []}
+    return {"main": rows, "flags": [], "residual": residual}
 
 
 def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
@@ -162,7 +164,8 @@ def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
         spec, size, sub_size, complex(energy, eps), params, centers=centers
     )
     partial = (energy, eps, size, sub_size, report.count, report.total_centers)
-    return {"main": [], "partial": partial, "flags": []}
+    return {"main": [], "partial": partial, "flags": [],
+            "residual": report.max_residual}
 
 
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
@@ -624,6 +627,48 @@ def _collect(cfg: ExperimentConfig, plan: Plan, results: list[dict]):
     return tagged, flags
 
 
+def _write_run(
+    out_dir: str | Path,
+    stem: str,
+    headers: dict[str, tuple[str, list[str]]],
+    rows: dict[str, list[tuple]],
+    results: list[dict],
+    flags: list[str],
+    start: float,
+    **manifest: Any,
+) -> tuple[list[Path], dict[str, int]]:
+    """Write one CSV per output key plus the run manifest.
+
+    Run diagnostics (wall time, the largest resolvent residual of a scan)
+    go to the manifest only, so CSV bodies stay byte-identical across runs.
+    Returns the written paths and the CSV row counts.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    counts = {}
+    for key, (suffix, header) in headers.items():
+        path = out / f"{stem}_{suffix}.csv"
+        _write_csv(path, header, rows[key])
+        files.append(path)
+        counts[path.name] = len(rows[key])
+    residuals = [res["residual"] for res in results if "residual" in res]
+    if residuals:
+        manifest["max_resolvent_residual"] = max(residuals)
+    manifest.update(
+        outputs=[f.name for f in files],
+        row_counts=counts,
+        safety_flags=flags,
+        versions=_versions(),
+        wall_time_s=time.time() - start,
+        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    )
+    manifest_path = out / f"{stem}_manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    files.append(manifest_path)
+    return files, counts
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -640,30 +685,11 @@ def run_experiment(
     plan = RECIPES[cfg.experiment](cfg)
     results = execute_tasks(plan.tasks, workers)
     tagged, flags = _collect(cfg, plan, results)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = prefix or str(cfg.get("output.prefix", cfg.experiment))
-    files = []
-    counts = {}
-    for key, (suffix, header) in plan.files.items():
-        path = out / f"{stem}_{suffix}.csv"
-        _write_csv(path, header, tagged[key])
-        files.append(path)
-        counts[path.name] = len(tagged[key])
-    manifest = {
-        "experiment": cfg.experiment,
-        "config_hash": cfg.hash,
-        "seed": cfg.seed,
-        "outputs": [f.name for f in files],
-        "row_counts": counts,
-        "safety_flags": flags,
-        "versions": _versions(),
-        "wall_time_s": time.time() - start,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    manifest_path = out / f"{stem}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    files.append(manifest_path)
+    files, counts = _write_run(
+        out_dir, stem, plan.files, tagged, results, flags, start,
+        experiment=cfg.experiment, config_hash=cfg.hash, seed=cfg.seed,
+    )
     return RunResult(cfg.experiment, cfg.hash, files, flags, counts)
 
 
@@ -746,30 +772,10 @@ def run_sweep(
                 (*combo, *row) for row in tagged[key]
             )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = str(cfg.get("output.prefix", f"sweep_{recipe}"))
-    files = []
-    counts = {}
-    for key, (suffix, header) in headers.items():
-        path = out / f"{stem}_{suffix}.csv"
-        _write_csv(path, header, merged[key])
-        files.append(path)
-        counts[path.name] = len(merged[key])
-    manifest = {
-        "experiment": f"sweep:{recipe}",
-        "config_hash": cfg.hash,
-        "seed": cfg.seed,
-        "axes": list(axes),
-        "combos": len(combos),
-        "outputs": [f.name for f in files],
-        "row_counts": counts,
-        "safety_flags": flags,
-        "versions": _versions(),
-        "wall_time_s": time.time() - start,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    manifest_path = out / f"{stem}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    files.append(manifest_path)
+    files, counts = _write_run(
+        out_dir, stem, headers, merged, results, flags, start,
+        experiment=f"sweep:{recipe}", config_hash=cfg.hash, seed=cfg.seed,
+        axes=list(axes), combos=len(combos),
+    )
     return RunResult(f"sweep:{recipe}", cfg.hash, files, flags, counts)

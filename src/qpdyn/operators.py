@@ -344,6 +344,43 @@ def potential_values(spec: OperatorSpec, sites: Sequence[Coords]) -> np.ndarray:
     return spec.potential.values(spec.dynamics.orbit_array(arr))
 
 
+def hopping_block(spec: OperatorSpec, sites: np.ndarray) -> np.ndarray:
+    """Kernel part S(n - n') / coupling of the volume matrix.
+
+    ``sites`` is an (m, d) integer array of distinct sites; rows and columns
+    follow its order.  The block depends only on site differences, so every
+    translate of a volume shares it.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    n, d = sites.shape
+    H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
+    inv = 1.0 / spec.coupling
+    offsets, hops = [], []
+    for k, v in spec.kernel.coefficients:
+        hop = v.real * inv if spec.is_real else v * inv
+        if any(k):
+            offsets.append(k)
+            hops.append(hop)
+        else:
+            H[np.diag_indices(n)] += hop
+    if not offsets:
+        return H
+    # site p couples to q = p - k: label sites and targets by one
+    # lexicographic sort, which works for any coordinate range
+    offsets = np.asarray(offsets, dtype=np.int64)
+    targets = (sites[None, :, :] - offsets[:, None, :]).reshape(-1, d)
+    _, label = np.unique(np.concatenate([sites, targets]), axis=0,
+                         return_inverse=True)
+    label = label.reshape(-1)
+    site_of = np.full(label.max() + 1, -1, dtype=np.int64)
+    site_of[label[:n]] = np.arange(n)
+    cols = site_of[label[n:]].reshape(len(offsets), n)
+    k, rows = np.nonzero(cols >= 0)
+    # one offset per (row, col) pair, so each entry is zero plus one hop
+    H[rows, cols[k, rows]] += np.asarray(hops, dtype=H.dtype)[k]
+    return H
+
+
 def assemble(spec: OperatorSpec, region_or_points) -> np.ndarray:
     """Finite-volume matrix of H over the canonical site ordering.
 
@@ -354,22 +391,8 @@ def assemble(spec: OperatorSpec, region_or_points) -> np.ndarray:
     sites = site_list(region_or_points)
     if not sites:
         raise ValueError("region is empty")
-    n = len(sites)
-    index = {p: i for i, p in enumerate(sites)}
-    dtype = np.float64 if spec.is_real else np.complex128
-    H = np.zeros((n, n), dtype=dtype)
-    inv = 1.0 / spec.coupling
-    for k, v in spec.kernel.coefficients:
-        hop = v.real * inv if spec.is_real else v * inv
-        if not any(k):
-            H[np.diag_indices(n)] += hop
-            continue
-        for i, p in enumerate(sites):
-            q = tuple(a - b for a, b in zip(p, k))
-            j = index.get(q)
-            if j is not None:
-                H[i, j] += hop
-    H[np.diag_indices(n)] += potential_values(spec, sites)
+    H = hopping_block(spec, np.asarray(sites))
+    H[np.diag_indices(len(sites))] += potential_values(spec, sites)
     return H
 
 

@@ -95,3 +95,28 @@ def oracle_width(points):
         if ok_all:
             admissible.append(size)
     return max(admissible, default=0)
+
+
+def oracle_assemble(spec, sites):
+    """Volume matrix by the per-site loop over kernel offsets, accumulating
+    each hop into a zero matrix before adding the potential diagonal."""
+    import numpy as np
+
+    from qpdyn.operators import potential_values
+
+    sites = [tuple(int(c) for c in p) for p in sites]
+    n = len(sites)
+    index = {p: i for i, p in enumerate(sites)}
+    H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
+    inv = 1.0 / spec.coupling
+    for k, v in spec.kernel.coefficients:
+        hop = v.real * inv if spec.is_real else v * inv
+        if not any(k):
+            H[np.diag_indices(n)] += hop
+            continue
+        for i, p in enumerate(sites):
+            j = index.get(tuple(a - b for a, b in zip(p, k)))
+            if j is not None:
+                H[i, j] += hop
+    H[np.diag_indices(n)] += potential_values(spec, sites)
+    return H

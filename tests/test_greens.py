@@ -1,7 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdyn.greens import (
     BadSetReport,
@@ -15,13 +18,16 @@ from qpdyn.greens import (
     is_good,
     is_strongly_good,
     multiscale_decay_check,
+    pair_distance_threshold,
     resolvent_norm,
     scan_boxes,
+    scan_centers,
     verify_resolvent_identity,
 )
 from qpdyn.lattice import ElementaryRegion, GeneralizedRegion
 from qpdyn.operators import (
     LINEAR_FORM,
+    RANK_ONE,
     KernelSpec,
     OperatorSpec,
     PotentialSpec,
@@ -35,6 +41,18 @@ from qpdyn.operators import (
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 STILL = ShiftDynamics(LINEAR_FORM, (0.0,), (0.0,))
 AMO3 = almost_mathieu(3.0, GOLDEN, 0.3)
+SILVER = math.sqrt(2.0) - 1.0
+# the module, not the function the package re-exports under its name
+GREENS = importlib.import_module("qpdyn.greens")
+
+
+def amo_2d(lam, phase):
+    """Rank-one AMO-type model on Z^2 with potential 2 lam cos."""
+    return OperatorSpec(
+        KernelSpec.laplacian(2),
+        PotentialSpec.cosine_series({(1,): 2.0 * lam}),
+        ShiftDynamics(RANK_ONE, (GOLDEN, SILVER), (phase,)),
+    )
 
 
 def constant_diag(c):
@@ -73,6 +91,14 @@ class TestGreens:
         spec = constant_diag(1.0)
         with pytest.raises(np.linalg.LinAlgError):
             greens(spec, [(0,)], 1.0 + 0.0j)
+
+    def test_entry_matches_site_order(self):
+        region = ElementaryRegion((2, -1), 2, ("<", ">"))
+        g = greens(amo_2d(3.0, 0.3), region, 0.5 + 0.1j)
+        for n in g.sites[::5]:
+            for m in g.sites[::3]:
+                i, j = g.sites.index(n), g.sites.index(m)
+                assert g.entry(n, m) == g.matrix[i, j]
 
 
 class TestGoodness:
@@ -148,6 +174,11 @@ class TestBadSet:
     def test_size_ordering_enforced(self):
         with pytest.raises(ValueError):
             bad_set(AMO3, 5, 5, 1j, ClassificationParams())
+
+    def test_centers_must_match_dimension(self):
+        with pytest.raises(ValueError):
+            bad_set(amo_2d(3.0, 0.3), 5, 2, 1j, ClassificationParams(),
+                    centers=[(0,), (1,)])
 
 
 class TestSublinearFit:
@@ -297,3 +328,91 @@ class TestNormBoundInvariant:
                 spec, ElementaryRegion((center,), radius), complex(energy, eps)
             )
             assert g.norm() <= (1.0 / eps) * (1.0 + 1e-10)
+
+
+def lu_verdict(spec, region, z, params):
+    """The per-box oracle: LU resolvent, its worst decay pair, and the
+    eigenvalue norm, classified by the definitions."""
+    g = greens(spec, region, z)
+    witness = GREENS._worst_decay_pair(
+        g.sites, g.matrix, pair_distance_threshold(region.size), params.c2
+    )
+    norm = resolvent_norm(spec, region, z)
+    good = witness is None or witness.margin <= 0.0
+    return norm, witness, good, good and norm <= math.exp(region.size**params.sigma)
+
+
+@st.composite
+def amo_scans(draw):
+    lam = draw(st.floats(0.5, 5.0))
+    phase = draw(st.floats(0.0, 1.0, exclude_max=True))
+    if draw(st.booleans()):
+        # sizes up to 40 reach decay bounds near exp(-64), far below the
+        # rounding error of an eigenvector reconstruction of G
+        spec, sub = almost_mathieu(lam, GOLDEN, phase), draw(st.integers(1, 40))
+    else:
+        spec, sub = amo_2d(lam, phase), draw(st.integers(1, 3))
+    coord = st.integers(-50, 50)
+    centers = draw(st.lists(st.tuples(*[coord] * spec.dimension),
+                            min_size=1, max_size=3))
+    # the spectrum lies in [-K + 1, K - 1]: energies inside it and off it
+    K = spec.spectral_bound + 2.0
+    z = complex(draw(st.floats(-K, K)), 10.0 ** draw(st.floats(-3.0, 0.0)))
+    params = ClassificationParams(c2=draw(st.floats(0.01, 1.0)), sigma=0.5)
+    return spec, sub, centers, z, params
+
+
+@given(amo_scans())
+@settings(max_examples=60, deadline=None)
+def test_batched_engine_matches_lu_oracle(scan):
+    spec, sub, centers, z, params = scan
+    for _, _, v in scan_boxes(spec, sub + 1, sub, z, params, centers=centers):
+        norm, witness, good, strongly_good = lu_verdict(spec, v.region, z, params)
+        assert (v.good, v.strongly_good) == (good, strongly_good), (
+            f"verdict flip on {v.region}: LU margin {witness.margin!r}, "
+            f"engine margin {v.decay_margin!r}, LU norm {norm!r}, engine "
+            f"norm {v.norm!r}, bound {v.norm_bound!r}"
+        )
+        assert v.norm == pytest.approx(norm, rel=1e-9)
+        # a margin is log(|G| / bound): abs 1e-9 is |G| within 1e-9 relative
+        assert v.decay_margin == pytest.approx(witness.margin, rel=1e-9, abs=1e-9)
+        assert v.residual < 1e-10
+
+
+@pytest.mark.parametrize("z", [5.0 + 0.0j, 3.0 + 1e-3j, 0.5 + 1e-3j])
+def test_engine_keeps_tiny_far_entries_of_large_boxes(z):
+    # off the spectrum |G(n, n')| falls to about exp(-125) at distance 80,
+    # far below the rounding error of V diag(1/(w - z)) V^H
+    spec, region = free_laplacian(1), ElementaryRegion((0,), 40)
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)
+    verdict = classify_box(spec, region, z, params)
+    assert (verdict.good, verdict.strongly_good) == (good, strongly_good)
+    assert verdict.decay_margin == pytest.approx(witness.margin, rel=1e-9)
+    ok, worst = is_good(spec, region, z, 0.8)
+    assert ok == good
+    assert worst.margin == pytest.approx(witness.margin, rel=1e-9)
+    if z.imag == 0.0:
+        assert good
+
+
+def test_engine_batches_do_not_change_verdicts(monkeypatch):
+    spec = amo_2d(3.0, 0.3)
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    centers = list(scan_centers(3, 2))
+    whole = list(scan_boxes(spec, 4, 2, 0.2 + 1e-3j, params, centers=centers))
+    # 25 entries hold one 5 x 5 cube: every box is its own batch
+    monkeypatch.setattr(GREENS, "BATCH_ENTRIES", 25)
+    single = list(scan_boxes(spec, 4, 2, 0.2 + 1e-3j, params, centers=centers))
+    assert [(c, s) for c, s, _ in whole] == [(c, s) for c, s, _ in single]
+    assert [v.witness for *_, v in whole] == [v.witness for *_, v in single]
+    assert [v.norm for *_, v in whole] == pytest.approx(
+        [v.norm for *_, v in single], rel=1e-12
+    )
+
+
+def test_engine_reports_singular_box():
+    # z equal to an eigenvalue of the box, as greens() reports it
+    with pytest.raises(np.linalg.LinAlgError):
+        classify_box(constant_diag(1.0), ElementaryRegion((0,), 3), 1.0 + 0.0j,
+                     ClassificationParams())

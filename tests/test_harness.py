@@ -169,6 +169,29 @@ class TestRecipes:
         )
         assert result.row_counts["gs_scan.csv"] == 13  # one shape, 13 centers
 
+    def test_scan_manifests_record_max_residual(self, tmp_path):
+        scan = f"""
+            experiment = bad-set-scan
+            {AMO_MODEL}
+            scan.sizes = 6
+            scan.sub_size = 2
+            scan.energies = 0.0
+            scan.horizon = 100.0
+            """
+        sweep = scan + """
+            sweep.recipe = bad-set-scan
+            sweep.axes = scan.horizon
+            sweep.values.scan.horizon = 10.0,100.0
+            output.prefix = sw
+            """
+        run_experiment(load_config(write(tmp_path, "gs.cfg", scan)), tmp_path / "a",
+                       prefix="gs")
+        run_sweep(load_config(write(tmp_path, "sw.cfg", sweep)), tmp_path / "b")
+        for manifest in (tmp_path / "a" / "gs_manifest.json",
+                         tmp_path / "b" / "sw_manifest.json"):
+            residual = json.loads(manifest.read_text())["max_resolvent_residual"]
+            assert 0.0 < residual < 1e-10
+
     def test_sublinear_requires_three_scales(self, tmp_path):
         p = write(
             tmp_path,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_assemble
 from qpdyn.lattice import ElementaryRegion, GeneralizedRegion
 from qpdyn.operators import (
     LINEAR_FORM,
@@ -151,6 +152,33 @@ class TestAssemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             assemble(free_laplacian(1), [])
+
+    @pytest.mark.parametrize(
+        "spec, region",
+        [
+            (almost_mathieu(3.0, GOLDEN, 0.3), ElementaryRegion((7,), 12)),
+            (free_laplacian(2), ElementaryRegion((1, -2), 3, ("<", ">"))),
+            (free_laplacian(2), GeneralizedRegion((0, 0), (2, 3), cut=(1, 1))),
+            (free_laplacian(1), [(0,), (3,), (1,), (10**12,)]),
+            (
+                OperatorSpec(
+                    KernelSpec.toeplitz(
+                        {(0,): 0.5, (1,): 0.4 + 0.3j, (3,): -0.1j},
+                        decay_amplitude=2.0, decay_rate=0.4,
+                    ),
+                    PotentialSpec.cosine_series({(1,): 1.0}),
+                    ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.2,)),
+                    coupling=3.0,
+                ),
+                ElementaryRegion((-4,), 9),
+            ),
+        ],
+    )
+    def test_matches_per_site_loop_bit_for_bit(self, spec, region):
+        H = assemble(spec, region)
+        ref = oracle_assemble(spec, site_list(region))
+        assert H.dtype == ref.dtype
+        assert H.tobytes() == ref.tobytes()
 
 
 class TestSpectralBound:
