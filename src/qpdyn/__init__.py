@@ -36,8 +36,8 @@ from .dynamics import (
     amplitude_table_parseval,
     averaged_moment_direct,
     averaged_moment_parseval,
+    double_while_flagged,
     evolve,
-    evolve_adaptive,
     fit_log_exponent,
     lyapunov_estimate,
     moment,
@@ -85,10 +85,8 @@ from .operators import (
     almost_mathieu,
     assemble,
     diagonal_model,
-    evaluate_potential,
     free_laplacian,
     site_list,
-    spectral_bound,
 )
 
 __all__ = [
@@ -100,7 +98,7 @@ __all__ = [
     # operators
     "KernelSpec", "OperatorSpec", "PotentialSpec", "ShiftDynamics",
     "StateVector", "almost_mathieu", "assemble", "diagonal_model",
-    "evaluate_potential", "free_laplacian", "site_list", "spectral_bound",
+    "free_laplacian", "site_list",
     # greens
     "BadSetReport", "BoxVerdict", "ClassificationParams", "ComplexEnergy",
     "DecayWitness", "GreensMatrix", "MultiscaleReport", "SublinearFit",
@@ -112,9 +110,9 @@ __all__ = [
     "AmplitudeTable", "EvolutionResult", "LogFit", "LyapunovEstimate",
     "MomentSeries", "QuadratureError", "TimeAveragedMoment",
     "amplitude_table_direct", "amplitude_table_parseval",
-    "averaged_moment_direct", "averaged_moment_parseval", "evolve",
-    "evolve_adaptive", "fit_log_exponent", "lyapunov_estimate", "moment",
-    "moment_series",
+    "averaged_moment_direct", "averaged_moment_parseval",
+    "double_while_flagged", "evolve", "fit_log_exponent", "lyapunov_estimate",
+    "moment", "moment_series",
     # arithmetic
     "ContinuedFraction", "DiophantineParams", "DiophantineReport",
     "DiscrepancyReport", "continued_fraction", "diophantine_check",

@@ -39,14 +39,18 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
+def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
+    """Sup norms |n| of the sites, as floats (exact: they are integers)."""
+    return np.abs(np.asarray(sites, dtype=np.int64)).max(axis=1).astype(float)
+
+
 @lru_cache(maxsize=4)
 def _box_eigh(spec: OperatorSpec, radius: int):
     """Sites, eigenvalues, and eigenvectors of the cube truncation."""
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
     H = assemble(spec, sites)
     w, U = np.linalg.eigh(H)
-    norms = np.array([max(abs(c) for c in p) for p in sites], dtype=float)
-    return sites, norms, w, U
+    return sites, _sup_norms(sites), w, U
 
 
 def _shell_mask(norms: np.ndarray, radius: int) -> np.ndarray:
@@ -77,7 +81,7 @@ class EvolutionResult:
         )
 
     def site_norms(self) -> np.ndarray:
-        return np.array([max(abs(c) for c in p) for p in self.sites], float)
+        return _sup_norms(self.sites)
 
     def moments(self, p: float) -> np.ndarray:
         weights = self.site_norms() ** p
@@ -121,23 +125,21 @@ def evolve(
     )
 
 
-def evolve_adaptive(
-    spec: OperatorSpec,
-    phi: StateVector,
-    times: Sequence[float],
-    radius: int,
-    leakage_tol: float = DEFAULT_LEAKAGE_TOL,
-    max_doublings: int = 2,
-) -> EvolutionResult:
-    """Evolve, doubling the truncation radius while the leakage flag is
-    raised; the result stays flagged if the cap is reached."""
+def double_while_flagged(run: Callable, radius: int, max_doublings: int):
+    """The truncation policy: ``run(r)`` at r = radius, doubling r while the
+    result is flagged, for at most ``max_doublings + 1`` attempts.
+
+    ``run`` returns a result with ``flagged`` and ``radius``; the last
+    result stays flagged when the cap is reached.
+    """
     r = radius
+    result = run(r)
     for _ in range(max_doublings):
-        result = evolve(spec, phi, times, r, leakage_tol)
         if not result.flagged:
-            return result
+            break
         r *= 2
-    return evolve(spec, phi, times, r, leakage_tol)
+        result = run(r)
+    return result
 
 
 def moment(psi: StateVector, p: float) -> float:
@@ -159,6 +161,7 @@ class MomentSeries:
     entries: tuple[tuple[float, float], ...]  # (t or T, value)
     radius: int
     leakage: float
+    flagged: bool
     fingerprint: str
 
     def times(self) -> np.ndarray:
@@ -185,13 +188,20 @@ def moment_series(
         tuple(zip(result.times, (float(v) for v in vals))),
         radius,
         result.leakage,
+        result.flagged,
         spec.fingerprint(),
     )
 
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Time-averaged site occupations a(., n, T) over a truncation box."""
+    """Time-averaged site occupations a(., n, T) over a truncation box.
+
+    ``leakage`` is the truncation diagnostic of the route: on the direct
+    route the largest instantaneous mass in the outer 10% shell over the
+    quadrature times, on the Parseval route the shell mass of a(j, ., T);
+    ``flagged`` marks tables whose leakage exceeded the tolerance.
+    """
 
     source: Coords | None
     horizon: float  # T
@@ -208,8 +218,7 @@ class AmplitudeTable:
         return float(self.values.sum())
 
     def moment(self, p: float) -> float:
-        norms = np.array([max(abs(c) for c in n) for n in self.sites], float)
-        return float((norms**p) @ self.values)
+        return float((_sup_norms(self.sites) ** p) @ self.values)
 
     @cached_property
     def _index(self) -> dict[Coords, int]:
@@ -318,6 +327,7 @@ def amplitude_table_parseval(
     control_orders: Sequence[float] = (0.0, 2.0),
     rel_tol: float = 1e-9,
     max_panels: int = 4000,
+    leakage_tol: float = DEFAULT_LEAKAGE_TOL,
 ) -> AmplitudeTable:
     """Energy route: adaptive quadrature of |G(E + i/T)(j, n)|^2 / (T pi).
 
@@ -429,6 +439,7 @@ def amplitude_table_parseval(
             raise QuadratureError("tail integration did not converge")
 
     values = prefactor * total_vec
+    leakage = float(values[_shell_mask(norms, radius)].sum())
     return AmplitudeTable(
         source=src,
         horizon=T,
@@ -436,8 +447,8 @@ def amplitude_table_parseval(
         sites=sites,
         values=values,
         route="parseval",
-        leakage=0.0,
-        flagged=False,
+        leakage=leakage,
+        flagged=leakage > leakage_tol,
         tail_bound=prefactor * tail_bound,
         band_edge=edge,
     )
@@ -484,39 +495,40 @@ def averaged_moment_parseval(
 ) -> TimeAveragedMoment:
     """Time-averaged p-th moment through the energy-integral route.
 
-    Exact (up to quadrature) for a single-site phi; for multi-site phi the
-    cross-term-free upper bound ||phi||^2 sum_j sum_n |n|^p a(j, n, T) is
-    computed and flagged as a bound, not an equality.
+    Exact (up to quadrature) for a single-site phi, flagged when the table
+    leaks; for multi-site phi the cross-term-free upper bound
+    ||phi||^2 sum_j sum_n |n|^p a(j, n, T) is computed and flagged as a
+    bound, not an equality (and as truncation-unsafe when any table leaks).
     """
     if p <= 0:
         raise ValueError("p must be positive")
     support = phi.support
     if not support:
         raise ValueError("phi must have non-empty support")
-    orders = (0.0, p) if p != 0.0 else (0.0,)
+    orders = (0.0, p)
     if len(support) == 1:
         j = support[0]
         table = amplitude_table_parseval(
             spec, j, T, radius, control_orders=orders, rel_tol=rel_tol
         )
         scale = abs(phi.amplitudes[j]) ** 2
+        note = "truncation-unsafe" if table.flagged else ""
         return TimeAveragedMoment(
-            scale * table.moment(p), p, T, "parseval", False, "", table
+            scale * table.moment(p), p, T, "parseval", table.flagged, note,
+            table,
         )
-    total = 0.0
-    for j in support:
-        table = amplitude_table_parseval(
+    tables = [
+        amplitude_table_parseval(
             spec, j, T, radius, control_orders=orders, rel_tol=rel_tol
         )
-        total += table.moment(p)
+        for j in support
+    ]
+    note = "bound-not-equality"
+    if any(table.flagged for table in tables):
+        note += ",truncation-unsafe"
     return TimeAveragedMoment(
-        phi.norm_sq() * total,
-        p,
-        T,
-        "parseval",
-        True,
-        "bound-not-equality",
-        None,
+        phi.norm_sq() * sum(table.moment(p) for table in tables),
+        p, T, "parseval", True, note, None,
     )
 
 

@@ -102,6 +102,13 @@ def _singular(z: complex) -> str:
     return f"volume is singular at z={z}; use epsilon > 0 away from eigenvalues"
 
 
+def _residual_norm(R: np.ndarray):
+    """||R|| of a residual (H - z) G - I, or of each of a stack of them: the
+    spectral norm up to 1024 points, the Frobenius upper bound beyond."""
+    order = 2 if R.shape[-1] <= 1024 else None
+    return np.linalg.norm(R, order, axis=(-2, -1))
+
+
 def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
     """Solve (H_volume - z) G = I by dense LU factorisation."""
     zc = _as_complex(z)
@@ -119,12 +126,7 @@ def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
         raise np.linalg.LinAlgError(singular) from exc
     if not np.isfinite(G).all():  # scipy may hand back inf/nan with a warning
         raise np.linalg.LinAlgError(singular)
-    R = A @ G - eye
-    if len(sites) <= 1024:
-        residual = float(np.linalg.norm(R, 2))
-    else:
-        residual = float(np.linalg.norm(R))
-    return GreensMatrix(sites, zc, G, residual)
+    return GreensMatrix(sites, zc, G, float(_residual_norm(A @ G - eye)))
 
 
 def resolvent_norm(spec: OperatorSpec, region_or_points, z) -> float:
@@ -146,8 +148,7 @@ class ClassificationParams:
     ``c2`` is the decay rate demanded of Green's functions, at most the
     kernel rate c1 (default four fifths of it); ``sigma`` the norm exponent;
     ``xi`` the sub-box scale exponent; ``varsigma`` the sublinear-count
-    exponent; ``eps_max`` the largest imaginary part probed; ``min_scale``
-    the smallest admissible box size.
+    exponent.
     """
 
     c2: float = 0.8
@@ -155,8 +156,6 @@ class ClassificationParams:
     xi: float = 0.5
     varsigma: float = 0.95  # near 1, yet small enough that the count bound
     # can actually fail at desk scales (N^(0.95-xi) < tile count at N ~ 100)
-    eps_max: float = 1.0
-    min_scale: int = 1
 
     def __post_init__(self) -> None:
         if self.c2 <= 0:
@@ -165,8 +164,6 @@ class ClassificationParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.eps_max <= 0:
-            raise ValueError("eps_max must be positive")
 
     @classmethod
     def for_spec(cls, spec: OperatorSpec, **overrides) -> "ClassificationParams":
@@ -335,11 +332,7 @@ class _TranslateEngine:
                 witnesses[k] = witness
         R = H @ G - z * G
         R[:, diag, diag] -= 1.0
-        if n <= 1024:
-            residual = np.linalg.norm(R, 2, axis=(1, 2))
-        else:
-            residual = np.linalg.norm(R, axis=(1, 2))
-        return zip(norm.tolist(), witnesses, residual.tolist())
+        return zip(norm.tolist(), witnesses, _residual_norm(R).tolist())
 
 
 def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):

@@ -14,7 +14,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -26,6 +27,7 @@ from ..dynamics import (
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
+    double_while_flagged,
     evolve,
     fit_log_exponent,
     lyapunov_estimate,
@@ -86,43 +88,37 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
                         leakage_tol, auto_double=False, max_doublings=2):
     phi = StateVector.delta(initial)
     fingerprint = spec.fingerprint()
-    rows = []
-    flags = []
-    leakage = 0.0
-    attempts = max_doublings + 1 if auto_double else 1
+    doublings = max_doublings if auto_double else 0
     if mode == "instantaneous":
-        r = radius
-        for attempt in range(attempts):
-            series = moment_series(spec, phi, p, times, r, leakage_tol)
-            if series.leakage <= leakage_tol or attempt == attempts - 1:
-                break
-            r *= 2  # truncation policy: double the box and retry
-        leakage = series.leakage
-        if leakage > leakage_tol:
-            flags.append("leakage")
-        for t, v in series.entries:
-            rows.append((mode, p, t, v, r, series.leakage, fingerprint))
-        fit_row = _fit_series(mode, p, series.times(), series.values())
+        series = double_while_flagged(
+            lambda r: moment_series(spec, phi, p, times, r, leakage_tol),
+            radius, doublings,
+        )
+        runs = [series]
+        samples = [(t, v, series) for t, v in series.entries]
     else:
-        values = []
-        for T in horizons:
-            r = radius
-            for attempt in range(attempts):
-                if mode == "time-averaged-direct":
-                    table = amplitude_table_direct(spec, phi, T, r, leakage_tol)
-                else:
-                    table = amplitude_table_parseval(spec, initial, T, r,
-                                                     control_orders=(0.0, p))
-                if not table.flagged or attempt == attempts - 1:
-                    break
-                r *= 2
-            if table.flagged:
-                flags.append("leakage")
-            leakage = max(leakage, table.leakage)
-            values.append(table.moment(p))
-            rows.append((mode, p, T, values[-1], r, table.leakage, fingerprint))
-        fit_row = _fit_series(mode, p, np.asarray(horizons), np.asarray(values))
-    return {"main": rows, "fit": [fit_row], "flags": flags, "leakage": leakage}
+        if mode == "time-averaged-direct":
+            def table(T, r):
+                return amplitude_table_direct(spec, phi, T, r, leakage_tol)
+        else:
+            def table(T, r):
+                return amplitude_table_parseval(
+                    spec, initial, T, r, control_orders=(0.0, p),
+                    leakage_tol=leakage_tol,
+                )
+        runs = [double_while_flagged(partial(table, T), radius, doublings)
+                for T in horizons]
+        samples = [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
+    rows = [(mode, p, x, v, run.radius, run.leakage, fingerprint)
+            for x, v, run in samples]
+    xs = np.array([x for x, _, _ in samples])
+    values = np.array([v for _, v, _ in samples])
+    return {
+        "main": rows,
+        "fit": [_fit_series(mode, p, xs, values)],
+        "flags": ["leakage" for run in runs if run.flagged],
+        "leakage": max((run.leakage for run in runs), default=0.0),
+    }
 
 
 def _fit_series(mode, p, times, values):
@@ -261,9 +257,12 @@ def execute_tasks(tasks: Sequence[Task], workers: int) -> list[dict]:
 
 @dataclass
 class Plan:
+    """Tasks and output files of one run; each file gets its key's task rows
+    in plan order unless ``aggregate`` reduces all results to them."""
+
     tasks: list[Task]
     files: dict[str, tuple[str, list[str]]]  # output key -> (suffix, header)
-    context: dict[str, Any] = field(default_factory=dict)
+    aggregate: Callable[[list[dict]], dict[str, list[tuple]]] | None = None
 
 
 def _coords_header(d: int) -> list[str]:
@@ -357,10 +356,13 @@ def _scan_setup(r: ConfigReader, cfg: ExperimentConfig):
     sub_exp = r.number("scan.sub_exponent", default=0.3, minimum=0.0, maximum=1.0)
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
     energies = r.floats("scan.energies", default=(0.0,))
-    horizon = r.number("scan.horizon", default=None, minimum=0.0)
+    horizon = r.number("scan.horizon", default=None)
     eps = r.number("scan.epsilon", default=None, minimum=0.0)
+    if horizon is not None and horizon <= 0:
+        r.issues.append("'scan.horizon' must be positive")
+        horizon = None
     if eps is None:
-        eps = 1.0 / horizon if horizon else 1e-3
+        eps = 1.0 / horizon if horizon is not None else 1e-3
     params = None
     if spec is not None:
         overrides = {}
@@ -436,37 +438,32 @@ def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
     return Plan(
         tasks,
         {"main": ("counts", header), "fit": ("fit", fit_header)},
-        context={"energies": energies, "eps": eps, "pairs": pairs},
+        aggregate=partial(_aggregate_sublinear, energies, eps, pairs),
     )
 
 
-def _aggregate_sublinear(context, results):
+def _aggregate_sublinear(energies, eps, pairs, results):
     """Sum per-chunk bad counts into per-(E, N) rows plus per-E fits."""
     sums: dict[tuple[float, int], list[int]] = {}
-    subs: dict[int, int] = {}
     for res in results:
-        e, eps, n, sub, count, total = res["partial"]
-        key = (e, n)
-        sums.setdefault(key, [0, 0])
-        sums[key][0] += count
-        sums[key][1] += total
-        subs[n] = sub
+        e, _, n, _, count, total = res["partial"]
+        acc = sums.setdefault((e, n), [0, 0])
+        acc[0] += count
+        acc[1] += total
     count_rows = []
     fit_rows = []
-    for e in context["energies"]:
+    for e in energies:
         per_scale = []
-        for n, sub in context["pairs"]:
+        for n, sub in pairs:
             count, total = sums[(e, n)]
             per_scale.append((n, count))
-            count_rows.append(
-                (n, sub, e, context["eps"], count, total, count / total)
-            )
+            count_rows.append((n, sub, e, eps, count, total, count / total))
         fit = fit_sublinear_exponent(per_scale)
         fit_rows.append(
-            (e, context["eps"], fit.delta, fit.slope, fit.slope_stderr,
+            (e, eps, fit.delta, fit.slope, fit.slope_stderr,
              fit.residual_rms, fit.no_bad_boxes)
         )
-    return count_rows, fit_rows
+    return {"main": count_rows, "fit": fit_rows}
 
 
 def _plan_parseval(cfg: ExperimentConfig) -> Plan:
@@ -613,17 +610,14 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def _collect(cfg: ExperimentConfig, plan: Plan, results: list[dict]):
-    tagged: dict[str, list[tuple]] = {key: [] for key in plan.files}
-    flags: list[str] = []
-    for task, res in zip(plan.tasks, results):
-        for key in plan.files:
-            for row in res.get(key, []):
-                tagged[key].append((cfg.experiment, cfg.hash, *row))
-        flags.extend(res.get("flags", []))
-    if cfg.experiment == "sublinear":
-        count_rows, fit_rows = _aggregate_sublinear(plan.context, results)
-        tagged["main"] = [(cfg.experiment, cfg.hash, *row) for row in count_rows]
-        tagged["fit"] = [(cfg.experiment, cfg.hash, *row) for row in fit_rows]
+    if plan.aggregate is not None:
+        rows = plan.aggregate(results)
+    else:
+        rows = {key: [row for res in results for row in res.get(key, [])]
+                for key in plan.files}
+    tagged = {key: [(cfg.experiment, cfg.hash, *row) for row in rows[key]]
+              for key in plan.files}
+    flags = [flag for res in results for flag in res.get("flags", [])]
     return tagged, flags
 
 
@@ -639,8 +633,9 @@ def _write_run(
 ) -> tuple[list[Path], dict[str, int]]:
     """Write one CSV per output key plus the run manifest.
 
-    Run diagnostics (wall time, the largest resolvent residual of a scan)
-    go to the manifest only, so CSV bodies stay byte-identical across runs.
+    Run diagnostics (wall time, the largest resolvent residual of a scan,
+    the largest truncation leakage of an evolution or moment run) go to the
+    manifest only, so CSV bodies stay byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
     out = Path(out_dir)
@@ -652,9 +647,11 @@ def _write_run(
         _write_csv(path, header, rows[key])
         files.append(path)
         counts[path.name] = len(rows[key])
-    residuals = [res["residual"] for res in results if "residual" in res]
-    if residuals:
-        manifest["max_resolvent_residual"] = max(residuals)
+    for key, name in (("residual", "max_resolvent_residual"),
+                      ("leakage", "max_leakage")):
+        values = [res[key] for res in results if key in res]
+        if values:
+            manifest[name] = max(values)
     manifest.update(
         outputs=[f.name for f in files],
         row_counts=counts,

@@ -320,15 +320,6 @@ class OperatorSpec:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def evaluate_potential(spec: OperatorSpec, n: Coords) -> float:
-    """v(f^n(x)) by exact trig-polynomial evaluation at the orbit point."""
-    return spec.potential_at(n)
-
-
-def spectral_bound(spec: OperatorSpec) -> float:
-    return spec.spectral_bound
-
-
 def site_list(region_or_points) -> tuple[Coords, ...]:
     """Canonical (lexicographically sorted) site tuple for a region or an
     explicit iterable of lattice points."""

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from qpdyn.dynamics import (
     amplitude_table_parseval,
     averaged_moment_direct,
     averaged_moment_parseval,
+    double_while_flagged,
     evolve,
-    evolve_adaptive,
     fit_log_exponent,
     lyapunov_estimate,
     moment,
@@ -22,6 +23,7 @@ from qpdyn.dynamics import (
     _box_eigh,
     _leggauss,
 )
+from qpdyn.lattice import sup_norm
 from qpdyn.operators import (
     LINEAR_FORM,
     PotentialSpec,
@@ -75,15 +77,45 @@ class TestEvolve:
         with pytest.raises(ValueError, match="supported"):
             evolve(free_laplacian(1), StateVector.delta((10,)), [1.0], 16)
 
+    def test_site_norms_match_per_site_loop(self):
+        spec = free_laplacian(2)
+        sites, norms, _, _ = _box_eigh(spec, 6)
+        loop = np.array([float(sup_norm(n)) for n in sites])
+        assert norms.tobytes() == loop.tobytes()
+        res = evolve(spec, StateVector.delta((0, 0)), [1.0], 6)
+        assert res.site_norms().tobytes() == loop.tobytes()
+        table = amplitude_table_direct(spec, StateVector.delta((0, 0)), 2.0, 6)
+        assert table.moment(1.5) == float((loop**1.5) @ table.values)
+
     def test_adaptive_radius_doubles_until_safe(self):
-        res = evolve_adaptive(free_laplacian(1), DELTA0, [10.0], 16,
-                              max_doublings=3)
+        def run(times):
+            return lambda r: evolve(free_laplacian(1), DELTA0, times, r)
+
+        res = double_while_flagged(run([10.0]), 16, max_doublings=3)
         assert res.radius == 64
         assert not res.flagged
-        capped = evolve_adaptive(free_laplacian(1), DELTA0, [200.0], 16,
-                                 max_doublings=1)
+        capped = double_while_flagged(run([200.0]), 16, max_doublings=1)
         assert capped.radius == 32
         assert capped.flagged
+
+    @pytest.mark.parametrize("clean_from,max_doublings,radii", [
+        (None, 2, [8, 16, 32]),  # capped: max_doublings + 1 attempts
+        (16, 3, [8, 16]),
+        (8, 3, [8]),
+        (None, 0, [8]),
+    ])
+    def test_doubling_policy_attempts(self, clean_from, max_doublings, radii):
+        tried = []
+
+        def run(r):
+            tried.append(r)
+            flagged = clean_from is None or r < clean_from
+            return SimpleNamespace(radius=r, flagged=flagged)
+
+        result = double_while_flagged(run, 8, max_doublings)
+        assert tried == radii
+        assert result.radius == radii[-1]
+        assert result.flagged == (clean_from is None)
 
 
 class TestMoment:
@@ -102,6 +134,12 @@ class TestMoment:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
             moment(DELTA0, 0.0)
+
+    def test_series_carries_leakage_flag(self):
+        leaky = moment_series(free_laplacian(1), DELTA0, 2.0, [30.0], 16)
+        assert leaky.flagged and leaky.leakage > 1e-8
+        clean = moment_series(free_laplacian(1), DELTA0, 2.0, [1.0], 64)
+        assert not clean.flagged
 
 
 class TestDirectAverage:
@@ -167,13 +205,43 @@ class TestParseval:
         phi = StateVector({(0,): 1.0, (1,): 1.0})
         out = averaged_moment_parseval(free_laplacian(1), phi, 2.0, 5.0, 32)
         assert out.flagged
-        assert out.note == "bound-not-equality"
+        # the ballistic tables also leak out of the r = 32 box at T = 5
+        assert out.note == "bound-not-equality,truncation-unsafe"
         exact = averaged_moment_direct(free_laplacian(1), phi, 2.0, 5.0, 32)
         assert out.value >= exact.value
 
     def test_source_must_sit_inside(self):
         with pytest.raises(ValueError, match="source"):
             amplitude_table_parseval(free_laplacian(1), (20,), 5.0, 16)
+
+    def test_leakage_is_shell_mass_of_the_table(self):
+        # ballistic spreading puts about 9% of a(0, ., 20) on |n| > 14.4
+        table = amplitude_table_parseval(free_laplacian(1), (0,), 20.0, 16)
+        shell = sum(table.value_at((n,)) for n in range(-16, 17) if abs(n) > 14.4)
+        assert table.leakage == pytest.approx(shell, rel=1e-12)
+        assert 0.09 < table.leakage < 0.095
+        assert table.flagged
+        loose = amplitude_table_parseval(
+            free_laplacian(1), (0,), 20.0, 16, leakage_tol=0.1
+        )
+        assert not loose.flagged
+        localized = amplitude_table_parseval(AMO3, (0,), 20.0, 32)
+        assert localized.leakage < 1e-20
+        assert not localized.flagged
+
+    def test_moment_flag_propagates(self):
+        out = averaged_moment_parseval(free_laplacian(1), DELTA0, 2.0, 20.0, 16)
+        assert out.flagged
+        assert out.note == "truncation-unsafe"
+        clean = averaged_moment_parseval(AMO3, DELTA0, 2.0, 20.0, 32)
+        assert not clean.flagged
+        assert clean.note == ""
+        pair = StateVector({(0,): 1.0, (1,): 1.0})
+        leaky = averaged_moment_parseval(free_laplacian(1), pair, 2.0, 20.0, 16)
+        assert leaky.note == "bound-not-equality,truncation-unsafe"
+        bound = averaged_moment_parseval(AMO3, pair, 2.0, 20.0, 32)
+        assert bound.flagged
+        assert bound.note == "bound-not-equality"
 
 
 class TestAmplitudeInequality:

@@ -86,6 +86,23 @@ class TestConfigParsing:
         assert "model.lambda" in issues
         assert "model.alpha" in issues
         assert "positive" in issues
+        # a zero horizon is rejected, not read as the default epsilon
+        p = write(
+            tmp_path,
+            "scan.cfg",
+            """
+            experiment = bad-set-scan
+            model.preset = amo
+            scan.sizes = 6
+            scan.sub_size = 2
+            scan.horizon = 0
+            """,
+        )
+        with pytest.raises(ConfigError) as err:
+            run_experiment(load_config(p), tmp_path / "out")
+        issues = "\n".join(err.value.issues)
+        assert "model.lambda" in issues
+        assert "'scan.horizon' must be positive" in issues
 
     def test_experiment_mismatch(self, tmp_path):
         p = write(tmp_path, "x.cfg", "experiment = evolve\n")
@@ -272,6 +289,88 @@ class TestRecipes:
         assert radii == {64}
         assert not result.safety_flags
 
+    @pytest.mark.parametrize("auto_double", [True, False])
+    def test_time_averaged_auto_double(self, tmp_path, auto_double):
+        # the localized AMO leaks out of a radius-4 box and is clean at 16
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.modes = time-averaged-direct,time-averaged-parseval
+            moments.horizons = 5.0,20.0
+            moments.radius = 4
+            moments.auto_double = {str(auto_double).lower()}
+            output.prefix = mom
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / "out")
+        rows = [r.split(",") for r in
+                (tmp_path / "out" / "mom_moments.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["time-averaged-direct"] * 2 + [
+            "time-averaged-parseval"] * 2
+        if auto_double:
+            assert {int(r[6]) for r in rows} == {16}
+            assert max(float(r[7]) for r in rows) < 1e-8
+            assert not result.safety_flags
+        else:
+            assert {int(r[6]) for r in rows} == {4}
+            assert min(float(r[7]) for r in rows) > 1e-8
+            assert result.safety_flags == ["leakage"] * 4
+        for d, pv in zip(rows[:2], rows[2:]):
+            assert float(d[5]) == pytest.approx(float(pv[5]), rel=1e-6)
+
+    @pytest.mark.parametrize("auto_double,tol,radius,flagged", [
+        ("true", 1e-8, 64, True),  # still leaks at the cap, r = 64
+        ("false", 1e-8, 16, True),
+        ("true", 0.1, 16, False),
+    ])
+    def test_parseval_leakage_doubles_or_flags(self, tmp_path, auto_double,
+                                               tol, radius, flagged):
+        # ballistic spreading leaves 9% of a(0, ., 20) in the shell at r = 16
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            model.preset = free-laplacian
+            moments.modes = time-averaged-parseval
+            moments.horizons = 20.0
+            moments.radius = 16
+            moments.auto_double = {auto_double}
+            moments.leakage_tol = {tol}
+            output.prefix = mom
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / "out")
+        (row,) = [r.split(",") for r in
+                  (tmp_path / "out" / "mom_moments.csv").read_text().splitlines()[1:]]
+        assert int(row[6]) == radius
+        leakage = float(row[7])
+        assert leakage > 1e-8
+        assert result.safety_flags == (["leakage"] if flagged else [])
+        manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
+        assert manifest["max_leakage"] == leakage
+
+    def test_manifest_records_max_leakage(self, tmp_path):
+        p = write(
+            tmp_path,
+            "ev.cfg",
+            """
+            experiment = evolve
+            model.preset = free-laplacian
+            evolve.times = 0.0,30.0
+            evolve.radius = 16
+            output.prefix = ev
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / "out")
+        assert result.safety_flags == ["leakage"]
+        manifest = json.loads((tmp_path / "out" / "ev_manifest.json").read_text())
+        assert 1e-8 < manifest["max_leakage"] <= 1.0
+        assert "max_resolvent_residual" not in manifest
+
     def test_diophantine_row(self, tmp_path):
         p = write(
             tmp_path,
@@ -352,6 +451,35 @@ class TestSweep:
             .splitlines()[1:]
         ]
         assert direct_rows == sweep_rows
+
+    def test_sublinear_sweep_matches_per_lambda_runs(self, tmp_path):
+        base = f"""
+            experiment = sublinear
+            {AMO_MODEL}
+            scan.sizes = 20,30,40
+            scan.sub_size = 3
+            """
+        sweep = base + """
+            sweep.recipe = sublinear
+            sweep.axes = model.lambda
+            sweep.values.model.lambda = 2.0,3.0
+            output.prefix = sw
+            """
+        run_sweep(load_config(write(tmp_path, "sw.cfg", sweep)), tmp_path / "sw")
+
+        def body(path, skip):  # rows without the axis, experiment and hash
+            lines = path.read_text().splitlines()[1:]
+            return [line.split(",")[skip:] for line in lines]
+
+        counts = body(tmp_path / "sw" / "sw_counts.csv", 3)
+        assert [int(r[4]) for r in counts] == [41, 61, 81, 19, 30, 35]
+        fits = body(tmp_path / "sw" / "sw_fit.csv", 3)
+        for i, lam in enumerate(("2.0", "3.0")):
+            cfg = base.replace("model.lambda = 3.0", f"model.lambda = {lam}")
+            run_experiment(load_config(write(tmp_path, f"{lam}.cfg", cfg)),
+                           tmp_path / lam, prefix="sub")
+            assert body(tmp_path / lam / "sub_counts.csv", 2) == counts[3 * i : 3 * i + 3]
+            assert body(tmp_path / lam / "sub_fit.csv", 2) == fits[i : i + 1]
 
     def test_grid_order_is_lexicographic(self, tmp_path):
         p = write(tmp_path, "sw.cfg", SWEEP_CFG)

@@ -19,10 +19,8 @@ from qpdyn.operators import (
     almost_mathieu,
     assemble,
     diagonal_model,
-    evaluate_potential,
     free_laplacian,
     site_list,
-    spectral_bound,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,7 +81,7 @@ class TestShiftDynamics:
         d = ShiftDynamics(LINEAR_FORM, (0.25,), (0.0,))
         v = PotentialSpec.cosine_series({(1,): 1.0})
         spec = diagonal_model(v, d)
-        assert evaluate_potential(spec, (1,)) == pytest.approx(0.0, abs=1e-15)
+        assert spec.potential_at((1,)) == pytest.approx(0.0, abs=1e-15)
 
     def test_rank_one_mode(self):
         d = ShiftDynamics(RANK_ONE, (0.3, 0.4), (0.1,))
@@ -184,13 +182,13 @@ class TestAssemble:
 class TestSpectralBound:
     def test_zero_operator(self):
         spec = diagonal_model(PotentialSpec.constant_value(0.0), still_dynamics())
-        assert spectral_bound(spec) == 1.0
+        assert spec.spectral_bound == 1.0
 
     def test_free_laplacian(self):
-        assert spectral_bound(free_laplacian(1)) == 3.0
+        assert free_laplacian(1).spectral_bound == 3.0
 
     def test_amo(self):
-        assert spectral_bound(almost_mathieu(3.0, GOLDEN)) == 9.0
+        assert almost_mathieu(3.0, GOLDEN).spectral_bound == 9.0
 
     @pytest.mark.parametrize(
         "spec,n",
