@@ -42,51 +42,57 @@ class DiscrepancyReport:
     grid_resolution: int | None = None
 
 
-def _exact_1d(x: np.ndarray) -> tuple[float, tuple[float, float], bool]:
-    n = x.size
-    u, counts = np.unique(x, return_counts=True)
-    cum = np.cumsum(counts)  # points <= u_j
-    below = cum - counts  # points < u_j
-    m = u.size
+def _sweep_1d(
+    closed: tuple[np.ndarray, np.ndarray],
+    opened: tuple[np.ndarray, np.ndarray],
+    n: int,
+    area: float,
+) -> tuple[float, float, float, bool]:
+    """Worst deviation |count / n - area * length| over intervals of one axis.
 
-    # overshoot by closed boxes [u_i, u_j], i < j:
-    #   (cum_j - below_i)/n - (u_j - u_i) splits into right_j + left_i
-    best_over = -math.inf
-    over_pair = (float(u[0]), float(u[0]))
-    over_attained = True
-    if m >= 2:
-        right = cum / n - u
-        left = u - below / n
-        prefix = np.maximum.accumulate(left)[:-1]
-        cand = right[1:] + prefix
+    ``closed`` and ``opened`` are the (unique values, counts) of the points
+    lying in the closed and in the open box of cross-section ``area`` above
+    the axis.  Overshoot runs over closed intervals [u_i, u_j] and the
+    shrinking interval [u_k, u_k + 0); deficit runs over open intervals with
+    virtual endpoints at 0 and 1.  Returns (value, low, high, attained); on
+    a tie the earlier of overshoot, shrinking and deficit wins.
+    """
+    def slopes(u, counts):
+        # right_j = (points <= u_j)/n - area u_j, left_j = area u_j - (points < u_j)/n
+        cum = np.cumsum(counts)
+        scaled = area * u
+        return cum / n - scaled, scaled - (cum - counts) / n
+
+    best, low, high, attained = -math.inf, 0.0, 0.0, True
+    u, counts = closed
+    right, left = slopes(u, counts)
+    if u.size >= 2:
+        # the closed interval [u_i, u_j] overshoots by right_j + left_i
+        cand = right[1:] + np.maximum.accumulate(left)[:-1]
         k = int(np.argmax(cand))
-        best_over = float(cand[k])
-        j = k + 1
-        i = int(np.argmax(left[: j]))
-        over_pair = (float(u[i]), float(u[j]))
-    # the shrinking box [u_i, u_i + 0) approaches count_i / n
-    k = int(np.argmax(counts))
-    singleton = float(counts[k]) / n
-    if singleton > best_over:
-        best_over = singleton
-        over_pair = (float(u[k]), float(u[k]))
-        over_attained = False
+        i = int(np.argmax(left[: k + 1]))
+        best, low, high = float(cand[k]), float(u[i]), float(u[k + 1])
+    if u.size:
+        k = int(np.argmax(counts))
+        if counts[k] / n > best:
+            best, low, high = float(counts[k]) / n, float(u[k]), float(u[k])
+            attained = False
 
-    # deficit by open boxes with virtual endpoints at 0 and 1
-    left_v = np.concatenate(([0.0], u - cum / n))
-    right_v = np.concatenate((u - below / n, [0.0]))
-    ends = np.concatenate((u, [1.0]))
-    starts = np.concatenate(([0.0], u))
-    prefix_min = np.minimum.accumulate(left_v)
-    cand = right_v - prefix_min
+    if opened is not closed:
+        u, counts = opened
+        right, left = slopes(u, counts)
+    # the open interval (u_i, u_j) falls short by left_j + right_i, with
+    # virtual endpoints 0 (right = 0) and 1 (left = area - points/n)
+    left_v = np.concatenate(([0.0], -right))
+    right_v = np.concatenate((left, [area - counts.sum() / n]))
+    cand = right_v - np.minimum.accumulate(left_v)
     k = int(np.argmax(cand))
-    best_def = float(cand[k])
-    i = int(np.argmin(left_v[: k + 1]))
-    def_pair = (float(starts[i]), float(ends[k]))
-
-    if best_over >= best_def:
-        return best_over, over_pair, over_attained
-    return best_def, def_pair, False
+    if cand[k] > best:
+        i = int(np.argmin(left_v[: k + 1]))
+        best, attained = float(cand[k]), False
+        low = 0.0 if i == 0 else float(u[i - 1])
+        high = 1.0 if k == u.size else float(u[k])
+    return best, low, high, attained
 
 
 def _axis_candidates(vals: np.ndarray, resolution: int | None) -> np.ndarray:
@@ -109,47 +115,15 @@ def _grid_nd(
 
     def scan_last(mask_closed, mask_open, area, lows, highs):
         nonlocal best, witness, attained
-        # closed boxes on the last axis for the overshoot direction
-        sub = pts[mask_closed, -1]
-        if sub.size:
-            u, counts = np.unique(sub, return_counts=True)
-            cum = np.cumsum(counts)
-            below = cum - counts
-            right = cum / n - area * u
-            left = area * u - below / n
-            if u.size >= 2:
-                prefix = np.maximum.accumulate(left)[:-1]
-                cand = right[1:] + prefix
-                k = int(np.argmax(cand))
-                if cand[k] > best:
-                    j = k + 1
-                    i = int(np.argmax(left[: j]))
-                    best = float(cand[k])
-                    witness = (lows + (float(u[i]),), highs + (float(u[j]),))
-                    attained = True
-            k = int(np.argmax(counts))
-            if counts[k] / n > best:
-                best = float(counts[k]) / n
-                witness = (lows + (float(u[k]),), highs + (float(u[k]),))
-                attained = False
-        # open boxes on the last axis for the deficit direction
-        sub = pts[mask_open, -1]
-        u, counts = (np.unique(sub, return_counts=True) if sub.size else
-                     (np.empty(0), np.empty(0, dtype=int)))
-        cum = np.cumsum(counts) if u.size else np.empty(0)
-        below = cum - counts if u.size else np.empty(0)
-        left_v = np.concatenate(([0.0], area * u - cum / n))
-        right_v = np.concatenate((area * u - below / n, [area - sub.size / n]))
-        ends = np.concatenate((u, [1.0]))
-        starts = np.concatenate(([0.0], u))
-        prefix_min = np.minimum.accumulate(left_v)
-        cand = right_v - prefix_min
-        k = int(np.argmax(cand))
-        if cand[k] > best:
-            i = int(np.argmin(left_v[: k + 1]))
-            best = float(cand[k])
-            witness = (lows + (float(starts[i]),), highs + (float(ends[k]),))
-            attained = False
+        value, low, high, att = _sweep_1d(
+            np.unique(pts[mask_closed, -1], return_counts=True),
+            np.unique(pts[mask_open, -1], return_counts=True),
+            n,
+            area,
+        )
+        if value > best:
+            best, attained = value, att
+            witness = (lows + (low,), highs + (high,))
 
     def descend(axis, mask_closed, mask_open, area, lows, highs):
         if axis == b - 1:
@@ -197,7 +171,8 @@ def discrepancy(
     if np.any(pts < 0.0) or np.any(pts >= 1.0):
         raise ValueError("points must lie in [0, 1)^b")
     if b == 1:
-        value, (lo, hi), attained = _exact_1d(pts[:, 0])
+        counted = np.unique(pts[:, 0], return_counts=True)
+        value, lo, hi, attained = _sweep_1d(counted, counted, n, 1.0)
         return DiscrepancyReport(
             n, 1, value, (lo,), (hi,), "exact-1d", attained
         )

@@ -32,6 +32,10 @@ from .operators import OperatorSpec, StateVector, assemble, site_list
 
 DEFAULT_LEAKAGE_TOL = 1e-8
 TIME_HORIZON_FACTOR = 20.0  # integrate to t = 20 T; weight tail <= e^{-40}
+TIME_CHUNK = 2048  # quadrature times evolved at once on the direct route
+MAX_PANELS = 4000  # band panels before the energy route gives up
+POOR_FIT_RMS = 0.05  # log-fit residual above which growth is not logarithmic
+RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
 
 
 @lru_cache(maxsize=4)
@@ -55,6 +59,15 @@ def _box_eigh(spec: OperatorSpec, radius: int):
 
 def _shell_mask(norms: np.ndarray, radius: int) -> np.ndarray:
     return norms > 0.9 * radius
+
+
+def _table_leakage(
+    values: np.ndarray, norms: np.ndarray, radius: int, leakage_tol: float
+) -> tuple[float, bool]:
+    """Leakage of a time-averaged table: its mass on the outer 10% shell,
+    and whether that exceeds the tolerance."""
+    leakage = float(values[_shell_mask(norms, radius)].sum())
+    return leakage, leakage > leakage_tol
 
 
 @dataclass(frozen=True)
@@ -197,10 +210,8 @@ def moment_series(
 class AmplitudeTable:
     """Time-averaged site occupations a(., n, T) over a truncation box.
 
-    ``leakage`` is the truncation diagnostic of the route: on the direct
-    route the largest instantaneous mass in the outer 10% shell over the
-    quadrature times, on the Parseval route the shell mass of a(j, ., T);
-    ``flagged`` marks tables whose leakage exceeded the tolerance.
+    ``leakage`` is the mass of a(j, ., T) in the outer 10% shell, on both
+    routes; ``flagged`` marks tables whose leakage exceeded the tolerance.
     """
 
     source: Coords | None
@@ -256,7 +267,6 @@ def amplitude_table_direct(
     T: float,
     radius: int,
     leakage_tol: float = DEFAULT_LEAKAGE_TOL,
-    chunk: int = 2048,
 ) -> AmplitudeTable:
     """Direct time route: quadrature of the weighted time integral of the
     evolved occupations, truncated at t = 20 T."""
@@ -268,15 +278,11 @@ def amplitude_table_direct(
     c = U.conj().T @ phi.dense(sites)
     nodes, weights = _time_quadrature(T, float(w.max() - w.min()))
     acc = np.zeros(len(sites))
-    shell = _shell_mask(norms, radius)
-    leakage = 0.0
-    for start in range(0, len(nodes), chunk):
-        t = nodes[start : start + chunk]
-        wt = weights[start : start + chunk]
+    for start in range(0, len(nodes), TIME_CHUNK):
+        t = nodes[start : start + TIME_CHUNK]
         amps = U @ (np.exp(-1j * np.outer(w, t)) * c[:, None])
-        probs = np.abs(amps) ** 2
-        acc += probs @ wt
-        leakage = max(leakage, float(probs[shell].sum(axis=0).max()))
+        acc += (np.abs(amps) ** 2) @ weights[start : start + TIME_CHUNK]
+    leakage, flagged = _table_leakage(acc, norms, radius, leakage_tol)
     tail = math.exp(-2.0 * TIME_HORIZON_FACTOR) * phi.norm_sq()
     src = phi.support[0] if len(phi.support) == 1 else None
     return AmplitudeTable(
@@ -287,7 +293,7 @@ def amplitude_table_direct(
         values=acc,
         route="direct",
         leakage=leakage,
-        flagged=leakage > leakage_tol,
+        flagged=flagged,
         tail_bound=tail,
     )
 
@@ -326,7 +332,6 @@ def amplitude_table_parseval(
     band_edge: float | None = None,
     control_orders: Sequence[float] = (0.0, 2.0),
     rel_tol: float = 1e-9,
-    max_panels: int = 4000,
     leakage_tol: float = DEFAULT_LEAKAGE_TOL,
 ) -> AmplitudeTable:
     """Energy route: adaptive quadrature of |G(E + i/T)(j, n)|^2 / (T pi).
@@ -362,8 +367,7 @@ def amplitude_table_parseval(
     breaks = np.unique(
         np.concatenate(([-edge, edge], np.clip(w, -edge, edge)))
     )
-    heap: list = []
-    store: dict[int, tuple] = {}
+    heap: list = []  # (-largest error, push order, panel) per open panel
     counter = 0
     total_vec = None
     total_func = np.zeros(len(control_orders))
@@ -372,8 +376,7 @@ def amplitude_table_parseval(
     def push(a: float, b: float):
         nonlocal counter, total_func, total_err, total_vec
         vec, func, err = _panel_integrals(integrand, a, b, weight_rows)
-        store[counter] = (a, b, vec, func, err)
-        heapq.heappush(heap, (-float(err.max()), counter))
+        heapq.heappush(heap, (-float(err.max()), counter, (a, b, vec, func, err)))
         total_func += func
         total_err += err
         if total_vec is None:
@@ -386,14 +389,11 @@ def amplitude_table_parseval(
         if b > a:
             push(a, b)
 
-    while len(store) < max_panels:
+    while len(heap) < MAX_PANELS:
         scale = np.maximum(np.abs(total_func), 1e-30)
         if np.all(total_err <= rel_tol * scale):
             break
-        _, key = heapq.heappop(heap)
-        if key not in store:
-            continue
-        a, b, vec, func, err = store.pop(key)
+        a, b, vec, func, err = heapq.heappop(heap)[2]
         total_func -= func
         total_err -= err
         total_vec -= vec
@@ -404,7 +404,7 @@ def amplitude_table_parseval(
         scale = np.maximum(np.abs(total_func), 1e-30)
         if not np.all(total_err <= rel_tol * scale):
             raise QuadratureError(
-                f"band quadrature did not converge in {max_panels} panels; "
+                f"band quadrature did not converge in {MAX_PANELS} panels; "
                 f"errors {total_err} vs scale {scale}"
             )
 
@@ -439,7 +439,7 @@ def amplitude_table_parseval(
             raise QuadratureError("tail integration did not converge")
 
     values = prefactor * total_vec
-    leakage = float(values[_shell_mask(norms, radius)].sum())
+    leakage, flagged = _table_leakage(values, norms, radius, leakage_tol)
     return AmplitudeTable(
         source=src,
         horizon=T,
@@ -448,7 +448,7 @@ def amplitude_table_parseval(
         values=values,
         route="parseval",
         leakage=leakage,
-        flagged=leakage > leakage_tol,
+        flagged=flagged,
         tail_bound=prefactor * tail_bound,
         band_edge=edge,
     )
@@ -491,7 +491,6 @@ def averaged_moment_parseval(
     p: float,
     T: float,
     radius: int,
-    rel_tol: float = 1e-9,
 ) -> TimeAveragedMoment:
     """Time-averaged p-th moment through the energy-integral route.
 
@@ -508,9 +507,7 @@ def averaged_moment_parseval(
     orders = (0.0, p)
     if len(support) == 1:
         j = support[0]
-        table = amplitude_table_parseval(
-            spec, j, T, radius, control_orders=orders, rel_tol=rel_tol
-        )
+        table = amplitude_table_parseval(spec, j, T, radius, control_orders=orders)
         scale = abs(phi.amplitudes[j]) ** 2
         note = "truncation-unsafe" if table.flagged else ""
         return TimeAveragedMoment(
@@ -518,9 +515,7 @@ def averaged_moment_parseval(
             table,
         )
     tables = [
-        amplitude_table_parseval(
-            spec, j, T, radius, control_orders=orders, rel_tol=rel_tol
-        )
+        amplitude_table_parseval(spec, j, T, radius, control_orders=orders)
         for j in support
     ]
     note = "bound-not-equality"
@@ -541,9 +536,7 @@ class LogFit:
     poor_fit: bool
 
 
-def fit_log_exponent(
-    series, poor_fit_threshold: float = 0.05
-) -> LogFit:
+def fit_log_exponent(series) -> LogFit:
     """Growth exponent gamma with value ~ (log t)^gamma.
 
     Requires at least 10 samples spanning two decades with t > 1 and
@@ -566,7 +559,7 @@ def fit_log_exponent(
     gamma, intercept = np.polyfit(x, y, 1)
     resid = y - (gamma * x + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
-    return LogFit(float(gamma), rms, rms > poor_fit_threshold)
+    return LogFit(float(gamma), rms, rms > POOR_FIT_RMS)
 
 
 @dataclass(frozen=True)
@@ -583,7 +576,6 @@ def lyapunov_estimate(
     energy,
     length: int,
     phases: Iterable[float],
-    renorm_every: int = 8,
 ) -> LyapunovEstimate:
     """Transfer-matrix Lyapunov exponent for a 1-d nearest-neighbour model.
 
@@ -612,7 +604,7 @@ def lyapunov_estimate(
         for n in range(length):
             A = np.array([[v[n] - e, -1.0], [1.0, 0.0]], dtype=dtype)
             B = A @ B
-            if (n + 1) % renorm_every == 0:
+            if (n + 1) % RENORM_EVERY == 0:
                 s = float(np.linalg.norm(B))
                 B /= s
                 log_scale += math.log(s)

@@ -46,10 +46,6 @@ class ComplexEnergy:
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
 
-    @classmethod
-    def from_time(cls, energy: float, horizon: float) -> "ComplexEnergy":
-        return cls(energy, 1.0 / horizon)
-
     @property
     def z(self) -> complex:
         return complex(self.energy, self.epsilon)

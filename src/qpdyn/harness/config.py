@@ -157,14 +157,31 @@ def _floats(value: Any) -> tuple[float, ...]:
     return tuple(float(v) for v in _as_tuple(value))
 
 
+def _exempt(key: str) -> bool:
+    """Keys read outside the recipes: the runners own these."""
+    return key in ("experiment", "seed", "output.prefix") or key.startswith("sweep.")
+
+
 class ConfigReader:
-    """Pulls typed values out of the raw mapping, accumulating issues."""
+    """Pulls typed values out of the raw mapping, accumulating issues and
+    remembering which keys were read."""
 
     def __init__(self, raw: Mapping[str, Any]):
         self.raw = raw
         self.issues: list[str] = []
+        self.read: set[str] = set()
+
+    def check(self) -> None:
+        """Raise a ConfigError listing every issue or, when there is none,
+        every key that nothing read (a typo would otherwise be ignored)."""
+        if not self.issues:
+            self.issues = [f"unknown key '{key}'" for key in self.raw
+                           if key not in self.read and not _exempt(key)]
+        if self.issues:
+            raise ConfigError(self.issues)
 
     def _fetch(self, key: str, default, required: bool):
+        self.read.add(key)
         if key in self.raw:
             return self.raw[key]
         if required:
@@ -203,6 +220,15 @@ class ConfigReader:
             self.issues.append(f"'{key}' must be numeric, got {v!r}")
             return default
 
+    def integers(self, key, default=None, required=False):
+        v = self.floats(key, default, required)
+        if v is None:
+            return None
+        if not all(x.is_integer() for x in v):
+            self.issues.append(f"'{key}' must be integers, got {v!r}")
+            return default
+        return tuple(int(x) for x in v)
+
     def string(self, key, default=None, required=False, choices=None):
         v = self._fetch(key, default, required)
         if v is None:
@@ -211,6 +237,20 @@ class ConfigReader:
         if choices and v not in choices:
             self.issues.append(f"'{key}' must be one of {sorted(choices)}, got {v!r}")
         return v
+
+    def strings(self, key, default, choices):
+        """A list of names, each one of ``choices``."""
+        v = tuple(str(x) for x in _as_tuple(self._fetch(key, default, False)))
+        if any(x not in choices for x in v):
+            self.issues.append(f"'{key}' entries must be in {choices}, got {v!r}")
+        return v
+
+    def prefixed(self, head: str) -> list[tuple[str, Any]]:
+        """(rest of the key, value) for every key that starts with ``head``."""
+        items = [(k[len(head) :], v) for k, v in self.raw.items()
+                 if k.startswith(head)]
+        self.read.update(head + rest for rest, _ in items)
+        return items
 
     def flag(self, key, default=False):
         v = self._fetch(key, default, required=False)
@@ -269,15 +309,14 @@ def build_operator(reader: ConfigReader) -> OperatorSpec | None:
         kernel = KernelSpec.laplacian(d)
     else:
         coeffs = {}
-        for key, value in reader.raw.items():
-            if not key.startswith("model.kernel.coeff."):
-                continue
-            offset_text = key[len("model.kernel.coeff.") :]
+        for offset_text, value in reader.prefixed("model.kernel.coeff."):
             try:
                 offset = tuple(int(c) for c in offset_text.split(","))
                 coeffs[offset] = complex(value)
             except (TypeError, ValueError):
-                reader.issues.append(f"bad kernel coefficient at '{key}'")
+                reader.issues.append(
+                    f"bad kernel coefficient at 'model.kernel.coeff.{offset_text}'"
+                )
         amp = reader.number("model.kernel.amplitude", default=math.e, minimum=0.0)
         rate = reader.number("model.kernel.rate", default=1.0, minimum=0.0)
         if not coeffs:
@@ -291,15 +330,16 @@ def build_operator(reader: ConfigReader) -> OperatorSpec | None:
     const = reader.number("model.potential.const", default=0.0)
     cosine = {}
     sine = {}
-    for key, value in reader.raw.items():
-        for name, store in (("cos", cosine), ("sin", sine)):
-            head = f"model.potential.{name}."
-            if key.startswith(head):
-                try:
-                    freq = tuple(int(c) for c in key[len(head) :].split(","))
-                    store[freq] = float(value)
-                except (TypeError, ValueError):
-                    reader.issues.append(f"bad potential coefficient at '{key}'")
+    for name, store in (("cos", cosine), ("sin", sine)):
+        head = f"model.potential.{name}."
+        for freq_text, value in reader.prefixed(head):
+            try:
+                freq = tuple(int(c) for c in freq_text.split(","))
+                store[freq] = float(value)
+            except (TypeError, ValueError):
+                reader.issues.append(
+                    f"bad potential coefficient at '{head}{freq_text}'"
+                )
     dynamics = build_dynamics(reader)
     if dynamics is None or kernel is None or reader.issues:
         return None

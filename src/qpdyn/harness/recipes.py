@@ -10,6 +10,7 @@ environment details live in the run manifest, never in the CSV rows.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -53,7 +54,6 @@ from .config import (
 
 @dataclass(frozen=True)
 class Task:
-    key: tuple
     fn: str
     kwargs: dict
 
@@ -85,14 +85,13 @@ def _task_evolve(spec, initial, times, radius, leakage_tol, prob_floor):
 
 
 def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
-                        leakage_tol, auto_double=False, max_doublings=2):
+                        leakage_tol, max_doublings):
     phi = StateVector.delta(initial)
     fingerprint = spec.fingerprint()
-    doublings = max_doublings if auto_double else 0
     if mode == "instantaneous":
         series = double_while_flagged(
             lambda r: moment_series(spec, phi, p, times, r, leakage_tol),
-            radius, doublings,
+            radius, max_doublings,
         )
         runs = [series]
         samples = [(t, v, series) for t, v in series.entries]
@@ -106,7 +105,7 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
                     spec, initial, T, r, control_orders=(0.0, p),
                     leakage_tol=leakage_tol,
                 )
-        runs = [double_while_flagged(partial(table, T), radius, doublings)
+        runs = [double_while_flagged(partial(table, T), radius, max_doublings)
                 for T in horizons]
         samples = [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
     rows = [(mode, p, x, v, run.radius, run.leakage, fingerprint)
@@ -282,10 +281,8 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     if spec is not None and times is not None:
         if 2 * max(abs(c) for c in initial) > radius:
             r.issues.append("'evolve.initial' must lie in [-R/2, R/2]^d")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     task = Task(
-        (0,),
         "evolve",
         dict(spec=spec, initial=initial, times=times, radius=radius,
              leakage_tol=tol, prob_floor=floor),
@@ -300,6 +297,7 @@ _MOMENT_MODES = (
     "time-averaged-direct",
     "time-averaged-parseval",
 )
+MAX_DOUBLINGS = 2  # box doublings of a flagged moment run under auto_double
 
 
 def _plan_moments(cfg: ExperimentConfig) -> Plan:
@@ -307,11 +305,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     spec = build_operator(r)
     radius = r.integer("moments.radius", default=64, minimum=2)
     ps = r.floats("moments.p", default=(2.0,))
-    modes = cfg.get("moments.modes", "instantaneous")
-    modes = tuple(modes) if isinstance(modes, tuple) else (modes,)
-    for m in modes:
-        if m not in _MOMENT_MODES:
-            r.issues.append(f"'moments.modes' entries must be in {_MOMENT_MODES}")
+    modes = r.strings("moments.modes", "instantaneous", _MOMENT_MODES)
     times = r.floats("moments.times", default=None)
     horizons = r.floats("moments.horizons", default=None)
     if "instantaneous" in modes and times is None:
@@ -324,20 +318,17 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
         r.issues.append("'moments.p' entries must be positive")
     initial = r.site("moments.initial")
     tol = r.number("moments.leakage_tol", default=1e-8, minimum=0.0)
-    auto_double = r.flag("moments.auto_double", default=False)
-    max_doublings = r.integer("moments.max_doublings", default=2, minimum=0)
-    if r.issues:
-        raise ConfigError(r.issues)
+    doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
+    r.check()
     tasks = [
         Task(
-            (mi, pi),
             "moment_series",
             dict(spec=spec, initial=initial, mode=mode, p=p, times=times,
                  horizons=horizons, radius=radius, leakage_tol=tol,
-                 auto_double=auto_double, max_doublings=max_doublings),
+                 max_doublings=doublings),
         )
-        for mi, mode in enumerate(modes)
-        for pi, p in enumerate(ps)
+        for mode in modes
+        for p in ps
     ]
     header = ["experiment", "config_hash", "mode", "p", "t_or_T", "value",
               "radius", "leakage", "model"]
@@ -346,23 +337,13 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     return Plan(tasks, {"main": ("moments", header), "fit": ("fits", fit_header)})
 
 
-def _scan_setup(r: ConfigReader, cfg: ExperimentConfig):
+def _scan_setup(r: ConfigReader):
     spec = build_operator(r)
-    sizes = cfg.get("scan.sizes")
-    if sizes is None:
-        r.issues.append("missing required key 'scan.sizes'")
-        sizes = ()
-    sizes = tuple(int(n) for n in (sizes if isinstance(sizes, tuple) else (sizes,)))
+    sizes = r.integers("scan.sizes", required=True) or ()
     sub_exp = r.number("scan.sub_exponent", default=0.3, minimum=0.0, maximum=1.0)
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
     energies = r.floats("scan.energies", default=(0.0,))
-    horizon = r.number("scan.horizon", default=None)
-    eps = r.number("scan.epsilon", default=None, minimum=0.0)
-    if horizon is not None and horizon <= 0:
-        r.issues.append("'scan.horizon' must be positive")
-        horizon = None
-    if eps is None:
-        eps = 1.0 / horizon if horizon is not None else 1e-3
+    eps = r.number("scan.epsilon", default=1e-3, minimum=0.0)
     params = None
     if spec is not None:
         overrides = {}
@@ -393,19 +374,17 @@ def _center_chunks(size: int, d: int) -> list[list[tuple[int, ...]]]:
 
 def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
-    spec, pairs, energies, eps, params = _scan_setup(r, cfg)
-    if r.issues:
-        raise ConfigError(r.issues)
+    spec, pairs, energies, eps, params = _scan_setup(r)
+    r.check()
     tasks = [
         Task(
-            (ni, ei, ci),
             "box_scan",
             dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
                  params=params, centers=chunk),
         )
-        for ni, (n, sub) in enumerate(pairs)
-        for ei, e in enumerate(energies)
-        for ci, chunk in enumerate(_center_chunks(n, spec.dimension))
+        for n, sub in pairs
+        for e in energies
+        for chunk in _center_chunks(n, spec.dimension)
     ]
     header = ["experiment", "config_hash", "N", "N1", "E", "eps",
               *_coords_header(spec.dimension), "shapeId", "norm",
@@ -415,21 +394,19 @@ def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
 
 def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
-    spec, pairs, energies, eps, params = _scan_setup(r, cfg)
+    spec, pairs, energies, eps, params = _scan_setup(r)
     if len({n for n, _ in pairs}) < 3:
         r.issues.append("'scan.sizes' needs at least three scales for the fit")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     tasks = [
         Task(
-            (ei, ni, ci),
             "bad_set",
             dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
                  params=params, centers=chunk),
         )
-        for ei, e in enumerate(energies)
-        for ni, (n, sub) in enumerate(pairs)
-        for ci, chunk in enumerate(_center_chunks(n, spec.dimension))
+        for e in energies
+        for n, sub in pairs
+        for chunk in _center_chunks(n, spec.dimension)
     ]
     header = ["experiment", "config_hash", "N", "N1", "E", "eps", "badCount",
               "totalCenters", "fraction"]
@@ -477,16 +454,14 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
     if horizons is not None and any(T <= 0 for T in horizons):
         r.issues.append("'parseval.horizons' must be positive")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     tasks = [
         Task(
-            (i,),
             "parseval_check",
             dict(spec=spec, source=source, p=float(p), T=T, radius=radius,
                  leakage_tol=tol, rel_tol=rel_tol),
         )
-        for i, T in enumerate(horizons)
+        for T in horizons
     ]
     d = spec.dimension
     header = ["experiment", "config_hash", "T", *_coords_header(d),
@@ -500,27 +475,25 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
 def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     dynamics = build_dynamics(r, prefix="orbit")
-    sizes = r.floats("disc.sizes", required=True)
+    sizes = r.integers("disc.sizes", required=True)
     samples = r.integer("disc.phase_samples", default=0, minimum=0)
     resolution = r.integer("disc.grid_resolution", default=32, minimum=2)
     if dynamics is not None and not dynamics.lattice_dim_compatible(1):
         r.issues.append("orbit dynamics must be driven by a single index")
     if sizes is not None and any(n < 1 for n in sizes):
         r.issues.append("'disc.sizes' must be positive")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     rng = np.random.default_rng(cfg.seed)
     phases: list[float | None] = [None]
     phases += [float(x) for x in rng.random(samples)]
     tasks = [
         Task(
-            (ni, pi),
             "discrepancy",
-            dict(dynamics=dynamics, n_points=int(n), phase=phase,
+            dict(dynamics=dynamics, n_points=n, phase=phase,
                  grid_resolution=resolution),
         )
-        for ni, n in enumerate(sizes)
-        for pi, phase in enumerate(phases)
+        for n in sizes
+        for phase in phases
     ]
     b = dynamics.torus_dim
     header = ["experiment", "config_hash", "b", "N",
@@ -537,10 +510,8 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     k_max = r.integer("dio.kmax", default=10**6, minimum=1)
     if tau is not None and tau <= 0:
         r.issues.append("'dio.tau' must be positive")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     task = Task(
-        (0,),
         "diophantine",
         dict(alpha=alpha, kappa=float(kappa), tau=float(tau), k_max=k_max),
     )
@@ -559,18 +530,16 @@ def _plan_lyapunov(cfg: ExperimentConfig) -> Plan:
     n_phases = r.integer("lyapunov.phase_samples", default=8, minimum=1)
     if spec is not None and (spec.dimension != 1 or spec.kernel.row_sum() != 2.0):
         r.issues.append("lyapunov needs a 1-d nearest-neighbour model")
-    if r.issues:
-        raise ConfigError(r.issues)
+    r.check()
     rng = np.random.default_rng(cfg.seed)
     phases = tuple(float(x) for x in rng.random(n_phases))
     tasks = [
         Task(
-            (i,),
             "lyapunov",
             dict(spec=spec, energy=float(e), eps=float(eps), length=length,
                  phases=phases),
         )
-        for i, e in enumerate(energies)
+        for e in energies
     ]
     header = ["experiment", "config_hash", "E", "eps", "length", "nPhases",
               "value", "stderr"]
@@ -607,18 +576,6 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_cell(v) for v in row])
-
-
-def _collect(cfg: ExperimentConfig, plan: Plan, results: list[dict]):
-    if plan.aggregate is not None:
-        rows = plan.aggregate(results)
-    else:
-        rows = {key: [row for res in results for row in res.get(key, [])]
-                for key in plan.files}
-    tagged = {key: [(cfg.experiment, cfg.hash, *row) for row in rows[key]]
-              for key in plan.files}
-    flags = [flag for res in results for flag in res.get("flags", [])]
-    return tagged, flags
 
 
 def _write_run(
@@ -666,6 +623,50 @@ def _write_run(
     return files, counts
 
 
+def _run(
+    runs: list[tuple[tuple, ExperimentConfig]],
+    sweep_axes: tuple[str, ...],
+    out_dir: str | Path,
+    stem: str,
+    workers: int,
+    experiment: str,
+    config_hash: str,
+    **manifest: Any,
+) -> RunResult:
+    """Plan every (axis values, config) run, execute all their tasks in one
+    pool, and write the merged CSVs and the manifest.
+
+    Each run's rows come from its plan's ``aggregate`` or else its tasks'
+    rows in plan order; a row carries the run's axis values, experiment
+    and config hash.
+    """
+    start = time.time()
+    plans = [(combo, run, RECIPES[run.experiment](run)) for combo, run in runs]
+    results = execute_tasks([t for _, _, plan in plans for t in plan.tasks], workers)
+    headers: dict[str, tuple[str, list[str]]] = {}
+    rows: dict[str, list[tuple]] = {}
+    pos = 0
+    for combo, run, plan in plans:
+        chunk = results[pos : pos + len(plan.tasks)]
+        pos += len(plan.tasks)
+        if plan.aggregate is not None:
+            out = plan.aggregate(chunk)
+        else:
+            out = {key: [row for res in chunk for row in res.get(key, [])]
+                   for key in plan.files}
+        for key, (suffix, header) in plan.files.items():
+            headers[key] = (suffix, [f"axis.{a}" for a in sweep_axes] + header)
+            rows.setdefault(key, []).extend(
+                (*combo, run.experiment, run.hash, *row) for row in out[key]
+            )
+    flags = [flag for res in results for flag in res.get("flags", [])]
+    files, counts = _write_run(
+        out_dir, stem, headers, rows, results, flags, start,
+        experiment=experiment, config_hash=config_hash, **manifest,
+    )
+    return RunResult(experiment, config_hash, files, flags, counts)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -678,16 +679,9 @@ def run_experiment(
             [f"unknown experiment '{cfg.experiment}'; choose from "
              f"{sorted(RECIPES)}"]
         )
-    start = time.time()
-    plan = RECIPES[cfg.experiment](cfg)
-    results = execute_tasks(plan.tasks, workers)
-    tagged, flags = _collect(cfg, plan, results)
     stem = prefix or str(cfg.get("output.prefix", cfg.experiment))
-    files, counts = _write_run(
-        out_dir, stem, plan.files, tagged, results, flags, start,
-        experiment=cfg.experiment, config_hash=cfg.hash, seed=cfg.seed,
-    )
-    return RunResult(cfg.experiment, cfg.hash, files, flags, counts)
+    return _run([((), cfg)], (), out_dir, stem, workers, cfg.experiment,
+                cfg.hash, seed=cfg.seed)
 
 
 def _versions() -> dict[str, str]:
@@ -735,44 +729,12 @@ def run_sweep(
     if issues:
         raise ConfigError(issues)
 
-    import itertools as it
-
-    start = time.time()
-    combos = list(it.product(*grids))
-    sub_plans = []
-    all_tasks: list[Task] = []
-    for ci, combo in enumerate(combos):
+    runs = []
+    for combo in itertools.product(*grids):
         raw = dict(cfg.raw)
         raw["experiment"] = recipe
-        for axis, value in zip(axes, combo):
-            raw[axis] = value
-        sub_cfg = config_from_raw(raw, recipe, seed=cfg.seed)
-        plan = RECIPES[recipe](sub_cfg)
-        sub_plans.append((combo, sub_cfg, plan))
-        for t in plan.tasks:
-            all_tasks.append(Task((ci, *t.key), t.fn, t.kwargs))
-    results = execute_tasks(all_tasks, workers)
-
-    # regroup results by sub-plan, in plan order
-    merged: dict[str, list[tuple]] = {}
-    headers: dict[str, tuple[str, list[str]]] = {}
-    flags: list[str] = []
-    pos = 0
-    for combo, sub_cfg, plan in sub_plans:
-        chunk = results[pos : pos + len(plan.tasks)]
-        pos += len(plan.tasks)
-        tagged, sub_flags = _collect(sub_cfg, plan, chunk)
-        flags.extend(sub_flags)
-        for key, (suffix, header) in plan.files.items():
-            headers[key] = (suffix, ["axis." + a for a in axes] + header)
-            merged.setdefault(key, []).extend(
-                (*combo, *row) for row in tagged[key]
-            )
-
+        raw.update(zip(axes, combo))
+        runs.append((combo, config_from_raw(raw, recipe, seed=cfg.seed)))
     stem = str(cfg.get("output.prefix", f"sweep_{recipe}"))
-    files, counts = _write_run(
-        out_dir, stem, headers, merged, results, flags, start,
-        experiment=f"sweep:{recipe}", config_hash=cfg.hash, seed=cfg.seed,
-        axes=list(axes), combos=len(combos),
-    )
-    return RunResult(f"sweep:{recipe}", cfg.hash, files, flags, counts)
+    return _run(runs, axes, out_dir, stem, workers, f"sweep:{recipe}", cfg.hash,
+                seed=cfg.seed, axes=list(axes), combos=len(runs))

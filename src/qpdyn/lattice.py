@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Coords = tuple[int, ...]
 
@@ -30,11 +30,6 @@ def sup_norm(n: Sequence[int]) -> int:
 def sup_dist(n: Sequence[int], m: Sequence[int]) -> int:
     """Sup-norm distance between two lattice points."""
     return max(abs(int(a) - int(b)) for a, b in zip(n, m, strict=True))
-
-
-def point_set_dist(n: Sequence[int], pts: Iterable[Coords]) -> float:
-    """Distance from a point to a set of points; inf for the empty set."""
-    return min((sup_dist(n, m) for m in pts), default=float("inf"))
 
 
 @dataclass(frozen=True)
@@ -72,10 +67,6 @@ class ElementaryRegion:
     @property
     def dimension(self) -> int:
         return len(self.center)
-
-    @property
-    def is_cube(self) -> bool:
-        return all(s is None for s in self.sector)
 
     def contains(self, n: Sequence[int]) -> bool:
         rel = tuple(int(a) - c for a, c in zip(n, self.center, strict=True))

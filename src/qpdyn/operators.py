@@ -219,8 +219,6 @@ class ShiftDynamics:
     def lattice_dim_compatible(self, d: int) -> bool:
         if self.mode == LINEAR_FORM:
             return d == 1
-        if self.mode == RANK_ONE:
-            return d == len(self.alpha)
         return d == len(self.alpha)
 
     def orbit(self, n: Sequence[int]) -> tuple[float, ...]:
@@ -246,10 +244,6 @@ class ShiftDynamics:
         if self.mode == RANK_ONE:
             return (phase[0] + sites @ alpha)[:, None] % 1.0
         return (phase[None, :] + sites * alpha[None, :]) % 1.0
-
-    def advanced(self, k: Sequence[int]) -> "ShiftDynamics":
-        """Same dynamics started at the shifted phase f^k(x)."""
-        return ShiftDynamics(self.mode, self.alpha, self.orbit(k))
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,17 @@ class TestDirectAverage:
         assert out.flagged
         assert out.note == "truncation-unsafe"
 
+    def test_leakage_is_shell_mass_of_the_averaged_table(self):
+        # a(0, ., 2) of the free Laplacian stays far inside r = 64, although
+        # the wave front crosses the shell at times up to 20 T
+        direct = amplitude_table_direct(free_laplacian(1), DELTA0, 2.0, 64)
+        parseval = amplitude_table_parseval(free_laplacian(1), (0,), 2.0, 64)
+        assert not direct.flagged
+        assert direct.leakage == pytest.approx(parseval.leakage, abs=1e-12)
+        shell = sum(direct.value_at((n,)) for n in range(-64, 65) if abs(n) > 57.6)
+        assert 0.0 < shell < 1e-12
+        assert abs(direct.leakage - shell) <= 1e-12 * shell
+
 
 class TestParseval:
     def test_zero_kernel_is_kronecker(self):

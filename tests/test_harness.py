@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -86,13 +88,13 @@ class TestConfigParsing:
         assert "model.lambda" in issues
         assert "model.alpha" in issues
         assert "positive" in issues
-        # a zero horizon is rejected, not read as the default epsilon
+        # a removed key is rejected, not read as the default epsilon
         p = write(
             tmp_path,
             "scan.cfg",
-            """
+            f"""
             experiment = bad-set-scan
-            model.preset = amo
+            {AMO_MODEL}
             scan.sizes = 6
             scan.sub_size = 2
             scan.horizon = 0
@@ -100,9 +102,16 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError) as err:
             run_experiment(load_config(p), tmp_path / "out")
-        issues = "\n".join(err.value.issues)
-        assert "model.lambda" in issues
-        assert "'scan.horizon' must be positive" in issues
+        assert err.value.issues == ["unknown key 'scan.horizon'"]
+
+    def test_readme_moment_config_plans(self, tmp_path):
+        # every key of the documented example is one a recipe reads
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (text,) = [block for block in re.findall(r"```ini\n(.*?)```", readme, re.S)
+                   if "experiment = moment-growth" in block]
+        cfg = load_config(write(tmp_path, "readme.cfg", text))
+        plan = RECIPES[cfg.experiment](cfg)
+        assert [t.kwargs["max_doublings"] for t in plan.tasks] == [2]
 
     def test_experiment_mismatch(self, tmp_path):
         p = write(tmp_path, "x.cfg", "experiment = evolve\n")
@@ -174,7 +183,7 @@ class TestRecipes:
             scan.sizes = 6
             scan.sub_size = 2
             scan.energies = 0.0
-            scan.horizon = 100.0
+            scan.epsilon = 0.01
             output.prefix = gs
             """,
         )
@@ -193,12 +202,12 @@ class TestRecipes:
             scan.sizes = 6
             scan.sub_size = 2
             scan.energies = 0.0
-            scan.horizon = 100.0
+            scan.epsilon = 0.01
             """
         sweep = scan + """
             sweep.recipe = bad-set-scan
-            sweep.axes = scan.horizon
-            sweep.values.scan.horizon = 10.0,100.0
+            sweep.axes = scan.epsilon
+            sweep.values.scan.epsilon = 0.1,0.01
             output.prefix = sw
             """
         run_experiment(load_config(write(tmp_path, "gs.cfg", scan)), tmp_path / "a",
@@ -257,7 +266,7 @@ class TestRecipes:
             scan.sizes = 40,60,80
             scan.sub_size = 3
             scan.energies = 0.0
-            scan.horizon = 1000.0
+            scan.epsilon = 0.001
             output.prefix = sub
             """,
         )
@@ -279,7 +288,6 @@ class TestRecipes:
             moments.times = 2.0,10.0
             moments.radius = 16
             moments.auto_double = true
-            moments.max_doublings = 3
             output.prefix = mom
             """,
         )
@@ -537,6 +545,27 @@ class TestCli:
         code = cli.main(["moments", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,key", [
+        ("moments", "moments.times = 1.0\nmoments.raduis = 64", "moments.raduis"),
+        ("moments", "moments.times = 1.0\nmoments.max_doublings = 3",
+         "moments.max_doublings"),
+        ("greens-scan", "scan.sizes = 6\nscan.horizon = 100.0", "scan.horizon"),
+        ("greens-scan", "scan.sizes = abc", "scan.sizes"),
+        ("greens-scan", "scan.sizes = 10.5", "scan.sizes"),
+        ("discrepancy", "disc.sizes = 10.7", "disc.sizes"),
+    ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
+            "disc-sizes-fraction"])
+    def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
+                                              body, key):
+        model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
+        p = write(tmp_path, "bad.cfg", f"{model}\n{body}\n")
+        cfg = load_config(p, experiment=cli.SUBCOMMANDS[command])
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            run_experiment(cfg, tmp_path / "o")
+        code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path):
         code = cli.main(
