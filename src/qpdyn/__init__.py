@@ -5,8 +5,9 @@ The pieces fit together like this: ``lattice`` supplies the geometry of
 finite regions in Z^d, ``operators`` assembles covariant Hermitian volumes
 H = S/coupling + v(f^n(x)), ``greens`` classifies finite-volume resolvents
 into good and bad boxes and scans for sublinearly many bad ones, ``dynamics``
-evolves states and measures position-operator moments along two independent
-routes (time quadrature and the energy-integral identity at eps = 1/T), and
+evolves states and measures position-operator moments along two routes (the
+exact time average in the box eigenbasis and the energy-integral identity at
+eps = 1/T), and
 ``arithmetic`` certifies frequencies (discrepancy, Diophantine condition,
 continued fractions).  ``harness`` wraps all of it behind reproducible
 config-driven experiments and a CLI.

@@ -259,13 +259,23 @@ class ConfigReader:
             return default
         return v
 
-    def site(self, key, default=(0,)):
-        v = self._fetch(key, default, required=False)
+    def site(self, key, dimension):
+        """A lattice site with ``dimension`` coordinates, the origin by
+        default; any length passes when ``dimension`` is None (the model
+        itself is invalid)."""
+        origin = (0,) * (dimension or 1)
+        v = self._fetch(key, origin, required=False)
         try:
-            return tuple(int(c) for c in _as_tuple(v))
+            site = tuple(int(c) for c in _as_tuple(v))
         except (TypeError, ValueError):
             self.issues.append(f"'{key}' must be an integer site, got {v!r}")
-            return tuple(default)
+            return origin
+        if dimension is not None and len(site) != dimension:
+            self.issues.append(
+                f"'{key}' must have {dimension} coordinates, got {v!r}"
+            )
+            return origin
+        return site
 
 
 def build_dynamics(reader: ConfigReader, prefix: str = "model.dynamics"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +52,8 @@ from .config import (
     config_from_raw,
 )
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class Task:
@@ -81,7 +84,8 @@ def _task_evolve(spec, initial, times, radius, leakage_tol, prob_floor):
             if prob >= prob_floor:
                 rows.append((t, *site, amp.real, amp.imag, prob))
     flags = ["leakage"] if res.flagged else []
-    return {"main": rows, "flags": flags, "leakage": res.leakage}
+    return {"main": rows, "flags": flags, "leakage": res.leakage,
+            "norm_drift": res.norm_drift}
 
 
 def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
@@ -95,6 +99,7 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         )
         runs = [series]
         samples = [(t, v, series) for t, v in series.entries]
+        diagnostic = {"norm_drift": series.norm_drift}
     else:
         if mode == "time-averaged-direct":
             def table(T, r):
@@ -108,6 +113,8 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         runs = [double_while_flagged(partial(table, T), radius, max_doublings)
                 for T in horizons]
         samples = [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
+        diagnostic = {"tail_bound": max((run.tail_bound for run in runs),
+                                        default=0.0)}
     rows = [(mode, p, x, v, run.radius, run.leakage, fingerprint)
             for x, v, run in samples]
     xs = np.array([x for x, _, _ in samples])
@@ -117,6 +124,7 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         "fit": [_fit_series(mode, p, xs, values)],
         "flags": ["leakage" for run in runs if run.flagged],
         "leakage": max((run.leakage for run in runs), default=0.0),
+        **diagnostic,
     }
 
 
@@ -183,7 +191,8 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
          direct.flagged)
     ]
     flags = ["leakage"] if direct.flagged else []
-    return {"main": entries, "summary": summary, "flags": flags}
+    return {"main": entries, "summary": summary, "flags": flags,
+            "tail_bound": parseval.tail_bound}
 
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
@@ -238,16 +247,29 @@ TASK_FUNCTIONS: dict[str, Callable] = {
 
 
 def _run_task(payload):
+    """The task's result and the seconds it took."""
     name, kwargs = payload
-    return TASK_FUNCTIONS[name](**kwargs)
+    start = time.perf_counter()
+    result = TASK_FUNCTIONS[name](**kwargs)
+    return result, time.perf_counter() - start
 
 
 def execute_tasks(tasks: Sequence[Task], workers: int) -> list[dict]:
+    """Run the tasks, in plan order, logging one INFO line per task."""
     payloads = [(t.fn, t.kwargs) for t in tasks]
+
+    def logged(timed):
+        results = []
+        for (name, _), (result, seconds) in zip(payloads, timed):
+            results.append(result)
+            log.info("task %d/%d %s finished in %.3f s",
+                     len(results), len(payloads), name, seconds)
+        return results
+
     if workers <= 1 or len(payloads) <= 1:
-        return [_run_task(p) for p in payloads]
+        return logged(map(_run_task, payloads))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, payloads))
+        return logged(pool.map(_run_task, payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +295,7 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     spec = build_operator(r)
     radius = r.integer("evolve.radius", default=32, minimum=2)
     times = r.floats("evolve.times", required=True)
-    initial = r.site("evolve.initial")
+    initial = r.site("evolve.initial", spec and spec.dimension)
     tol = r.number("evolve.leakage_tol", default=1e-8, minimum=0.0)
     floor = r.number("evolve.prob_floor", default=1e-12, minimum=0.0)
     if times is not None and sorted(times) != list(times):
@@ -316,7 +338,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     horizons = horizons or ()
     if any(p <= 0 for p in ps or ()):
         r.issues.append("'moments.p' entries must be positive")
-    initial = r.site("moments.initial")
+    initial = r.site("moments.initial", spec and spec.dimension)
     tol = r.number("moments.leakage_tol", default=1e-8, minimum=0.0)
     doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
     r.check()
@@ -449,7 +471,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     radius = r.integer("parseval.radius", default=64, minimum=2)
     horizons = r.floats("parseval.horizons", required=True)
     p = r.number("parseval.p", default=2.0, minimum=0.0)
-    source = r.site("parseval.source")
+    source = r.site("parseval.source", spec and spec.dimension)
     tol = r.number("parseval.leakage_tol", default=1e-8, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
     if horizons is not None and any(T <= 0 for T in horizons):
@@ -591,8 +613,10 @@ def _write_run(
     """Write one CSV per output key plus the run manifest.
 
     Run diagnostics (wall time, the largest resolvent residual of a scan,
-    the largest truncation leakage of an evolution or moment run) go to the
-    manifest only, so CSV bodies stay byte-identical across runs.
+    the largest truncation leakage of an evolution or moment run, the
+    largest norm drift of an evolution and the largest quadrature tail
+    bound of a time-averaged table) go to the manifest only, so CSV bodies
+    stay byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
     out = Path(out_dir)
@@ -605,7 +629,9 @@ def _write_run(
         files.append(path)
         counts[path.name] = len(rows[key])
     for key, name in (("residual", "max_resolvent_residual"),
-                      ("leakage", "max_leakage")):
+                      ("leakage", "max_leakage"),
+                      ("norm_drift", "max_norm_drift"),
+                      ("tail_bound", "max_tail_bound")):
         values = [res[key] for res in results if key in res]
         if values:
             manifest[name] = max(values)

@@ -441,9 +441,16 @@ class StateVector:
         return sum(abs(v) ** 2 for v in self.amplitudes.values())
 
     def dense(self, sites: Sequence[Coords]) -> np.ndarray:
+        """Amplitudes on ``sites``, in their order; every support site must
+        be one of them."""
         out = np.zeros(len(sites), dtype=np.complex128)
+        found = 0
         for i, p in enumerate(sites):
             v = self.amplitudes.get(p)
             if v is not None:
                 out[i] = v
+                found += 1
+        if found < len(self.amplitudes):
+            missing = sorted(set(self.amplitudes).difference(sites))
+            raise ValueError(f"support sites {missing} are not among the sites")
         return out

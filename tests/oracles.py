@@ -122,6 +122,35 @@ def oracle_assemble(spec, sites):
     return H
 
 
+def oracle_time_average(spec, phi, T, sites):
+    """a(., n, T) = (2/T) int_0^inf exp(-2t/T) |(exp(-itH) phi)_n|^2 dt on
+    the given sites, by composite 24-point Gauss-Legendre panels on
+    [0, 20T]; the weight beyond 20T carries at most e^{-40} of the mass.
+
+    Panel lengths keep (spread of the spectrum x length) small, so the
+    oscillatory factors exp(-i (w_m - w_l) t) are resolved to near machine
+    precision.  The cost grows in proportion to T."""
+    import numpy as np
+
+    H = oracle_assemble(spec, sites)
+    w, U = np.linalg.eigh(H)
+    c = U.conj().T @ phi.dense(sites)
+    horizon = 20.0 * T
+    panel = min(T / 2.0, 12.0 / max(float(w.max() - w.min()), 1e-9), horizon)
+    edges = np.linspace(0.0, horizon, max(1, math.ceil(horizon / panel)) + 1)
+    x, wq = np.polynomial.legendre.leggauss(24)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * wq).ravel() * (2.0 / T) * np.exp(-2.0 * nodes / T)
+    acc = np.zeros(len(sites))
+    chunk = 2048
+    for start in range(0, len(nodes), chunk):
+        t = nodes[start : start + chunk]
+        amps = U @ (np.exp(-1j * np.outer(w, t)) * c[:, None])
+        acc += (np.abs(amps) ** 2) @ weights[start : start + chunk]
+    return acc
+
+
 def oracle_bad_centers(spec, size, sub_size, z, params):
     """Bad centers of the scan cube [-N, N]^d, one box at a time.
 

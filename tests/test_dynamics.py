@@ -24,6 +24,7 @@ from qpdyn.dynamics import (
     _leggauss,
 )
 from qpdyn.lattice import sup_norm
+from oracles import oracle_time_average
 from qpdyn.operators import (
     LINEAR_FORM,
     PotentialSpec,
@@ -76,6 +77,20 @@ class TestEvolve:
             evolve(free_laplacian(1), DELTA0, [2.0, 1.0], 16)
         with pytest.raises(ValueError, match="supported"):
             evolve(free_laplacian(1), StateVector.delta((10,)), [1.0], 16)
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda spec: evolve(spec, DELTA0, [1.0], 8), "not among the sites"),
+        (lambda spec: moment_series(spec, DELTA0, 2.0, [1.0], 8),
+         "not among the sites"),
+        (lambda spec: averaged_moment_direct(spec, DELTA0, 2.0, 5.0, 8),
+         "not among the sites"),
+        (lambda spec: amplitude_table_parseval(spec, (0,), 5.0, 8),
+         "must have 2 coordinates"),
+    ], ids=["evolve", "moment_series", "averaged_moment_direct", "parseval"])
+    def test_state_of_wrong_dimension_raises(self, call, match):
+        # a 1-d site on a 2-d box used to give silent zeros
+        with pytest.raises(ValueError, match=match):
+            call(free_laplacian(2))
 
     def test_site_norms_match_per_site_loop(self):
         spec = free_laplacian(2)
@@ -161,8 +176,9 @@ class TestDirectAverage:
         assert out.note == "truncation-unsafe"
 
     def test_leakage_is_shell_mass_of_the_averaged_table(self):
-        # a(0, ., 2) of the free Laplacian stays far inside r = 64, although
-        # the wave front crosses the shell at times up to 20 T
+        # a(0, ., 2) of the free Laplacian stays far inside r = 64: the
+        # exp(-2t/T) weight is tiny by the time the wave front (speed 2)
+        # reaches the shell
         direct = amplitude_table_direct(free_laplacian(1), DELTA0, 2.0, 64)
         parseval = amplitude_table_parseval(free_laplacian(1), (0,), 2.0, 64)
         assert not direct.flagged
@@ -170,6 +186,30 @@ class TestDirectAverage:
         shell = sum(direct.value_at((n,)) for n in range(-64, 65) if abs(n) > 57.6)
         assert 0.0 < shell < 1e-12
         assert abs(direct.leakage - shell) <= 1e-12 * shell
+
+
+    @pytest.mark.parametrize("T", [1.0, 20.0, 200.0])
+    @pytest.mark.parametrize("spec,phi,radius", [
+        (free_laplacian(1), DELTA0, 64),
+        (AMO3, DELTA0, 64),
+        (free_laplacian(2), StateVector.delta((0, 0)), 6),
+    ], ids=["free-1d", "amo3", "free-2d"])
+    def test_matches_time_quadrature_oracle(self, spec, phi, radius, T):
+        table = amplitude_table_direct(spec, phi, T, radius)
+        oracle = oracle_time_average(spec, phi, T, table.sites)
+        scale = np.abs(oracle).max()
+        assert np.abs(table.values - oracle).max() <= 1e-13 * scale
+        assert table.tail_bound == 0.0
+
+    @pytest.mark.parametrize("spec", [free_laplacian(1), AMO3])
+    def test_large_horizon_is_infinite_time_average(self, spec):
+        # non-degenerate spectrum: the T -> inf limit keeps only l = m terms
+        sites, _, w, U = _box_eigh(spec, 64)
+        assert np.diff(w).min() > 1e-3
+        c = U.conj().T @ DELTA0.dense(sites)
+        limit = (np.abs(U) ** 2) @ (np.abs(c) ** 2)
+        table = amplitude_table_direct(spec, DELTA0, 1e12, 64)
+        assert np.abs(table.values - limit).max() <= 1e-12
 
 
 class TestParseval:

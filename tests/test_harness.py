@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -13,7 +14,9 @@ from qpdyn.harness.config import (
     parse_config_text,
     parse_value,
 )
+from qpdyn.dynamics import amplitude_table_parseval, evolve
 from qpdyn.harness.recipes import RECIPES, run_experiment, run_sweep
+from qpdyn.operators import StateVector, almost_mathieu
 
 GOLDEN = repr((math.sqrt(5.0) - 1.0) / 2.0)
 
@@ -379,6 +382,64 @@ class TestRecipes:
         assert 1e-8 < manifest["max_leakage"] <= 1.0
         assert "max_resolvent_residual" not in manifest
 
+    def test_manifest_records_norm_drift_and_tail_bound(self, tmp_path):
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.modes = instantaneous,time-averaged-parseval
+            moments.times = 1.0,10.0
+            moments.horizons = 2.0,20.0
+            moments.radius = 32
+            output.prefix = mom
+            """,
+        )
+        run_experiment(load_config(p), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
+        amo = almost_mathieu(3.0, float(GOLDEN), 0.3)
+        drift = evolve(amo, StateVector.delta((0,)), [1.0, 10.0], 32).norm_drift
+        tails = [
+            amplitude_table_parseval(amo, (0,), T, 32, control_orders=(0.0, 2.0))
+            .tail_bound for T in (2.0, 20.0)
+        ]
+        assert manifest["max_norm_drift"] == drift
+        assert manifest["max_tail_bound"] == max(tails) > 0.0
+
+    @pytest.mark.parametrize("recipe,body,csv", [
+        ("moment-growth", "moments.times = 1.0,2.0\nmoments.radius = 8",
+         "moments"),
+        ("evolve", "evolve.times = 0.0,1.0\nevolve.radius = 8", "snapshots"),
+        ("parseval-crosscheck", "parseval.horizons = 2.0\nparseval.radius = 8",
+         "summary"),
+    ], ids=["moments", "evolve", "parseval"])
+    def test_initial_site_defaults_to_origin_of_model_dimension(
+        self, tmp_path, recipe, body, csv
+    ):
+        p = write(
+            tmp_path,
+            "two.cfg",
+            f"""
+            experiment = {recipe}
+            model.preset = free-laplacian
+            model.dimension = 2
+            {body}
+            output.prefix = two
+            """,
+        )
+        run_experiment(load_config(p), tmp_path / "out")
+        rows = (tmp_path / "out" / f"two_{csv}.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+        if recipe == "moment-growth":  # the state leaves the origin at t > 0
+            assert [float(c["value"]) > 0.0 for c in cells] == [True, True]
+        elif recipe == "evolve":  # exp(0) delta_0 is delta_0 in two dimensions
+            first = [c for c in cells if c["t"] == "0.0"]
+            assert [(c["n0"], c["n1"]) for c in first] == [("0", "0")]
+        else:
+            assert float(cells[0]["totalParseval"]) == pytest.approx(1.0, abs=1e-6)
+
     def test_diophantine_row(self, tmp_path):
         p = write(
             tmp_path,
@@ -554,8 +615,14 @@ class TestCli:
         ("greens-scan", "scan.sizes = abc", "scan.sizes"),
         ("greens-scan", "scan.sizes = 10.5", "scan.sizes"),
         ("discrepancy", "disc.sizes = 10.7", "disc.sizes"),
+        ("moments", "moments.times = 1.0\nmoments.initial = 0,0",
+         "moments.initial"),
+        ("evolve", "evolve.times = 1.0\nevolve.initial = 0,0", "evolve.initial"),
+        ("parseval-check", "parseval.horizons = 2.0\nparseval.source = 0,0",
+         "parseval.source"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
-            "disc-sizes-fraction"])
+            "disc-sizes-fraction", "initial-length", "evolve-initial-length",
+            "source-length"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
@@ -566,6 +633,40 @@ class TestCli:
         code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verbose_logs_each_finished_task(self, tmp_path, capsys, caplog,
+                                             workers):
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.p = 1.0,2.0
+            moments.times = 1.0,10.0
+            moments.radius = 16
+            output.prefix = mom
+            """,
+        )
+        out = tmp_path / "loud"
+        with caplog.at_level(logging.INFO):
+            code = cli.main(["moments", "--config", str(p), "--out", str(out),
+                             "--workers", str(workers), "--verbose"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"moment-growth: wrote 3 files (6 rows) to {out}\n"
+        )
+        tasks = [r.getMessage() for r in caplog.records
+                 if r.name == "qpdyn.harness.recipes"]
+        assert len(tasks) == 2
+        for i, message in enumerate(tasks, start=1):
+            assert re.fullmatch(
+                rf"task {i}/2 moment_series finished in \d+\.\d{{3}} s", message
+            )
+        run_experiment(load_config(p), tmp_path / "quiet", workers=workers)
+        for name in ("mom_moments.csv", "mom_fits.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
 
     def test_missing_file_exit_two(self, tmp_path):
         code = cli.main(

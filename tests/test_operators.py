@@ -218,6 +218,15 @@ class TestStateVector:
         assert np.array_equal(v, np.array([0.0, 1.0, -2.0j]))
         assert phi.norm_sq() == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("sites", [
+        [(-1,), (0,), (1,)],  # (2,) lies outside
+        [(0, 0), (2, 0)],  # sites of another dimension
+    ])
+    def test_dense_rejects_support_outside_sites(self, sites):
+        phi = StateVector({(0,): 1.0, (2,): -2.0j})
+        with pytest.raises(ValueError, match="not among the sites"):
+            phi.dense(sites)
+
 
 @given(
     hop=st.complex_numbers(
