@@ -259,10 +259,10 @@ class ConfigReader:
             return default
         return v
 
-    def site(self, key, dimension):
-        """A lattice site with ``dimension`` coordinates, the origin by
-        default; any length passes when ``dimension`` is None (the model
-        itself is invalid)."""
+    def site(self, key, dimension, radius):
+        """A lattice site with ``dimension`` coordinates in [-R/2, R/2]^d of
+        the starting box of radius R, the origin by default; any length
+        passes when ``dimension`` is None (the model itself is invalid)."""
         origin = (0,) * (dimension or 1)
         v = self._fetch(key, origin, required=False)
         try:
@@ -275,6 +275,8 @@ class ConfigReader:
                 f"'{key}' must have {dimension} coordinates, got {v!r}"
             )
             return origin
+        if 2 * max(abs(c) for c in site) > radius:
+            self.issues.append(f"'{key}' must lie in [-R/2, R/2]^d, got {v!r}")
         return site
 
 

@@ -85,7 +85,7 @@ def _task_evolve(spec, initial, times, radius, leakage_tol, prob_floor):
                 rows.append((t, *site, amp.real, amp.imag, prob))
     flags = ["leakage"] if res.flagged else []
     return {"main": rows, "flags": flags, "leakage": res.leakage,
-            "norm_drift": res.norm_drift}
+            "norm_drift": res.norm_drift, "matrix_order": len(res.sites)}
 
 
 def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
@@ -124,6 +124,9 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         "fit": [_fit_series(mode, p, xs, values)],
         "flags": ["leakage" for run in runs if run.flagged],
         "leakage": max((run.leakage for run in runs), default=0.0),
+        # each run decomposed the cube [-r, r]^d at its radius r
+        "matrix_order": max(((2 * run.radius + 1) ** spec.dimension
+                             for run in runs), default=0),
         **diagnostic,
     }
 
@@ -174,12 +177,14 @@ def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     phi = StateVector.delta(source)
     direct = amplitude_table_direct(spec, phi, T, radius, leakage_tol)
+    order = len(direct.sites)
     try:
         parseval = amplitude_table_parseval(
             spec, source, T, radius, control_orders=(0.0, p), rel_tol=rel_tol
         )
     except QuadratureError as exc:
-        return {"main": [], "summary": [], "flags": [f"quadrature: {exc}"]}
+        return {"main": [], "summary": [], "flags": [f"quadrature: {exc}"],
+                "matrix_order": order}
     entries = [
         (T, *site, dv, pv, abs(dv - pv))
         for site, dv, pv in zip(direct.sites, direct.values, parseval.values)
@@ -192,7 +197,7 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     ]
     flags = ["leakage"] if direct.flagged else []
     return {"main": entries, "summary": summary, "flags": flags,
-            "tail_bound": parseval.tail_bound}
+            "tail_bound": parseval.tail_bound, "matrix_order": order}
 
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
@@ -295,14 +300,11 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     spec = build_operator(r)
     radius = r.integer("evolve.radius", default=32, minimum=2)
     times = r.floats("evolve.times", required=True)
-    initial = r.site("evolve.initial", spec and spec.dimension)
+    initial = r.site("evolve.initial", spec and spec.dimension, radius)
     tol = r.number("evolve.leakage_tol", default=1e-8, minimum=0.0)
     floor = r.number("evolve.prob_floor", default=1e-12, minimum=0.0)
     if times is not None and sorted(times) != list(times):
         r.issues.append("'evolve.times' must be sorted ascending")
-    if spec is not None and times is not None:
-        if 2 * max(abs(c) for c in initial) > radius:
-            r.issues.append("'evolve.initial' must lie in [-R/2, R/2]^d")
     r.check()
     task = Task(
         "evolve",
@@ -338,7 +340,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     horizons = horizons or ()
     if any(p <= 0 for p in ps or ()):
         r.issues.append("'moments.p' entries must be positive")
-    initial = r.site("moments.initial", spec and spec.dimension)
+    initial = r.site("moments.initial", spec and spec.dimension, radius)
     tol = r.number("moments.leakage_tol", default=1e-8, minimum=0.0)
     doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
     r.check()
@@ -471,7 +473,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     radius = r.integer("parseval.radius", default=64, minimum=2)
     horizons = r.floats("parseval.horizons", required=True)
     p = r.number("parseval.p", default=2.0, minimum=0.0)
-    source = r.site("parseval.source", spec and spec.dimension)
+    source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=1e-8, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
     if horizons is not None and any(T <= 0 for T in horizons):
@@ -587,8 +589,8 @@ RECIPES: dict[str, Callable[[ExperimentConfig], Plan]] = {
 def _format_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # np.float64 too, whose repr names its type
+        return repr(float(v))
     return str(v)
 
 
@@ -614,9 +616,10 @@ def _write_run(
 
     Run diagnostics (wall time, the largest resolvent residual of a scan,
     the largest truncation leakage of an evolution or moment run, the
-    largest norm drift of an evolution and the largest quadrature tail
-    bound of a time-averaged table) go to the manifest only, so CSV bodies
-    stay byte-identical across runs.
+    largest norm drift of an evolution, the largest quadrature tail bound
+    of a time-averaged table and the order of the largest box a dynamics
+    task decomposed) go to the manifest only, so CSV bodies stay
+    byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
     out = Path(out_dir)
@@ -631,7 +634,8 @@ def _write_run(
     for key, name in (("residual", "max_resolvent_residual"),
                       ("leakage", "max_leakage"),
                       ("norm_drift", "max_norm_drift"),
-                      ("tail_bound", "max_tail_bound")):
+                      ("tail_bound", "max_tail_bound"),
+                      ("matrix_order", "max_matrix_order")):
         values = [res[key] for res in results if key in res]
         if values:
             manifest[name] = max(values)

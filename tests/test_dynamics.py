@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from qpdyn import dynamics
 from qpdyn.dynamics import (
     AmplitudeTable,
     LyapunovEstimate,
@@ -20,13 +21,16 @@ from qpdyn.dynamics import (
     lyapunov_estimate,
     moment,
     moment_series,
+    _apply,
     _box_eigh,
     _leggauss,
 )
 from qpdyn.lattice import sup_norm
-from oracles import oracle_time_average
+from oracles import oracle_assemble, oracle_time_average
 from qpdyn.operators import (
     LINEAR_FORM,
+    KernelSpec,
+    OperatorSpec,
     PotentialSpec,
     ShiftDynamics,
     StateVector,
@@ -131,6 +135,115 @@ class TestEvolve:
         assert tried == radii
         assert result.radius == radii[-1]
         assert result.flagged == (clean_from is None)
+
+
+def _amo_type(kernel):
+    return OperatorSpec(
+        kernel,
+        PotentialSpec.cosine_series({(1,): 6.0}),
+        ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.3,)),
+    )
+
+
+class TestBoxEigensolver:
+    """Both paths of ``_box_eigh`` against a dense ``eigh`` of the oracle
+    matrix: the tridiagonal path for real nearest-neighbour 1-d boxes, the
+    dense path for every other box."""
+
+    @staticmethod
+    def _decompose(monkeypatch, spec, radius):
+        """An uncached ``_box_eigh``, and whether it took the tridiagonal
+        path."""
+        calls = []
+        solver = dynamics.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", counted)
+        sites, _, w, U = _box_eigh.__wrapped__(spec, radius)
+        return sites, w, U, calls == [len(sites)]
+
+    @staticmethod
+    def _check_against_oracle(sites, w, U, spec):
+        H = oracle_assemble(spec, sites)
+        scale = np.linalg.norm(H, 2)
+        assert np.abs(w - np.linalg.eigh(H)[0]).max() <= 1e-13 * scale
+        assert np.linalg.norm(H @ U - U * w) < 1e-12
+        assert np.linalg.norm(U.conj().T @ U - np.eye(len(w))) < 1e-12
+
+    @pytest.mark.parametrize("radius", [64, 512])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
+                             ids=["amo3", "free-1d"])
+    def test_tridiagonal_path_matches_dense_oracle(self, monkeypatch, spec,
+                                                   radius):
+        sites, w, U, tridiagonal = self._decompose(monkeypatch, spec, radius)
+        assert tridiagonal
+        assert not np.iscomplexobj(U)
+        self._check_against_oracle(sites, w, U, spec)
+
+    @pytest.mark.parametrize("spec,radius", [
+        (free_laplacian(2), 6),
+        (_amo_type(KernelSpec.toeplitz({(1,): 1.0, (2,): 0.3}, math.e, 1.0)),
+         64),
+        (_amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0)), 64),
+    ], ids=["free-2d", "range-2", "complex-hopping"])
+    def test_other_boxes_stay_dense(self, monkeypatch, spec, radius):
+        sites, w, U, tridiagonal = self._decompose(monkeypatch, spec, radius)
+        assert not tridiagonal
+        self._check_against_oracle(sites, w, U, spec)
+
+    @staticmethod
+    def _dense_eigh(spec, radius):
+        sites, norms, _, _ = _box_eigh(spec, radius)
+        w, U = np.linalg.eigh(oracle_assemble(spec, sites))
+        return sites, norms, w, U
+
+    @pytest.mark.parametrize("radius", [64, 512])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
+                             ids=["amo3", "free-1d"])
+    def test_dynamics_match_dense_oracle(self, spec, radius):
+        # every product below casts the dense U to complex, as the library
+        # did before it applied a real U in two real products
+        times, T = [0.5, 5.0, 50.0], 20.0
+        sites, norms, w, U = self._dense_eigh(spec, radius)
+        Uc = U.astype(np.complex128)
+        c = Uc.conj().T @ DELTA0.dense(sites)
+        amps = (Uc @ (np.exp(-1j * np.outer(w, times)) * c[:, None])).T
+        res = evolve(spec, DELTA0, times, radius)
+        assert np.abs(res.amplitudes - amps).max() <= 1e-12 * np.abs(amps).max()
+        moments = (np.abs(amps) ** 2) @ norms**2
+        series = moment_series(spec, DELTA0, 2.0, times, radius)
+        assert np.abs(series.values() - moments).max() <= 1e-12 * moments.max()
+        M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
+        table = np.einsum("nl,nl->n", Uc @ M, Uc.conj()).real
+        direct = amplitude_table_direct(spec, DELTA0, T, radius)
+        assert np.abs(direct.values - table).max() <= 1e-12 * table.max()
+
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
+                             ids=["amo3", "free-1d"])
+    def test_parseval_table_matches_dense_oracle(self, monkeypatch, spec):
+        table = amplitude_table_parseval(spec, (0,), 20.0, 64)
+        monkeypatch.setattr(dynamics, "_box_eigh", self._dense_eigh)
+        oracle = amplitude_table_parseval(spec, (0,), 20.0, 64)
+        scale = oracle.values.max()
+        assert np.abs(table.values - oracle.values).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 7)])
+    def test_real_product_matches_complex_cast(self, order, shape):
+        rng = np.random.default_rng(len(shape) + ord(order))
+        U = np.asarray(rng.standard_normal((5, 7)), order=order)
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cast = U.astype(np.complex128) @ X
+        got = _apply(U, X)
+        assert got.dtype == np.complex128 and got.shape == cast.shape
+        assert np.abs(got - cast).max() <= 1e-14 * np.abs(cast).max()
+        Ut = np.asarray(rng.standard_normal((7, 5)), order=order).T
+        assert np.abs(_apply(Ut, X) - Ut.astype(np.complex128) @ X).max() <= 1e-13
+        Uc = U + 1j * rng.standard_normal(U.shape)
+        assert np.array_equal(_apply(Uc, X), Uc @ X)
 
 
 class TestMoment:

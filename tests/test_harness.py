@@ -34,6 +34,17 @@ def write(tmp_path, name, text):
     return p
 
 
+def assert_numeric_cells_parse(path, columns):
+    """Every cell of the named columns reads as a float."""
+    rows = path.read_text().splitlines()
+    header = rows[0].split(",")
+    cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+    assert cells
+    for cell in cells:
+        for column in columns:
+            float(cell[column])
+
+
 class TestConfigParsing:
     def test_scalars_and_lists(self):
         raw = parse_config_text(
@@ -253,6 +264,15 @@ class TestRecipes:
         rel = float(summary[1].split(",")[6])
         assert rel < 1e-6
         assert not result.safety_flags
+        assert_numeric_cells_parse(
+            tmp_path / "out" / "par_entries.csv",
+            ("T", "n0", "aDirect", "aParseval", "absDeviation"),
+        )
+        assert_numeric_cells_parse(
+            tmp_path / "out" / "par_summary.csv",
+            ("T", "p", "momentDirect", "momentParseval", "relDeviation",
+             "totalDirect", "totalParseval", "leakage"),
+        )
 
     def test_sublinear_chunking_matches_module_scan(self, tmp_path):
         # the harness splits centers into chunks across workers; the summed
@@ -406,6 +426,7 @@ class TestRecipes:
         ]
         assert manifest["max_norm_drift"] == drift
         assert manifest["max_tail_bound"] == max(tails) > 0.0
+        assert manifest["max_matrix_order"] == 65  # the box [-32, 32]
 
     @pytest.mark.parametrize("recipe,body,csv", [
         ("moment-growth", "moments.times = 1.0,2.0\nmoments.radius = 8",
@@ -429,6 +450,8 @@ class TestRecipes:
             """,
         )
         run_experiment(load_config(p), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "two_manifest.json").read_text())
+        assert manifest["max_matrix_order"] == 17**2  # the box [-8, 8]^2
         rows = (tmp_path / "out" / f"two_{csv}.csv").read_text().splitlines()
         header = rows[0].split(",")
         cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
@@ -437,6 +460,10 @@ class TestRecipes:
         elif recipe == "evolve":  # exp(0) delta_0 is delta_0 in two dimensions
             first = [c for c in cells if c["t"] == "0.0"]
             assert [(c["n0"], c["n1"]) for c in first] == [("0", "0")]
+            assert_numeric_cells_parse(
+                tmp_path / "out" / "two_snapshots.csv",
+                ("t", "n0", "n1", "re", "im", "prob"),
+            )
         else:
             assert float(cells[0]["totalParseval"]) == pytest.approx(1.0, abs=1e-6)
 
@@ -620,9 +647,16 @@ class TestCli:
         ("evolve", "evolve.times = 1.0\nevolve.initial = 0,0", "evolve.initial"),
         ("parseval-check", "parseval.horizons = 2.0\nparseval.source = 0,0",
          "parseval.source"),
+        ("moments", "moments.times = 1.0\nmoments.initial = 33",
+         "moments.initial"),
+        ("evolve", "evolve.times = 1.0\nevolve.initial = 17", "evolve.initial"),
+        ("parseval-check",
+         "parseval.horizons = 2.0\nparseval.radius = 8\nparseval.source = 6",
+         "parseval.source"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
-            "source-length"])
+            "source-length", "initial-outside-box", "evolve-initial-outside-box",
+            "source-outside-box"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
