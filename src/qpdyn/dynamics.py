@@ -61,15 +61,13 @@ def _box_eigh(spec: OperatorSpec, radius: int):
     truncation.
 
     A 1-d box of a real kernel with offsets |k| <= 1 is a real symmetric
-    tridiagonal matrix: ``stevd`` decomposes it without the O(n^3)
-    reduction a dense ``eigh`` starts with.  Any other box takes the dense
-    ``eigh``.
+    tridiagonal matrix (``OperatorSpec.is_tridiagonal``): ``stevd``
+    decomposes it without the O(n^3) reduction a dense ``eigh`` starts
+    with.  Any other box takes the dense ``eigh``.
     """
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
     H = assemble(spec, sites)
-    if spec.dimension == 1 and spec.is_real and all(
-        abs(k) <= 1 for (k,) in spec.kernel.offsets()
-    ):
+    if spec.is_tridiagonal:
         d, e = H.diagonal().copy(), H.diagonal(1).copy()
         del H
         w, U = eigh_tridiagonal(d, e, lapack_driver="stevd")
@@ -273,6 +271,22 @@ class AmplitudeTable:
         return float(self.values[self._index[tuple(n)]])
 
 
+def _real_weights(c: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
+    """Re M_lm = (Re(c_l conj c_m) + x_lm Im(c_l conj c_m)) / (1 + x_lm^2),
+    x_lm = T (w_l - w_m) / 2, with at most three real n x n arrays alive."""
+    x = np.subtract.outer(w, w)
+    x *= 0.5 * T
+    re = np.outer(c.imag, c.real)
+    re -= np.outer(c.real, c.imag)
+    re *= x
+    re += np.outer(c.real, c.real)
+    re += np.outer(c.imag, c.imag)
+    x *= x
+    x += 1.0
+    re /= x
+    return re
+
+
 def amplitude_table_direct(
     spec: OperatorSpec,
     phi: StateVector,
@@ -287,6 +301,10 @@ def amplitude_table_direct(
     a(., n, T) = Re sum_l (U M)_{nl} conj(U_{nl}) with
     M_lm = c_l conj(c_m) / (1 + iT(w_l - w_m)/2).  One n x n product, at a
     cost that does not depend on T; the only truncation is the box.
+
+    Im M is antisymmetric, so for a real U the diagonal of U Im(M) U^T
+    vanishes and a(., n, T) = sum_l (U Re M)_{nl} U_{nl}: one real product,
+    with Re M built in real arithmetic.
     """
     if T <= 0:
         raise ValueError("averaging horizon T must be positive")
@@ -294,8 +312,11 @@ def amplitude_table_direct(
         raise ValueError("initial state must be supported in [-R/2, R/2]^d")
     sites, norms, w, U = _box_eigh(spec, radius)
     c = _apply(U.conj().T, phi.dense(sites))
-    M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
-    values = np.einsum("nl,nl->n", _apply(U, M), U.conj()).real
+    if np.iscomplexobj(U):
+        M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
+        values = np.einsum("nl,nl->n", U @ M, U.conj()).real
+    else:
+        values = np.einsum("nl,nl->n", U @ _real_weights(c, w, T), U)
     leakage, flagged = _table_leakage(values, norms, radius, leakage_tol)
     src = phi.support[0] if len(phi.support) == 1 else None
     return AmplitudeTable(

@@ -7,8 +7,17 @@ addition ||G|| <= exp(N^sigma).  Scans count centers whose translated box
 fails strong goodness for some shape, and a log-log fit extracts the
 sublinear exponent from counts across scales.
 
-Volumes are dense and capped at desk scale (a few thousand points), where
-direct factorisation is the most verifiable route.
+Classification picks one of two resolvers per shape (``_resolver``).  A 1-d
+box of a real kernel with offsets |k| <= 1 (``OperatorSpec.is_tridiagonal``)
+at eps > 0 takes the recursive Green's-function method: O(n) per box, no
+n x n matrix, and as its residual that of the column of G through the worst
+decay pair.  Every other box takes the batched engine: one dense Hermitian
+eigendecomposition per box, an LU solve where the eigenvector reconstruction
+is too inexact, and the residual ||(H - z) G - I||.  Dense volumes, the
+engine's and those of ``greens`` and ``resolvent_norm``, are capped at desk
+scale (a few thousand points), where direct factorisation is the most
+verifiable route; the per-box LU solve is the engine's test oracle, and the
+engine the recursion's.
 """
 
 from __future__ import annotations
@@ -61,8 +70,11 @@ def _as_complex(z) -> complex:
 class GreensMatrix:
     """Dense resolvent of one volume with a solve-quality diagnostic.
 
-    ``residual`` is ||(H - z) G - I|| (spectral norm for small volumes,
-    Frobenius upper bound beyond 1024 points).
+    ``residual`` is ||(H - z) G - I|| of the whole LU-solved matrix
+    (spectral norm for small volumes, Frobenius upper bound beyond 1024
+    points).  The batched engine's box residuals follow the same convention;
+    a box of the 1-d recursion reports a single column's residual instead
+    (see ``BoxVerdict``).
     """
 
     sites: tuple[Coords, ...]
@@ -194,25 +206,25 @@ def _pair_geometry(sites: np.ndarray, min_dist: int, c2: float):
     return dist >= min_dist, c2 * dist
 
 
-def _worst_decay_pairs(
-    sites: np.ndarray, absG: np.ndarray, far: np.ndarray, decay: np.ndarray
-) -> list[DecayWitness | None]:
-    """Worst pair of each of b volumes: ``sites`` is (b, n, d), ``absG`` the
-    (b, n, n) moduli |G| and ``far`` / ``decay`` the shared pair geometry."""
-    if not far.any():
-        return [None] * len(absG)
+def _worst_decay_pairs(absG: np.ndarray, far: np.ndarray, decay: np.ndarray):
+    """Index arrays (i, j) of the worst pair of each of b volumes: ``absG``
+    holds the (b, n, n) moduli |G|, ``far`` / ``decay`` the shared pair
+    geometry, which must hold some far pair."""
     with np.errstate(divide="ignore"):
         margin = np.where(far, np.log(np.maximum(absG, 1e-300)) + decay, -np.inf)
-    n = absG.shape[1]
-    witnesses = []
-    for k, flat in enumerate(margin.reshape(len(absG), -1).argmax(axis=1)):
-        i, j = divmod(int(flat), n)
-        witnesses.append(DecayWitness(
-            (tuple(sites[k, i].tolist()), tuple(sites[k, j].tolist())),
-            float(absG[k, i, j]),
-            math.exp(-decay[i, j]),
-        ))
-    return witnesses
+    return np.divmod(margin.reshape(len(absG), -1).argmax(axis=1), absG.shape[1])
+
+
+def _witnesses(sites, shifts, i, j, values, decays) -> list[DecayWitness]:
+    """The witness of each translate k: the pair (i[k], j[k]) of the (n, d)
+    ``sites`` shifted by ``shifts[k]``, with |G| = values[k] and bound
+    exp(-decays[k])."""
+    first, second = sites[i] + shifts, sites[j] + shifts
+    return [
+        DecayWitness((tuple(p), tuple(q)), v, math.exp(-e))
+        for p, q, v, e in zip(first.tolist(), second.tolist(), values.tolist(),
+                              decays.tolist())
+    ]
 
 
 def _worst_decay_pair(
@@ -220,15 +232,22 @@ def _worst_decay_pair(
 ) -> DecayWitness | None:
     coords = np.asarray(sites, dtype=np.int64)
     far, decay = _pair_geometry(coords, min_dist, c2)
-    return _worst_decay_pairs(coords[None], np.abs(G)[None], far, decay)[0]
+    if not far.any():
+        return None
+    absG = np.abs(G)[None]
+    i, j = _worst_decay_pairs(absG, far, decay)
+    return _witnesses(coords, 0, i, j, absG[0, i, j], decay[i, j])[0]
 
 
 @dataclass(frozen=True)
 class BoxVerdict:
     """Classification record for one box at one complex energy.
 
-    ``residual`` is ||(H - z) G - I|| of the resolvent the verdict came
-    from, with the norm convention of ``GreensMatrix.residual``.
+    ``residual`` is the solve-quality diagnostic of the resolvent the
+    verdict came from: ||(H - z) G - I|| (with the norm convention of
+    ``GreensMatrix.residual``) for a box of the batched engine, and
+    ||(H - z) g - e_j||_2 of the column g = G e_j through the worst decay
+    pair for a box of the recursion (see ``_resolver``).
     """
 
     region: ElementaryRegion
@@ -249,12 +268,23 @@ BATCH_ENTRIES = 1 << 14
 # matrix entries per batched eigendecomposition: bounds the working memory
 # of a scan to a few MB whatever the scan size or the task chunk
 
+RECURSION_ENTRIES = 1 << 16
+# sites per batch of the recursion (n per box): its dozen working arrays stay
+# near 10 MB, and a scan task of 64 boxes of up to 1024 sites is one batch,
+# so the recursion's loop over sites runs once per task
+
 RECONSTRUCTION_RTOL = 1e-9
 # G = V diag(1/(w - z)) V^H carries an absolute rounding error of up to about
 # n eps cond(H - z) ||G||, while the LU solve keeps the small entries of a
 # banded inverse accurate to a relative error.  A box takes its G from LU
 # unless that error is below this fraction of the worst pair's |G| scaled to
 # the smallest decay bound; then every decay margin is accurate to it.
+
+
+def _shift_batches(shifts, d: int, batch: int) -> list[np.ndarray]:
+    # raises ValueError when a shift has the wrong dimension
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(len(shifts), d)
+    return [shifts[s : s + batch] for s in range(0, len(shifts), batch)]
 
 
 class _TranslateEngine:
@@ -285,19 +315,31 @@ class _TranslateEngine:
 
     def resolve(
         self, shifts
-    ) -> list[tuple[float, DecayWitness | None, float]]:
+    ) -> list[tuple[float, DecayWitness, float]]:
         """(||G||, worst decay pair, residual) of the shape translated by
         each row of ``shifts``."""
-        # raises ValueError when a shift has the wrong dimension
-        shifts = np.asarray(shifts, dtype=np.int64).reshape(
-            len(shifts), self.sites.shape[1]
-        )
         out = []
-        for start in range(0, len(shifts), self.batch):
-            out.extend(self._resolve_batch(shifts[start : start + self.batch]))
+        for s in _shift_batches(shifts, self.sites.shape[1], self.batch):
+            norm, i, j, value, residual = self._resolve_batch(s)
+            witnesses = _witnesses(self.sites, s, i, j, value, self.decay[i, j])
+            out.extend(zip(norm.tolist(), witnesses, residual.tolist()))
         return out
 
+    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
+        """Mask of the translates that decay and have ||G|| <= norm_bound,
+        and the largest residual among them all."""
+        good, worst = [], 0.0
+        for s in _shift_batches(shifts, self.sites.shape[1], self.batch):
+            norm, i, j, value, residual = self._resolve_batch(s)
+            with np.errstate(divide="ignore"):
+                margin = np.log(value) + self.decay[i, j]
+            good.append((margin <= 0.0) & (norm <= norm_bound))
+            worst = max(worst, float(residual.max()))
+        return np.concatenate(good), worst
+
     def _resolve_batch(self, shifts: np.ndarray):
+        """||G||, the worst decay pair (i, j), |G(i, j)| and the residual of
+        each translate, as arrays."""
         b, (n, d) = len(shifts), self.sites.shape
         z = self.z
         translated = self.sites[None, :, :] + shifts[:, None, :]
@@ -313,27 +355,186 @@ class _TranslateEngine:
             raise np.linalg.LinAlgError(_singular(z))
         norm = 1.0 / nearest
         G = (V * (1.0 / (w - z))[:, None, :]) @ V.conj().swapaxes(1, 2)
-        witnesses = _worst_decay_pairs(translated, np.abs(G), self.far, self.decay)
+        absG = np.abs(G)
+        boxes = np.arange(b)
+        i, j = _worst_decay_pairs(absG, self.far, self.decay)
         # cond(H - z) ||G|| = max|w - z| / min|w - z|^2
         error = n * np.finfo(float).eps * distances.max(axis=1) * norm**2
-        scale = [self.smallest_bound * wit.value / wit.bound for wit in witnesses]
-        exact = np.flatnonzero(error > RECONSTRUCTION_RTOL * np.array(scale))
+        scale = self.smallest_bound * absG[boxes, i, j] / np.exp(-self.decay[i, j])
+        exact = np.flatnonzero(error > RECONSTRUCTION_RTOL * scale)
         if exact.size:
             A = H[exact] - z * np.eye(n)
             G[exact] = np.linalg.solve(A, np.broadcast_to(np.eye(n), A.shape))
-            redone = _worst_decay_pairs(
-                translated[exact], np.abs(G[exact]), self.far, self.decay
-            )
-            for k, witness in zip(exact, redone):
-                witnesses[k] = witness
+            absG[exact] = np.abs(G[exact])
+            i[exact], j[exact] = _worst_decay_pairs(absG[exact], self.far, self.decay)
         R = H @ G - z * G
         R[:, diag, diag] -= 1.0
-        return zip(norm.tolist(), witnesses, _residual_norm(R).tolist())
+        return norm, i, j, absG[boxes, i, j], _residual_norm(R)
+
+
+class _TridiagonalResolver:
+    """Resolvents of the translates of a 1-d interval at Im z > 0 for a spec
+    whose boxes are tridiagonal, by the recursive Green's-function method
+    (Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981), in O(n) per box and
+    vectorised over a batch of translates.
+
+    With diagonal a, hopping b and the continued fractions
+    gL_k = 1/(a_k - z - b^2 gL_{k-1}) and gR_k = 1/(a_k - z - b^2 gR_{k+1}),
+    G(j, j) = 1/(a_j - z - b^2 gL_{j-1} - b^2 gR_{j+1}), and G is complex
+    symmetric with G(i, j) = G(j, j) prod_{k=i}^{j-1} (-b gL_k) for i < j.
+    So the decay margin log|G(i, j)| + c2 (j - i) splits into B_j - A_i,
+    and a prefix minimum of A over i <= j - ceil(N/10) finds the worst pair
+    with no n x n matrix.  The residual is ||(H - z) g - e_j||_2 of the
+    column g = G e_j through the worst pair.
+
+    ||G|| = 1/min|w - z| comes from the eigenvalues next to E: a Sturm
+    count gives their index and LAPACK bisection (``stebz``) finds them.  A
+    verdict needs only ||G|| <= bound, that is, no eigenvalue within
+    sqrt(bound^-2 - eps^2) of E, which two Sturm counts decide.
+    """
+
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+                 c2: float):
+        self.spec = spec
+        self.z = z
+        self.c2 = c2
+        self.sites = np.asarray(site_list(shape), dtype=np.int64)
+        block = hopping_block(spec, self.sites[:2])  # an interval: n >= 3
+        self.onsite, self.hop = block[0, 0], block[1, 0]
+        self.min_dist = pair_distance_threshold(shape.size)
+        self.batch = max(1, RECURSION_ENTRIES // len(self.sites))
+
+    def resolve(
+        self, shifts
+    ) -> list[tuple[float, DecayWitness, float]]:
+        """(||G||, worst decay pair, residual) of the shape translated by
+        each row of ``shifts``."""
+        out = []
+        for s in _shift_batches(shifts, 1, self.batch):
+            a, gL, gR, diag = self._fractions(s)
+            i, j, margin = self._worst_pairs(gL, diag)
+            decay = self.c2 * (j - i)
+            witnesses = _witnesses(self.sites, s, i, j, np.exp(margin - decay), decay)
+            residual = self._column_residuals(a, gL, gR, diag, j)
+            out.extend(zip(self._norms(a).tolist(), witnesses, residual.tolist()))
+        return out
+
+    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
+        """Mask of the translates that decay and have ||G|| <= norm_bound,
+        and the largest residual among them all."""
+        energy, eps = self.z.real, self.z.imag
+        radius_sq = norm_bound**-2 - eps**2
+        good, worst = [], 0.0
+        for s in _shift_batches(shifts, 1, self.batch):
+            a, gL, gR, diag = self._fractions(s)
+            _, j, margin = self._worst_pairs(gL, diag)
+            worst = max(worst, float(self._column_residuals(a, gL, gR, diag, j).max()))
+            ok = margin <= 0.0
+            if radius_sq > 0.0 and ok.any():
+                r = math.sqrt(radius_sq)
+                below = self._counts(a[:, ok], np.array([[energy - r], [energy + r]]))
+                ok[ok] = below[0] == below[1]
+            good.append(ok)
+        return np.concatenate(good), worst
+
+    def _fractions(self, shifts: np.ndarray):
+        """Diagonals a, fractions gL and gR, and G(j, j) of each translate,
+        as (n, b) arrays."""
+        n = len(self.sites)
+        translated = (self.sites + shifts[:, 0]).reshape(-1, 1)
+        a = self.onsite + potential_values(self.spec, translated).reshape(n, -1)
+        d = a - self.z
+        b2 = self.hop * self.hop
+        gL, gR = np.empty_like(d), np.empty_like(d)
+        gL[0], gR[-1] = 1.0 / d[0], 1.0 / d[-1]
+        for k in range(1, n):
+            gL[k] = 1.0 / (d[k] - b2 * gL[k - 1])
+        for k in range(n - 2, -1, -1):
+            gR[k] = 1.0 / (d[k] - b2 * gR[k + 1])
+        d[1:] -= b2 * gL[:-1]
+        d[:-1] -= b2 * gR[1:]
+        return a, gL, gR, 1.0 / d
+
+    def _worst_pairs(self, gL: np.ndarray, diag: np.ndarray):
+        """Index arrays (i, j), i < j, of the worst decay pair of each
+        translate, and its margin log|G(i, j)| + c2 (j - i)."""
+        (n, b), m = gL.shape, self.min_dist
+        if self.hop == 0.0:  # G is diagonal: every far pair has |G| = 0
+            return np.zeros(b, np.int64), np.full(b, n - 1), np.full(b, -np.inf)
+        steps = np.log(np.abs(self.hop * gL[:-1]))
+        # A_i = sum_{k < i} log|b gL_k| + c2 i, B_j = log|G(j, j)| + A_j
+        A = np.zeros((n, b))
+        np.cumsum(steps, axis=0, out=A[1:])
+        A += self.c2 * np.arange(n)[:, None]
+        margins = np.log(np.abs(diag[m:])) + A[m:] - np.minimum.accumulate(A[: n - m])
+        j = margins.argmax(axis=0)
+        margin = margins[j, np.arange(b)]
+        j += m
+        i = np.where(np.arange(n)[:, None] <= j - m, A, np.inf).argmin(axis=0)
+        return i, j, margin
+
+    def _column_residuals(self, a, gL, gR, diag, j) -> np.ndarray:
+        """||(H - z) g - e_j||_2 of each translate's column g = G e_j."""
+        n, b = a.shape
+        boxes = np.arange(b)
+        g = np.zeros_like(diag)
+        g[j, boxes] = diag[j, boxes]
+        fL, fR = -self.hop * gL, -self.hop * gR
+        for k in range(n - 2, -1, -1):  # G(k, j) = -b gL_k G(k + 1, j), k < j
+            np.multiply(fL[k], g[k + 1], out=g[k], where=k < j)
+        for k in range(1, n):  # G(k, j) = -b gR_k G(k - 1, j), k > j
+            np.multiply(fR[k], g[k - 1], out=g[k], where=k > j)
+        r = (a - self.z) * g
+        r[1:] += self.hop * g[:-1]
+        r[:-1] += self.hop * g[1:]
+        r[j, boxes] -= 1.0
+        return np.linalg.norm(r, axis=0)
+
+    def _counts(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Number of eigenvalues <= x of each box: the non-positive pivots
+        of the LDL^T factorisation of H - x, guarded as LAPACK's bisection
+        guards them.  ``a`` is (n, b); ``x`` broadcasts against a row."""
+        b2 = self.hop * self.hop
+        pivmin = np.finfo(float).tiny * max(1.0, b2)
+        count = np.zeros(np.broadcast_shapes(a.shape[1:], x.shape), np.int64)
+        q = None
+        for k in range(len(a)):
+            q = a[k] - x if q is None else (a[k] - b2 / q) - x
+            q[np.abs(q) < pivmin] = -pivmin
+            count += q <= 0.0
+        return count
+
+    def _norms(self, a: np.ndarray) -> np.ndarray:
+        """||G|| = 1/min|w - z| of each box, from the eigenvalues on either
+        side of E."""
+        energy, eps = self.z.real, self.z.imag
+        n = len(a)
+        hops = np.full(n - 1, self.hop)
+        below = self._counts(a, np.array(energy))
+        norms = np.empty(a.shape[1])
+        for k, count in enumerate(below.tolist()):
+            w = sla.eigvalsh_tridiagonal(
+                a[:, k], hops, select="i",
+                select_range=(max(count - 1, 0), min(count, n - 1)),
+                tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz",
+            )
+            norms[k] = 1.0 / np.hypot(w - energy, eps).min()
+        return norms
+
+
+def _resolver(spec: OperatorSpec, shape: ElementaryRegion, z: complex, c2: float):
+    """The resolver of the translates of ``shape``: the recursion when the
+    boxes are tridiagonal (``OperatorSpec.is_tridiagonal``) and z lies off
+    the real axis, where no pivot of the fractions can vanish; the batched
+    engine for every other box (d >= 2, kernel range > 1, complex hopping,
+    or eps = 0, where it reports a singular box)."""
+    if spec.is_tridiagonal and z.imag > 0.0:
+        return _TridiagonalResolver(spec, shape, z, c2)
+    return _TranslateEngine(spec, shape, z, c2)
 
 
 def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):
-    engine = _TranslateEngine(spec, region, z, c2)
-    return engine.resolve([(0,) * region.dimension])[0]
+    return _resolver(spec, region, z, c2).resolve([(0,) * region.dimension])[0]
 
 
 def _decays(witness: DecayWitness | None) -> bool:
@@ -385,7 +586,8 @@ def is_strongly_good(
 class BadSetReport:
     """Bad centers of one scan: n is bad when some shape of size N1
     translated to n fails strong goodness.  ``max_residual`` is the largest
-    ||(H - z) G - I|| over the boxes the scan resolved."""
+    residual (as in ``BoxVerdict.residual``) over the boxes the scan
+    resolved."""
 
     size: int
     sub_size: int
@@ -409,16 +611,16 @@ def scan_centers(size: int, d: int) -> Iterable[Coords]:
 
 
 def _scan_setup(spec, size, sub_size, z, params, centers):
-    """The shapes of size N1, one engine per shape, and the scan centers in
-    batches that every engine resolves in one call."""
+    """The shapes of size N1, one resolver per shape, and the scan centers
+    in batches that every resolver takes in one call."""
     if sub_size >= size:
         raise ValueError("sub-box size must be smaller than the scan size")
     shapes = enumerate_shapes(spec.dimension, sub_size)
-    engines = [_TranslateEngine(spec, s, z, params.c2) for s in shapes]
+    resolvers = [_resolver(spec, s, z, params.c2) for s in shapes]
     it = iter(centers if centers is not None else scan_centers(size, spec.dimension))
-    batch_size = min(e.batch for e in engines)
+    batch_size = min(r.batch for r in resolvers)
     batches = iter(lambda: [tuple(c) for c in itertools.islice(it, batch_size)], [])
-    return shapes, engines, batches
+    return shapes, resolvers, batches
 
 
 def scan_boxes(
@@ -435,9 +637,9 @@ def scan_boxes(
     ``centers`` restricts the scan to a subset, letting a pool of workers
     split the cube into chunks while keeping center order deterministic."""
     zc = _as_complex(z)
-    shapes, engines, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
+    shapes, resolvers, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
     for batch in batches:
-        resolved = [engine.resolve(batch) for engine in engines]
+        resolved = [resolver.resolve(batch) for resolver in resolvers]
         for k, center in enumerate(batch):
             for shape_id, shape in enumerate(shapes):
                 verdict = _verdict(
@@ -460,7 +662,7 @@ def bad_set(
     Each shape only resolves the centers that every earlier shape left
     strongly good."""
     zc = _as_complex(z)
-    _, engines, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
+    _, resolvers, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
     norm_bound = math.exp(sub_size**params.sigma)
     bad: list[Coords] = []
     total = 0
@@ -468,17 +670,12 @@ def bad_set(
     for batch in batches:
         total += len(batch)
         remaining = batch
-        for engine in engines:
+        for resolver in resolvers:
             if not remaining:
                 break
-            still_good = []
-            for center, (norm, witness, residual) in zip(
-                remaining, engine.resolve(remaining)
-            ):
-                max_residual = max(max_residual, residual)
-                if _decays(witness) and norm <= norm_bound:
-                    still_good.append(center)
-            remaining = still_good
+            good, residual = resolver.verdicts(remaining, norm_bound)
+            max_residual = max(max_residual, residual)
+            remaining = [c for c, ok in zip(remaining, good.tolist()) if ok]
         good = set(remaining)
         bad.extend(c for c in batch if c not in good)
     return BadSetReport(size, sub_size, zc, tuple(bad), total, max_residual)
@@ -641,13 +838,11 @@ def multiscale_decay_check(
     if M < 10:
         raise ValueError("sub-box scale N^xi must be at least 10")
     tiles = tile_disjoint(region, M)
-    cube = _TranslateEngine(
+    cube = _resolver(
         spec, ElementaryRegion((0,) * region.dimension, M), zc, params.c2
     )
-    bad = sum(
-        not _decays(witness)
-        for _, witness, _ in cube.resolve([t.center for t in tiles])
-    )
+    decays, _ = cube.verdicts([t.center for t in tiles], math.inf)
+    bad = int(np.count_nonzero(~decays))
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound
     decay_holds: bool | None = None

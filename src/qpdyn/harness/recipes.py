@@ -124,11 +124,15 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         "fit": [_fit_series(mode, p, xs, values)],
         "flags": ["leakage" for run in runs if run.flagged],
         "leakage": max((run.leakage for run in runs), default=0.0),
-        # each run decomposed the cube [-r, r]^d at its radius r
-        "matrix_order": max(((2 * run.radius + 1) ** spec.dimension
-                             for run in runs), default=0),
+        "matrix_order": max((_box_order(spec, run.radius) for run in runs),
+                            default=0),
         **diagnostic,
     }
+
+
+def _box_order(spec, radius: int) -> int:
+    """Order of the matrix of the cube [-r, r]^d: (2r + 1)^d points."""
+    return (2 * radius + 1) ** spec.dimension
 
 
 def _fit_series(mode, p, times, values):
@@ -162,7 +166,8 @@ def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
                 verdict.strongly_good,
             )
         )
-    return {"main": rows, "flags": [], "residual": residual}
+    return {"main": rows, "flags": [], "residual": residual,
+            "matrix_order": _box_order(spec, sub_size)}
 
 
 def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
@@ -171,7 +176,8 @@ def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
     )
     partial = (energy, eps, size, sub_size, report.count, report.total_centers)
     return {"main": [], "partial": partial, "flags": [],
-            "residual": report.max_residual}
+            "residual": report.max_residual,
+            "matrix_order": _box_order(spec, sub_size)}
 
 
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):

@@ -274,6 +274,16 @@ class OperatorSpec:
         return self.kernel.is_real
 
     @property
+    def is_tridiagonal(self) -> bool:
+        """Every box is a real symmetric tridiagonal matrix: one dimension,
+        a real kernel and offsets |k| <= 1."""
+        return (
+            self.dimension == 1
+            and self.is_real
+            and all(abs(k) <= 1 for (k,) in self.kernel.offsets())
+        )
+
+    @property
     def spectral_bound(self) -> float:
         """K with the spectrum inside [-K + 1, K - 1].
 

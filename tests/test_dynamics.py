@@ -221,6 +221,26 @@ class TestBoxEigensolver:
         direct = amplitude_table_direct(spec, DELTA0, T, radius)
         assert np.abs(direct.values - table).max() <= 1e-12 * table.max()
 
+    @pytest.mark.parametrize("spec,radius", [
+        (AMO3, 64),
+        (free_laplacian(2), 6),
+        (_amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0)), 64),
+    ], ids=["amo3", "free-2d", "complex-hopping"])
+    def test_direct_table_of_complex_state_matches_dense_oracle(self, spec, radius):
+        # a complex state makes Im(c_l conj c_m) nonzero, which a delta
+        # source on a real U never does
+        e = (1,) + (0,) * (spec.dimension - 1)
+        phi = StateVector({(0,) * spec.dimension: 1.0, e: 0.5j,
+                           tuple(-2 * x for x in e): -0.3 + 0.2j})
+        T = 20.0
+        sites, _, w, U = self._dense_eigh(spec, radius)
+        Uc = U.astype(np.complex128)
+        c = Uc.conj().T @ phi.dense(sites)
+        M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
+        table = np.einsum("nl,nl->n", Uc @ M, Uc.conj()).real
+        direct = amplitude_table_direct(spec, phi, T, radius)
+        assert np.abs(direct.values - table).max() <= 1e-12 * table.max()
+
     @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
                              ids=["amo3", "free-1d"])
     def test_parseval_table_matches_dense_oracle(self, monkeypatch, spec):

@@ -24,7 +24,7 @@ from qpdyn.greens import (
     scan_centers,
     verify_resolvent_identity,
 )
-from qpdyn.lattice import ElementaryRegion, GeneralizedRegion
+from qpdyn.lattice import ElementaryRegion, GeneralizedRegion, enumerate_shapes
 from qpdyn.operators import (
     LINEAR_FORM,
     RANK_ONE,
@@ -416,3 +416,133 @@ def test_engine_reports_singular_box():
     with pytest.raises(np.linalg.LinAlgError):
         classify_box(constant_diag(1.0), ElementaryRegion((0,), 3), 1.0 + 0.0j,
                      ClassificationParams())
+
+
+def amo_type_1d(kernel):
+    """A 1-d model with the given kernel and the potential of AMO3."""
+    return OperatorSpec(
+        kernel,
+        PotentialSpec.cosine_series({(1,): 6.0}),
+        ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.3,)),
+    )
+
+
+@pytest.mark.parametrize("spec, z, tridiagonal, recursion", [
+    (AMO3, 0.5 + 1e-3j, True, True),
+    (constant_diag(1.0), 0.5 + 1e-3j, True, True),
+    (AMO3, 0.5 + 0.0j, True, False),
+    (amo_type_1d(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0)),
+     0.5 + 1e-3j, False, False),
+    (amo_type_1d(KernelSpec.toeplitz({(1,): 1.0, (2,): 0.3}, math.e, 1.0)),
+     0.5 + 1e-3j, False, False),
+    (amo_2d(3.0, 0.3), 0.5 + 1e-3j, False, False),
+], ids=["amo", "zero-kernel", "eps-0", "complex-hopping", "range-2", "2d"])
+def test_resolver_routing(spec, z, tridiagonal, recursion):
+    # the recursion takes tridiagonal boxes off the real axis; the batched
+    # engine takes every other box
+    assert spec.is_tridiagonal == tridiagonal
+    for shape in enumerate_shapes(spec.dimension, 3):
+        resolver = GREENS._resolver(spec, shape, z, 0.8)
+        assert isinstance(resolver, GREENS._TridiagonalResolver) == recursion
+        assert isinstance(resolver, GREENS._TranslateEngine) != recursion
+
+
+def norms_agree(norm, oracle, spread):
+    """||G|| = 1/dist(z, spectrum) within 1e-12 relative, or distances
+    within ``spread``: the eigenvalues of a dense backward-stable solver are
+    only accurate to about n eps ||H||, which moves a distance eps' = |w - E|
+    near eps by up to the same amount."""
+    return abs(norm - oracle) <= 1e-12 * oracle or abs(1 / norm - 1 / oracle) <= spread
+
+
+@st.composite
+def recursion_scans(draw):
+    lam = draw(st.floats(0.5, 5.0))
+    spec = almost_mathieu(lam, GOLDEN, draw(st.floats(0.0, 1.0, exclude_max=True)))
+    sub = draw(st.integers(1, 40))
+    centers = draw(st.lists(st.integers(-50, 50).map(lambda c: (c,)),
+                            min_size=1, max_size=4, unique=True))
+    eps = 10.0 ** draw(st.floats(-4.0, -1.0))
+    if draw(st.booleans()):
+        # next to an eigenvalue of a box, where the norm clause is decided
+        w = np.linalg.eigvalsh(assemble(spec, ElementaryRegion(centers[0], sub)))
+        offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-5.0, -1.0))
+        energy = float(draw(st.sampled_from(w.tolist()))) + offset
+    else:
+        # the spectrum lies in [-K + 1, K - 1]: energies inside it and off it
+        K = spec.spectral_bound + 2.0
+        energy = draw(st.floats(-K, K))
+    params = ClassificationParams(c2=draw(st.floats(0.01, 1.0)), sigma=0.5)
+    return spec, sub, centers, complex(energy, eps), params
+
+
+@given(recursion_scans())
+@settings(max_examples=80, deadline=None)
+def test_recursion_matches_engine_and_lu_oracle(scan):
+    spec, sub, centers, z, params = scan
+    n = 2 * sub + 1
+    spread = n * np.finfo(float).eps * spec.spectral_bound
+    engine = GREENS._TranslateEngine(spec, ElementaryRegion((0,), sub), z, params.c2)
+    verdicts = list(scan_boxes(spec, sub + 1, sub, z, params, centers=centers))
+    report = bad_set(spec, sub + 1, sub, z, params, centers=centers)
+    assert report.max_residual == max(v.residual for *_, v in verdicts)
+    for (_, _, v), (engine_norm, engine_witness, _) in zip(
+        verdicts, engine.resolve(centers)
+    ):
+        norm, witness, good, strongly_good = lu_verdict(spec, v.region, z, params)
+        for other_norm, other in ((engine_norm, engine_witness), (norm, witness)):
+            assert v.decay_margin == pytest.approx(other.margin, abs=1e-10)
+            assert norms_agree(v.norm, other_norm, spread), (v.norm, other_norm)
+        # the column residual of a backward-stable recursion
+        assert v.residual <= spread * v.norm
+        if abs(witness.margin) > 1e-9:
+            assert v.good == good
+            if abs(math.log(norm / v.norm_bound)) > 1e-9:
+                assert v.strongly_good == strongly_good
+                assert (v.region.center in report.bad_centers) != strongly_good
+
+
+def test_recursion_batches_do_not_change_verdicts(monkeypatch):
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    z = 0.2 + 1e-3j
+    whole = list(scan_boxes(AMO3, 30, 12, z, params))
+    whole_bad = bad_set(AMO3, 30, 12, z, params)
+    # 25 entries hold one interval of 25 sites: every box is its own batch
+    monkeypatch.setattr(GREENS, "RECURSION_ENTRIES", 25)
+    single = list(scan_boxes(AMO3, 30, 12, z, params))
+    assert [(c, v.good, v.strongly_good) for c, _, v in whole] == [
+        (c, v.good, v.strongly_good) for c, _, v in single
+    ]
+    for field in ("decay_margin", "norm", "residual"):
+        assert [getattr(v, field) for *_, v in whole] == pytest.approx(
+            [getattr(v, field) for *_, v in single], rel=1e-12
+        )
+    assert bad_set(AMO3, 30, 12, z, params).bad_centers == whole_bad.bad_centers
+
+
+@pytest.mark.parametrize("energy, strongly_good", [(1.0, False), (3.0, True)])
+def test_zero_kernel_margin_is_minus_infinity(energy, strongly_good):
+    # b = 0: G is diagonal, so every far pair has |G| = 0 exactly
+    spec, z = constant_diag(1.0), complex(energy, 1e-3)
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    v = classify_box(spec, ElementaryRegion((0,), 6), z, params)
+    assert v.decay_margin == -math.inf
+    assert v.norm == pytest.approx(1.0 / abs(1.0 - z), rel=1e-12)
+    assert 0.0 <= v.residual < 1e-15
+    assert (v.good, v.strongly_good) == (True, strongly_good)
+    report = bad_set(spec, 8, 6, z, params)
+    assert report.count == (0 if strongly_good else report.total_centers)
+    assert 0.0 <= report.max_residual < 1e-15
+
+
+@pytest.mark.parametrize("entry", ["classify_box", "scan_boxes", "bad_set"])
+def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
+    # eps = 0 leaves the recursion; the engine reports the singular box
+    spec, z, params = constant_diag(1.0), 1.0 + 0.0j, ClassificationParams()
+    run = {
+        "classify_box": lambda: classify_box(spec, ElementaryRegion((0,), 3), z, params),
+        "scan_boxes": lambda: list(scan_boxes(spec, 4, 3, z, params)),
+        "bad_set": lambda: bad_set(spec, 4, 3, z, params),
+    }[entry]
+    with pytest.raises(np.linalg.LinAlgError):
+        run()

@@ -224,13 +224,19 @@ class TestRecipes:
             sweep.values.scan.epsilon = 0.1,0.01
             output.prefix = sw
             """
+        sublinear = scan.replace("bad-set-scan", "sublinear").replace(
+            "scan.sizes = 6", "scan.sizes = 6,8,10")
         run_experiment(load_config(write(tmp_path, "gs.cfg", scan)), tmp_path / "a",
                        prefix="gs")
         run_sweep(load_config(write(tmp_path, "sw.cfg", sweep)), tmp_path / "b")
+        run_experiment(load_config(write(tmp_path, "sub.cfg", sublinear)),
+                       tmp_path / "c", prefix="sub")
         for manifest in (tmp_path / "a" / "gs_manifest.json",
-                         tmp_path / "b" / "sw_manifest.json"):
-            residual = json.loads(manifest.read_text())["max_resolvent_residual"]
-            assert 0.0 < residual < 1e-10
+                         tmp_path / "b" / "sw_manifest.json",
+                         tmp_path / "c" / "sub_manifest.json"):
+            record = json.loads(manifest.read_text())
+            assert 0.0 < record["max_resolvent_residual"] < 1e-10
+            assert record["max_matrix_order"] == 5  # the box [-2, 2]
 
     def test_sublinear_requires_three_scales(self, tmp_path):
         p = write(
