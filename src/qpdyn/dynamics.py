@@ -622,9 +622,7 @@ def lyapunov_estimate(
     given phases, renormalising the running product periodically so it
     never overflows.
     """
-    from .operators import KernelSpec
-
-    if spec.kernel != KernelSpec.laplacian(1) or spec.coupling != 1.0:
+    if not spec.is_schrodinger_1d:
         raise ValueError(
             "Lyapunov estimates need the 1-d nearest-neighbour kernel at "
             "unit coupling"

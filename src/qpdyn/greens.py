@@ -11,13 +11,13 @@ Classification picks one of two resolvers per shape (``_resolver``).  A 1-d
 box of a real kernel with offsets |k| <= 1 (``OperatorSpec.is_tridiagonal``)
 at eps > 0 takes the recursive Green's-function method: O(n) per box, no
 n x n matrix, and as its residual that of the column of G through the worst
-decay pair.  Every other box takes the batched engine: one dense Hermitian
-eigendecomposition per box, an LU solve where the eigenvector reconstruction
-is too inexact, and the residual ||(H - z) G - I||.  Dense volumes, the
-engine's and those of ``greens`` and ``resolvent_norm``, are capped at desk
-scale (a few thousand points), where direct factorisation is the most
-verifiable route; the per-box LU solve is the engine's test oracle, and the
-engine the recursion's.
+decay pair.  Every other box takes the batched engine, which is ``greens``
+and ``resolvent_norm`` batched over the translates of one shape: an LU solve
+of (H - z) G = I, the Hermitian eigenvalues for ||G||, and the Frobenius
+residual ||(H - z) G - I||_F.  Dense volumes are capped at desk scale (a few
+thousand points), where direct factorisation is the most verifiable route;
+the per-box ``greens`` with an explicit loop over pairs is the engine's test
+oracle, and the engine the recursion's.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ def _as_complex(z) -> complex:
 class GreensMatrix:
     """Dense resolvent of one volume with a solve-quality diagnostic.
 
-    ``residual`` is ||(H - z) G - I|| of the whole LU-solved matrix
-    (spectral norm for small volumes, Frobenius upper bound beyond 1024
-    points).  The batched engine's box residuals follow the same convention;
-    a box of the 1-d recursion reports a single column's residual instead
-    (see ``BoxVerdict``).
+    ``residual`` is the Frobenius norm ||(H - z) G - I||_F of the whole
+    LU-solved matrix, an upper bound on its spectral norm.  The batched
+    engine's box residuals are the same; a box of the 1-d recursion reports
+    a single column's residual instead (see ``BoxVerdict``).
     """
 
     sites: tuple[Coords, ...]
@@ -111,10 +110,9 @@ def _singular(z: complex) -> str:
 
 
 def _residual_norm(R: np.ndarray):
-    """||R|| of a residual (H - z) G - I, or of each of a stack of them: the
-    spectral norm up to 1024 points, the Frobenius upper bound beyond."""
-    order = 2 if R.shape[-1] <= 1024 else None
-    return np.linalg.norm(R, order, axis=(-2, -1))
+    """Frobenius norm of a residual (H - z) G - I, or of each of a stack of
+    them: an upper bound on its spectral norm."""
+    return np.linalg.norm(R, axis=(-2, -1))
 
 
 def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
@@ -139,7 +137,12 @@ def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
 
 def resolvent_norm(spec: OperatorSpec, region_or_points, z) -> float:
     """||G|| = 1 / dist(z, spectrum of the restriction), exact for the
-    normal matrix H - z; computed from the Hermitian eigenvalues."""
+    normal matrix H - z; computed from the Hermitian eigenvalues.
+
+    Dense eigenvalues carry an error dw of about n eps_mach ||H||.  Where
+    |w - E| is near eps that moves ||G|| by up to dw / (2 eps) relative,
+    about 4e-11 at eps = 1e-4 on a 21-site AMO box, so the bisection of the
+    1-d recursion is the more accurate side there."""
     zc = _as_complex(z)
     H = assemble(spec, region_or_points)
     w = np.linalg.eigvalsh(H)
@@ -227,26 +230,14 @@ def _witnesses(sites, shifts, i, j, values, decays) -> list[DecayWitness]:
     ]
 
 
-def _worst_decay_pair(
-    sites: Sequence[Coords], G: np.ndarray, min_dist: int, c2: float
-) -> DecayWitness | None:
-    coords = np.asarray(sites, dtype=np.int64)
-    far, decay = _pair_geometry(coords, min_dist, c2)
-    if not far.any():
-        return None
-    absG = np.abs(G)[None]
-    i, j = _worst_decay_pairs(absG, far, decay)
-    return _witnesses(coords, 0, i, j, absG[0, i, j], decay[i, j])[0]
-
-
 @dataclass(frozen=True)
 class BoxVerdict:
     """Classification record for one box at one complex energy.
 
     ``residual`` is the solve-quality diagnostic of the resolvent the
-    verdict came from: ||(H - z) G - I|| (with the norm convention of
-    ``GreensMatrix.residual``) for a box of the batched engine, and
-    ||(H - z) g - e_j||_2 of the column g = G e_j through the worst decay
+    verdict came from: the Frobenius norm ||(H - z) G - I||_F of the LU
+    solve (as in ``GreensMatrix.residual``) for a box of the batched engine,
+    and ||(H - z) g - e_j||_2 of the column g = G e_j through the worst decay
     pair for a box of the recursion (see ``_resolver``).
     """
 
@@ -265,20 +256,13 @@ class BoxVerdict:
 
 
 BATCH_ENTRIES = 1 << 14
-# matrix entries per batched eigendecomposition: bounds the working memory
-# of a scan to a few MB whatever the scan size or the task chunk
+# matrix entries per batched solve: bounds the working memory of a scan to a
+# few MB whatever the scan size or the task chunk
 
 RECURSION_ENTRIES = 1 << 16
 # sites per batch of the recursion (n per box): its dozen working arrays stay
 # near 10 MB, and a scan task of 64 boxes of up to 1024 sites is one batch,
 # so the recursion's loop over sites runs once per task
-
-RECONSTRUCTION_RTOL = 1e-9
-# G = V diag(1/(w - z)) V^H carries an absolute rounding error of up to about
-# n eps cond(H - z) ||G||, while the LU solve keeps the small entries of a
-# banded inverse accurate to a relative error.  A box takes its G from LU
-# unless that error is below this fraction of the worst pair's |G| scaled to
-# the smallest decay bound; then every decay margin is accurate to it.
 
 
 def _shift_batches(shifts, d: int, batch: int) -> list[np.ndarray]:
@@ -291,12 +275,11 @@ class _TranslateEngine:
     """Resolvents of the translates of one shape at one complex energy.
 
     The shape's hopping block and pair distances are built once.  Each batch
-    of translates adds its potential diagonals to the block and runs one
-    batched Hermitian eigendecomposition H = V diag(w) V^H, from which
-    ||G|| = 1/min|w - z| (as in ``resolvent_norm``) and, where the decay
-    bounds lie well above its rounding error, G = V diag(1/(w - z)) V^H
-    follow; the other boxes solve (H - z) G = I by LU, as ``greens`` does.
-    The worst decay pair and the residual ||(H - z) G - I|| come from G.
+    of translates adds its potential diagonals to the block, solves
+    (H - z) G = I by one batched LU solve, as ``greens`` does box by box,
+    and takes ||G|| = 1/min|w - z| from one batched ``eigvalsh``, as
+    ``resolvent_norm`` does.  The worst decay pair and the Frobenius
+    residual ||(H - z) G - I||_F come from G.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
@@ -309,8 +292,6 @@ class _TranslateEngine:
         self.far, self.decay = _pair_geometry(
             self.sites, pair_distance_threshold(shape.size), c2
         )
-        # every shape has pairs at distance 2N >= ceil(N/10)
-        self.smallest_bound = math.exp(-self.decay[self.far].max())
         self.batch = max(1, BATCH_ENTRIES // len(sites) ** 2)
 
     def resolve(
@@ -348,28 +329,16 @@ class _TranslateEngine:
         H[:, diag, diag] += potential_values(
             self.spec, translated.reshape(-1, d)
         ).reshape(b, n)
-        w, V = np.linalg.eigh(H)
-        distances = np.hypot(w - z.real, z.imag)
-        nearest = distances.min(axis=1)
+        nearest = np.hypot(np.linalg.eigvalsh(H) - z.real, z.imag).min(axis=1)
         if not nearest.all():
             raise np.linalg.LinAlgError(_singular(z))
-        norm = 1.0 / nearest
-        G = (V * (1.0 / (w - z))[:, None, :]) @ V.conj().swapaxes(1, 2)
+        A = H - z * np.eye(n)
+        eye = np.broadcast_to(np.eye(n), A.shape)
+        G = np.linalg.solve(A, eye)
         absG = np.abs(G)
-        boxes = np.arange(b)
         i, j = _worst_decay_pairs(absG, self.far, self.decay)
-        # cond(H - z) ||G|| = max|w - z| / min|w - z|^2
-        error = n * np.finfo(float).eps * distances.max(axis=1) * norm**2
-        scale = self.smallest_bound * absG[boxes, i, j] / np.exp(-self.decay[i, j])
-        exact = np.flatnonzero(error > RECONSTRUCTION_RTOL * scale)
-        if exact.size:
-            A = H[exact] - z * np.eye(n)
-            G[exact] = np.linalg.solve(A, np.broadcast_to(np.eye(n), A.shape))
-            absG[exact] = np.abs(G[exact])
-            i[exact], j[exact] = _worst_decay_pairs(absG[exact], self.far, self.decay)
-        R = H @ G - z * G
-        R[:, diag, diag] -= 1.0
-        return norm, i, j, absG[boxes, i, j], _residual_norm(R)
+        value = absG[np.arange(b), i, j]
+        return 1.0 / nearest, i, j, value, _residual_norm(A @ G - eye)
 
 
 class _TridiagonalResolver:
@@ -831,7 +800,8 @@ def multiscale_decay_check(
 ) -> MultiscaleReport:
     """Count bad sub-boxes in the canonical tiling and, when the count is
     sublinear, test whether the host Green's function decays at rate
-    c2 - slack (default slack c2/10) for pairs at distance >= ceil(N/10)."""
+    c2 - slack (default slack c2/10) for pairs at distance >= ceil(N/10).
+    The host's witness comes from the resolver ``is_good`` uses."""
     zc = _as_complex(z)
     N = region.size
     M = int(N**params.xi)
@@ -849,10 +819,7 @@ def multiscale_decay_check(
     witness = None
     rate = params.c2 - (slack if slack is not None else params.c2 / 10.0)
     if met:
-        g = greens(spec, region, zc)
-        witness = _worst_decay_pair(
-            g.sites, g.matrix, pair_distance_threshold(N), rate
-        )
+        _, witness, _ = _resolve_box(spec, region, zc, rate)
         decay_holds = _decays(witness)
     return MultiscaleReport(
         size=N,

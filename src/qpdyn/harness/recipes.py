@@ -558,8 +558,10 @@ def _plan_lyapunov(cfg: ExperimentConfig) -> Plan:
     eps = r.number("lyapunov.epsilon", default=0.0, minimum=0.0)
     length = r.integer("lyapunov.length", default=10000, minimum=10)
     n_phases = r.integer("lyapunov.phase_samples", default=8, minimum=1)
-    if spec is not None and (spec.dimension != 1 or spec.kernel.row_sum() != 2.0):
-        r.issues.append("lyapunov needs a 1-d nearest-neighbour model")
+    if spec is not None and not spec.is_schrodinger_1d:
+        r.issues.append(
+            "lyapunov needs the 1-d nearest-neighbour kernel at unit coupling"
+        )
     r.check()
     rng = np.random.default_rng(cfg.seed)
     phases = tuple(float(x) for x in rng.random(n_phases))

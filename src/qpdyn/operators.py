@@ -284,6 +284,17 @@ class OperatorSpec:
         )
 
     @property
+    def is_schrodinger_1d(self) -> bool:
+        """H = v + the 1-d nearest-neighbour kernel S(+-1) = 1 at unit
+        coupling: the model whose eigenvalue equation the 2 x 2 transfer
+        matrices of ``dynamics.lyapunov_estimate`` solve."""
+        return (
+            self.dimension == 1
+            and self.kernel.coefficients == KernelSpec.laplacian(1).coefficients
+            and self.coupling == 1.0
+        )
+
+    @property
     def spectral_bound(self) -> float:
         """K with the spectrum inside [-K + 1, K - 1].
 

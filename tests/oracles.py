@@ -151,6 +151,27 @@ def oracle_time_average(spec, phi, T, sites):
     return acc
 
 
+def oracle_worst_pair(sites, G, min_dist, c2):
+    """The worst decay pair of a volume's resolvent G, by a loop over every
+    ordered pair of sites at sup-distance >= min_dist: the ``DecayWitness``
+    of the largest log|G(m, m')| + c2 |m - m'|, the first among ties, or
+    None when no pair is that far apart."""
+    from qpdyn.greens import DecayWitness
+
+    worst, largest = None, -math.inf
+    for i, m in enumerate(sites):
+        for j, mp in enumerate(sites):
+            dist = sup_dist(m, mp)
+            if dist < min_dist:
+                continue
+            value = float(abs(G[i, j]))
+            margin = (math.log(value) if value > 0.0 else -math.inf) + c2 * dist
+            if worst is None or margin > largest:
+                worst = DecayWitness((tuple(m), tuple(mp)), value, math.exp(-c2 * dist))
+                largest = margin
+    return worst
+
+
 def oracle_bad_centers(spec, size, sub_size, z, params):
     """Bad centers of the scan cube [-N, N]^d, one box at a time.
 

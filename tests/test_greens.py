@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_worst_pair
 from qpdyn.greens import (
     BadSetReport,
     ClassificationParams,
@@ -18,7 +19,6 @@ from qpdyn.greens import (
     is_good,
     is_strongly_good,
     multiscale_decay_check,
-    pair_distance_threshold,
     resolvent_norm,
     scan_boxes,
     scan_centers,
@@ -86,6 +86,16 @@ class TestGreens:
         assert resolvent_norm(AMO3, region, z) == pytest.approx(
             g.norm(), rel=1e-10
         )
+
+    def test_residual_is_the_frobenius_norm(self):
+        # ||(H - z) G - I||_F bounds the spectral norm at every size
+        region, z = ElementaryRegion((0,), 6), 0.3 + 0.05j
+        g = greens(AMO3, region, z)
+        A = assemble(AMO3, region).astype(np.complex128)
+        A[np.diag_indices(len(g.sites))] -= z
+        R = A @ g.matrix - np.eye(len(g.sites))
+        assert g.residual == pytest.approx(np.linalg.norm(R, "fro"), rel=1e-12, abs=0)
+        assert g.residual >= np.linalg.norm(R, 2)
 
     def test_singularity_is_reported(self):
         spec = constant_diag(1.0)
@@ -306,6 +316,27 @@ class TestMultiscale:
         assert report.hypothesis_met == (report.bad_sub_boxes <= report.count_bound)
         assert (report.decay_holds is None) == (not report.hypothesis_met)
 
+    @pytest.mark.parametrize("spec, z, recursion", [
+        (free_laplacian(1), 3.0 + 0.0j, False),
+        (AMO3, 9.0 + 1e-3j, True),
+    ], ids=["engine-host", "recursion-host"])
+    def test_witness_matches_is_good_and_lu_oracle(self, spec, z, recursion):
+        # margins, not pairs: pairs may differ among ties
+        region = ElementaryRegion((0,), 100)
+        params = ClassificationParams(c2=0.8, sigma=0.5, xi=0.5)
+        report = multiscale_decay_check(spec, region, z, params, slack=0.79)
+        assert report.hypothesis_met
+        rate = report.required_rate
+        host = GREENS._resolver(spec, region, z, rate)
+        assert isinstance(host, GREENS._TridiagonalResolver) == recursion
+        ok, witness = is_good(spec, region, z, rate)
+        _, oracle, good, _ = lu_verdict(
+            spec, region, z, ClassificationParams(c2=rate, sigma=0.5)
+        )
+        assert report.decay_holds == ok == good
+        for other in (witness, oracle):
+            assert report.witness.margin == pytest.approx(other.margin, abs=1e-10)
+
     def test_scale_precondition(self):
         params = ClassificationParams(c2=0.8, sigma=0.5, xi=0.5)
         with pytest.raises(ValueError, match="at least 10"):
@@ -331,12 +362,12 @@ class TestNormBoundInvariant:
 
 
 def lu_verdict(spec, region, z, params):
-    """The per-box oracle: LU resolvent, its worst decay pair, and the
-    eigenvalue norm, classified by the definitions."""
+    """The per-box oracle: LU resolvent, its worst decay pair by a loop over
+    the pairs at sup-distance >= ceil(N/10), and the eigenvalue norm,
+    classified by the definitions."""
     g = greens(spec, region, z)
-    witness = GREENS._worst_decay_pair(
-        g.sites, g.matrix, pair_distance_threshold(region.size), params.c2
-    )
+    min_dist = max(1, math.ceil(region.size / 10))
+    witness = oracle_worst_pair(g.sites, g.matrix, min_dist, params.c2)
     norm = resolvent_norm(spec, region, z)
     good = witness is None or witness.margin <= 0.0
     return norm, witness, good, good and norm <= math.exp(region.size**params.sigma)
@@ -347,8 +378,8 @@ def amo_scans(draw):
     lam = draw(st.floats(0.5, 5.0))
     phase = draw(st.floats(0.0, 1.0, exclude_max=True))
     if draw(st.booleans()):
-        # sizes up to 40 reach decay bounds near exp(-64), far below the
-        # rounding error of an eigenvector reconstruction of G
+        # sizes up to 40 reach decay bounds near exp(-64): the batched LU
+        # solve must keep such tiny far entries accurate to a relative error
         spec, sub = almost_mathieu(lam, GOLDEN, phase), draw(st.integers(1, 40))
     else:
         spec, sub = amo_2d(lam, phase), draw(st.integers(1, 3))
@@ -381,8 +412,9 @@ def test_batched_engine_matches_lu_oracle(scan):
 
 @pytest.mark.parametrize("z", [5.0 + 0.0j, 3.0 + 1e-3j, 0.5 + 1e-3j])
 def test_engine_keeps_tiny_far_entries_of_large_boxes(z):
-    # off the spectrum |G(n, n')| falls to about exp(-125) at distance 80,
-    # far below the rounding error of V diag(1/(w - z)) V^H
+    # off the spectrum |G(n, n')| falls to about exp(-125) at distance 80;
+    # the margin of such a tiny entry holds only if G is accurate to a
+    # relative error entry by entry, as an LU solve of a banded matrix keeps it
     spec, region = free_laplacian(1), ElementaryRegion((0,), 40)
     params = ClassificationParams(c2=0.8, sigma=0.5)
     norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)

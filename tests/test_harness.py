@@ -674,6 +674,33 @@ class TestCli:
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        "model.kernel = laplacian\nmodel.coupling = 2.0",
+        "model.kernel = toeplitz\nmodel.kernel.coeff.2 = 1.0\n"
+        "model.kernel.amplitude = 8.0",
+    ], ids=["coupling-2", "toeplitz-offset-2"])
+    def test_lyapunov_model_outside_the_estimator_exit_two(self, tmp_path,
+                                                           capsys, model):
+        # each kernel has row sum 2, but the transfer matrices need S(+-1) = 1
+        # at unit coupling: the plan rejects what the estimator would
+        p = write(
+            tmp_path,
+            "ly.cfg",
+            f"""
+            experiment = lyapunov-map
+            {model}
+            model.potential.cos.1 = 6.0
+            model.dynamics.alpha = {GOLDEN}
+            lyapunov.energies = 0.0
+            lyapunov.length = 100
+            """,
+        )
+        with pytest.raises(ConfigError, match="unit coupling"):
+            run_experiment(load_config(p), tmp_path / "o")
+        code = cli.main(["lyapunov", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unit coupling" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_verbose_logs_each_finished_task(self, tmp_path, capsys, caplog,
                                              workers):

@@ -206,6 +206,26 @@ class TestSpectralBound:
         assert w.min() >= -K + 1 and w.max() <= K - 1
 
 
+def amo_with_kernel(kernel, coupling=1.0):
+    return OperatorSpec(
+        kernel, PotentialSpec.cosine_series({(1,): 6.0}), still_dynamics(), coupling
+    )
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (almost_mathieu(3.0, GOLDEN, 0.3), True),
+    (free_laplacian(1), True),
+    (amo_with_kernel(KernelSpec.toeplitz({(1,): 1.0}, 8.0, 1.0)), True),
+    (amo_with_kernel(KernelSpec.laplacian(1), coupling=2.0), False),
+    (amo_with_kernel(KernelSpec.toeplitz({(2,): 1.0}, 8.0, 1.0)), False),
+    (amo_with_kernel(KernelSpec.toeplitz({(1,): -1.0}, 8.0, 1.0)), False),
+    (free_laplacian(2), False),
+], ids=["amo", "free", "toeplitz-envelope", "coupling-2", "offset-2",
+        "hopping-minus-1", "2d"])
+def test_is_schrodinger_1d_reads_the_hopping_not_the_envelope(spec, expected):
+    assert spec.is_schrodinger_1d == expected
+
+
 class TestStateVector:
     def test_delta(self):
         phi = StateVector.delta((3,))
