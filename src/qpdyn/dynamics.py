@@ -4,11 +4,11 @@ routes.
 The lattice operator is truncated to a cube of a given radius and evolved in
 the eigenbasis of that box, which is exact up to floating point at desk
 scale.  A 1-d box of a real nearest-neighbour kernel is tridiagonal and is
-decomposed by LAPACK's tridiagonal divide and conquer (``stevd``) in O(n^2)
-time; every other box (d >= 2, kernel range > 1, complex hopping) by the
-dense Hermitian ``eigh``.  A real eigenbasis is applied to complex data as
-two real products, never through a complex copy.  The time-averaged site
-occupations
+decomposed from its diagonals by LAPACK's tridiagonal divide and conquer
+(``stevd``) in O(n^2) time; every other box (d >= 2, kernel range > 1,
+complex hopping) by the dense Hermitian ``eigh``.  A real eigenbasis is
+applied to complex data as two real products, never through a complex
+copy.  The time-averaged site occupations
 
     a(j, n, T) = (2/T) integral_0^inf exp(-2t/T) |(exp(-itH) delta_j, delta_n)|^2 dt
 
@@ -16,10 +16,15 @@ are computed two ways.  The direct route evaluates the time integral in
 closed form in the box eigenbasis, so it has no quadrature and no cut in
 time.  The energy route integrates the identity
 a(j, n, T) = (1/(T pi)) integral |G(E + i/T)(j, n)|^2 dE at eps = 1/T by
-adaptive quadrature.  Both routes take their eigenpairs from the same
-``_box_eigh``, so their agreement (the tests enforce 1e-6 relative) checks
-the time integral and the energy quadrature, not the eigenvectors; the
-tests pin the direct route to a Gauss-Legendre time quadrature as well.
+adaptive quadrature.  On a tridiagonal box the energy route takes the
+column G(E + i/T)(., j) from a two-sided continued fraction in O(n) per
+energy and its panel breaks from eigenvalues it computes itself, so it
+shares only the box's diagonal and hopping with the direct route, and
+their agreement (the tests enforce 1e-6 relative) checks the direct
+route's eigenvectors too.  On every other box both routes take their
+eigenpairs from the same ``_box_eigh``, and their agreement checks the
+time integral and the energy quadrature, not the eigenvectors; the tests
+pin the direct route to a Gauss-Legendre time quadrature as well.
 
 Truncation safety is operational: the mass reaching the outer 10% shell of
 the box is monitored and results are flagged when it exceeds a tolerance.
@@ -28,19 +33,28 @@ the box is monitored and results are flagged when it exceeds a tolerance.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from .greens import RECURSION_ENTRIES
 from .lattice import Coords, ElementaryRegion
-from .operators import OperatorSpec, StateVector, assemble, site_list
+from .operators import (
+    OperatorSpec,
+    StateVector,
+    assemble,
+    hopping_block,
+    potential_values,
+    site_list,
+)
 
 DEFAULT_LEAKAGE_TOL = 1e-8
-MAX_PANELS = 4000  # band panels before the energy route gives up
+MAX_PANELS = 4000  # band bisections after the eigenvalue breaks before giving up
 POOR_FIT_RMS = 0.05  # log-fit residual above which growth is not logarithmic
 RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
 
@@ -56,23 +70,31 @@ def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
+def _box_diagonals(spec: OperatorSpec, radius: int):
+    """Sites, their sup norms, and the diagonal a and hopping b of a
+    tridiagonal box (``OperatorSpec.is_tridiagonal``), from the potential
+    and the hopping block of two sites, with no n x n matrix."""
+    sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
+    block = hopping_block(spec, np.array([[0], [1]]))
+    a = block[0, 0] + potential_values(spec, sites)
+    return sites, _sup_norms(sites), a, float(block[1, 0])
+
+
+@lru_cache(maxsize=4)
 def _box_eigh(spec: OperatorSpec, radius: int):
     """Sites, their sup norms, eigenvalues, and eigenvectors of the cube
     truncation.
 
-    A 1-d box of a real kernel with offsets |k| <= 1 is a real symmetric
-    tridiagonal matrix (``OperatorSpec.is_tridiagonal``): ``stevd``
-    decomposes it without the O(n^3) reduction a dense ``eigh`` starts
-    with.  Any other box takes the dense ``eigh``.
+    A tridiagonal box is decomposed by ``stevd`` from its diagonals,
+    without the O(n^3) reduction a dense ``eigh`` starts with.  Any other
+    box takes the dense ``eigh``.
     """
-    sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
-    H = assemble(spec, sites)
     if spec.is_tridiagonal:
-        d, e = H.diagonal().copy(), H.diagonal(1).copy()
-        del H
-        w, U = eigh_tridiagonal(d, e, lapack_driver="stevd")
-    else:
-        w, U = np.linalg.eigh(H)
+        sites, norms, a, hop = _box_diagonals(spec, radius)
+        w, U = eigh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="stevd")
+        return sites, norms, w, U
+    sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
+    w, U = np.linalg.eigh(assemble(spec, sites))
     return sites, _sup_norms(sites), w, U
 
 
@@ -256,6 +278,7 @@ class AmplitudeTable:
     flagged: bool
     tail_bound: float
     band_edge: float | None = None
+    panels: int = 0  # quadrature panels of a parseval table: band + tails
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -336,26 +359,124 @@ class QuadratureError(RuntimeError):
     """Adaptive energy quadrature failed to reach the requested tolerance."""
 
 
-def _panel_integrals(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    weight_rows: np.ndarray,
-):
-    """Vector integral of f over [a, b] with embedded GL-15 / GL-31 rules.
+class _RecursionColumn:
+    """G(z)(., j) of a tridiagonal box, for each z of an array with
+    Im z > 0, by a two-sided continued fraction (recursive Green's
+    functions, Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981) in O(n)
+    per energy and with no eigenvectors.
 
-    Returns (vector31, functionals31, per-functional error estimates).
+    With diagonal a and hopping b, the fractions h_k = b^2 gL_k,
+    h_k = b^2 / (a_k - z - h_{k-1}), run from the left boundary to j - 1,
+    and their mirror images b^2 gR_k from the right boundary to j + 1;
+    then G(j, j) = 1/(a_j - z - b^2 gL_{j-1} - b^2 gR_{j+1}), and
+    G(k, j) = -(h_k / b) G(k + 1, j) for k < j, mirrored for k > j.  Both
+    sides sit in one (m + 1, 2, K) work array, boundary first, so one
+    numpy op advances both; the shorter side is padded at its boundary end
+    with decoupled rows, whose numerator 0 makes h = 0.  The column
+    overwrites the fractions in place; row m of side 0 holds G(j, j), row
+    m of side 1 is scratch, and ``rows`` maps each site to its row of the
+    flattened array.
     """
-    out = []
-    for order in (15, 31):
-        x, wq = _leggauss(order)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = f(mid + half * x)  # (n_sites, order)
-        vec = half * (vals @ wq)
-        out.append(vec)
-    func15 = weight_rows @ out[0]
-    func31 = weight_rows @ out[1]
-    return out[1], func31, np.abs(func31 - func15)
+
+    def __init__(self, a: np.ndarray, hop: float, j: int):
+        n = len(a)
+        m = max(j, n - 1 - j)
+        self.diag = np.zeros((m + 1, 2, 1))
+        self.diag[m - j : m, 0, 0] = a[:j]
+        self.diag[m + 1 - n + j : m, 1, 0] = a[:j:-1]
+        self.diag[m, 0, 0] = a[j]
+        real = np.arange(m)[:, None] >= m - np.array([j, n - 1 - j])
+        self.numerators = list((hop * hop * real)[:, :, None])
+        self.scale = -1.0 / hop if hop else 0.0
+        k = np.arange(n)
+        self.rows = np.where(k < j, 2 * (m - j + k), 2 * (m + j - k) + 1)
+        self.rows[j] = 2 * m
+        self.size = 2 * (m + 1)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """The column at each z, as a (2 (m + 1), K) array whose row
+        ``rows[k]`` is G(z)(k, j)."""
+        work = np.subtract(self.diag, z)
+        *sides, (center, _) = work  # views: each op is in place
+        prev = None
+        for row, numerator in zip(sides, self.numerators):
+            if prev is not None:
+                row -= prev
+            np.divide(numerator, row, out=row)
+            prev = row
+        if sides:
+            center -= prev[0]
+            center -= prev[1]
+        np.reciprocal(center, out=center)
+        if sides:
+            work[:-1] *= self.scale
+            prev = center
+            for row in reversed(sides):
+                row *= prev
+                prev = row
+        return work.reshape(self.size, -1)
+
+
+class _EigenColumn:
+    """G(z)(., j) = U diag(1/(w - z)) U^H e_j over the box eigenbasis, for
+    boxes that are not tridiagonal; one row per site."""
+
+    def __init__(self, w: np.ndarray, U: np.ndarray, j: int):
+        self.w, self.U = w, U
+        self.cj = U[j, :].conj()
+        self.rows = np.arange(len(w))
+        self.size = len(w)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return _apply(self.U, self.cj[:, None] / np.subtract.outer(self.w, z))
+
+
+def _panel_integrals(column, eps: float, a: np.ndarray, b: np.ndarray,
+                     weight_rows: np.ndarray):
+    """Vector integrals of |column(E + i eps)|^2 over the panels [a_p, b_p]
+    with embedded GL-15 / GL-31 rules, all panels in one evaluation.
+
+    Returns (vectors31, functionals31, per-functional error estimates), one
+    row per panel.
+    """
+    rules = [_leggauss(order) for order in (15, 31)]
+    x = np.concatenate([nodes for nodes, _ in rules])
+    weights = np.zeros((len(x), 2))
+    weights[:15, 0], weights[15:, 1] = rules[0][1], rules[1][1]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    energies = mid[:, None] + half[:, None] * x
+    sq = np.abs(column((energies + 1j * eps).ravel()))
+    sq *= sq
+    sums = sq.reshape(column.size, len(a), len(x)) @ weights
+    vec = (sums[column.rows] * half[:, None]).transpose(2, 1, 0)
+    func = vec @ weight_rows.T
+    return vec[1], func[1], np.abs(func[1] - func[0])
+
+
+def _panels(column, eps: float, a, b, weight_rows: np.ndarray):
+    """(a, b, vector31, functionals31, error estimates) of each panel
+    [a_p, b_p] in order, evaluated lazily in chunks of whole panels, at
+    least one, whose nodes times the column's rows fit
+    ``RECURSION_ENTRIES``: a consumer that stops early leaves the later
+    chunks unevaluated."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    per = max(1, RECURSION_ENTRIES // (column.size * (15 + 31)))
+    for s in range(0, len(a), per):
+        part = slice(s, s + per)
+        yield from zip(a[part], b[part], *_panel_integrals(
+            column, eps, a[part], b[part], weight_rows))
+
+
+def _source_column(spec: OperatorSpec, radius: int, source: Coords):
+    """Sites, sup norms and eigenvalues of the box, and its column
+    z -> G(z)(., source): the recursion for a tridiagonal box, which never
+    forms U, and the eigenvector sum for every other box."""
+    if spec.is_tridiagonal:
+        sites, norms, a, hop = _box_diagonals(spec, radius)
+        w = eigvalsh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="sterf")
+        return sites, norms, w, _RecursionColumn(a, hop, sites.index(source))
+    sites, norms, w, U = _box_eigh(spec, radius)
+    return sites, norms, w, _EigenColumn(w, U, sites.index(source))
 
 
 def amplitude_table_parseval(
@@ -371,12 +492,18 @@ def amplitude_table_parseval(
     """Energy route: adaptive quadrature of |G(E + i/T)(j, n)|^2 / (T pi).
 
     The band [-K', K'] (K' = spectral bound + 2 by default) holds all the
-    Lorentzian structure and is refined adaptively, controlling the error of
-    sum_n |n|^q a(j, n, T) for each q in ``control_orders``.  The smooth
-    out-of-band tails are integrated over geometrically doubling panels
-    until the measured remainder, with a safety factor, drops below the
-    tolerance; the returned table therefore does not depend on the band
-    edge beyond the quadrature tolerance.
+    Lorentzian structure.  It starts from panels broken at the box
+    eigenvalues, evaluated in chunks, and is refined by bisecting the panel
+    of largest error estimate, at most ``MAX_PANELS`` times, controlling
+    the error of sum_n |n|^q a(j, n, T) for each q in ``control_orders``.
+    An open panel keeps its functionals but not its n-vector: a bisection
+    evaluates the panel again with its two halves in one call and swaps
+    its vector for theirs.  The smooth out-of-band tails are integrated
+    over geometrically doubling panels until the measured remainder, with
+    a safety factor, drops below the tolerance; the doublings are evaluated
+    in speculative chunks and replayed in order, and the panels past the
+    stopping one are never used.  The returned table therefore does not
+    depend on the band edge beyond the quadrature tolerance.
     """
     if T <= 0:
         raise ValueError("averaging horizon T must be positive")
@@ -387,75 +514,64 @@ def amplitude_table_parseval(
         )
     if 2 * max(abs(c) for c in src) > radius:
         raise ValueError("source site must lie in [-R/2, R/2]^d")
-    sites, norms, w, U = _box_eigh(spec, radius)
-    j = sites.index(src)
-    cj = U[j, :].conj()
+    sites, norms, w, column = _source_column(spec, radius, src)
     eps = 1.0 / T
     prefactor = 1.0 / (T * math.pi)
-
-    def integrand(energies: np.ndarray) -> np.ndarray:
-        denom = w[:, None] - (energies[None, :] + 1j * eps)
-        cols = _apply(U, cj[:, None] / denom)
-        return np.abs(cols) ** 2
-
     weight_rows = np.vstack([norms**q for q in control_orders])
     edge = band_edge if band_edge is not None else spec.spectral_bound + 2.0
+
+    def integrals(a, b):
+        return _panels(column, eps, a, b, weight_rows)
 
     # initial band panels: break at eigenvalues so peaks start resolved
     breaks = np.unique(
         np.concatenate(([-edge, edge], np.clip(w, -edge, edge)))
     )
     heap: list = []  # (-largest error, push order, panel) per open panel
-    counter = 0
-    total_vec = None
+    order = itertools.count()
+    total_vec = np.zeros(len(sites))
     total_func = np.zeros(len(control_orders))
     total_err = np.zeros(len(control_orders))
 
-    def push(a: float, b: float):
-        nonlocal counter, total_func, total_err, total_vec
-        vec, func, err = _panel_integrals(integrand, a, b, weight_rows)
-        heapq.heappush(heap, (-float(err.max()), counter, (a, b, vec, func, err)))
+    def push(a, b, vec, func, err):
+        # an open panel keeps no vector: a bisection evaluates it again
+        nonlocal total_func, total_err, total_vec
+        heapq.heappush(heap, (-float(err.max()), next(order), (a, b, func, err)))
         total_func += func
         total_err += err
-        if total_vec is None:
-            total_vec = vec.copy()
-        else:
-            total_vec += vec
-        counter += 1
+        total_vec += vec
 
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b > a:
-            push(a, b)
+    bisections = 0
+    for panel in integrals(breaks[:-1], breaks[1:]):
+        push(*panel)
 
-    while len(heap) < MAX_PANELS:
+    while True:
         scale = np.maximum(np.abs(total_func), 1e-30)
         if np.all(total_err <= rel_tol * scale):
             break
-        a, b, vec, func, err = heapq.heappop(heap)[2]
+        if bisections == MAX_PANELS:
+            raise QuadratureError(
+                f"band quadrature did not converge in {bisections} "
+                f"bisections; errors {total_err} vs scale {scale}"
+            )
+        a, b, func, err = heapq.heappop(heap)[2]
+        mid = 0.5 * (a + b)
+        whole, *halves = integrals([a, a, mid], [b, mid, b])
         total_func -= func
         total_err -= err
-        total_vec -= vec
-        mid = 0.5 * (a + b)
-        push(a, mid)
-        push(mid, b)
-    else:
-        scale = np.maximum(np.abs(total_func), 1e-30)
-        if not np.all(total_err <= rel_tol * scale):
-            raise QuadratureError(
-                f"band quadrature did not converge in {MAX_PANELS} panels; "
-                f"errors {total_err} vs scale {scale}"
-            )
+        total_vec -= whole[2]
+        bisections += 1
+        for panel in halves:
+            push(*panel)
 
     # out-of-band tails: doubling panels with a measured-decay remainder stop
     tail_bound = 0.0
-    for sign in (1.0, -1.0):
-        lo = edge
+    tail_panels = 0
+    doublings = edge * 2.0 ** np.arange(80)
+    for lo, hi in ((doublings, 2.0 * doublings), (-2.0 * doublings, -doublings)):
         prev_func = None
-        converged = False
-        for _ in range(80):
-            hi = 2.0 * lo
-            a, b = (lo, hi) if sign > 0 else (-hi, -lo)
-            vec, func, _ = _panel_integrals(integrand, a, b, weight_rows)
+        for _, _, vec, func, _ in integrals(lo, hi):
+            tail_panels += 1
             total_vec += vec
             total_func += func
             if prev_func is not None:
@@ -468,12 +584,9 @@ def amplitude_table_parseval(
                 scale = np.maximum(np.abs(total_func), 1e-30)
                 if np.all(remainder * 10.0 <= rel_tol * scale):
                     tail_bound += float(np.max(remainder))
-                    converged = True
+                    break
             prev_func = func
-            lo = hi
-            if converged:
-                break
-        if not converged:
+        else:
             raise QuadratureError("tail integration did not converge")
 
     values = prefactor * total_vec
@@ -489,6 +602,7 @@ def amplitude_table_parseval(
         flagged=flagged,
         tail_bound=prefactor * tail_bound,
         band_edge=edge,
+        panels=len(heap) + tail_panels,
     )
 
 

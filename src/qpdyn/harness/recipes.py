@@ -113,8 +113,10 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         runs = [double_while_flagged(partial(table, T), radius, max_doublings)
                 for T in horizons]
         samples = [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
-        diagnostic = {"tail_bound": max((run.tail_bound for run in runs),
-                                        default=0.0)}
+        diagnostic = {
+            "tail_bound": max((run.tail_bound for run in runs), default=0.0),
+            "panels": max((run.panels for run in runs), default=0),
+        }
     rows = [(mode, p, x, v, run.radius, run.leakage, fingerprint)
             for x, v, run in samples]
     xs = np.array([x for x, _, _ in samples])
@@ -203,7 +205,8 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     ]
     flags = ["leakage"] if direct.flagged else []
     return {"main": entries, "summary": summary, "flags": flags,
-            "tail_bound": parseval.tail_bound, "matrix_order": order}
+            "tail_bound": parseval.tail_bound, "panels": parseval.panels,
+            "matrix_order": order}
 
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
@@ -625,8 +628,9 @@ def _write_run(
     Run diagnostics (wall time, the largest resolvent residual of a scan,
     the largest truncation leakage of an evolution or moment run, the
     largest norm drift of an evolution, the largest quadrature tail bound
-    of a time-averaged table and the order of the largest box a dynamics
-    task decomposed) go to the manifest only, so CSV bodies stay
+    of a time-averaged table, the most energy-quadrature panels of a
+    Parseval table and the order of the largest box a dynamics task
+    decomposed) go to the manifest only, so CSV bodies stay
     byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
@@ -643,6 +647,7 @@ def _write_run(
                       ("leakage", "max_leakage"),
                       ("norm_drift", "max_norm_drift"),
                       ("tail_bound", "max_tail_bound"),
+                      ("panels", "max_quadrature_panels"),
                       ("matrix_order", "max_matrix_order")):
         values = [res[key] for res in results if key in res]
         if values:

@@ -201,3 +201,80 @@ def oracle_bad_centers(spec, size, sub_size, z, params):
                 bad.add(center)
                 break
     return bad
+
+
+def oracle_parseval_table(spec, source, T, radius, control_orders=(0.0, 2.0),
+                          rel_tol=1e-9, max_panels=4000):
+    """(values, panels) of the energy route by its per-panel loop: every
+    GL-15 / GL-31 panel on its own, each column G(E + i/T) e_j summed over
+    the box eigenvectors of ``_box_eigh``.  The band starts from panels
+    broken at the eigenvalues and bisects the panel of largest error; the
+    tails double until the measured remainder, times 10, is below the
+    tolerance.  ``panels`` counts the band panels after refinement and the
+    tail panels used."""
+    import heapq
+
+    import numpy as np
+
+    from qpdyn.dynamics import _box_eigh
+
+    sites, norms, w, U = _box_eigh(spec, radius)
+    cj = U[sites.index(tuple(source)), :].conj()
+    eps = 1.0 / T
+    weight_rows = np.vstack([norms**q for q in control_orders])
+
+    def panel(a, b):
+        out = []
+        for order in (15, 31):
+            x, wq = np.polynomial.legendre.leggauss(order)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            denom = w[:, None] - (mid + half * x[None, :] + 1j * eps)
+            cols = U.astype(np.complex128) @ (cj[:, None] / denom)
+            out.append(half * ((np.abs(cols) ** 2) @ wq))
+        func15, func31 = weight_rows @ out[0], weight_rows @ out[1]
+        return out[1], func31, np.abs(func31 - func15)
+
+    edge = spec.spectral_bound + 2.0
+    breaks = np.unique(np.concatenate(([-edge, edge], np.clip(w, -edge, edge))))
+    heap, counter = [], 0
+    total_vec = np.zeros(len(sites))
+    total_func = np.zeros(len(control_orders))
+    total_err = np.zeros(len(control_orders))
+
+    def push(a, b):
+        nonlocal counter, total_vec, total_func, total_err
+        vec, func, err = panel(a, b)
+        heapq.heappush(heap, (-float(err.max()), counter, (a, b, vec, func, err)))
+        total_vec, total_func, total_err = total_vec + vec, total_func + func, total_err + err
+        counter += 1
+
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b > a:
+            push(a, b)
+    for _ in range(max_panels):
+        if np.all(total_err <= rel_tol * np.maximum(np.abs(total_func), 1e-30)):
+            break
+        a, b, vec, func, err = heapq.heappop(heap)[2]
+        total_vec, total_func, total_err = total_vec - vec, total_func - func, total_err - err
+        push(a, 0.5 * (a + b))
+        push(0.5 * (a + b), b)
+    else:
+        raise RuntimeError("oracle band quadrature did not converge")
+    panels = len(heap)
+    for sign in (1.0, -1.0):
+        lo, prev_func = edge, None
+        for _ in range(80):
+            a, b = (lo, 2.0 * lo) if sign > 0 else (-2.0 * lo, -lo)
+            vec, func, _ = panel(a, b)
+            panels += 1
+            total_vec, total_func = total_vec + vec, total_func + func
+            if prev_func is not None:
+                ratio = np.where(prev_func > 0.0, func / np.maximum(prev_func, 1e-300), 0.0)
+                ratio = np.minimum(ratio, 0.9)
+                remainder = func * ratio / (1.0 - ratio)
+                if np.all(remainder * 10.0 <= rel_tol * np.maximum(np.abs(total_func), 1e-30)):
+                    break
+            prev_func, lo = func, 2.0 * lo
+        else:
+            raise RuntimeError("oracle tail quadrature did not converge")
+    return total_vec / (T * math.pi), panels

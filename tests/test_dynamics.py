@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,8 @@ from qpdyn.dynamics import (
     _leggauss,
 )
 from qpdyn.lattice import sup_norm
-from oracles import oracle_assemble, oracle_time_average
+from oracles import oracle_assemble, oracle_parseval_table, oracle_time_average
+from qpdyn.greens import RECURSION_ENTRIES
 from qpdyn.operators import (
     LINEAR_FORM,
     KernelSpec,
@@ -244,11 +246,17 @@ class TestBoxEigensolver:
     @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
                              ids=["amo3", "free-1d"])
     def test_parseval_table_matches_dense_oracle(self, monkeypatch, spec):
+        # a 1-d energy route forms no eigenvectors: the dense oracle checks
+        # the tridiagonal eigenvalues that set its first panel breaks
         table = amplitude_table_parseval(spec, (0,), 20.0, 64)
-        monkeypatch.setattr(dynamics, "_box_eigh", self._dense_eigh)
+        sites, _, _, _ = self._dense_eigh(spec, 64)
+        dense = np.linalg.eigvalsh(oracle_assemble(spec, sites))
+        monkeypatch.setattr(dynamics, "eigvalsh_tridiagonal",
+                            lambda *args, **kwargs: dense)
         oracle = amplitude_table_parseval(spec, (0,), 20.0, 64)
         scale = oracle.values.max()
         assert np.abs(table.values - oracle.values).max() <= 1e-12 * scale
+        assert table.panels == oracle.panels
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 7)])
@@ -426,6 +434,104 @@ class TestParseval:
         bound = averaged_moment_parseval(AMO3, pair, 2.0, 20.0, 32)
         assert bound.flagged
         assert bound.note == "bound-not-equality"
+
+
+COMPLEX_HOPPING = _amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0))
+
+
+class TestEnergyRouteEngine:
+    """The energy route's column and its chunked panel driver against the
+    dense solve and the per-panel loop of ``tests/oracles.py``."""
+
+    @staticmethod
+    def _refined_solve(H, z, j):
+        """(H - z)^-1 e_j by LU, refined once with a residual in extended
+        precision: near an eigenvalue at eps = 1e-4 the plain solve is the
+        less accurate side."""
+        A = H - z * np.eye(len(H))
+        e = np.zeros(len(H))
+        e[j] = 1.0
+        g = np.linalg.solve(A, e)
+        wide = H.astype(np.clongdouble) - np.clongdouble(z) * np.eye(len(H))
+        residual = e - wide @ g.astype(np.clongdouble)
+        return g + np.linalg.solve(A, residual.astype(np.complex128))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1.0])
+    @pytest.mark.parametrize("source", [0, 16, -16])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
+                             ids=["amo3", "free-1d"])
+    def test_recursion_column_matches_dense_solve(self, spec, source, eps):
+        # sources at +-R/2 leave one side 16 sites longer: the padded rows
+        # must not couple
+        sites, _, a, hop = dynamics._box_diagonals(spec, 32)
+        H = oracle_assemble(spec, sites)
+        w = np.linalg.eigvalsh(H)
+        energies = np.concatenate([w, 0.5 * (w[1:] + w[:-1]), [-1e12, 1e12]])
+        j = sites.index((source,))
+        column = dynamics._RecursionColumn(a, hop, j)
+        got = column(energies + 1j * eps)[column.rows]
+        for k, E in enumerate(energies):
+            want = self._refined_solve(H, E + 1j * eps, j)
+            assert np.linalg.norm(got[:, k] - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("T", [2.0, 20.0, 200.0])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
+                             ids=["amo3", "free-1d"])
+    def test_recursion_route_matches_per_panel_oracle(self, spec, T):
+        table = amplitude_table_parseval(spec, (0,), T, 64)
+        values, panels = oracle_parseval_table(spec, (0,), T, 64)
+        assert table.panels == panels
+        assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+
+    @pytest.mark.parametrize("spec,radius", [
+        (free_laplacian(2), 6),
+        (COMPLEX_HOPPING, 64),
+        # a gauge transform makes complex nearest-neighbour hopping real, so
+        # |G|^2 cannot see a conjugation slip in U; range 2 carries flux
+        (_amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j, (2,): 0.2},
+                                       math.e, 1.0)), 32),
+    ], ids=["free-2d", "complex-hopping", "complex-range-2"])
+    def test_eigen_sum_route_matches_per_panel_oracle(self, spec, radius):
+        source = (0,) * spec.dimension
+        table = amplitude_table_parseval(spec, source, 20.0, radius)
+        values, panels = oracle_parseval_table(spec, source, 20.0, radius)
+        assert table.panels == panels
+        assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+
+    def test_band_cap_counts_bisections_not_breaks(self, monkeypatch):
+        # r = 64 has 130 panels between eigenvalue breaks and T = 200 needs
+        # 37 bisections: a cap of 100 is reached by the breaks alone when
+        # it counts panels
+        free = amplitude_table_parseval(AMO3, (0,), 200.0, 64)
+        monkeypatch.setattr(dynamics, "MAX_PANELS", 100)
+        capped = amplitude_table_parseval(AMO3, (0,), 200.0, 64)
+        assert np.array_equal(capped.values, free.values)
+        assert capped.panels == free.panels
+        monkeypatch.setattr(dynamics, "MAX_PANELS", 36)
+        with pytest.raises(QuadratureError, match="in 36 bisections"):
+            amplitude_table_parseval(AMO3, (0,), 200.0, 64)
+
+    def test_direct_tables_have_no_panels(self):
+        assert amplitude_table_direct(AMO3, DELTA0, 20.0, 32).panels == 0
+        assert amplitude_table_parseval(AMO3, (0,), 20.0, 32).panels > 66
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        # peak of one table with the box cache warm: the complex work array
+        # and the real squares of one chunk of RECURSION_ENTRIES entries,
+        # a few n-vectors and 1 MiB for the rest; one n-vector per panel
+        # (8.4 MB here, the per-panel loop's heap) or the whole band in one
+        # evaluation would not fit
+        radius = 512
+        sites, _, _, _ = dynamics._box_diagonals(AMO3, radius)
+        tracemalloc.start()
+        try:
+            table = amplitude_table_parseval(AMO3, (0,), 20.0, radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = 32 * RECURSION_ENTRIES + 64 * len(sites) + (1 << 20)
+        assert peak <= budget
+        assert 8 * len(sites) * table.panels > budget
 
 
 class TestAmplitudeInequality:

@@ -426,13 +426,49 @@ class TestRecipes:
         manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
         amo = almost_mathieu(3.0, float(GOLDEN), 0.3)
         drift = evolve(amo, StateVector.delta((0,)), [1.0, 10.0], 32).norm_drift
-        tails = [
+        tables = [
             amplitude_table_parseval(amo, (0,), T, 32, control_orders=(0.0, 2.0))
-            .tail_bound for T in (2.0, 20.0)
+            for T in (2.0, 20.0)
         ]
         assert manifest["max_norm_drift"] == drift
-        assert manifest["max_tail_bound"] == max(tails) > 0.0
+        assert manifest["max_tail_bound"] == max(t.tail_bound for t in tables) > 0.0
+        # the band starts from the 66 panels between eigenvalue breaks
+        assert manifest["max_quadrature_panels"] == max(t.panels for t in tables) > 66
         assert manifest["max_matrix_order"] == 65  # the box [-32, 32]
+
+    def test_manifest_records_quadrature_panels(self, tmp_path):
+        direct = write(
+            tmp_path,
+            "dir.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.modes = time-averaged-direct
+            moments.horizons = 2.0,20.0
+            moments.radius = 16
+            output.prefix = dir
+            """,
+        )
+        run_experiment(load_config(direct), tmp_path / "a")
+        manifest = json.loads((tmp_path / "a" / "dir_manifest.json").read_text())
+        assert manifest["max_quadrature_panels"] == 0
+        check = write(
+            tmp_path,
+            "par.cfg",
+            f"""
+            experiment = parseval-crosscheck
+            {AMO_MODEL}
+            parseval.horizons = 5.0,50.0
+            parseval.radius = 16
+            output.prefix = par
+            """,
+        )
+        run_experiment(load_config(check), tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "par_manifest.json").read_text())
+        amo = almost_mathieu(3.0, float(GOLDEN), 0.3)
+        panels = [amplitude_table_parseval(amo, (0,), T, 16).panels
+                  for T in (5.0, 50.0)]
+        assert manifest["max_quadrature_panels"] == max(panels) > 34
 
     @pytest.mark.parametrize("recipe,body,csv", [
         ("moment-growth", "moments.times = 1.0,2.0\nmoments.radius = 8",
