@@ -580,16 +580,15 @@ def scan_centers(size: int, d: int) -> Iterable[Coords]:
 
 
 def _scan_setup(spec, size, sub_size, z, params, centers):
-    """The shapes of size N1, one resolver per shape, and the scan centers
-    in batches that every resolver takes in one call."""
+    """The shapes of size N1, one resolver per shape, and the scan centers;
+    each resolver batches the centers by the size of its own shape."""
     if sub_size >= size:
         raise ValueError("sub-box size must be smaller than the scan size")
     shapes = enumerate_shapes(spec.dimension, sub_size)
     resolvers = [_resolver(spec, s, z, params.c2) for s in shapes]
-    it = iter(centers if centers is not None else scan_centers(size, spec.dimension))
-    batch_size = min(r.batch for r in resolvers)
-    batches = iter(lambda: [tuple(c) for c in itertools.islice(it, batch_size)], [])
-    return shapes, resolvers, batches
+    if centers is None:
+        centers = scan_centers(size, spec.dimension)
+    return shapes, resolvers, [tuple(c) for c in centers]
 
 
 def scan_boxes(
@@ -604,18 +603,18 @@ def scan_boxes(
     size N1; yields (center, shape index, verdict).
 
     ``centers`` restricts the scan to a subset, letting a pool of workers
-    split the cube into chunks while keeping center order deterministic."""
+    split the cube into chunks while keeping center order deterministic.
+    One call resolves all the centers it is given before it yields, so its
+    memory grows with their number; the recipes pass 64 at a time."""
     zc = _as_complex(z)
-    shapes, resolvers, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
-    for batch in batches:
-        resolved = [resolver.resolve(batch) for resolver in resolvers]
-        for k, center in enumerate(batch):
-            for shape_id, shape in enumerate(shapes):
-                verdict = _verdict(
-                    shape.translate(center), zc, *resolved[shape_id][k],
-                    params.sigma,
-                )
-                yield center, shape_id, verdict
+    shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
+    resolved = [resolver.resolve(centers) for resolver in resolvers]
+    for k, center in enumerate(centers):
+        for shape_id, shape in enumerate(shapes):
+            verdict = _verdict(
+                shape.translate(center), zc, *resolved[shape_id][k], params.sigma
+            )
+            yield center, shape_id, verdict
 
 
 def bad_set(
@@ -631,23 +630,19 @@ def bad_set(
     Each shape only resolves the centers that every earlier shape left
     strongly good."""
     zc = _as_complex(z)
-    _, resolvers, batches = _scan_setup(spec, size, sub_size, zc, params, centers)
+    _, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
     norm_bound = math.exp(sub_size**params.sigma)
-    bad: list[Coords] = []
-    total = 0
+    remaining = centers
     max_residual = 0.0
-    for batch in batches:
-        total += len(batch)
-        remaining = batch
-        for resolver in resolvers:
-            if not remaining:
-                break
-            good, residual = resolver.verdicts(remaining, norm_bound)
-            max_residual = max(max_residual, residual)
-            remaining = [c for c, ok in zip(remaining, good.tolist()) if ok]
-        good = set(remaining)
-        bad.extend(c for c in batch if c not in good)
-    return BadSetReport(size, sub_size, zc, tuple(bad), total, max_residual)
+    for resolver in resolvers:
+        if not remaining:
+            break
+        good, residual = resolver.verdicts(remaining, norm_bound)
+        max_residual = max(max_residual, residual)
+        remaining = [c for c, ok in zip(remaining, good.tolist()) if ok]
+    good = set(remaining)
+    bad = tuple(c for c in centers if c not in good)
+    return BadSetReport(size, sub_size, zc, bad, len(centers), max_residual)
 
 
 @dataclass(frozen=True)

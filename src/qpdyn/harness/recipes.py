@@ -57,7 +57,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Task:
-    fn: str
+    fn: Callable[..., dict]  # module level, so it pickles into workers
     kwargs: dict
 
 
@@ -248,42 +248,32 @@ def _task_lyapunov(spec, energy, eps, length, phases):
     return {"main": [row], "flags": []}
 
 
-TASK_FUNCTIONS: dict[str, Callable] = {
-    "evolve": _task_evolve,
-    "moment_series": _task_moment_series,
-    "box_scan": _task_box_scan,
-    "bad_set": _task_bad_set,
-    "parseval_check": _task_parseval_check,
-    "discrepancy": _task_discrepancy,
-    "diophantine": _task_diophantine,
-    "lyapunov": _task_lyapunov,
-}
-
-
-def _run_task(payload):
+def _run_task(task: Task):
     """The task's result and the seconds it took."""
-    name, kwargs = payload
     start = time.perf_counter()
-    result = TASK_FUNCTIONS[name](**kwargs)
+    result = task.fn(**task.kwargs)
     return result, time.perf_counter() - start
 
 
-def execute_tasks(tasks: Sequence[Task], workers: int) -> list[dict]:
-    """Run the tasks, in plan order, logging one INFO line per task."""
-    payloads = [(t.fn, t.kwargs) for t in tasks]
+def execute_tasks(
+    tasks: Sequence[Task], workers: int
+) -> tuple[list[dict], list[float]]:
+    """Run the tasks, in plan order, logging one INFO line per task; returns
+    their results and the seconds each took."""
 
     def logged(timed):
-        results = []
-        for (name, _), (result, seconds) in zip(payloads, timed):
+        results, seconds = [], []
+        for task, (result, s) in zip(tasks, timed):
             results.append(result)
-            log.info("task %d/%d %s finished in %.3f s",
-                     len(results), len(payloads), name, seconds)
-        return results
+            seconds.append(s)
+            log.info("task %d/%d %s finished in %.3f s", len(results),
+                     len(tasks), task.fn.__name__.removeprefix("_task_"), s)
+        return results, seconds
 
-    if workers <= 1 or len(payloads) <= 1:
-        return logged(map(_run_task, payloads))
+    if workers <= 1 or len(tasks) <= 1:
+        return logged(map(_run_task, tasks))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return logged(pool.map(_run_task, payloads))
+        return logged(pool.map(_run_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +286,7 @@ class Plan:
     in plan order unless ``aggregate`` reduces all results to them."""
 
     tasks: list[Task]
-    files: dict[str, tuple[str, list[str]]]  # output key -> (suffix, header)
+    files: dict[str, tuple[str, list[str]]]  # output key -> (suffix, columns)
     aggregate: Callable[[list[dict]], dict[str, list[tuple]]] | None = None
 
 
@@ -316,12 +306,11 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
         r.issues.append("'evolve.times' must be sorted ascending")
     r.check()
     task = Task(
-        "evolve",
+        _task_evolve,
         dict(spec=spec, initial=initial, times=times, radius=radius,
              leakage_tol=tol, prob_floor=floor),
     )
-    header = ["experiment", "config_hash", "t", *_coords_header(spec.dimension),
-              "re", "im", "prob"]
+    header = ["t", *_coords_header(spec.dimension), "re", "im", "prob"]
     return Plan([task], {"main": ("snapshots", header)})
 
 
@@ -355,7 +344,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     r.check()
     tasks = [
         Task(
-            "moment_series",
+            _task_moment_series,
             dict(spec=spec, initial=initial, mode=mode, p=p, times=times,
                  horizons=horizons, radius=radius, leakage_tol=tol,
                  max_doublings=doublings),
@@ -363,10 +352,8 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
         for mode in modes
         for p in ps
     ]
-    header = ["experiment", "config_hash", "mode", "p", "t_or_T", "value",
-              "radius", "leakage", "model"]
-    fit_header = ["experiment", "config_hash", "mode", "p", "gamma",
-                  "residual_rms", "poor_fit", "note"]
+    header = ["mode", "p", "t_or_T", "value", "radius", "leakage", "model"]
+    fit_header = ["mode", "p", "gamma", "residual_rms", "poor_fit", "note"]
     return Plan(tasks, {"main": ("moments", header), "fit": ("fits", fit_header)})
 
 
@@ -377,10 +364,13 @@ def _scan_setup(r: ConfigReader):
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
     energies = r.floats("scan.energies", default=(0.0,))
     eps = r.number("scan.epsilon", default=1e-3, minimum=0.0)
+    for key, values in (("scan.sizes", sizes), ("scan.energies", energies)):
+        if len(set(values)) < len(values):
+            r.issues.append(f"'{key}' repeats a value: {list(values)}")
     params = None
     if spec is not None:
         overrides = {}
-        for name in ("c2", "sigma", "xi", "varsigma"):
+        for name in ("c2", "sigma"):
             v = r.number(f"class.{name}", default=None)
             if v is not None:
                 overrides[name] = float(v)
@@ -411,7 +401,7 @@ def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
     r.check()
     tasks = [
         Task(
-            "box_scan",
+            _task_box_scan,
             dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
                  params=params, centers=chunk),
         )
@@ -419,21 +409,20 @@ def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
         for e in energies
         for chunk in _center_chunks(n, spec.dimension)
     ]
-    header = ["experiment", "config_hash", "N", "N1", "E", "eps",
-              *_coords_header(spec.dimension), "shapeId", "norm",
-              "worstPairDecayMargin", "good", "stronglyGood"]
+    header = ["N", "N1", "E", "eps", *_coords_header(spec.dimension),
+              "shapeId", "norm", "worstPairDecayMargin", "good", "stronglyGood"]
     return Plan(tasks, {"main": ("scan", header)})
 
 
 def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec, pairs, energies, eps, params = _scan_setup(r)
-    if len({n for n, _ in pairs}) < 3:
+    if len(pairs) < 3:
         r.issues.append("'scan.sizes' needs at least three scales for the fit")
     r.check()
     tasks = [
         Task(
-            "bad_set",
+            _task_bad_set,
             dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
                  params=params, centers=chunk),
         )
@@ -441,10 +430,9 @@ def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
         for n, sub in pairs
         for chunk in _center_chunks(n, spec.dimension)
     ]
-    header = ["experiment", "config_hash", "N", "N1", "E", "eps", "badCount",
-              "totalCenters", "fraction"]
-    fit_header = ["experiment", "config_hash", "E", "eps", "delta", "slope",
-                  "slopeStderr", "residualRms", "noBadBoxes"]
+    header = ["N", "N1", "E", "eps", "badCount", "totalCenters", "fraction"]
+    fit_header = ["E", "eps", "delta", "slope", "slopeStderr", "residualRms",
+                  "noBadBoxes"]
     return Plan(
         tasks,
         {"main": ("counts", header), "fit": ("fit", fit_header)},
@@ -490,18 +478,16 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     r.check()
     tasks = [
         Task(
-            "parseval_check",
+            _task_parseval_check,
             dict(spec=spec, source=source, p=float(p), T=T, radius=radius,
                  leakage_tol=tol, rel_tol=rel_tol),
         )
         for T in horizons
     ]
     d = spec.dimension
-    header = ["experiment", "config_hash", "T", *_coords_header(d),
-              "aDirect", "aParseval", "absDeviation"]
-    summary = ["experiment", "config_hash", "T", "p", "momentDirect",
-               "momentParseval", "relDeviation", "totalDirect", "totalParseval",
-               "leakage", "flaggedLeakage"]
+    header = ["T", *_coords_header(d), "aDirect", "aParseval", "absDeviation"]
+    summary = ["T", "p", "momentDirect", "momentParseval", "relDeviation",
+               "totalDirect", "totalParseval", "leakage", "flaggedLeakage"]
     return Plan(tasks, {"main": ("entries", header), "summary": ("summary", summary)})
 
 
@@ -521,7 +507,7 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
     phases += [float(x) for x in rng.random(samples)]
     tasks = [
         Task(
-            "discrepancy",
+            _task_discrepancy,
             dict(dynamics=dynamics, n_points=n, phase=phase,
                  grid_resolution=resolution),
         )
@@ -529,9 +515,8 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
         for phase in phases
     ]
     b = dynamics.torus_dim
-    header = ["experiment", "config_hash", "b", "N",
-              *[f"alpha{i}" for i in range(b)], *[f"x{i}" for i in range(b)],
-              "D_N", "method", "attained"]
+    header = ["b", "N", *[f"alpha{i}" for i in range(b)],
+              *[f"x{i}" for i in range(b)], "D_N", "method", "attained"]
     return Plan(tasks, {"main": ("discrepancy", header)})
 
 
@@ -545,12 +530,12 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
         r.issues.append("'dio.tau' must be positive")
     r.check()
     task = Task(
-        "diophantine",
+        _task_diophantine,
         dict(alpha=alpha, kappa=float(kappa), tau=float(tau), k_max=k_max),
     )
     b = len(alpha)
-    header = ["experiment", "config_hash", "b", "kappa", "tau", "kmax", "passed",
-              *[f"k{i}" for i in range(b)], "margin"]
+    header = ["b", "kappa", "tau", "kmax", "passed", *[f"k{i}" for i in range(b)],
+              "margin"]
     return Plan([task], {"main": ("diophantine", header)})
 
 
@@ -570,14 +555,13 @@ def _plan_lyapunov(cfg: ExperimentConfig) -> Plan:
     phases = tuple(float(x) for x in rng.random(n_phases))
     tasks = [
         Task(
-            "lyapunov",
+            _task_lyapunov,
             dict(spec=spec, energy=float(e), eps=float(eps), length=length,
                  phases=phases),
         )
         for e in energies
     ]
-    header = ["experiment", "config_hash", "E", "eps", "length", "nPhases",
-              "value", "stderr"]
+    header = ["E", "eps", "length", "nPhases", "value", "stderr"]
     return Plan(tasks, {"main": ("lyapunov", header)})
 
 
@@ -625,7 +609,8 @@ def _write_run(
 ) -> tuple[list[Path], dict[str, int]]:
     """Write one CSV per output key plus the run manifest.
 
-    Run diagnostics (wall time, the largest resolvent residual of a scan,
+    Run diagnostics (wall time, the seconds of each task in plan order, the
+    largest resolvent residual of a scan,
     the largest truncation leakage of an evolution or moment run, the
     largest norm drift of an evolution, the largest quadrature tail bound
     of a time-averaged table, the most energy-quadrature panels of a
@@ -680,12 +665,15 @@ def _run(
     pool, and write the merged CSVs and the manifest.
 
     Each run's rows come from its plan's ``aggregate`` or else its tasks'
-    rows in plan order; a row carries the run's axis values, experiment
-    and config hash.
+    rows in plan order; a row starts with the run's axis values, experiment
+    and config hash, ahead of the plan's columns.
     """
     start = time.time()
     plans = [(combo, run, RECIPES[run.experiment](run)) for combo, run in runs]
-    results = execute_tasks([t for _, _, plan in plans for t in plan.tasks], workers)
+    results, seconds = execute_tasks(
+        [t for _, _, plan in plans for t in plan.tasks], workers
+    )
+    leading = [f"axis.{a}" for a in sweep_axes] + ["experiment", "config_hash"]
     headers: dict[str, tuple[str, list[str]]] = {}
     rows: dict[str, list[tuple]] = {}
     pos = 0
@@ -698,14 +686,15 @@ def _run(
             out = {key: [row for res in chunk for row in res.get(key, [])]
                    for key in plan.files}
         for key, (suffix, header) in plan.files.items():
-            headers[key] = (suffix, [f"axis.{a}" for a in sweep_axes] + header)
+            headers[key] = (suffix, leading + header)
             rows.setdefault(key, []).extend(
                 (*combo, run.experiment, run.hash, *row) for row in out[key]
             )
     flags = [flag for res in results for flag in res.get("flags", [])]
     files, counts = _write_run(
         out_dir, stem, headers, rows, results, flags, start,
-        experiment=experiment, config_hash=config_hash, **manifest,
+        experiment=experiment, config_hash=config_hash, task_seconds=seconds,
+        **manifest,
     )
     return RunResult(experiment, config_hash, files, flags, counts)
 

@@ -695,10 +695,15 @@ class TestCli:
         ("parseval-check",
          "parseval.horizons = 2.0\nparseval.radius = 8\nparseval.source = 6",
          "parseval.source"),
+        ("sublinear", "scan.sizes = 20,20,40,80", "scan.sizes"),
+        ("greens-scan", "scan.sizes = 6\nscan.energies = 0.0,0.0",
+         "scan.energies"),
+        ("greens-scan", "scan.sizes = 6\nclass.xi = 0.5", "class.xi"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
             "source-length", "initial-outside-box", "evolve-initial-outside-box",
-            "source-outside-box"])
+            "source-outside-box", "repeated-sizes", "repeated-energies",
+            "class-xi"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
@@ -767,6 +772,9 @@ class TestCli:
             assert re.fullmatch(
                 rf"task {i}/2 moment_series finished in \d+\.\d{{3}} s", message
             )
+        manifest = json.loads((out / "mom_manifest.json").read_text())
+        assert len(manifest["task_seconds"]) == 2
+        assert all(s >= 0.0 for s in manifest["task_seconds"])
         run_experiment(load_config(p), tmp_path / "quiet", workers=workers)
         for name in ("mom_moments.csv", "mom_fits.csv"):
             assert (out / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
