@@ -48,7 +48,6 @@ from .operators import (
     OperatorSpec,
     StateVector,
     assemble,
-    hopping_block,
     potential_values,
     site_list,
 )
@@ -73,11 +72,10 @@ def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
 def _box_diagonals(spec: OperatorSpec, radius: int):
     """Sites, their sup norms, and the diagonal a and hopping b of a
     tridiagonal box (``OperatorSpec.is_tridiagonal``), from the potential
-    and the hopping block of two sites, with no n x n matrix."""
+    and the kernel entries S(0) and S(1), with no n x n matrix."""
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
-    block = hopping_block(spec, np.array([[0], [1]]))
-    a = block[0, 0] + potential_values(spec, sites)
-    return sites, _sup_norms(sites), a, float(block[1, 0])
+    a = spec.hopping((0,)) + potential_values(spec, sites)
+    return sites, _sup_norms(sites), a, spec.hopping((1,))
 
 
 @lru_cache(maxsize=4)
@@ -747,9 +745,7 @@ def lyapunov_estimate(
     samples = []
     for x in phases:
         run = spec.with_phase((float(x),))
-        v = np.asarray(
-            [run.potential_at((n,)) for n in range(1, length + 1)], dtype=float
-        )
+        v = potential_values(run, np.arange(1, length + 1)[:, None])
         B = np.eye(2, dtype=dtype)
         log_scale = 0.0
         for n in range(length):

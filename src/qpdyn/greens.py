@@ -368,8 +368,7 @@ class _TridiagonalResolver:
         self.z = z
         self.c2 = c2
         self.sites = np.asarray(site_list(shape), dtype=np.int64)
-        block = hopping_block(spec, self.sites[:2])  # an interval: n >= 3
-        self.onsite, self.hop = block[0, 0], block[1, 0]
+        self.onsite, self.hop = spec.hopping((0,)), spec.hopping((1,))
         self.min_dist = pair_distance_threshold(shape.size)
         self.batch = max(1, RECURSION_ENTRIES // len(self.sites))
 
@@ -734,16 +733,14 @@ def combes_thomas_probe(
     src = tuple(source) if source is not None else (0,) * d
     box = ElementaryRegion((0,) * d, radius)
     sites = site_list(box)
-    H = assemble(spec, sites)
-    w = np.linalg.eigvalsh(H)
     zc = complex(energy, epsilon)
-    dist = float(np.min(np.hypot(w - energy, epsilon)))
+    dist = 1.0 / resolvent_norm(spec, sites, zc)
     if dist < 1.0:
         raise ValueError(
             f"energy {energy} is at distance {dist:.3g} < 1 from the "
             "truncated spectrum"
         )
-    A = H.astype(np.complex128, copy=True)
+    A = assemble(spec, sites).astype(np.complex128)
     A[np.diag_indices(len(sites))] -= zc
     rhs = np.zeros(len(sites), dtype=np.complex128)
     rhs[sites.index(src)] = 1.0

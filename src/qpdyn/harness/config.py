@@ -123,22 +123,20 @@ def load_config(path: str | Path, experiment: str | None = None) -> ExperimentCo
             [f"config declares experiment '{declared}' but '{experiment}' was requested"]
         )
     name = experiment or declared
-    seed = raw.get("seed", 0)
-    issues = []
-    if not isinstance(seed, int):
-        issues.append("seed must be an integer")
-        seed = 0
-    if issues:
-        raise ConfigError(issues)
-    return ExperimentConfig(str(name), raw, config_hash(text), int(seed))
+    return ExperimentConfig(str(name), raw, config_hash(text), _seed(raw))
 
 
-def config_from_raw(
-    raw: Mapping[str, Any], experiment: str, seed: int | None = None
-) -> ExperimentConfig:
+def config_from_raw(raw: Mapping[str, Any], experiment: str) -> ExperimentConfig:
     text = "\n".join(f"{k} = {_format_value(v)}" for k, v in sorted(raw.items()))
-    s = raw.get("seed", 0) if seed is None else seed
-    return ExperimentConfig(experiment, dict(raw), config_hash(text), int(s))
+    return ExperimentConfig(experiment, dict(raw), config_hash(text), _seed(raw))
+
+
+def _seed(raw: Mapping[str, Any]) -> int:
+    """The run's ``seed`` (default 0): a non-negative integer, not a bool."""
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError([f"'seed' must be a non-negative integer, got {seed!r}"])
+    return seed
 
 
 def _format_value(v: Any) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 from .. import __version__
 from ..arithmetic import DiophantineParams, diophantine_check, discrepancy, orbit_points
 from ..dynamics import (
+    DEFAULT_LEAKAGE_TOL,
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
@@ -185,14 +186,9 @@ def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     phi = StateVector.delta(source)
     direct = amplitude_table_direct(spec, phi, T, radius, leakage_tol)
-    order = len(direct.sites)
-    try:
-        parseval = amplitude_table_parseval(
-            spec, source, T, radius, control_orders=(0.0, p), rel_tol=rel_tol
-        )
-    except QuadratureError as exc:
-        return {"main": [], "summary": [], "flags": [f"quadrature: {exc}"],
-                "matrix_order": order}
+    parseval = amplitude_table_parseval(
+        spec, source, T, radius, control_orders=(0.0, p), rel_tol=rel_tol
+    )
     entries = [
         (T, *site, dv, pv, abs(dv - pv))
         for site, dv, pv in zip(direct.sites, direct.values, parseval.values)
@@ -206,7 +202,7 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     flags = ["leakage"] if direct.flagged else []
     return {"main": entries, "summary": summary, "flags": flags,
             "tail_bound": parseval.tail_bound, "panels": parseval.panels,
-            "matrix_order": order}
+            "matrix_order": len(direct.sites)}
 
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
@@ -249,9 +245,13 @@ def _task_lyapunov(spec, energy, eps, length, phases):
 
 
 def _run_task(task: Task):
-    """The task's result and the seconds it took."""
+    """The task's result and the seconds it took.  A quadrature that does
+    not converge leaves the task no rows, only its safety flag."""
     start = time.perf_counter()
-    result = task.fn(**task.kwargs)
+    try:
+        result = task.fn(**task.kwargs)
+    except QuadratureError as exc:
+        result = {"flags": [f"quadrature: {exc}"]}
     return result, time.perf_counter() - start
 
 
@@ -300,7 +300,7 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     radius = r.integer("evolve.radius", default=32, minimum=2)
     times = r.floats("evolve.times", required=True)
     initial = r.site("evolve.initial", spec and spec.dimension, radius)
-    tol = r.number("evolve.leakage_tol", default=1e-8, minimum=0.0)
+    tol = r.number("evolve.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     floor = r.number("evolve.prob_floor", default=1e-12, minimum=0.0)
     if times is not None and sorted(times) != list(times):
         r.issues.append("'evolve.times' must be sorted ascending")
@@ -339,7 +339,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     if any(p <= 0 for p in ps or ()):
         r.issues.append("'moments.p' entries must be positive")
     initial = r.site("moments.initial", spec and spec.dimension, radius)
-    tol = r.number("moments.leakage_tol", default=1e-8, minimum=0.0)
+    tol = r.number("moments.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
     r.check()
     tasks = [
@@ -471,7 +471,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     horizons = r.floats("parseval.horizons", required=True)
     p = r.number("parseval.p", default=2.0, minimum=0.0)
     source = r.site("parseval.source", spec and spec.dimension, radius)
-    tol = r.number("parseval.leakage_tol", default=1e-8, minimum=0.0)
+    tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
     if horizons is not None and any(T <= 0 for T in horizons):
         r.issues.append("'parseval.horizons' must be positive")
@@ -523,9 +523,9 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
 def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     alpha = r.floats("dio.alpha", required=True)
-    kappa = r.number("dio.kappa", default=1.01, minimum=1.0)
-    tau = r.number("dio.tau", default=0.3, minimum=0.0)
-    k_max = r.integer("dio.kmax", default=10**6, minimum=1)
+    kappa = r.number("dio.kappa", default=DiophantineParams.kappa, minimum=1.0)
+    tau = r.number("dio.tau", default=DiophantineParams.tau, minimum=0.0)
+    k_max = r.integer("dio.kmax", default=DiophantineParams.k_max, minimum=1)
     if tau is not None and tau <= 0:
         r.issues.append("'dio.tau' must be positive")
     r.check()
@@ -766,7 +766,7 @@ def run_sweep(
         raw = dict(cfg.raw)
         raw["experiment"] = recipe
         raw.update(zip(axes, combo))
-        runs.append((combo, config_from_raw(raw, recipe, seed=cfg.seed)))
+        runs.append((combo, config_from_raw(raw, recipe)))
     stem = str(cfg.get("output.prefix", f"sweep_{recipe}"))
     return _run(runs, axes, out_dir, stem, workers, f"sweep:{recipe}", cfg.hash,
                 seed=cfg.seed, axes=list(axes), combos=len(runs))

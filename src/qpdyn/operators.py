@@ -308,6 +308,13 @@ class OperatorSpec:
             + self.potential.sup_bound()
         )
 
+    def hopping(self, offset: Coords) -> float | complex:
+        """H(n, n - k) = S(k) / coupling for the offset k, real when the
+        kernel is; k = 0 gives the kernel's on-site part."""
+        v = self.kernel.value(offset)
+        inv = 1.0 / self.coupling
+        return v.real * inv if self.is_real else v * inv
+
     def potential_at(self, n: Coords) -> float:
         return self.potential(self.dynamics.orbit(n))
 
@@ -360,10 +367,9 @@ def hopping_block(spec: OperatorSpec, sites: np.ndarray) -> np.ndarray:
     sites = np.asarray(sites, dtype=np.int64)
     n, d = sites.shape
     H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
-    inv = 1.0 / spec.coupling
     offsets, hops = [], []
-    for k, v in spec.kernel.coefficients:
-        hop = v.real * inv if spec.is_real else v * inv
+    for k, _ in spec.kernel.coefficients:
+        hop = spec.hopping(k)
         if any(k):
             offsets.append(k)
             hops.append(hop)

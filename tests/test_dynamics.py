@@ -139,12 +139,17 @@ class TestEvolve:
         assert result.flagged == (clean_from is None)
 
 
-def _amo_type(kernel):
+def _amo_type(kernel, coupling=1.0):
     return OperatorSpec(
         kernel,
         PotentialSpec.cosine_series({(1,): 6.0}),
         ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.3,)),
+        coupling,
     )
+
+
+# a tridiagonal box with an on-site kernel term S(0) and coupling != 1
+ONSITE3 = _amo_type(KernelSpec.toeplitz({(0,): 0.7, (1,): 0.9}, math.e, 1.0), 3.0)
 
 
 class TestBoxEigensolver:
@@ -176,8 +181,8 @@ class TestBoxEigensolver:
         assert np.linalg.norm(U.conj().T @ U - np.eye(len(w))) < 1e-12
 
     @pytest.mark.parametrize("radius", [64, 512])
-    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
-                             ids=["amo3", "free-1d"])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1), ONSITE3],
+                             ids=["amo3", "free-1d", "onsite-coupling-3"])
     def test_tridiagonal_path_matches_dense_oracle(self, monkeypatch, spec,
                                                    radius):
         sites, w, U, tridiagonal = self._decompose(monkeypatch, spec, radius)
@@ -458,8 +463,8 @@ class TestEnergyRouteEngine:
 
     @pytest.mark.parametrize("eps", [1e-4, 1.0])
     @pytest.mark.parametrize("source", [0, 16, -16])
-    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
-                             ids=["amo3", "free-1d"])
+    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1), ONSITE3],
+                             ids=["amo3", "free-1d", "onsite-coupling-3"])
     def test_recursion_column_matches_dense_solve(self, spec, source, eps):
         # sources at +-R/2 leave one side 16 sites longer: the padded rows
         # must not couple

@@ -450,13 +450,19 @@ def test_engine_reports_singular_box():
                      ClassificationParams())
 
 
-def amo_type_1d(kernel):
-    """A 1-d model with the given kernel and the potential of AMO3."""
+def amo_type_1d(kernel, coupling=1.0):
+    """A 1-d model with the given kernel and coupling and the potential of
+    AMO3."""
     return OperatorSpec(
         kernel,
         PotentialSpec.cosine_series({(1,): 6.0}),
         ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.3,)),
+        coupling,
     )
+
+
+# a tridiagonal box with an on-site kernel term S(0) and coupling != 1
+ONSITE3 = amo_type_1d(KernelSpec.toeplitz({(0,): 0.7, (1,): 0.9}, math.e, 1.0), 3.0)
 
 
 @pytest.mark.parametrize("spec, z, tridiagonal, recursion", [
@@ -468,7 +474,9 @@ def amo_type_1d(kernel):
     (amo_type_1d(KernelSpec.toeplitz({(1,): 1.0, (2,): 0.3}, math.e, 1.0)),
      0.5 + 1e-3j, False, False),
     (amo_2d(3.0, 0.3), 0.5 + 1e-3j, False, False),
-], ids=["amo", "zero-kernel", "eps-0", "complex-hopping", "range-2", "2d"])
+    (ONSITE3, 0.5 + 1e-3j, True, True),
+], ids=["amo", "zero-kernel", "eps-0", "complex-hopping", "range-2", "2d",
+        "onsite-coupling-3"])
 def test_resolver_routing(spec, z, tridiagonal, recursion):
     # the recursion takes tridiagonal boxes off the real axis; the batched
     # engine takes every other box
@@ -490,7 +498,8 @@ def norms_agree(norm, oracle, spread):
 @st.composite
 def recursion_scans(draw):
     lam = draw(st.floats(0.5, 5.0))
-    spec = almost_mathieu(lam, GOLDEN, draw(st.floats(0.0, 1.0, exclude_max=True)))
+    amo = almost_mathieu(lam, GOLDEN, draw(st.floats(0.0, 1.0, exclude_max=True)))
+    spec = draw(st.sampled_from((amo, ONSITE3)))
     sub = draw(st.integers(1, 40))
     centers = draw(st.lists(st.integers(-50, 50).map(lambda c: (c,)),
                             min_size=1, max_size=4, unique=True))

@@ -14,6 +14,7 @@ from qpdyn.harness.config import (
     parse_config_text,
     parse_value,
 )
+from qpdyn import dynamics
 from qpdyn.dynamics import amplitude_table_parseval, evolve
 from qpdyn.harness.recipes import RECIPES, run_experiment, run_sweep
 from qpdyn.operators import StateVector, almost_mathieu
@@ -545,12 +546,20 @@ output.prefix = sw
 
 class TestSweep:
     def test_single_point_sweep_matches_direct_run(self, tmp_path):
+        # a swept seed takes effect like any other axis
+        for axis, value, direct_seed in (("model.lambda", 3.0, 9), ("seed", 4, 4)):
+            self._check_single_point_sweep(tmp_path / axis, axis, value,
+                                           direct_seed)
+
+    @staticmethod
+    def _check_single_point_sweep(tmp_path, axis, value, direct_seed):
+        tmp_path.mkdir()
         direct_cfg = write(
             tmp_path,
             "direct.cfg",
             f"""
             experiment = lyapunov-map
-            seed = 9
+            seed = {direct_seed}
             {AMO_MODEL}
             lyapunov.energies = 0.0,1.0
             lyapunov.length = 500
@@ -569,8 +578,8 @@ class TestSweep:
             lyapunov.length = 500
             lyapunov.phase_samples = 2
             sweep.recipe = lyapunov-map
-            sweep.axes = model.lambda
-            sweep.values.model.lambda = 3.0
+            sweep.axes = {axis}
+            sweep.values.{axis} = {value}
             output.prefix = onept
             """,
         )
@@ -675,6 +684,19 @@ class TestCli:
         code = cli.main(["moments", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "invalid config" in capsys.readouterr().err
+        # a seed that is negative or a bool, given directly or on a sweep
+        # axis, is a config error naming the key
+        disc = f"orbit.alpha = {GOLDEN}\ndisc.sizes = 10\ndisc.phase_samples = 2\n"
+        sweep = ("experiment = sweep\nseed = 1\nsweep.recipe = discrepancy-sweep\n"
+                 "sweep.axes = seed\nsweep.values.seed = 2,-1\n")
+        for command, body in (("discrepancy", "seed = -1\n"),
+                              ("discrepancy", "seed = true\n"),
+                              ("sweep", sweep)):
+            p = write(tmp_path, "seed.cfg", disc + body)
+            code = cli.main([command, "--config", str(p), "--out",
+                             str(tmp_path / "o")])
+            assert code == 2
+            assert "'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,body,key", [
         ("moments", "moments.times = 1.0\nmoments.raduis = 64", "moments.raduis"),
@@ -785,7 +807,7 @@ class TestCli:
         )
         assert code == 2
 
-    def test_safety_flag_exit_three(self, tmp_path, capsys):
+    def test_safety_flag_exit_three(self, tmp_path, capsys, monkeypatch):
         # ballistic spreading floods a small box, raising the leakage flag
         p = write(
             tmp_path,
@@ -803,6 +825,21 @@ class TestCli:
         )
         assert code == 3
         assert "safety" in capsys.readouterr().err
+        # an energy quadrature allowed no bisection cannot converge: every
+        # recipe raises the quadrature flag, and the failed task writes no rows
+        monkeypatch.setattr(dynamics, "MAX_PANELS", 0)
+        for command, body, csv in (
+            ("moments", "moments.modes = time-averaged-parseval\n"
+             "moments.radius = 32\nmoments.horizons = 200.0", "q_moments.csv"),
+            ("parseval-check", "parseval.radius = 32\nparseval.horizons = 200.0",
+             "q_entries.csv"),
+        ):
+            p = write(tmp_path, "q.cfg", f"{AMO_MODEL}\n{body}\noutput.prefix = q\n")
+            out = tmp_path / command
+            code = cli.main([command, "--config", str(p), "--out", str(out)])
+            assert code == 3
+            assert "quadrature" in capsys.readouterr().err
+            assert len((out / csv).read_text().splitlines()) == 1
 
     def test_recipe_names_cover_cli(self):
         assert set(cli.SUBCOMMANDS.values()) - {"sweep"} == set(RECIPES)
