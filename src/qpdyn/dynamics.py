@@ -740,22 +740,23 @@ def lyapunov_estimate(
             "unit coupling"
         )
     z = complex(energy)
-    dtype = np.float64 if z.imag == 0.0 else np.complex128
     e = z.real if z.imag == 0.0 else z
     samples = []
     for x in phases:
         run = spec.with_phase((float(x),))
-        v = potential_values(run, np.arange(1, length + 1)[:, None])
-        B = np.eye(2, dtype=dtype)
+        v = potential_values(run, np.arange(1, length + 1)[:, None]).tolist()
+        # the product's two columns (p, q) and (r, s), each stepped by the
+        # three-term recurrence (p, q) -> ((v_n - E) p - q, p)
+        p, q, r, s = 1.0, 0.0, 0.0, 1.0
         log_scale = 0.0
         for n in range(length):
-            A = np.array([[v[n] - e, -1.0], [1.0, 0.0]], dtype=dtype)
-            B = A @ B
+            p, q, r, s = (v[n] - e) * p - q, p, (v[n] - e) * r - s, r
             if (n + 1) % RENORM_EVERY == 0:
-                s = float(np.linalg.norm(B))
-                B /= s
-                log_scale += math.log(s)
-        samples.append((log_scale + math.log(float(np.linalg.norm(B)))) / length)
+                norm = math.hypot(abs(p), abs(q), abs(r), abs(s))
+                p, q, r, s = p / norm, q / norm, r / norm, s / norm
+                log_scale += math.log(norm)
+        norm = math.hypot(abs(p), abs(q), abs(r), abs(s))
+        samples.append((log_scale + math.log(norm)) / length)
     arr = np.asarray(samples)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return LyapunovEstimate(z, length, float(arr.mean()), stderr, tuple(samples))

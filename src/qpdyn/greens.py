@@ -17,7 +17,9 @@ of (H - z) G = I, the Hermitian eigenvalues for ||G||, and the Frobenius
 residual ||(H - z) G - I||_F.  Dense volumes are capped at desk scale (a few
 thousand points), where direct factorisation is the most verifiable route;
 the per-box ``greens`` with an explicit loop over pairs is the engine's test
-oracle, and the engine the recursion's.
+oracle, and the engine the recursion's.  Both resolvers run the same batch
+loops (``_BatchResolver``) and keep each decay margin in log space, so no
+bound exp(-c2 |n - n'|) is formed on the way to a verdict.
 """
 
 from __future__ import annotations
@@ -189,45 +191,24 @@ def pair_distance_threshold(size: int) -> int:
 
 @dataclass(frozen=True)
 class DecayWitness:
+    """The worst decay pair of a box, in log space: ``margin`` is
+    log|G(n, n')| + c2 |n - n'|, positive when the decay bound fails, and
+    ``exponent`` is c2 |n - n'|.  ``value`` and ``bound`` are derived and
+    underflow to 0 beyond an exponent of about 745; the margin does not."""
+
     pair: tuple[Coords, Coords]
-    value: float
-    bound: float
+    margin: float
+    exponent: float
 
     @property
-    def margin(self) -> float:
-        """log |G| - log bound; positive means the decay bound fails."""
-        if self.value == 0.0:
-            return -math.inf
-        return math.log(self.value) - math.log(self.bound)
+    def value(self) -> float:
+        """|G(n, n')|."""
+        return math.exp(self.margin - self.exponent)
 
-
-def _pair_geometry(sites: np.ndarray, min_dist: int, c2: float):
-    """Mask of the pairs at sup-distance >= min_dist and the exponents
-    c2 |n - n'| of their decay bounds, for an (n, d) array of sites."""
-    coords = sites.astype(float)
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
-    return dist >= min_dist, c2 * dist
-
-
-def _worst_decay_pairs(absG: np.ndarray, far: np.ndarray, decay: np.ndarray):
-    """Index arrays (i, j) of the worst pair of each of b volumes: ``absG``
-    holds the (b, n, n) moduli |G|, ``far`` / ``decay`` the shared pair
-    geometry, which must hold some far pair."""
-    with np.errstate(divide="ignore"):
-        margin = np.where(far, np.log(np.maximum(absG, 1e-300)) + decay, -np.inf)
-    return np.divmod(margin.reshape(len(absG), -1).argmax(axis=1), absG.shape[1])
-
-
-def _witnesses(sites, shifts, i, j, values, decays) -> list[DecayWitness]:
-    """The witness of each translate k: the pair (i[k], j[k]) of the (n, d)
-    ``sites`` shifted by ``shifts[k]``, with |G| = values[k] and bound
-    exp(-decays[k])."""
-    first, second = sites[i] + shifts, sites[j] + shifts
-    return [
-        DecayWitness((tuple(p), tuple(q)), v, math.exp(-e))
-        for p, q, v, e in zip(first.tolist(), second.tolist(), values.tolist(),
-                              decays.tolist())
-    ]
+    @property
+    def bound(self) -> float:
+        """exp(-c2 |n - n'|)."""
+        return math.exp(-self.exponent)
 
 
 @dataclass(frozen=True)
@@ -245,14 +226,14 @@ class BoxVerdict:
     z: complex
     norm: float
     norm_bound: float
-    witness: DecayWitness | None
+    witness: DecayWitness
     good: bool
     strongly_good: bool
     residual: float
 
     @property
     def decay_margin(self) -> float:
-        return self.witness.margin if self.witness is not None else -math.inf
+        return self.witness.margin
 
 
 BATCH_ENTRIES = 1 << 14
@@ -265,13 +246,64 @@ RECURSION_ENTRIES = 1 << 16
 # so the recursion's loop over sites runs once per task
 
 
-def _shift_batches(shifts, d: int, batch: int) -> list[np.ndarray]:
-    # raises ValueError when a shift has the wrong dimension
-    shifts = np.asarray(shifts, dtype=np.int64).reshape(len(shifts), d)
-    return [shifts[s : s + batch] for s in range(0, len(shifts), batch)]
+class _BatchResolver:
+    """The batch loops of both resolvers of one shape at one complex energy.
+
+    A resolver supplies ``_batch``: for a batch of shifts, the arrays (i, j,
+    margin, exponent, residual) of each translate's worst decay pair, with
+    margin = log|G(i, j)| + c2 |i - j| and exponent = c2 |i - j|, and its
+    residual, plus the state its norms need.  ``_norms`` turns that state
+    into ||G||, and ``_norms_within`` into the mask ``ok`` & ||G|| <= bound;
+    by default the state is ||G|| itself.
+    """
+
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+                 c2: float, sites, batch: int):
+        self.spec, self.z, self.c2 = spec, z, c2
+        self.sites = np.asarray(sites, dtype=np.int64)
+        self.min_dist = pair_distance_threshold(shape.size)
+        self.batch = max(1, batch)
+
+    def _batches(self, shifts) -> list[np.ndarray]:
+        # raises ValueError when a shift has the wrong dimension
+        shifts = np.asarray(shifts, np.int64).reshape(len(shifts), self.sites.shape[1])
+        return [shifts[s : s + self.batch] for s in range(0, len(shifts), self.batch)]
+
+    def resolve(
+        self, shifts
+    ) -> list[tuple[float, DecayWitness, float]]:
+        """(||G||, worst decay pair, residual) of the shape translated by
+        each row of ``shifts``."""
+        out = []
+        for s in self._batches(shifts):
+            i, j, margin, exponent, residual, state = self._batch(s)
+            witnesses = [
+                DecayWitness((tuple(p), tuple(q)), m, e)
+                for p, q, m, e in zip((self.sites[i] + s).tolist(),
+                                      (self.sites[j] + s).tolist(),
+                                      margin.tolist(), exponent.tolist())
+            ]
+            out.extend(zip(self._norms(state).tolist(), witnesses, residual.tolist()))
+        return out
+
+    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
+        """Mask of the translates that decay and have ||G|| <= norm_bound,
+        and the largest residual among them all."""
+        good, worst = [], 0.0
+        for s in self._batches(shifts):
+            _, _, margin, _, residual, state = self._batch(s)
+            worst = max(worst, float(residual.max()))
+            good.append(self._norms_within(state, margin <= 0.0, norm_bound))
+        return np.concatenate(good), worst
+
+    def _norms(self, norm: np.ndarray) -> np.ndarray:
+        return norm
+
+    def _norms_within(self, norm, ok: np.ndarray, norm_bound: float) -> np.ndarray:
+        return ok & (norm <= norm_bound)
 
 
-class _TranslateEngine:
+class _TranslateEngine(_BatchResolver):
     """Resolvents of the translates of one shape at one complex energy.
 
     The shape's hopping block and pair distances are built once.  Each batch
@@ -285,42 +317,13 @@ class _TranslateEngine:
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
                  c2: float):
         sites = _dense_sites(shape)
-        self.spec = spec
-        self.z = z
-        self.sites = np.asarray(sites, dtype=np.int64)
+        super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // len(sites) ** 2)
         self.hopping = hopping_block(spec, self.sites)
-        self.far, self.decay = _pair_geometry(
-            self.sites, pair_distance_threshold(shape.size), c2
-        )
-        self.batch = max(1, BATCH_ENTRIES // len(sites) ** 2)
+        coords = self.sites.astype(float)
+        dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+        self.far, self.decay = dist >= self.min_dist, c2 * dist
 
-    def resolve(
-        self, shifts
-    ) -> list[tuple[float, DecayWitness, float]]:
-        """(||G||, worst decay pair, residual) of the shape translated by
-        each row of ``shifts``."""
-        out = []
-        for s in _shift_batches(shifts, self.sites.shape[1], self.batch):
-            norm, i, j, value, residual = self._resolve_batch(s)
-            witnesses = _witnesses(self.sites, s, i, j, value, self.decay[i, j])
-            out.extend(zip(norm.tolist(), witnesses, residual.tolist()))
-        return out
-
-    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
-        """Mask of the translates that decay and have ||G|| <= norm_bound,
-        and the largest residual among them all."""
-        good, worst = [], 0.0
-        for s in _shift_batches(shifts, self.sites.shape[1], self.batch):
-            norm, i, j, value, residual = self._resolve_batch(s)
-            with np.errstate(divide="ignore"):
-                margin = np.log(value) + self.decay[i, j]
-            good.append((margin <= 0.0) & (norm <= norm_bound))
-            worst = max(worst, float(residual.max()))
-        return np.concatenate(good), worst
-
-    def _resolve_batch(self, shifts: np.ndarray):
-        """||G||, the worst decay pair (i, j), |G(i, j)| and the residual of
-        each translate, as arrays."""
+    def _batch(self, shifts: np.ndarray):
         b, (n, d) = len(shifts), self.sites.shape
         z = self.z
         translated = self.sites[None, :, :] + shifts[:, None, :]
@@ -336,12 +339,18 @@ class _TranslateEngine:
         eye = np.broadcast_to(np.eye(n), A.shape)
         G = np.linalg.solve(A, eye)
         absG = np.abs(G)
-        i, j = _worst_decay_pairs(absG, self.far, self.decay)
-        value = absG[np.arange(b), i, j]
-        return 1.0 / nearest, i, j, value, _residual_norm(A @ G - eye)
+        # the worst far pair by the margin of |G| clamped at 1e-300; its own
+        # margin is unclamped, -inf where G(i, j) = 0
+        clamped = np.where(self.far, np.log(np.maximum(absG, 1e-300)) + self.decay,
+                           -np.inf)
+        i, j = np.divmod(clamped.reshape(b, -1).argmax(axis=1), n)
+        exponent = self.decay[i, j]
+        with np.errstate(divide="ignore"):
+            margin = np.log(absG[np.arange(b), i, j]) + exponent
+        return i, j, margin, exponent, _residual_norm(A @ G - eye), 1.0 / nearest
 
 
-class _TridiagonalResolver:
+class _TridiagonalResolver(_BatchResolver):
     """Resolvents of the translates of a 1-d interval at Im z > 0 for a spec
     whose boxes are tridiagonal, by the recursive Green's-function method
     (Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981), in O(n) per box and
@@ -364,46 +373,24 @@ class _TridiagonalResolver:
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
                  c2: float):
-        self.spec = spec
-        self.z = z
-        self.c2 = c2
-        self.sites = np.asarray(site_list(shape), dtype=np.int64)
+        sites = site_list(shape)
+        super().__init__(spec, shape, z, c2, sites, RECURSION_ENTRIES // len(sites))
         self.onsite, self.hop = spec.hopping((0,)), spec.hopping((1,))
-        self.min_dist = pair_distance_threshold(shape.size)
-        self.batch = max(1, RECURSION_ENTRIES // len(self.sites))
 
-    def resolve(
-        self, shifts
-    ) -> list[tuple[float, DecayWitness, float]]:
-        """(||G||, worst decay pair, residual) of the shape translated by
-        each row of ``shifts``."""
-        out = []
-        for s in _shift_batches(shifts, 1, self.batch):
-            a, gL, gR, diag = self._fractions(s)
-            i, j, margin = self._worst_pairs(gL, diag)
-            decay = self.c2 * (j - i)
-            witnesses = _witnesses(self.sites, s, i, j, np.exp(margin - decay), decay)
-            residual = self._column_residuals(a, gL, gR, diag, j)
-            out.extend(zip(self._norms(a).tolist(), witnesses, residual.tolist()))
-        return out
+    def _batch(self, shifts: np.ndarray):
+        a, gL, gR, diag = self._fractions(shifts)
+        i, j, margin = self._worst_pairs(gL, diag)
+        residual = self._column_residuals(a, gL, gR, diag, j)
+        return i, j, margin, self.c2 * (j - i), residual, a
 
-    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
-        """Mask of the translates that decay and have ||G|| <= norm_bound,
-        and the largest residual among them all."""
+    def _norms_within(self, a, ok: np.ndarray, norm_bound: float) -> np.ndarray:
         energy, eps = self.z.real, self.z.imag
         radius_sq = norm_bound**-2 - eps**2
-        good, worst = [], 0.0
-        for s in _shift_batches(shifts, 1, self.batch):
-            a, gL, gR, diag = self._fractions(s)
-            _, j, margin = self._worst_pairs(gL, diag)
-            worst = max(worst, float(self._column_residuals(a, gL, gR, diag, j).max()))
-            ok = margin <= 0.0
-            if radius_sq > 0.0 and ok.any():
-                r = math.sqrt(radius_sq)
-                below = self._counts(a[:, ok], np.array([[energy - r], [energy + r]]))
-                ok[ok] = below[0] == below[1]
-            good.append(ok)
-        return np.concatenate(good), worst
+        if radius_sq > 0.0 and ok.any():
+            r = math.sqrt(radius_sq)
+            below = self._counts(a[:, ok], np.array([[energy - r], [energy + r]]))
+            ok[ok] = below[0] == below[1]
+        return ok
 
     def _fractions(self, shifts: np.ndarray):
         """Diagonals a, fractions gL and gR, and G(j, j) of each translate,
@@ -505,12 +492,8 @@ def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):
     return _resolver(spec, region, z, c2).resolve([(0,) * region.dimension])[0]
 
 
-def _decays(witness: DecayWitness | None) -> bool:
-    return witness is None or witness.margin <= 0.0
-
-
 def _verdict(region, z, norm, witness, residual, sigma) -> BoxVerdict:
-    good = _decays(witness)
+    good = witness.margin <= 0.0
     norm_bound = math.exp(region.size**sigma)
     strongly_good = good and norm <= norm_bound
     return BoxVerdict(
@@ -533,11 +516,11 @@ def classify_box(
 
 def is_good(
     spec: OperatorSpec, region: ElementaryRegion, z, c2: float
-) -> tuple[bool, DecayWitness | None]:
+) -> tuple[bool, DecayWitness]:
     """Class-G check: |G(n,n')| <= exp(-c2 |n-n'|) for all pairs at
     sup-distance >= ceil(N/10).  Returns the verdict and the worst pair."""
     _, witness, _ = _resolve_box(spec, region, _as_complex(z), c2)
-    return _decays(witness), witness
+    return witness.margin <= 0.0, witness
 
 
 def is_strongly_good(
@@ -812,7 +795,7 @@ def multiscale_decay_check(
     rate = params.c2 - (slack if slack is not None else params.c2 / 10.0)
     if met:
         _, witness, _ = _resolve_box(spec, region, zc, rate)
-        decay_holds = _decays(witness)
+        decay_holds = witness.margin <= 0.0
     return MultiscaleReport(
         size=N,
         sub_size=M,

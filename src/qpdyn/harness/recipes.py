@@ -154,7 +154,6 @@ def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
         spec, size, sub_size, z, params, centers=centers
     ):
         residual = max(residual, verdict.residual)
-        witness = verdict.witness
         rows.append(
             (
                 size,
@@ -164,7 +163,7 @@ def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
                 *center,
                 shape_id,
                 verdict.norm,
-                witness.margin if witness is not None else float("-inf"),
+                verdict.decay_margin,
                 verdict.good,
                 verdict.strongly_good,
             )
@@ -666,7 +665,8 @@ def _run(
 
     Each run's rows come from its plan's ``aggregate`` or else its tasks'
     rows in plan order; a row starts with the run's axis values, experiment
-    and config hash, ahead of the plan's columns.
+    and config hash, ahead of the plan's columns.  The manifest's ``seed``
+    is the runs' seed when they share one, else the list of each run's.
     """
     start = time.time()
     plans = [(combo, run, RECIPES[run.experiment](run)) for combo, run in runs]
@@ -691,10 +691,11 @@ def _run(
                 (*combo, run.experiment, run.hash, *row) for row in out[key]
             )
     flags = [flag for res in results for flag in res.get("flags", [])]
+    seeds = [run.seed for _, run in runs]
     files, counts = _write_run(
         out_dir, stem, headers, rows, results, flags, start,
         experiment=experiment, config_hash=config_hash, task_seconds=seconds,
-        **manifest,
+        seed=seeds[0] if len(set(seeds)) == 1 else seeds, **manifest,
     )
     return RunResult(experiment, config_hash, files, flags, counts)
 
@@ -713,7 +714,7 @@ def run_experiment(
         )
     stem = prefix or str(cfg.get("output.prefix", cfg.experiment))
     return _run([((), cfg)], (), out_dir, stem, workers, cfg.experiment,
-                cfg.hash, seed=cfg.seed)
+                cfg.hash)
 
 
 def _versions() -> dict[str, str]:
@@ -769,4 +770,4 @@ def run_sweep(
         runs.append((combo, config_from_raw(raw, recipe)))
     stem = str(cfg.get("output.prefix", f"sweep_{recipe}"))
     return _run(runs, axes, out_dir, stem, workers, f"sweep:{recipe}", cfg.hash,
-                seed=cfg.seed, axes=list(axes), combos=len(runs))
+                axes=list(axes), combos=len(runs))

@@ -167,7 +167,7 @@ def oracle_worst_pair(sites, G, min_dist, c2):
             value = float(abs(G[i, j]))
             margin = (math.log(value) if value > 0.0 else -math.inf) + c2 * dist
             if worst is None or margin > largest:
-                worst = DecayWitness((tuple(m), tuple(mp)), value, math.exp(-c2 * dist))
+                worst = DecayWitness((tuple(m), tuple(mp)), margin, c2 * dist)
                 largest = margin
     return worst
 

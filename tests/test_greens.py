@@ -576,6 +576,35 @@ def test_zero_kernel_margin_is_minus_infinity(energy, strongly_good):
     assert 0.0 <= report.max_residual < 1e-15
 
 
+# a free range-2 kernel: its boxes take the batched engine
+FREE_RANGE2 = OperatorSpec(KernelSpec.toeplitz({(1,): 1.0, (2,): 0.3}, math.e, 1.0),
+                           PotentialSpec.constant_value(0.0), STILL)
+
+
+@pytest.mark.parametrize("spec, sub, recursion", [
+    (free_laplacian(1), 460, True),
+    (free_laplacian(1), 500, True),
+    (FREE_RANGE2, 500, False),
+], ids=["recursion-460", "recursion-500", "engine-500"])
+def test_margins_stay_exact_where_decay_bounds_underflow(spec, sub, recursion):
+    # the farthest pair has c2 |n - n'| = 0.8 (2 N1): its bound exp(-736) is
+    # subnormal at N1 = 460, and exp(-800) is 0 at N1 = 500
+    z, params = 0.5 + 1e-3j, ClassificationParams(c2=0.8, sigma=0.5)
+    region = ElementaryRegion((0,), sub)
+    resolver = GREENS._resolver(spec, region, z, params.c2)
+    assert isinstance(resolver, GREENS._TridiagonalResolver) == recursion
+    verdict = classify_box(spec, region, z, params)
+    ok, witness = is_good(spec, region, z, params.c2)
+    assert (ok, witness) == (verdict.good, verdict.witness)
+    (n,), (m,) = witness.pair
+    oracle = math.log(abs(greens(spec, region, z).entry((n,), (m,)))) + 0.8 * abs(n - m)
+    assert verdict.decay_margin == pytest.approx(oracle, abs=1e-9)
+    centers = [(0,), (7,)]
+    scan = scan_boxes(spec, sub + 1, sub, z, params, centers=centers)
+    report = bad_set(spec, sub + 1, sub, z, params, centers=centers)
+    assert {c for c, _, v in scan if not v.strongly_good} == set(report.bad_centers)
+
+
 @pytest.mark.parametrize("entry", ["classify_box", "scan_boxes", "bad_set"])
 def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
     # eps = 0 leaves the recursion; the engine reports the singular box

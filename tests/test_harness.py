@@ -550,6 +550,24 @@ class TestSweep:
         for axis, value, direct_seed in (("model.lambda", 3.0, 9), ("seed", 4, 4)):
             self._check_single_point_sweep(tmp_path / axis, axis, value,
                                            direct_seed)
+        # the manifest names the seeds the sweep ran, in combo order
+        seeds = tmp_path / "seeds"
+        seeds.mkdir()
+        cfg = write(seeds, "sweep.cfg", f"""
+            experiment = lyapunov-map
+            seed = 9
+            {AMO_MODEL}
+            lyapunov.energies = 0.0
+            lyapunov.length = 100
+            lyapunov.phase_samples = 2
+            sweep.recipe = lyapunov-map
+            sweep.axes = seed
+            sweep.values.seed = 1,2,3
+            output.prefix = seeds
+            """)
+        run_sweep(load_config(cfg), seeds / "out")
+        manifest = json.loads((seeds / "out" / "seeds_manifest.json").read_text())
+        assert manifest["seed"] == [1, 2, 3]
 
     @staticmethod
     def _check_single_point_sweep(tmp_path, axis, value, direct_seed):
@@ -585,6 +603,9 @@ class TestSweep:
         )
         run_experiment(load_config(direct_cfg), tmp_path / "a")
         run_sweep(load_config(sweep_cfg), tmp_path / "b")
+        for out, stem in (("a", "direct"), ("b", "onept")):
+            manifest = tmp_path / out / f"{stem}_manifest.json"
+            assert json.loads(manifest.read_text())["seed"] == direct_seed
         direct_rows = [
             line.split(",")[2:]
             for line in (tmp_path / "a" / "direct_lyapunov.csv")
