@@ -9,12 +9,15 @@ the same candidate construction runs per axis, optionally thinned to a
 grid resolution, and the result is flagged as method "grid-bd".
 
 Frequencies are certified against the Diophantine condition
-||k . alpha|| >= tau / |k|^kappa by brute force up to a cutoff, and chosen
-with a small continued-fraction expander.
+||k . alpha|| >= tau / |k|^kappa by brute force over the half-box of
+0 < |k| <= k_max with first nonzero coordinate positive: about
+(2 k_max + 1)^(b-1) k_max vectors, so b >= 2 needs a far smaller cutoff than
+the 1-d default 10^6.  A continued-fraction expander helps choose them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -216,42 +219,36 @@ class DiophantineReport:
 
 
 def _torus_distance(values: np.ndarray) -> np.ndarray:
-    frac = np.mod(values, 1.0)
+    # x - floor(x) rounds once, as np.mod(x, 1.0) does, at a tenth of its cost
+    frac = values - np.floor(values)
     return np.minimum(frac, 1.0 - frac)
 
 
 def diophantine_check(
     alpha, params: DiophantineParams = DiophantineParams()
 ) -> DiophantineReport:
-    """Brute-force certificate for ||k.alpha|| >= tau / |k|^kappa.
-
-    Scans every integer vector with 0 < |k| <= k_max (sup norm); by the
-    symmetry ||(-k).alpha|| = ||k.alpha|| only half the box is visited.
-    """
+    """Brute-force certificate for ||k.alpha|| >= tau / |k|^kappa: one numpy
+    pass over the last coordinate of the half-box per choice of the leading
+    ones, in lexicographic order, the first of tied vectors winning."""
     vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    b = vec.size
-    if b == 1:
-        k = np.arange(1, params.k_max + 1, dtype=float)
-        margins = _torus_distance(k * vec[0]) * k**params.kappa
+    k_max, kappa = params.k_max, params.kappa
+
+    @functools.cache
+    def last(lo: int):  # the last coordinate from lo to k_max, k alpha_b, |k|^kappa
+        k = np.arange(lo, k_max + 1, dtype=float)
+        return k, k * vec[-1], np.abs(k) ** kappa
+
+    margin, worst = math.inf, (0,) * vec.size
+    for lead in itertools.product(range(-k_max, k_max + 1), repeat=vec.size - 1):
+        if next((c for c in lead if c), 0) < 0:
+            continue
+        k, shifts, weights = last(-k_max if any(lead) else 1)
+        margins = _torus_distance(shifts + float(np.dot(lead, vec[:-1]))) * np.maximum(
+            weights, max(map(abs, lead), default=0) ** kappa
+        )
         i = int(np.argmin(margins))
-        worst = (i + 1,)
-        margin = float(margins[i])
-    else:
-        margin = math.inf
-        worst = (0,) * b
-        rng = range(-params.k_max, params.k_max + 1)
-        lead = range(0, params.k_max + 1)
-        for k in itertools.product(lead, *[rng] * (b - 1)):
-            if not any(k):
-                continue
-            if k[0] == 0 and next(c for c in k if c) < 0:
-                continue
-            size = max(abs(c) for c in k)
-            dist = float(_torus_distance(np.dot(k, vec)))
-            m = dist * size**params.kappa
-            if m < margin:
-                margin = m
-                worst = tuple(k)
+        if margins[i] < margin:
+            margin, worst = float(margins[i]), (*lead, int(k[i]))
     return DiophantineReport(margin >= params.tau, worst, margin, params)
 
 

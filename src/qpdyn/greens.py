@@ -320,8 +320,10 @@ class _TranslateEngine(_BatchResolver):
         super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // len(sites) ** 2)
         self.hopping = hopping_block(spec, self.sites)
         coords = self.sites.astype(float)
-        dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
-        self.far, self.decay = dist >= self.min_dist, c2 * dist
+        dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2).ravel()
+        # flat indices of the far pairs, in row-major order, and their c2 |i - j|
+        self.far = np.flatnonzero(dist >= self.min_dist)
+        self.decay = c2 * dist[self.far]
 
     def _batch(self, shifts: np.ndarray):
         b, (n, d) = len(shifts), self.sites.shape
@@ -338,15 +340,12 @@ class _TranslateEngine(_BatchResolver):
         A = H - z * np.eye(n)
         eye = np.broadcast_to(np.eye(n), A.shape)
         G = np.linalg.solve(A, eye)
-        absG = np.abs(G)
-        # the worst far pair by the margin of |G| clamped at 1e-300; its own
-        # margin is unclamped, -inf where G(i, j) = 0
-        clamped = np.where(self.far, np.log(np.maximum(absG, 1e-300)) + self.decay,
-                           -np.inf)
-        i, j = np.divmod(clamped.reshape(b, -1).argmax(axis=1), n)
-        exponent = self.decay[i, j]
+        # the worst far pair by the margin it reports, -inf where G(i, j) = 0
         with np.errstate(divide="ignore"):
-            margin = np.log(absG[np.arange(b), i, j]) + exponent
+            margins = np.log(np.abs(G.reshape(b, -1)[:, self.far])) + self.decay
+        k = margins.argmax(axis=1)
+        i, j = np.divmod(self.far[k], n)
+        margin, exponent = margins[np.arange(b), k], self.decay[k]
         return i, j, margin, exponent, _residual_norm(A @ G - eye), 1.0 / nearest
 
 
@@ -414,8 +413,8 @@ class _TridiagonalResolver(_BatchResolver):
         """Index arrays (i, j), i < j, of the worst decay pair of each
         translate, and its margin log|G(i, j)| + c2 (j - i)."""
         (n, b), m = gL.shape, self.min_dist
-        if self.hop == 0.0:  # G is diagonal: every far pair has |G| = 0
-            return np.zeros(b, np.int64), np.full(b, n - 1), np.full(b, -np.inf)
+        if self.hop == 0.0:  # G is diagonal: the first far pair, at |G| = 0
+            return np.zeros(b, np.int64), np.full(b, m), np.full(b, -np.inf)
         steps = np.log(np.abs(self.hop * gL[:-1]))
         # A_i = sum_{k < i} log|b gL_k| + c2 i, B_j = log|G(j, j)| + A_j
         A = np.zeros((n, b))

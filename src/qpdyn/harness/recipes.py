@@ -524,7 +524,9 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     alpha = r.floats("dio.alpha", required=True)
     kappa = r.number("dio.kappa", default=DiophantineParams.kappa, minimum=1.0)
     tau = r.number("dio.tau", default=DiophantineParams.tau, minimum=0.0)
-    k_max = r.integer("dio.kmax", default=DiophantineParams.k_max, minimum=1)
+    # the default cutoff is a 1-d one: at b = 2 its half-box holds 2e12 vectors
+    k_max = r.integer("dio.kmax", default=DiophantineParams.k_max, minimum=1,
+                      required=alpha is not None and len(alpha) >= 2)
     if tau is not None and tau <= 0:
         r.issues.append("'dio.tau' must be positive")
     r.check()

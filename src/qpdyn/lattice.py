@@ -188,8 +188,6 @@ def enumerate_shapes(d: int, size: int) -> list[ElementaryRegion]:
         raise ValueError("size must be a positive integer")
     origin = (0,) * d
     shapes = [ElementaryRegion(origin, size)]
-    if d == 1:
-        return shapes
     for sector in itertools.product(_MARKERS, repeat=d):
         if sum(s is not None for s in sector) >= 2:
             shapes.append(ElementaryRegion(origin, size, sector))

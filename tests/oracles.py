@@ -278,3 +278,26 @@ def oracle_parseval_table(spec, source, T, radius, control_orders=(0.0, 2.0),
         else:
             raise RuntimeError("oracle tail quadrature did not converge")
     return total_vec / (T * math.pi), panels
+
+
+def oracle_diophantine(alpha, kappa, k_max):
+    """(worst k, margin) of min ||k . alpha|| |k|^kappa over the half-box
+    0 < |k| <= k_max (sup norm) with first nonzero coordinate positive, by a
+    loop over its vectors in lexicographic order; the first of ties wins.
+    Each k . alpha is one ``np.dot``; the weights |k|^kappa are taken by
+    numpy over all vectors at once."""
+    import numpy as np
+
+    vec = np.atleast_1d(np.asarray(alpha, dtype=float))
+    ks, dots = [], []
+    rng = range(-k_max, k_max + 1)
+    for k in itertools.product(range(0, k_max + 1), *[rng] * (vec.size - 1)):
+        if not any(k) or (k[0] == 0 and next(c for c in k if c) < 0):
+            continue
+        ks.append(k)
+        dots.append(float(np.dot(k, vec)))
+    frac = np.mod(dots, 1.0)
+    sizes = np.array([max(abs(c) for c in k) for k in ks], dtype=float)
+    margins = np.minimum(frac, 1.0 - frac) * sizes**kappa
+    i = int(np.argmin(margins))
+    return ks[i], float(margins[i])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_diophantine
 from qpdyn.arithmetic import (
     ContinuedFraction,
     DiophantineParams,
@@ -185,6 +186,15 @@ class TestDiophantine:
         assert not report.passed
         assert np.dot(report.worst_k, (0.5, 0.5)) % 1.0 == 0.0
 
+    def test_two_frequency_certificate(self):
+        # the frequency vector of the 2-d benchmark model
+        report = diophantine_check(
+            (GOLDEN, math.sqrt(2.0) - 1.0),
+            DiophantineParams(kappa=2.5, tau=0.01, k_max=1000),
+        )
+        assert report.passed
+        assert report.worst_k == (1, 1)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DiophantineParams(kappa=0.5)
@@ -240,3 +250,39 @@ def test_discrepancy_matches_brute_force_property(xs):
     got = discrepancy(np.asarray(xs)).value
     assert got == pytest.approx(brute_force_1d(xs), abs=1e-8)
     assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def diophantine_cases(draw):
+    b = draw(st.sampled_from((1, 2, 3)))
+    if b == 1:
+        alpha = (draw(st.floats(-1.0, 1.0)),)
+    else:
+        # generic components: no rational relation makes two vectors tie
+        # within the rounding of k . alpha
+        seed = draw(st.integers(0, 2**32 - 1))
+        alpha = tuple(np.random.default_rng(seed).random(b).tolist())
+    k_max = draw(st.integers(1, {1: 300, 2: 12, 3: 4}[b]))
+    params = DiophantineParams(
+        kappa=draw(st.floats(1.0, 3.0)), tau=draw(st.floats(1e-6, 1.0)), k_max=k_max
+    )
+    return alpha, params
+
+
+@given(diophantine_cases())
+@settings(max_examples=100, deadline=None)
+def test_diophantine_scan_matches_per_vector_oracle(case):
+    alpha, params = case
+    worst, margin = oracle_diophantine(alpha, params.kappa, params.k_max)
+    report = diophantine_check(alpha, params)
+    assert report.worst_k == worst
+    assert report.passed == (margin >= params.tau)
+    if len(alpha) == 1:
+        assert report.margin == margin
+    else:
+        # k . alpha is summed in another order than np.dot's: its rounding,
+        # times the weight |k|^kappa, bounds the difference
+        eps = np.finfo(float).eps
+        dot = sum(abs(k * a) for k, a in zip(worst, alpha))
+        weight = max(abs(k) for k in worst) ** params.kappa
+        assert abs(report.margin - margin) <= 8 * eps * (weight * dot + margin)

@@ -568,6 +568,8 @@ def test_zero_kernel_margin_is_minus_infinity(energy, strongly_good):
     params = ClassificationParams(c2=0.8, sigma=0.5)
     v = classify_box(spec, ElementaryRegion((0,), 6), z, params)
     assert v.decay_margin == -math.inf
+    # the first far pair, as the engine and the oracle name it
+    assert v.witness.pair == ((-6,), (-5,))
     assert v.norm == pytest.approx(1.0 / abs(1.0 - z), rel=1e-12)
     assert 0.0 <= v.residual < 1e-15
     assert (v.good, v.strongly_good) == (True, strongly_good)
@@ -616,3 +618,33 @@ def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
     }[entry]
     with pytest.raises(np.linalg.LinAlgError):
         run()
+
+
+@pytest.mark.parametrize("spec, sub, energy, c2, pair", [
+    (free_laplacian(1), 200, 6.8, 2.0, None),
+    (free_laplacian(1), 500, 2.64, 0.8, None),
+    (constant_diag(1.0), 20, 0.5, 0.8, ((-20,), (-18,))),
+], ids=["laplacian-200", "laplacian-500", "zero-kernel"])
+def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, pair):
+    # eps = 0 takes the engine.  Off the spectrum the Laplacian's far entries
+    # underflow to 0 before they fall below exp(-c2 |n - n'|); the largest
+    # margin is at a representable entry, and a box whose far entries are all
+    # 0 names its first far pair, as the oracle does
+    region, z = ElementaryRegion((0,), sub), complex(energy, 0.0)
+    params = ClassificationParams(c2=c2, sigma=0.5)
+    norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)
+    verdict = classify_box(spec, region, z, params)
+    ok, worst = is_good(spec, region, z, c2)
+    assert (verdict.good, verdict.strongly_good, ok) == (good, strongly_good, good)
+    for margin in (verdict.decay_margin, worst.margin):
+        assert margin == pytest.approx(witness.margin, abs=1e-9)
+    assert verdict.witness.pair == worst.pair == witness.pair
+    report = bad_set(spec, sub + 1, sub, z, params, centers=[(0,)])
+    assert report.count == (0 if strongly_good else 1)
+    if pair is None:
+        # off the real axis the recursion, with no floor, agrees
+        assert not good
+        assert not classify_box(spec, region, complex(energy, 1e-12), params).good
+    else:
+        assert witness.pair == pair
+        assert (good, witness.margin) == (True, -math.inf)

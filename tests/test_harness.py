@@ -718,6 +718,11 @@ class TestCli:
                              str(tmp_path / "o")])
             assert code == 2
             assert "'seed'" in capsys.readouterr().err
+        # the default cutoff is a 1-d one: two or more frequencies need their own
+        p = write(tmp_path, "dio.cfg", f"dio.alpha = {GOLDEN},0.4142135623730951\n")
+        code = cli.main(["diophantine", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'dio.kmax'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,body,key", [
         ("moments", "moments.times = 1.0\nmoments.raduis = 64", "moments.raduis"),
