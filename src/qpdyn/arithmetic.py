@@ -11,8 +11,8 @@ grid resolution, and the result is flagged as method "grid-bd".
 Frequencies are certified against the Diophantine condition
 ||k . alpha|| >= tau / |k|^kappa by brute force over the half-box of
 0 < |k| <= k_max with first nonzero coordinate positive: about
-(2 k_max + 1)^(b-1) k_max vectors, so b >= 2 needs a far smaller cutoff than
-the 1-d default 10^6.  A continued-fraction expander helps choose them.
+(2 k_max + 1)^(b-1) k_max vectors, so the default 10^6 is a 1-d cutoff and
+b >= 2 must name its own.  A continued-fraction expander helps choose them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import ShiftDynamics
@@ -197,16 +197,18 @@ def orbit_points(dynamics: ShiftDynamics, n_points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiophantineParams:
+    """``k_max = None`` is the 1-d cutoff 10^6; b >= 2 needs its own."""
+
     kappa: float = 1.01
     tau: float = 0.3
-    k_max: int = 10**6
+    k_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.kappa < 1.0:
             raise ValueError("kappa must be at least 1")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.k_max < 1:
+        if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be at least 1")
 
 
@@ -229,8 +231,16 @@ def diophantine_check(
 ) -> DiophantineReport:
     """Brute-force certificate for ||k.alpha|| >= tau / |k|^kappa: one numpy
     pass over the last coordinate of the half-box per choice of the leading
-    ones, in lexicographic order, the first of tied vectors winning."""
+    ones, in lexicographic order, the first of tied vectors winning.  The
+    report's ``params`` carry the cutoff that was used."""
     vec = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if params.k_max is None:
+        if vec.size >= 2:
+            raise ValueError(
+                f"k_max must be given for {vec.size} frequencies; the default "
+                "10^6 is a 1-d cutoff"
+            )
+        params = replace(params, k_max=10**6)
     k_max, kappa = params.k_max, params.kappa
 
     @functools.cache

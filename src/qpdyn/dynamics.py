@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .greens import RECURSION_ENTRIES
+from .greens import RECURSION_ENTRIES, continued_fractions
 from .lattice import Coords, ElementaryRegion
 from .operators import (
     OperatorSpec,
@@ -363,16 +363,17 @@ class _RecursionColumn:
     functions, Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981) in O(n)
     per energy and with no eigenvectors.
 
-    With diagonal a and hopping b, the fractions h_k = b^2 gL_k,
-    h_k = b^2 / (a_k - z - h_{k-1}), run from the left boundary to j - 1,
-    and their mirror images b^2 gR_k from the right boundary to j + 1;
-    then G(j, j) = 1/(a_j - z - b^2 gL_{j-1} - b^2 gR_{j+1}), and
+    With diagonal a and hopping b, the fractions
+    h_k = b^2 / (a_k - z - h_{k-1}) run from the left boundary to j - 1,
+    and their mirror images from the right boundary to j + 1; then
+    G(j, j) = 1/(a_j - z - hL_{j-1} - hR_{j+1}), and
     G(k, j) = -(h_k / b) G(k + 1, j) for k < j, mirrored for k > j.  Both
     sides sit in one (m + 1, 2, K) work array, boundary first, so one
-    numpy op advances both; the shorter side is padded at its boundary end
-    with decoupled rows, whose numerator 0 makes h = 0.  The column
-    overwrites the fractions in place; row m of side 0 holds G(j, j), row
-    m of side 1 is scratch, and ``rows`` maps each site to its row of the
+    ``greens.continued_fractions`` sweep, as in the box resolver, runs both
+    inward; the shorter side is padded at its boundary end with decoupled
+    rows, whose numerator 0 makes h = 0.  The column overwrites the
+    fractions in place, unmasked; row m of side 0 holds G(j, j), row m of
+    side 1 is scratch, and ``rows`` maps each site to its row of the
     flattened array.
     """
 
@@ -396,15 +397,10 @@ class _RecursionColumn:
         ``rows[k]`` is G(z)(k, j)."""
         work = np.subtract(self.diag, z)
         *sides, (center, _) = work  # views: each op is in place
-        prev = None
-        for row, numerator in zip(sides, self.numerators):
-            if prev is not None:
-                row -= prev
-            np.divide(numerator, row, out=row)
-            prev = row
+        continued_fractions(sides, self.numerators)  # the same views: new ones cost 3-5%
         if sides:
-            center -= prev[0]
-            center -= prev[1]
+            center -= sides[-1][0]
+            center -= sides[-1][1]
         np.reciprocal(center, out=center)
         if sides:
             work[:-1] *= self.scale

@@ -9,11 +9,13 @@ sublinear exponent from counts across scales.
 
 Classification picks one of two resolvers per shape (``_resolver``).  A 1-d
 box of a real kernel with offsets |k| <= 1 (``OperatorSpec.is_tridiagonal``)
-at eps > 0 takes the recursive Green's-function method: O(n) per box, no
-n x n matrix, and as its residual that of the column of G through the worst
-decay pair.  Every other box takes the batched engine, which is ``greens``
-and ``resolvent_norm`` batched over the translates of one shape: an LU solve
-of (H - z) G = I, the Hermitian eigenvalues for ||G||, and the Frobenius
+at eps > 0 takes the recursive Green's-function method: one
+``continued_fractions`` sweep, shared with ``dynamics``, of an (n, 2, batch)
+array holding both directions, O(n) per box and no n x n matrix; its
+residual is that of the column of G through the worst decay pair.  Every
+other box takes the batched engine, which is ``greens`` and
+``resolvent_norm`` batched over the translates of one shape: an LU solve of
+(H - z) G = I, the Hermitian eigenvalues for ||G||, and the Frobenius
 residual ||(H - z) G - I||_F.  Dense volumes are capped at desk scale (a few
 thousand points), where direct factorisation is the most verifiable route;
 the per-box ``greens`` with an explicit loop over pairs is the engine's test
@@ -349,20 +351,37 @@ class _TranslateEngine(_BatchResolver):
         return i, j, margin, exponent, _residual_norm(A @ G - eye), 1.0 / nearest
 
 
+def continued_fractions(work: np.ndarray, numerators) -> None:
+    """The continued fractions h_k = c_k / (a_k - z - h_{k-1}), h_{-1} = 0,
+    along the rows of ``work`` (an array, or a list of its row views), in
+    place: row k holds a_k - z on entry and h_k on return, with
+    c_k = ``numerators[k]`` (b^2, or 0 on a decoupled padding row, whose h
+    is then 0).  This is the one recurrence of the recursive Green's-function
+    method: G(k, k) of the last row of a chain is 1/(a_k - z - h_{k-1}), and
+    G(i, j) = -(h_i / b) G(i + 1, j) below it.  A row may hold independent
+    chains side by side, and one numpy op advances them all."""
+    prev = 0.0
+    for row, c in zip(work, numerators):
+        row -= prev
+        np.divide(c, row, out=row)
+        prev = row
+
+
 class _TridiagonalResolver(_BatchResolver):
     """Resolvents of the translates of a 1-d interval at Im z > 0 for a spec
     whose boxes are tridiagonal, by the recursive Green's-function method
     (Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981), in O(n) per box and
     vectorised over a batch of translates.
 
-    With diagonal a, hopping b and the continued fractions
-    gL_k = 1/(a_k - z - b^2 gL_{k-1}) and gR_k = 1/(a_k - z - b^2 gR_{k+1}),
-    G(j, j) = 1/(a_j - z - b^2 gL_{j-1} - b^2 gR_{j+1}), and G is complex
-    symmetric with G(i, j) = G(j, j) prod_{k=i}^{j-1} (-b gL_k) for i < j.
+    With diagonal a and hopping b, one ``continued_fractions`` sweep of an
+    (n, 2, batch) array gives hL_k = b^2 / (a_k - z - hL_{k-1}) on side 0
+    and the same from the right end on side 1, whose row r is hR_{n-1-r}.
+    Then G(j, j) = 1/(a_j - z - hL_{j-1} - hR_{j+1}), and G is complex
+    symmetric with G(i, j) = G(j, j) prod_{k=i}^{j-1} (-hL_k / b) for i < j.
     So the decay margin log|G(i, j)| + c2 (j - i) splits into B_j - A_i,
     and a prefix minimum of A over i <= j - ceil(N/10) finds the worst pair
     with no n x n matrix.  The residual is ||(H - z) g - e_j||_2 of the
-    column g = G e_j through the worst pair.
+    column g = G e_j through the worst pair, one masked pass over that array.
 
     ||G|| = 1/min|w - z| comes from the eigenvalues next to E: a Sturm
     count gives their index and LAPACK bisection (``stebz``) finds them.  A
@@ -377,9 +396,9 @@ class _TridiagonalResolver(_BatchResolver):
         self.onsite, self.hop = spec.hopping((0,)), spec.hopping((1,))
 
     def _batch(self, shifts: np.ndarray):
-        a, gL, gR, diag = self._fractions(shifts)
-        i, j, margin = self._worst_pairs(gL, diag)
-        residual = self._column_residuals(a, gL, gR, diag, j)
+        a, h, diag = self._fractions(shifts)
+        i, j, margin = self._worst_pairs(h[:, 0], diag)
+        residual = self._column_residuals(a, h, diag, j)
         return i, j, margin, self.c2 * (j - i), residual, a
 
     def _norms_within(self, a, ok: np.ndarray, norm_bound: float) -> np.ndarray:
@@ -392,31 +411,26 @@ class _TridiagonalResolver(_BatchResolver):
         return ok
 
     def _fractions(self, shifts: np.ndarray):
-        """Diagonals a, fractions gL and gR, and G(j, j) of each translate,
-        as (n, b) arrays."""
+        """Diagonals a and G(j, j) of each translate, as (n, b) arrays, and
+        the fractions of both sides as one (n, 2, b) array."""
         n = len(self.sites)
         translated = (self.sites + shifts[:, 0]).reshape(-1, 1)
         a = self.onsite + potential_values(self.spec, translated).reshape(n, -1)
         d = a - self.z
-        b2 = self.hop * self.hop
-        gL, gR = np.empty_like(d), np.empty_like(d)
-        gL[0], gR[-1] = 1.0 / d[0], 1.0 / d[-1]
-        for k in range(1, n):
-            gL[k] = 1.0 / (d[k] - b2 * gL[k - 1])
-        for k in range(n - 2, -1, -1):
-            gR[k] = 1.0 / (d[k] - b2 * gR[k + 1])
-        d[1:] -= b2 * gL[:-1]
-        d[:-1] -= b2 * gR[1:]
-        return a, gL, gR, 1.0 / d
+        h = np.stack((d, d[::-1]), axis=1)
+        continued_fractions(h, [self.hop * self.hop] * n)
+        d[1:] -= h[:-1, 0]
+        d[:-1] -= h[-2::-1, 1]
+        return a, h, 1.0 / d
 
-    def _worst_pairs(self, gL: np.ndarray, diag: np.ndarray):
+    def _worst_pairs(self, hL: np.ndarray, diag: np.ndarray):
         """Index arrays (i, j), i < j, of the worst decay pair of each
         translate, and its margin log|G(i, j)| + c2 (j - i)."""
-        (n, b), m = gL.shape, self.min_dist
+        (n, b), m = hL.shape, self.min_dist
         if self.hop == 0.0:  # G is diagonal: the first far pair, at |G| = 0
             return np.zeros(b, np.int64), np.full(b, m), np.full(b, -np.inf)
-        steps = np.log(np.abs(self.hop * gL[:-1]))
-        # A_i = sum_{k < i} log|b gL_k| + c2 i, B_j = log|G(j, j)| + A_j
+        steps = np.log(np.abs(hL[:-1] / self.hop))
+        # A_i = sum_{k < i} log|hL_k / b| + c2 i, B_j = log|G(j, j)| + A_j
         A = np.zeros((n, b))
         np.cumsum(steps, axis=0, out=A[1:])
         A += self.c2 * np.arange(n)[:, None]
@@ -427,17 +441,17 @@ class _TridiagonalResolver(_BatchResolver):
         i = np.where(np.arange(n)[:, None] <= j - m, A, np.inf).argmin(axis=0)
         return i, j, margin
 
-    def _column_residuals(self, a, gL, gR, diag, j) -> np.ndarray:
-        """||(H - z) g - e_j||_2 of each translate's column g = G e_j."""
+    def _column_residuals(self, a, h, diag, j) -> np.ndarray:
+        """||(H - z) g - e_j||_2 of each box's column g = G e_j, built in h."""
         n, b = a.shape
         boxes = np.arange(b)
-        g = np.zeros_like(diag)
-        g[j, boxes] = diag[j, boxes]
-        fL, fR = -self.hop * gL, -self.hop * gR
-        for k in range(n - 2, -1, -1):  # G(k, j) = -b gL_k G(k + 1, j), k < j
-            np.multiply(fL[k], g[k + 1], out=g[k], where=k < j)
-        for k in range(1, n):  # G(k, j) = -b gR_k G(k - 1, j), k > j
-            np.multiply(fR[k], g[k - 1], out=g[k], where=k > j)
+        ends = np.stack((j, n - 1 - j))
+        h *= -1.0 / self.hop if self.hop else 0.0
+        h[ends, [[0], [1]], boxes] = diag[j, boxes]
+        # G(k, j) = -(h_k / b) G(k', j), k' the next site towards j
+        for r in range(n - 2, -1, -1):
+            np.multiply(h[r], h[r + 1], out=h[r], where=r < ends)
+        g = np.where(np.arange(n)[:, None] <= j, h[:, 0], h[::-1, 1])
         r = (a - self.z) * g
         r[1:] += self.hop * g[:-1]
         r[:-1] += self.hop * g[1:]

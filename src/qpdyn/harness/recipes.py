@@ -229,7 +229,7 @@ def _task_diophantine(alpha, kappa, tau, k_max):
         len(alpha),
         kappa,
         tau,
-        k_max,
+        report.params.k_max,
         report.passed,
         *report.worst_k,
         report.margin,
@@ -361,6 +361,9 @@ def _scan_setup(r: ConfigReader):
     sizes = r.integers("scan.sizes", required=True) or ()
     sub_exp = r.number("scan.sub_exponent", default=0.3, minimum=0.0, maximum=1.0)
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
+    if "scan.sub_size" in r.raw and "scan.sub_exponent" in r.raw:
+        r.issues.append("'scan.sub_size' and 'scan.sub_exponent' are exclusive: "
+                        "set one of them")
     energies = r.floats("scan.energies", default=(0.0,))
     eps = r.number("scan.epsilon", default=1e-3, minimum=0.0)
     for key, values in (("scan.sizes", sizes), ("scan.energies", energies)):
@@ -524,8 +527,8 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     alpha = r.floats("dio.alpha", required=True)
     kappa = r.number("dio.kappa", default=DiophantineParams.kappa, minimum=1.0)
     tau = r.number("dio.tau", default=DiophantineParams.tau, minimum=0.0)
-    # the default cutoff is a 1-d one: at b = 2 its half-box holds 2e12 vectors
-    k_max = r.integer("dio.kmax", default=DiophantineParams.k_max, minimum=1,
+    # the library's default cutoff is a 1-d one: b >= 2 needs its own
+    k_max = r.integer("dio.kmax", minimum=1,
                       required=alpha is not None and len(alpha) >= 2)
     if tau is not None and tau <= 0:
         r.issues.append("'dio.tau' must be positive")

@@ -195,6 +195,16 @@ class TestDiophantine:
         assert report.passed
         assert report.worst_k == (1, 1)
 
+    def test_default_cutoff_is_one_dimensional(self):
+        # None means 10^6 at b = 1, and the report names the cutoff it used
+        assert DiophantineParams().k_max is None
+        report = diophantine_check(GOLDEN)
+        assert report.params == DiophantineParams(k_max=10**6)
+        assert report == diophantine_check(GOLDEN, DiophantineParams(k_max=10**6))
+        # at b = 2 the same default would mean about 2e12 vectors
+        with pytest.raises(ValueError, match="k_max"):
+            diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DiophantineParams(kappa=0.5)

@@ -150,6 +150,10 @@ def _amo_type(kernel, coupling=1.0):
 
 # a tridiagonal box with an on-site kernel term S(0) and coupling != 1
 ONSITE3 = _amo_type(KernelSpec.toeplitz({(0,): 0.7, (1,): 0.9}, math.e, 1.0), 3.0)
+# the same with negative hopping, b = -0.3
+NEGATIVE_HOP3 = _amo_type(
+    KernelSpec.toeplitz({(0,): 0.7, (1,): -0.9}, math.e, 1.0), 3.0
+)
 
 
 class TestBoxEigensolver:
@@ -463,8 +467,10 @@ class TestEnergyRouteEngine:
 
     @pytest.mark.parametrize("eps", [1e-4, 1.0])
     @pytest.mark.parametrize("source", [0, 16, -16])
-    @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1), ONSITE3],
-                             ids=["amo3", "free-1d", "onsite-coupling-3"])
+    @pytest.mark.parametrize("spec",
+                             [AMO3, free_laplacian(1), ONSITE3, NEGATIVE_HOP3],
+                             ids=["amo3", "free-1d", "onsite-coupling-3",
+                                  "negative-hopping"])
     def test_recursion_column_matches_dense_solve(self, spec, source, eps):
         # sources at +-R/2 leave one side 16 sites longer: the padded rows
         # must not couple

@@ -463,6 +463,11 @@ def amo_type_1d(kernel, coupling=1.0):
 
 # a tridiagonal box with an on-site kernel term S(0) and coupling != 1
 ONSITE3 = amo_type_1d(KernelSpec.toeplitz({(0,): 0.7, (1,): 0.9}, math.e, 1.0), 3.0)
+# the same with negative hopping, b = -0.3: the sign of b enters h / b, the
+# column's -1/b and the residual's b g
+NEGATIVE_HOP3 = amo_type_1d(
+    KernelSpec.toeplitz({(0,): 0.7, (1,): -0.9}, math.e, 1.0), 3.0
+)
 
 
 @pytest.mark.parametrize("spec, z, tridiagonal, recursion", [
@@ -475,8 +480,9 @@ ONSITE3 = amo_type_1d(KernelSpec.toeplitz({(0,): 0.7, (1,): 0.9}, math.e, 1.0), 
      0.5 + 1e-3j, False, False),
     (amo_2d(3.0, 0.3), 0.5 + 1e-3j, False, False),
     (ONSITE3, 0.5 + 1e-3j, True, True),
+    (NEGATIVE_HOP3, 0.5 + 1e-3j, True, True),
 ], ids=["amo", "zero-kernel", "eps-0", "complex-hopping", "range-2", "2d",
-        "onsite-coupling-3"])
+        "onsite-coupling-3", "negative-hopping"])
 def test_resolver_routing(spec, z, tridiagonal, recursion):
     # the recursion takes tridiagonal boxes off the real axis; the batched
     # engine takes every other box
@@ -499,7 +505,7 @@ def norms_agree(norm, oracle, spread):
 def recursion_scans(draw):
     lam = draw(st.floats(0.5, 5.0))
     amo = almost_mathieu(lam, GOLDEN, draw(st.floats(0.0, 1.0, exclude_max=True)))
-    spec = draw(st.sampled_from((amo, ONSITE3)))
+    spec = draw(st.sampled_from((amo, ONSITE3, NEGATIVE_HOP3)))
     sub = draw(st.integers(1, 40))
     centers = draw(st.lists(st.integers(-50, 50).map(lambda c: (c,)),
                             min_size=1, max_size=4, unique=True))

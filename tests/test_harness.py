@@ -128,6 +128,34 @@ class TestConfigParsing:
         plan = RECIPES[cfg.experiment](cfg)
         assert [t.kwargs["max_doublings"] for t in plan.tasks] == [2]
 
+    def test_readme_library_quick_start_runs(self):
+        # the python block of "Quick start (library)" runs as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Quick start (library)", 1)[1]
+        (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+        scope = {}
+        exec(compile(code, "README.md", "exec"), scope)
+        direct, parseval = scope["direct"], scope["parseval"]
+        assert abs(direct.value - parseval.value) <= 1e-12 * abs(direct.value)
+        assert scope["report"].total_centers == 201
+
+    def test_sub_size_and_sub_exponent_are_exclusive(self, tmp_path, capsys):
+        # with both set, sub_size won and a sweep over sub_exponent changed
+        # nothing but its axis column
+        scan = f"{AMO_MODEL}scan.sizes = 20,30,40\nscan.sub_size = 4\n"
+        for command, body in (
+            ("sublinear", "scan.sub_exponent = 0.5\n"),
+            ("sweep", "experiment = sweep\nsweep.recipe = sublinear\n"
+                      "sweep.axes = scan.sub_exponent\n"
+                      "scan.sub_exponent = 0.5\nsweep.values.scan.sub_exponent = 0.4,0.5\n"),
+        ):
+            p = write(tmp_path, "scan.cfg", scan + body)
+            code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "'scan.sub_size'" in err and "'scan.sub_exponent'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_experiment_mismatch(self, tmp_path):
         p = write(tmp_path, "x.cfg", "experiment = evolve\n")
         with pytest.raises(ConfigError, match="declares"):
@@ -527,6 +555,14 @@ class TestRecipes:
         line = (tmp_path / "out" / "dio_diophantine.csv").read_text().splitlines()[1]
         cells = line.split(",")
         assert cells[6] == "false" and cells[7] == "2"
+
+    def test_diophantine_kmax_column_is_the_library_cutoff(self, tmp_path):
+        # without dio.kmax a single frequency takes the library's 1-d cutoff
+        p = write(tmp_path, "dio.cfg", f"experiment = diophantine\ndio.alpha = {GOLDEN}\n")
+        run_experiment(load_config(p), tmp_path / "out")
+        (path,) = (tmp_path / "out").glob("*_diophantine.csv")
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        assert dict(zip(header, row))["kmax"] == "1000000"
 
 
 SWEEP_CFG = f"""
