@@ -234,6 +234,10 @@ def diophantine_check(
     ones, in lexicographic order, the first of tied vectors winning.  The
     report's ``params`` carry the cutoff that was used."""
     vec = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if vec.ndim != 1 or not vec.size:
+        raise ValueError(
+            f"alpha must be a non-empty list of frequencies, got {alpha!r}"
+        )
     if params.k_max is None:
         if vec.size >= 2:
             raise ValueError(

@@ -71,11 +71,11 @@ def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _box_diagonals(spec: OperatorSpec, radius: int):
     """Sites, their sup norms, and the diagonal a and hopping b of a
-    tridiagonal box (``OperatorSpec.is_tridiagonal``), from the potential
-    and the kernel entries S(0) and S(1), with no n x n matrix."""
+    tridiagonal box, from the potential and the band
+    ``OperatorSpec.tridiagonal``, with no n x n matrix."""
+    onsite, hop = spec.tridiagonal
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
-    a = spec.hopping((0,)) + potential_values(spec, sites)
-    return sites, _sup_norms(sites), a, spec.hopping((1,))
+    return sites, _sup_norms(sites), onsite + potential_values(spec, sites), hop
 
 
 @lru_cache(maxsize=4)
@@ -87,7 +87,7 @@ def _box_eigh(spec: OperatorSpec, radius: int):
     without the O(n^3) reduction a dense ``eigh`` starts with.  Any other
     box takes the dense ``eigh``.
     """
-    if spec.is_tridiagonal:
+    if spec.tridiagonal is not None:
         sites, norms, a, hop = _box_diagonals(spec, radius)
         w, U = eigh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="stevd")
         return sites, norms, w, U
@@ -465,7 +465,7 @@ def _source_column(spec: OperatorSpec, radius: int, source: Coords):
     """Sites, sup norms and eigenvalues of the box, and its column
     z -> G(z)(., source): the recursion for a tridiagonal box, which never
     forms U, and the eigenvector sum for every other box."""
-    if spec.is_tridiagonal:
+    if spec.tridiagonal is not None:
         sites, norms, a, hop = _box_diagonals(spec, radius)
         w = eigvalsh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="sterf")
         return sites, norms, w, _RecursionColumn(a, hop, sites.index(source))
@@ -724,13 +724,13 @@ def lyapunov_estimate(
     length: int,
     phases: Iterable[float],
 ) -> LyapunovEstimate:
-    """Transfer-matrix Lyapunov exponent for a 1-d nearest-neighbour model.
+    """Transfer-matrix Lyapunov exponent for H = v + the 1-d Laplacian.
 
     Averages (1/N) log || prod_n [[v(f^n(x)) - E, -1], [1, 0]] || over the
     given phases, renormalising the running product periodically so it
     never overflows.
     """
-    if not spec.is_schrodinger_1d:
+    if spec.tridiagonal != (0.0, 1.0):
         raise ValueError(
             "Lyapunov estimates need the 1-d nearest-neighbour kernel at "
             "unit coupling"

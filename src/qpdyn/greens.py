@@ -8,7 +8,7 @@ fails strong goodness for some shape, and a log-log fit extracts the
 sublinear exponent from counts across scales.
 
 Classification picks one of two resolvers per shape (``_resolver``).  A 1-d
-box of a real kernel with offsets |k| <= 1 (``OperatorSpec.is_tridiagonal``)
+box of a real kernel with offsets |k| <= 1 (``OperatorSpec.tridiagonal``)
 at eps > 0 takes the recursive Green's-function method: one
 ``continued_fractions`` sweep, shared with ``dynamics``, of an (n, 2, batch)
 array holding both directions, O(n) per box and no n x n matrix; its
@@ -191,6 +191,14 @@ def pair_distance_threshold(size: int) -> int:
     return max(1, math.ceil(size / 10.0))
 
 
+def strong_norm_bound(size: int, sigma: float) -> float:
+    # ||G|| <= exp(N^sigma), inf once N^sigma > log(DBL_MAX) ~ 709.78
+    try:
+        return math.exp(size**sigma)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class DecayWitness:
     """The worst decay pair of a box, in log space: ``margin`` is
@@ -221,7 +229,8 @@ class BoxVerdict:
     verdict came from: the Frobenius norm ||(H - z) G - I||_F of the LU
     solve (as in ``GreensMatrix.residual``) for a box of the batched engine,
     and ||(H - z) g - e_j||_2 of the column g = G e_j through the worst decay
-    pair for a box of the recursion (see ``_resolver``).
+    pair for a box of the recursion (see ``_resolver``).  ``norm_bound`` is
+    exp(N^sigma), or inf where that overflows (N^sigma > 709.78).
     """
 
     region: ElementaryRegion
@@ -393,7 +402,7 @@ class _TridiagonalResolver(_BatchResolver):
                  c2: float):
         sites = site_list(shape)
         super().__init__(spec, shape, z, c2, sites, RECURSION_ENTRIES // len(sites))
-        self.onsite, self.hop = spec.hopping((0,)), spec.hopping((1,))
+        self.onsite, self.hop = spec.tridiagonal
 
     def _batch(self, shifts: np.ndarray):
         a, h, diag = self._fractions(shifts)
@@ -492,11 +501,11 @@ class _TridiagonalResolver(_BatchResolver):
 
 def _resolver(spec: OperatorSpec, shape: ElementaryRegion, z: complex, c2: float):
     """The resolver of the translates of ``shape``: the recursion when the
-    boxes are tridiagonal (``OperatorSpec.is_tridiagonal``) and z lies off
+    boxes are tridiagonal (``OperatorSpec.tridiagonal``) and z lies off
     the real axis, where no pivot of the fractions can vanish; the batched
     engine for every other box (d >= 2, kernel range > 1, complex hopping,
     or eps = 0, where it reports a singular box)."""
-    if spec.is_tridiagonal and z.imag > 0.0:
+    if spec.tridiagonal is not None and z.imag > 0.0:
         return _TridiagonalResolver(spec, shape, z, c2)
     return _TranslateEngine(spec, shape, z, c2)
 
@@ -506,11 +515,9 @@ def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):
 
 
 def _verdict(region, z, norm, witness, residual, sigma) -> BoxVerdict:
-    good = witness.margin <= 0.0
-    norm_bound = math.exp(region.size**sigma)
-    strongly_good = good and norm <= norm_bound
+    good, bound = witness.margin <= 0.0, strong_norm_bound(region.size, sigma)
     return BoxVerdict(
-        region, z, norm, norm_bound, witness, good, strongly_good, residual
+        region, z, norm, bound, witness, good, good and norm <= bound, residual
     )
 
 
@@ -626,7 +633,7 @@ def bad_set(
     strongly good."""
     zc = _as_complex(z)
     _, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
-    norm_bound = math.exp(sub_size**params.sigma)
+    norm_bound = strong_norm_bound(sub_size, params.sigma)
     remaining = centers
     max_residual = 0.0
     for resolver in resolvers:
@@ -726,7 +733,12 @@ def combes_thomas_probe(
     R/4 <= |n| <= R/2; a diagonal resolvent reports an infinite rate.
     """
     d = spec.dimension
-    src = tuple(source) if source is not None else (0,) * d
+    src = tuple(int(c) for c in source) if source is not None else (0,) * d
+    if len(src) != d or max(map(abs, src)) > radius:
+        raise ValueError(
+            f"source site {src} must have {d} coordinates and lie in the cube "
+            f"of radius {radius}"
+        )
     box = ElementaryRegion((0,) * d, radius)
     sites = site_list(box)
     zc = complex(energy, epsilon)

@@ -186,12 +186,23 @@ class ConfigReader:
             self.issues.append(f"missing required key '{key}'")
         return default
 
-    def number(self, key, default=None, required=False, minimum=None, maximum=None):
+    def _positive(self, key, values, v) -> bool:
+        """The strict-positivity bound of ``positive=True``: a value, or a
+        list entry, that is not > 0 is an issue and reads as the default."""
+        if all(x > 0 for x in values):
+            return True
+        self.issues.append(f"'{key}' must be positive, got {v!r}")
+        return False
+
+    def number(self, key, default=None, required=False, minimum=None, maximum=None,
+               positive=False):
         v = self._fetch(key, default, required)
         if v is None:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.issues.append(f"'{key}' must be a number, got {v!r}")
+            return default
+        if positive and not self._positive(key, (v,), v):
             return default
         if minimum is not None and v < minimum:
             self.issues.append(f"'{key}' must be >= {minimum}, got {v}")
@@ -208,18 +219,21 @@ class ConfigReader:
             return default
         return int(v)
 
-    def floats(self, key, default=None, required=False):
+    def floats(self, key, default=None, required=False, positive=False):
         v = self._fetch(key, default, required)
         if v is None:
             return None
         try:
-            return _floats(v)
+            values = _floats(v)
         except (TypeError, ValueError):
             self.issues.append(f"'{key}' must be numeric, got {v!r}")
             return default
+        if positive and not self._positive(key, values, v):
+            return default
+        return values
 
-    def integers(self, key, default=None, required=False):
-        v = self.floats(key, default, required)
+    def integers(self, key, default=None, required=False, positive=False):
+        v = self.floats(key, default, required, positive)
         if v is None:
             return None
         if not all(x.is_integer() for x in v):

@@ -325,18 +325,16 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
     radius = r.integer("moments.radius", default=64, minimum=2)
-    ps = r.floats("moments.p", default=(2.0,))
+    ps = r.floats("moments.p", default=(2.0,), positive=True)
     modes = r.strings("moments.modes", "instantaneous", _MOMENT_MODES)
-    times = r.floats("moments.times", default=None)
-    horizons = r.floats("moments.horizons", default=None)
-    if "instantaneous" in modes and times is None:
+    # an explicitly empty grid is a no-op, not an error
+    times = r.floats("moments.times", default=())
+    horizons = r.floats("moments.horizons", default=(), positive=True)
+    if "instantaneous" in modes and "moments.times" not in r.raw:
         r.issues.append("'moments.times' is required for instantaneous series")
-    if any(m.startswith("time-averaged") for m in modes) and horizons is None:
+    if (any(m.startswith("time-averaged") for m in modes)
+            and "moments.horizons" not in r.raw):
         r.issues.append("'moments.horizons' is required for time-averaged series")
-    times = times or ()  # an explicitly empty grid is a no-op, not an error
-    horizons = horizons or ()
-    if any(p <= 0 for p in ps or ()):
-        r.issues.append("'moments.p' entries must be positive")
     initial = r.site("moments.initial", spec and spec.dimension, radius)
     tol = r.number("moments.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
@@ -358,7 +356,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
 
 def _scan_setup(r: ConfigReader):
     spec = build_operator(r)
-    sizes = r.integers("scan.sizes", required=True) or ()
+    sizes = r.integers("scan.sizes", required=True, positive=True)
     sub_exp = r.number("scan.sub_exponent", default=0.3, minimum=0.0, maximum=1.0)
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
     if "scan.sub_size" in r.raw and "scan.sub_exponent" in r.raw:
@@ -366,7 +364,7 @@ def _scan_setup(r: ConfigReader):
                         "set one of them")
     energies = r.floats("scan.energies", default=(0.0,))
     eps = r.number("scan.epsilon", default=1e-3, minimum=0.0)
-    for key, values in (("scan.sizes", sizes), ("scan.energies", energies)):
+    for key, values in (("scan.sizes", sizes or ()), ("scan.energies", energies)):
         if len(set(values)) < len(values):
             r.issues.append(f"'{key}' repeats a value: {list(values)}")
     params = None
@@ -380,8 +378,8 @@ def _scan_setup(r: ConfigReader):
             params = ClassificationParams.for_spec(spec, **overrides)
         except ValueError as exc:
             r.issues.append(f"classification: {exc}")
-    pairs = []
-    for n in sizes:
+    pairs = None if sizes is None else []  # None: 'scan.sizes' is reported
+    for n in sizes or ():
         sub = sub_fixed if sub_fixed is not None else math.ceil(n**sub_exp)
         if sub >= n:
             r.issues.append(f"sub-box size {sub} must be smaller than N={n}")
@@ -419,7 +417,7 @@ def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
 def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec, pairs, energies, eps, params = _scan_setup(r)
-    if len(pairs) < 3:
+    if pairs is not None and len(pairs) < 3:
         r.issues.append("'scan.sizes' needs at least three scales for the fit")
     r.check()
     tasks = [
@@ -470,13 +468,11 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
     radius = r.integer("parseval.radius", default=64, minimum=2)
-    horizons = r.floats("parseval.horizons", required=True)
+    horizons = r.floats("parseval.horizons", required=True, positive=True)
     p = r.number("parseval.p", default=2.0, minimum=0.0)
     source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
-    if horizons is not None and any(T <= 0 for T in horizons):
-        r.issues.append("'parseval.horizons' must be positive")
     r.check()
     tasks = [
         Task(
@@ -496,13 +492,11 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
 def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     dynamics = build_dynamics(r, prefix="orbit")
-    sizes = r.integers("disc.sizes", required=True)
+    sizes = r.integers("disc.sizes", required=True, positive=True)
     samples = r.integer("disc.phase_samples", default=0, minimum=0)
     resolution = r.integer("disc.grid_resolution", default=32, minimum=2)
     if dynamics is not None and not dynamics.lattice_dim_compatible(1):
         r.issues.append("orbit dynamics must be driven by a single index")
-    if sizes is not None and any(n < 1 for n in sizes):
-        r.issues.append("'disc.sizes' must be positive")
     r.check()
     rng = np.random.default_rng(cfg.seed)
     phases: list[float | None] = [None]
@@ -526,12 +520,10 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     alpha = r.floats("dio.alpha", required=True)
     kappa = r.number("dio.kappa", default=DiophantineParams.kappa, minimum=1.0)
-    tau = r.number("dio.tau", default=DiophantineParams.tau, minimum=0.0)
+    tau = r.number("dio.tau", default=DiophantineParams.tau, positive=True)
     # the library's default cutoff is a 1-d one: b >= 2 needs its own
     k_max = r.integer("dio.kmax", minimum=1,
                       required=alpha is not None and len(alpha) >= 2)
-    if tau is not None and tau <= 0:
-        r.issues.append("'dio.tau' must be positive")
     r.check()
     task = Task(
         _task_diophantine,
@@ -550,7 +542,7 @@ def _plan_lyapunov(cfg: ExperimentConfig) -> Plan:
     eps = r.number("lyapunov.epsilon", default=0.0, minimum=0.0)
     length = r.integer("lyapunov.length", default=10000, minimum=10)
     n_phases = r.integer("lyapunov.phase_samples", default=8, minimum=1)
-    if spec is not None and not spec.is_schrodinger_1d:
+    if spec is not None and spec.tridiagonal != (0.0, 1.0):
         r.issues.append(
             "lyapunov needs the 1-d nearest-neighbour kernel at unit coupling"
         )

@@ -274,25 +274,15 @@ class OperatorSpec:
         return self.kernel.is_real
 
     @property
-    def is_tridiagonal(self) -> bool:
-        """Every box is a real symmetric tridiagonal matrix: one dimension,
-        a real kernel and offsets |k| <= 1."""
-        return (
-            self.dimension == 1
-            and self.is_real
-            and all(abs(k) <= 1 for (k,) in self.kernel.offsets())
-        )
-
-    @property
-    def is_schrodinger_1d(self) -> bool:
-        """H = v + the 1-d nearest-neighbour kernel S(+-1) = 1 at unit
-        coupling: the model whose eigenvalue equation the 2 x 2 transfer
-        matrices of ``dynamics.lyapunov_estimate`` solve."""
-        return (
-            self.dimension == 1
-            and self.kernel.coefficients == KernelSpec.laplacian(1).coefficients
-            and self.coupling == 1.0
-        )
+    def tridiagonal(self) -> tuple[float, float] | None:
+        """The band (S(0), S(1)) / coupling when every box is real symmetric
+        tridiagonal (1-d, a real kernel, offsets |k| <= 1), else None; band
+        (0.0, 1.0) is H = v + the Laplacian of ``lyapunov_estimate``."""
+        if self.dimension != 1 or not self.is_real or any(
+            abs(k) > 1 for (k,) in self.kernel.offsets()
+        ):
+            return None
+        return self.hopping((0,)), self.hopping((1,))
 
     @property
     def spectral_bound(self) -> float:

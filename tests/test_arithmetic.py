@@ -205,6 +205,10 @@ class TestDiophantine:
         with pytest.raises(ValueError, match="k_max"):
             diophantine_check((GOLDEN, math.sqrt(2.0) - 1.0))
 
+    def test_rejects_an_empty_frequency_vector(self):
+        with pytest.raises(ValueError, match="alpha"):
+            diophantine_check([])
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DiophantineParams(kappa=0.5)

@@ -658,6 +658,14 @@ class TestLyapunov:
         est = lyapunov_estimate(AMO3, 0.5 + 0.01j, 5000, [0.1])
         assert est.value > 0.0
 
+    def test_band_not_kernel_decides(self):
+        # S(+-1) = 2 at coupling 2 has band (0, 1): every box is that of the
+        # AMO, and so is every transfer matrix
+        spec = _amo_type(KernelSpec.toeplitz({(1,): 2.0}, 8.0, 1.0), 2.0)
+        assert spec.tridiagonal == (0.0, 1.0)
+        args = (0.5 + 0.01j, 2000, [0.1, 0.7])
+        assert lyapunov_estimate(spec, *args) == lyapunov_estimate(AMO3, *args)
+
     def test_non_schroedinger_rejected(self):
         spec = diagonal_model(PotentialSpec.constant_value(0.0), STILL)
         with pytest.raises(ValueError, match="nearest-neighbour"):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ class TestBadSet:
                     centers=[(0,), (1,)])
 
 
+@pytest.mark.parametrize("c2", [0.8, 1.5])
+def test_norm_bound_is_inf_where_exp_overflows(c2):
+    # 1003^0.95 > log(DBL_MAX) ~ 709.78 > 1002^0.95: past it exp(N1^sigma)
+    # is inf, every finite norm meets it, and strong goodness is decay alone
+    assert GREENS.strong_norm_bound(1002, 0.95) == math.exp(1002**0.95)
+    assert GREENS.strong_norm_bound(1003, 0.95) == math.inf
+    params = ClassificationParams(c2=c2, sigma=0.95)
+    z = complex(0.0, 1e-3)
+    region = ElementaryRegion((0,), 1003)
+    verdict = classify_box(AMO3, region, z, params)
+    assert verdict.norm_bound == math.inf
+    assert verdict.strongly_good == verdict.good
+    assert is_strongly_good(AMO3, region, z, c2, 0.95) == verdict.good
+    centers = [(-7,), (0,), (3,), (11,)]
+    verdicts = [v for _, _, v in scan_boxes(AMO3, 1004, 1003, z, params, centers)]
+    assert {v.norm_bound for v in verdicts} == {math.inf}
+    assert all(v.strongly_good == v.good for v in verdicts)
+    report = bad_set(AMO3, 1004, 1003, z, params, centers)
+    assert report.bad_centers == tuple(
+        c for c, v in zip(centers, verdicts) if not v.good
+    )
+
+
 class TestSublinearFit:
     def test_all_zero_counts(self):
         fit = fit_sublinear_exponent([(10, 0), (100, 0), (1000, 0)])
@@ -283,6 +307,11 @@ class TestCombesThomas:
     def test_rejects_energy_near_spectrum(self):
         with pytest.raises(ValueError, match="distance"):
             combes_thomas_probe(free_laplacian(1), 16, 2.5)
+
+    @pytest.mark.parametrize("source", [(20,), (0, 0)])
+    def test_rejects_a_source_outside_the_cube(self, source):
+        with pytest.raises(ValueError, match=re.escape(f"source site {source}")):
+            combes_thomas_probe(almost_mathieu(3.0, 0.618), 10, 9.0, source=source)
 
 
 class TestMultiscale:
@@ -486,7 +515,7 @@ NEGATIVE_HOP3 = amo_type_1d(
 def test_resolver_routing(spec, z, tridiagonal, recursion):
     # the recursion takes tridiagonal boxes off the real axis; the batched
     # engine takes every other box
-    assert spec.is_tridiagonal == tridiagonal
+    assert (spec.tridiagonal is not None) == tridiagonal
     for shape in enumerate_shapes(spec.dimension, 3):
         resolver = GREENS._resolver(spec, shape, z, 0.8)
         assert isinstance(resolver, GREENS._TridiagonalResolver) == recursion

@@ -267,6 +267,50 @@ class TestRecipes:
             assert 0.0 < record["max_resolvent_residual"] < 1e-10
             assert record["max_matrix_order"] == 5  # the box [-2, 2]
 
+    def test_scan_where_the_norm_bound_overflows(self, tmp_path):
+        # exp(1003^0.95) overflows a double, so the bound reads inf and every
+        # box that decays is strongly good; a diagonal quasi-periodic model
+        # keeps the 2009 boxes of 2007 sites to a few seconds
+        p = write(
+            tmp_path,
+            "big.cfg",
+            f"""
+            experiment = bad-set-scan
+            model.kernel = zero
+            model.potential.cos.1 = 6.0
+            model.dynamics.alpha = {GOLDEN}
+            scan.sizes = 1004
+            scan.sub_size = 1003
+            class.sigma = 0.95
+            output.prefix = big
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / "out")
+        assert result.row_counts["big_scan.csv"] == 2009
+        rows = (tmp_path / "out" / "big_scan.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",-inf,true,true") for row in rows)
+
+    @pytest.mark.parametrize("experiment,body,issue", [
+        ("moment-growth",
+         "moments.modes = time-averaged-direct\nmoments.horizons = -5,10",
+         "'moments.horizons' must be positive, got (-5, 10)"),
+        ("moment-growth", "moments.modes = time-averaged-parseval\n"
+         "moments.horizons = 0", "'moments.horizons' must be positive, got 0"),
+        ("sublinear", "scan.sizes = -5,20,40",
+         "'scan.sizes' must be positive, got (-5, 20, 40)"),
+        ("bad-set-scan", "scan.sizes = 0", "'scan.sizes' must be positive, got 0"),
+        ("diophantine", f"dio.alpha = {GOLDEN}\ndio.tau = -1",
+         "'dio.tau' must be positive, got -1"),
+    ], ids=["horizons-negative", "horizons-zero", "sizes-negative", "sizes-zero",
+            "tau-negative"])
+    def test_a_value_that_is_not_positive_is_one_issue(self, tmp_path, experiment,
+                                                       body, issue):
+        model = AMO_MODEL if experiment != "diophantine" else ""
+        p = write(tmp_path, "pos.cfg", f"experiment = {experiment}\n{model}\n{body}\n")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(load_config(p), tmp_path / "out")
+        assert err.value.issues == [issue]
+
     def test_sublinear_requires_three_scales(self, tmp_path):
         p = write(
             tmp_path,
@@ -783,11 +827,20 @@ class TestCli:
         ("greens-scan", "scan.sizes = 6\nscan.energies = 0.0,0.0",
          "scan.energies"),
         ("greens-scan", "scan.sizes = 6\nclass.xi = 0.5", "class.xi"),
+        ("moments", "moments.modes = time-averaged-direct\n"
+         "moments.horizons = -5,10", "moments.horizons"),
+        ("moments", "moments.modes = time-averaged-parseval\n"
+         "moments.horizons = 0", "moments.horizons"),
+        ("greens-scan", "scan.sizes = -5,20,40", "scan.sizes"),
+        ("sublinear", "scan.sizes = -5,20,40", "scan.sizes"),
+        ("greens-scan", "scan.sizes = 0", "scan.sizes"),
+        ("diophantine", f"dio.alpha = {GOLDEN}\ndio.tau = -1", "dio.tau"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
             "source-length", "initial-outside-box", "evolve-initial-outside-box",
             "source-outside-box", "repeated-sizes", "repeated-energies",
-            "class-xi"])
+            "class-xi", "horizons-negative", "horizons-zero", "sizes-negative",
+            "sublinear-sizes-negative", "sizes-zero", "tau-negative"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"

@@ -220,10 +220,14 @@ def amo_with_kernel(kernel, coupling=1.0):
     (amo_with_kernel(KernelSpec.toeplitz({(2,): 1.0}, 8.0, 1.0)), False),
     (amo_with_kernel(KernelSpec.toeplitz({(1,): -1.0}, 8.0, 1.0)), False),
     (free_laplacian(2), False),
+    # every box is v + the Laplacian: S(+-1) / coupling = 2 / 2
+    (amo_with_kernel(KernelSpec.toeplitz({(1,): 2.0}, 8.0, 1.0), coupling=2.0),
+     True),
 ], ids=["amo", "free", "toeplitz-envelope", "coupling-2", "offset-2",
-        "hopping-minus-1", "2d"])
+        "hopping-minus-1", "2d", "hopping-2-coupling-2"])
 def test_is_schrodinger_1d_reads_the_hopping_not_the_envelope(spec, expected):
-    assert spec.is_schrodinger_1d == expected
+    # H = v + the 1-d Laplacian is the band (S(0), S(1)) / coupling = (0, 1)
+    assert (spec.tridiagonal == (0.0, 1.0)) == expected
 
 
 class TestStateVector:
