@@ -186,13 +186,22 @@ class ConfigReader:
             self.issues.append(f"missing required key '{key}'")
         return default
 
-    def _positive(self, key, values, v) -> bool:
-        """The strict-positivity bound of ``positive=True``: a value, or a
-        list entry, that is not > 0 is an issue and reads as the default."""
-        if all(x > 0 for x in values):
-            return True
-        self.issues.append(f"'{key}' must be positive, got {v!r}")
-        return False
+    def _admits(self, key, values, v, positive=False, distinct=False,
+                ascending=False) -> bool:
+        """The list rules a reader can ask for: with ``positive`` every
+        value is > 0, with ``distinct`` none repeats, with ``ascending`` they
+        are sorted.  A broken rule is an issue, and the value reads as the
+        default."""
+        if positive and not all(x > 0 for x in values):
+            self.issues.append(f"'{key}' must be positive, got {v!r}")
+            return False
+        if distinct and len(set(values)) < len(values):
+            self.issues.append(f"'{key}' repeats a value: {v!r}")
+            return False
+        if ascending and list(values) != sorted(values):
+            self.issues.append(f"'{key}' must be sorted ascending, got {v!r}")
+            return False
+        return True
 
     def number(self, key, default=None, required=False, minimum=None, maximum=None,
                positive=False):
@@ -202,7 +211,7 @@ class ConfigReader:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.issues.append(f"'{key}' must be a number, got {v!r}")
             return default
-        if positive and not self._positive(key, (v,), v):
+        if not self._admits(key, (v,), v, positive):
             return default
         if minimum is not None and v < minimum:
             self.issues.append(f"'{key}' must be >= {minimum}, got {v}")
@@ -219,7 +228,8 @@ class ConfigReader:
             return default
         return int(v)
 
-    def floats(self, key, default=None, required=False, positive=False):
+    def floats(self, key, default=None, required=False, positive=False,
+               distinct=False, ascending=False):
         v = self._fetch(key, default, required)
         if v is None:
             return None
@@ -228,12 +238,13 @@ class ConfigReader:
         except (TypeError, ValueError):
             self.issues.append(f"'{key}' must be numeric, got {v!r}")
             return default
-        if positive and not self._positive(key, values, v):
+        if not self._admits(key, values, v, positive, distinct, ascending):
             return default
         return values
 
-    def integers(self, key, default=None, required=False, positive=False):
-        v = self.floats(key, default, required, positive)
+    def integers(self, key, default=None, required=False, positive=False,
+                 distinct=False):
+        v = self.floats(key, default, required, positive, distinct)
         if v is None:
             return None
         if not all(x.is_integer() for x in v):
@@ -251,10 +262,11 @@ class ConfigReader:
         return v
 
     def strings(self, key, default, choices):
-        """A list of names, each one of ``choices``."""
+        """A list of distinct names, each one of ``choices``."""
         v = tuple(str(x) for x in _as_tuple(self._fetch(key, default, False)))
         if any(x not in choices for x in v):
             self.issues.append(f"'{key}' entries must be in {choices}, got {v!r}")
+        self._admits(key, v, v, distinct=True)
         return v
 
     def prefixed(self, head: str) -> list[tuple[str, Any]]:

@@ -34,7 +34,6 @@ from ..dynamics import (
     evolve,
     fit_log_exponent,
     lyapunov_estimate,
-    moment_series,
 )
 from ..greens import (
     ClassificationParams,
@@ -89,18 +88,26 @@ def _task_evolve(spec, initial, times, radius, leakage_tol, prob_floor):
             "norm_drift": res.norm_drift, "matrix_order": len(res.sites)}
 
 
-def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
+def _task_moment_series(spec, initial, mode, ps, times, horizons, radius,
                         leakage_tol, max_doublings):
+    """The series of one mode at every p in ``ps``, from one evolution
+    (instantaneous) or one table per horizon (time-averaged); every p reads
+    the same run.  A Parseval table's quadrature tracks the control orders
+    (0, *ps), so its plan passes one p per task."""
     phi = StateVector.delta(initial)
     fingerprint = spec.fingerprint()
     if mode == "instantaneous":
-        series = double_while_flagged(
-            lambda r: moment_series(spec, phi, p, times, r, leakage_tol),
+        runs = [double_while_flagged(
+            lambda r: evolve(spec, phi, times, r, leakage_tol),
             radius, max_doublings,
-        )
-        runs = [series]
-        samples = [(t, v, series) for t, v in series.entries]
-        diagnostic = {"norm_drift": series.norm_drift}
+        )] if times else []
+
+        def samples(p):
+            return [(t, v, run) for run in runs
+                    for t, v in zip(run.times, run.moments(p))]
+        diagnostic = {
+            "norm_drift": max((run.norm_drift for run in runs), default=0.0)
+        }
     else:
         if mode == "time-averaged-direct":
             def table(T, r):
@@ -108,24 +115,30 @@ def _task_moment_series(spec, initial, mode, p, times, horizons, radius,
         else:
             def table(T, r):
                 return amplitude_table_parseval(
-                    spec, initial, T, r, control_orders=(0.0, p),
+                    spec, initial, T, r, control_orders=(0.0, *ps),
                     leakage_tol=leakage_tol,
                 )
         runs = [double_while_flagged(partial(table, T), radius, max_doublings)
                 for T in horizons]
-        samples = [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
+
+        def samples(p):
+            return [(T, run.moment(p), run) for T, run in zip(horizons, runs)]
         diagnostic = {
             "tail_bound": max((run.tail_bound for run in runs), default=0.0),
             "panels": max((run.panels for run in runs), default=0),
         }
-    rows = [(mode, p, x, v, run.radius, run.leakage, fingerprint)
-            for x, v, run in samples]
-    xs = np.array([x for x, _, _ in samples])
-    values = np.array([v for _, v, _ in samples])
+    rows, fits = [], []
+    for p in ps:
+        series = samples(p)
+        rows += [(mode, p, x, v, run.radius, run.leakage, fingerprint)
+                 for x, v, run in series]
+        fits.append(_fit_series(mode, p, np.array([x for x, _, _ in series]),
+                                np.array([v for _, v, _ in series])))
     return {
         "main": rows,
-        "fit": [_fit_series(mode, p, xs, values)],
-        "flags": ["leakage" for run in runs if run.flagged],
+        "fit": fits,
+        # one flag per flagged (mode, p) series
+        "flags": ["leakage" for _ in ps for run in runs if run.flagged],
         "leakage": max((run.leakage for run in runs), default=0.0),
         "matrix_order": max((_box_order(spec, run.radius) for run in runs),
                             default=0),
@@ -297,12 +310,11 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
     radius = r.integer("evolve.radius", default=32, minimum=2)
-    times = r.floats("evolve.times", required=True)
+    times = r.floats("evolve.times", required=True, distinct=True,
+                     ascending=True)
     initial = r.site("evolve.initial", spec and spec.dimension, radius)
     tol = r.number("evolve.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     floor = r.number("evolve.prob_floor", default=1e-12, minimum=0.0)
-    if times is not None and sorted(times) != list(times):
-        r.issues.append("'evolve.times' must be sorted ascending")
     r.check()
     task = Task(
         _task_evolve,
@@ -322,14 +334,19 @@ MAX_DOUBLINGS = 2  # box doublings of a flagged moment run under auto_double
 
 
 def _plan_moments(cfg: ExperimentConfig) -> Plan:
+    """One task per mode, covering every p: the instantaneous series share
+    one evolution and the direct ones one table per horizon.  Parseval
+    tables take one task per p, since the control orders (0, p) of their
+    energy quadrature set its panels and so its values."""
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
     radius = r.integer("moments.radius", default=64, minimum=2)
-    ps = r.floats("moments.p", default=(2.0,), positive=True)
+    ps = r.floats("moments.p", default=(2.0,), positive=True, distinct=True)
     modes = r.strings("moments.modes", "instantaneous", _MOMENT_MODES)
     # an explicitly empty grid is a no-op, not an error
-    times = r.floats("moments.times", default=())
-    horizons = r.floats("moments.horizons", default=(), positive=True)
+    times = r.floats("moments.times", default=(), distinct=True, ascending=True)
+    horizons = r.floats("moments.horizons", default=(), positive=True,
+                        distinct=True)
     if "instantaneous" in modes and "moments.times" not in r.raw:
         r.issues.append("'moments.times' is required for instantaneous series")
     if (any(m.startswith("time-averaged") for m in modes)
@@ -342,12 +359,13 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     tasks = [
         Task(
             _task_moment_series,
-            dict(spec=spec, initial=initial, mode=mode, p=p, times=times,
+            dict(spec=spec, initial=initial, mode=mode, ps=group, times=times,
                  horizons=horizons, radius=radius, leakage_tol=tol,
                  max_doublings=doublings),
         )
         for mode in modes
-        for p in ps
+        for group in ([(p,) for p in ps] if mode == "time-averaged-parseval"
+                      else [ps])
     ]
     header = ["mode", "p", "t_or_T", "value", "radius", "leakage", "model"]
     fit_header = ["mode", "p", "gamma", "residual_rms", "poor_fit", "note"]
@@ -356,17 +374,14 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
 
 def _scan_setup(r: ConfigReader):
     spec = build_operator(r)
-    sizes = r.integers("scan.sizes", required=True, positive=True)
+    sizes = r.integers("scan.sizes", required=True, positive=True, distinct=True)
     sub_exp = r.number("scan.sub_exponent", default=0.3, minimum=0.0, maximum=1.0)
     sub_fixed = r.integer("scan.sub_size", default=None, minimum=1)
     if "scan.sub_size" in r.raw and "scan.sub_exponent" in r.raw:
         r.issues.append("'scan.sub_size' and 'scan.sub_exponent' are exclusive: "
                         "set one of them")
-    energies = r.floats("scan.energies", default=(0.0,))
+    energies = r.floats("scan.energies", default=(0.0,), distinct=True)
     eps = r.number("scan.epsilon", default=1e-3, minimum=0.0)
-    for key, values in (("scan.sizes", sizes or ()), ("scan.energies", energies)):
-        if len(set(values)) < len(values):
-            r.issues.append(f"'{key}' repeats a value: {list(values)}")
     params = None
     if spec is not None:
         overrides = {}
@@ -468,7 +483,8 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
     radius = r.integer("parseval.radius", default=64, minimum=2)
-    horizons = r.floats("parseval.horizons", required=True, positive=True)
+    horizons = r.floats("parseval.horizons", required=True, positive=True,
+                        distinct=True)
     p = r.number("parseval.p", default=2.0, minimum=0.0)
     source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)

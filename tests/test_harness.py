@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qpdyn.harness import cli
+from qpdyn.harness import cli, recipes
 from qpdyn.harness.config import (
     ConfigError,
     config_hash,
@@ -311,6 +311,38 @@ class TestRecipes:
             run_experiment(load_config(p), tmp_path / "out")
         assert err.value.issues == [issue]
 
+    @pytest.mark.parametrize("experiment,body,issue", [
+        ("moment-growth", "moments.times = 1.0\nmoments.p = 2.0,2.0",
+         "'moments.p' repeats a value: (2.0, 2.0)"),
+        ("moment-growth",
+         "moments.times = 1.0\nmoments.modes = instantaneous,instantaneous",
+         "'moments.modes' repeats a value: ('instantaneous', 'instantaneous')"),
+        ("moment-growth", "moments.times = 1.0,1.0,10.0",
+         "'moments.times' repeats a value: (1.0, 1.0, 10.0)"),
+        ("moment-growth", "moments.times = 10.0,1.0",
+         "'moments.times' must be sorted ascending, got (10.0, 1.0)"),
+        ("moment-growth",
+         "moments.modes = time-averaged-direct\nmoments.horizons = 10.0,10.0",
+         "'moments.horizons' repeats a value: (10.0, 10.0)"),
+        ("parseval-crosscheck", "parseval.horizons = 10.0,10.0",
+         "'parseval.horizons' repeats a value: (10.0, 10.0)"),
+        ("sublinear", "scan.sizes = 20,20,40,80",
+         "'scan.sizes' repeats a value: (20, 20, 40, 80)"),
+        ("evolve", "evolve.times = 10.0,1.0",
+         "'evolve.times' must be sorted ascending, got (10.0, 1.0)"),
+        ("evolve", "evolve.times = 1.0,1.0",
+         "'evolve.times' repeats a value: (1.0, 1.0)"),
+    ], ids=["p-repeated", "modes-repeated", "times-repeated", "times-unsorted",
+            "horizons-repeated", "parseval-horizons-repeated", "sizes-repeated",
+            "evolve-times-unsorted", "evolve-times-repeated"])
+    def test_a_repeated_or_unsorted_grid_is_one_issue(self, tmp_path, experiment,
+                                                      body, issue):
+        p = write(tmp_path, "grid.cfg",
+                  f"experiment = {experiment}\n{AMO_MODEL}\n{body}\n")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(load_config(p), tmp_path / "out")
+        assert err.value.issues == [issue]
+
     def test_sublinear_requires_three_scales(self, tmp_path):
         p = write(
             tmp_path,
@@ -462,6 +494,112 @@ class TestRecipes:
         assert result.safety_flags == (["leakage"] if flagged else [])
         manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
         assert manifest["max_leakage"] == leakage
+
+    MOMENT_MODES = ("instantaneous", "time-averaged-direct",
+                    "time-averaged-parseval")
+
+    @staticmethod
+    def _moment_run(tmp_path, name, model, modes, ps, auto_double, workers=1):
+        """The moments and fits bodies of one run, without the config-hash
+        column, and the run's safety flags."""
+        p = write(
+            tmp_path,
+            f"{name}.cfg",
+            f"""
+            experiment = moment-growth
+            {model}
+            moments.modes = {modes}
+            moments.p = {ps}
+            moments.times = 2.0,10.0,30.0
+            moments.horizons = 5.0,20.0
+            moments.radius = 8
+            moments.auto_double = {auto_double}
+            output.prefix = mom
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / name, workers=workers)
+        bodies = {
+            key: [line.split(",", 2)[2] for line in
+                  (tmp_path / name / f"mom_{key}.csv").read_text().splitlines()]
+            for key in ("moments", "fits")
+        }
+        return bodies, result.safety_flags
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model,auto_double", [
+        (AMO_MODEL, "false"),
+        ("model.preset = free-laplacian", "true"),  # still leaks at the cap
+    ], ids=["amo", "flagged-auto-double"])
+    def test_every_p_of_a_mode_matches_its_single_p_run(self, tmp_path, model,
+                                                         auto_double, workers):
+        ps = ("1.0", "2.0", "4.0")
+        got, flags = self._moment_run(tmp_path, "all", model,
+                                      ",".join(self.MOMENT_MODES), ",".join(ps),
+                                      auto_double, workers)
+        want = {key: rows[:1] for key, rows in got.items()}  # the headers
+        want_flags = []
+        for mode in self.MOMENT_MODES:
+            for p in ps:
+                bodies, single_flags = self._moment_run(
+                    tmp_path, f"{mode}-{p}", model, mode, p, auto_double)
+                for key, rows in bodies.items():
+                    assert rows[0] == want[key][0]
+                    want[key] += rows[1:]
+                want_flags += single_flags
+        assert got == want
+        assert flags == want_flags
+        assert flags  # at radius 8 both models leak by t = 30
+
+    def test_one_evolution_and_one_table_per_radius_attempt(self, tmp_path,
+                                                           monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def run(spec, phi, grid, radius, *args):
+                calls.append((fn.__name__, grid, radius))
+                return fn(spec, phi, grid, radius, *args)
+            return run
+
+        for name in ("evolve", "amplitude_table_direct"):
+            monkeypatch.setattr(recipes, name, counted(getattr(recipes, name)))
+        runs = {}
+        for ps in ("2.0", "1.0,2.0,4.0"):
+            calls.clear()
+            self._moment_run(tmp_path, ps, "model.preset = free-laplacian",
+                             "instantaneous,time-averaged-direct", ps, "true")
+            runs[ps] = list(calls)
+        times = (2.0, 10.0, 30.0)
+        # ballistic spreading leaks at every radius up to the cap, 32
+        assert runs["1.0,2.0,4.0"] == runs["2.0"] == [
+            (name, grid, radius)
+            for name, grid in (("evolve", times), ("amplitude_table_direct", 5.0),
+                               ("amplitude_table_direct", 20.0))
+            for radius in (8, 16, 32)
+        ]
+
+    def test_an_empty_time_grid_runs_no_evolution(self, tmp_path, monkeypatch):
+        decomposed = []
+        box_eigh = dynamics._box_eigh
+        monkeypatch.setattr(dynamics, "_box_eigh",
+                            lambda *args: decomposed.append(args) or box_eigh(*args))
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.times = ,
+            moments.radius = 64
+            output.prefix = mom
+            """,
+        )
+        result = run_experiment(load_config(p), tmp_path / "out")
+        assert decomposed == []
+        assert result.row_counts == {"mom_moments.csv": 0, "mom_fits.csv": 1}
+        fit = (tmp_path / "out" / "mom_fits.csv").read_text().splitlines()[1]
+        assert fit.endswith(",instantaneous,2.0,nan,nan,false,need at least 10 samples")
+        manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
+        assert manifest["max_matrix_order"] == 0
 
     def test_manifest_records_max_leakage(self, tmp_path):
         p = write(
@@ -835,12 +973,14 @@ class TestCli:
         ("sublinear", "scan.sizes = -5,20,40", "scan.sizes"),
         ("greens-scan", "scan.sizes = 0", "scan.sizes"),
         ("diophantine", f"dio.alpha = {GOLDEN}\ndio.tau = -1", "dio.tau"),
+        ("moments", "moments.times = 10.0,1.0", "moments.times"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
             "source-length", "initial-outside-box", "evolve-initial-outside-box",
             "source-outside-box", "repeated-sizes", "repeated-energies",
             "class-xi", "horizons-negative", "horizons-zero", "sizes-negative",
-            "sublinear-sizes-negative", "sizes-zero", "tau-negative"])
+            "sublinear-sizes-negative", "sizes-zero", "tau-negative",
+            "times-unsorted"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
@@ -904,13 +1044,13 @@ class TestCli:
         )
         tasks = [r.getMessage() for r in caplog.records
                  if r.name == "qpdyn.harness.recipes"]
-        assert len(tasks) == 2
+        assert len(tasks) == 1
         for i, message in enumerate(tasks, start=1):
             assert re.fullmatch(
-                rf"task {i}/2 moment_series finished in \d+\.\d{{3}} s", message
+                rf"task {i}/1 moment_series finished in \d+\.\d{{3}} s", message
             )
         manifest = json.loads((out / "mom_manifest.json").read_text())
-        assert len(manifest["task_seconds"]) == 2
+        assert len(manifest["task_seconds"]) == 1
         assert all(s >= 0.0 for s in manifest["task_seconds"])
         run_experiment(load_config(p), tmp_path / "quiet", workers=workers)
         for name in ("mom_moments.csv", "mom_fits.csv"):
