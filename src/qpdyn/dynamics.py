@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .greens import RECURSION_ENTRIES, continued_fractions
-from .lattice import Coords, ElementaryRegion
+from .lattice import Coords, ElementaryRegion, sup_norm
 from .operators import (
     OperatorSpec,
     StateVector,
@@ -66,6 +66,13 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
     """Sup norms |n| of the sites, as floats (exact: they are integers)."""
     return np.abs(np.asarray(sites, dtype=np.int64)).max(axis=1).astype(float)
+
+
+def _moment_weights(norms: np.ndarray, p: float) -> np.ndarray:
+    """|n|^p over sites of sup norms ``norms``: every moment's weights."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return norms**p
 
 
 @lru_cache(maxsize=4)
@@ -132,6 +139,7 @@ class EvolutionResult:
     radius: int
     times: tuple[float, ...]
     sites: tuple[Coords, ...]
+    norms: np.ndarray  # sup norms |n| of the sites
     amplitudes: np.ndarray  # (n_times, n_sites)
     leakage: float
     flagged: bool
@@ -144,11 +152,10 @@ class EvolutionResult:
         )
 
     def site_norms(self) -> np.ndarray:
-        return _sup_norms(self.sites)
+        return self.norms
 
     def moments(self, p: float) -> np.ndarray:
-        weights = self.site_norms() ** p
-        return (np.abs(self.amplitudes) ** 2) @ weights
+        return (np.abs(self.amplitudes) ** 2) @ _moment_weights(self.norms, p)
 
 
 def evolve(
@@ -181,6 +188,7 @@ def evolve(
         radius=radius,
         times=times,
         sites=sites,
+        norms=norms,
         amplitudes=amps,
         leakage=leakage,
         flagged=leakage > leakage_tol,
@@ -207,12 +215,8 @@ def double_while_flagged(run: Callable, radius: int, max_doublings: int):
 
 def moment(psi: StateVector, p: float) -> float:
     """p-th moment sum |n|^p |psi_n|^2 with the sup norm."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return sum(
-        (max(abs(c) for c in n) ** p) * abs(a) ** 2
-        for n, a in psi.amplitudes.items()
-    )
+    norms = np.array([sup_norm(n) for n in psi.amplitudes], dtype=float)
+    return float(_moment_weights(norms, p) @ np.abs(list(psi.amplitudes.values())) ** 2)
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,7 @@ class AmplitudeTable:
     horizon: float  # T
     radius: int
     sites: tuple[Coords, ...]
+    norms: np.ndarray  # sup norms |n| of the sites
     values: np.ndarray
     route: str  # direct | parseval
     leakage: float
@@ -282,7 +287,7 @@ class AmplitudeTable:
         return float(self.values.sum())
 
     def moment(self, p: float) -> float:
-        return float((_sup_norms(self.sites) ** p) @ self.values)
+        return float(_moment_weights(self.norms, p) @ self.values)
 
     @cached_property
     def _index(self) -> dict[Coords, int]:
@@ -345,6 +350,7 @@ def amplitude_table_direct(
         horizon=T,
         radius=radius,
         sites=sites,
+        norms=norms,
         values=values,
         route="direct",
         leakage=leakage,
@@ -590,6 +596,7 @@ def amplitude_table_parseval(
         horizon=T,
         radius=radius,
         sites=sites,
+        norms=norms,
         values=values,
         route="parseval",
         leakage=leakage,
@@ -623,8 +630,6 @@ def averaged_moment_direct(
 ) -> TimeAveragedMoment:
     """Time-averaged p-th moment by the exact time average of the direct
     route."""
-    if p <= 0:
-        raise ValueError("p must be positive")
     table = amplitude_table_direct(spec, phi, T, radius, leakage_tol)
     note = "truncation-unsafe" if table.flagged else ""
     return TimeAveragedMoment(

@@ -20,8 +20,11 @@ residual ||(H - z) G - I||_F.  Dense volumes are capped at desk scale (a few
 thousand points), where direct factorisation is the most verifiable route;
 the per-box ``greens`` with an explicit loop over pairs is the engine's test
 oracle, and the engine the recursion's.  Both resolvers run the same batch
-loops (``_BatchResolver``) and keep each decay margin in log space, so no
-bound exp(-c2 |n - n'|) is formed on the way to a verdict.
+loops (``_BatchResolver``): a resolver's ``_batch`` returns five arrays, the
+worst decay pair (i, j) of each translate, its margin, its residual and the
+state its norms need, and the loops derive each pair's exponent c2 |i - j|.
+Each decay margin stays in log space, so no bound exp(-c2 |n - n'|) is
+formed on the way to a verdict.
 """
 
 from __future__ import annotations
@@ -97,15 +100,19 @@ class GreensMatrix:
         return float(np.linalg.norm(self.matrix, 2))
 
 
+def _check_dense(points: int) -> None:
+    if points > MAX_DENSE_POINTS:
+        raise ValueError(
+            f"volume has {points} points; dense solves are capped at "
+            f"{MAX_DENSE_POINTS}"
+        )
+
+
 def _dense_sites(region_or_points) -> tuple[Coords, ...]:
     sites = site_list(region_or_points)
     if not sites:
         raise ValueError("region is empty")
-    if len(sites) > MAX_DENSE_POINTS:
-        raise ValueError(
-            f"volume has {len(sites)} points; dense solves are capped at "
-            f"{MAX_DENSE_POINTS}"
-        )
+    _check_dense(len(sites))
     return sites
 
 
@@ -148,7 +155,7 @@ def resolvent_norm(spec: OperatorSpec, region_or_points, z) -> float:
     about 4e-11 at eps = 1e-4 on a 21-site AMO box, so the bisection of the
     1-d recursion is the more accurate side there."""
     zc = _as_complex(z)
-    H = assemble(spec, region_or_points)
+    H = assemble(spec, _dense_sites(region_or_points))
     w = np.linalg.eigvalsh(H)
     dist = float(np.min(np.hypot(w - zc.real, zc.imag)))
     if dist == 0.0:
@@ -260,12 +267,14 @@ RECURSION_ENTRIES = 1 << 16
 class _BatchResolver:
     """The batch loops of both resolvers of one shape at one complex energy.
 
-    A resolver supplies ``_batch``: for a batch of shifts, the arrays (i, j,
-    margin, exponent, residual) of each translate's worst decay pair, with
-    margin = log|G(i, j)| + c2 |i - j| and exponent = c2 |i - j|, and its
-    residual, plus the state its norms need.  ``_norms`` turns that state
-    into ||G||, and ``_norms_within`` into the mask ``ok`` & ||G|| <= bound;
-    by default the state is ||G|| itself.
+    A resolver supplies ``_batch``: for a batch of shifts, the five arrays
+    (i, j, margin, residual, state) of each translate, that is, the site
+    indices of its worst decay pair, the pair's margin log|G(i, j)| +
+    c2 |i - j|, its residual, and the state its norms need.  ``resolve``
+    derives each pair's exponent c2 |i - j| from (i, j), the one place it
+    is formed.  ``_norms`` turns the state into ||G||, and ``_norms_within``
+    into the mask ``ok`` & ||G|| <= bound; by default the state is ||G||
+    itself.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
@@ -287,7 +296,8 @@ class _BatchResolver:
         each row of ``shifts``."""
         out = []
         for s in self._batches(shifts):
-            i, j, margin, exponent, residual, state = self._batch(s)
+            i, j, margin, residual, state = self._batch(s)
+            exponent = self.c2 * np.abs(self.sites[i] - self.sites[j]).max(axis=1)
             witnesses = [
                 DecayWitness((tuple(p), tuple(q)), m, e)
                 for p, q, m, e in zip((self.sites[i] + s).tolist(),
@@ -302,7 +312,7 @@ class _BatchResolver:
         and the largest residual among them all."""
         good, worst = [], 0.0
         for s in self._batches(shifts):
-            _, _, margin, _, residual, state = self._batch(s)
+            _, _, margin, residual, state = self._batch(s)
             worst = max(worst, float(residual.max()))
             good.append(self._norms_within(state, margin <= 0.0, norm_bound))
         return np.concatenate(good), worst
@@ -356,8 +366,8 @@ class _TranslateEngine(_BatchResolver):
             margins = np.log(np.abs(G.reshape(b, -1)[:, self.far])) + self.decay
         k = margins.argmax(axis=1)
         i, j = np.divmod(self.far[k], n)
-        margin, exponent = margins[np.arange(b), k], self.decay[k]
-        return i, j, margin, exponent, _residual_norm(A @ G - eye), 1.0 / nearest
+        margin = margins[np.arange(b), k]
+        return i, j, margin, _residual_norm(A @ G - eye), 1.0 / nearest
 
 
 def continued_fractions(work: np.ndarray, numerators) -> None:
@@ -408,7 +418,7 @@ class _TridiagonalResolver(_BatchResolver):
         a, h, diag = self._fractions(shifts)
         i, j, margin = self._worst_pairs(h[:, 0], diag)
         residual = self._column_residuals(a, h, diag, j)
-        return i, j, margin, self.c2 * (j - i), residual, a
+        return i, j, margin, residual, a
 
     def _norms_within(self, a, ok: np.ndarray, norm_bound: float) -> np.ndarray:
         energy, eps = self.z.real, self.z.imag
@@ -505,9 +515,24 @@ def _resolver(spec: OperatorSpec, shape: ElementaryRegion, z: complex, c2: float
     the real axis, where no pivot of the fractions can vanish; the batched
     engine for every other box (d >= 2, kernel range > 1, complex hopping,
     or eps = 0, where it reports a singular box)."""
-    if spec.tridiagonal is not None and z.imag > 0.0:
+    if _recursive(spec, z.imag):
         return _TridiagonalResolver(spec, shape, z, c2)
     return _TranslateEngine(spec, shape, z, c2)
+
+
+def _recursive(spec: OperatorSpec, epsilon: float) -> bool:
+    # the routing rule of ``_resolver``: it reads Im z only
+    return spec.tridiagonal is not None and epsilon > 0.0
+
+
+def check_scan_volume(spec: OperatorSpec, sub_size: int, epsilon: float) -> None:
+    """Raise the ValueError that a scan of the shapes of size ``sub_size``
+    at Im z = ``epsilon`` would raise when it builds its resolvers: the
+    batched engine's volumes are capped at ``MAX_DENSE_POINTS``, and the
+    largest shape is the full cube of (2 N1 + 1)^d points.  The 1-d
+    recursion has no cap."""
+    if not _recursive(spec, epsilon):
+        _check_dense((2 * sub_size + 1) ** spec.dimension)
 
 
 def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):

@@ -38,6 +38,7 @@ from ..dynamics import (
 from ..greens import (
     ClassificationParams,
     bad_set,
+    check_scan_volume,
     fit_sublinear_exponent,
     scan_boxes,
     scan_centers,
@@ -399,31 +400,36 @@ def _scan_setup(r: ConfigReader):
         if sub >= n:
             r.issues.append(f"sub-box size {sub} must be smaller than N={n}")
         pairs.append((n, sub))
+    if spec is not None and pairs:  # the dense cap binds the largest N1 first
+        sub = max(sub for _, sub in pairs)
+        try:
+            check_scan_volume(spec, sub, float(eps))
+        except ValueError as exc:
+            r.issues.append(f"sub-box size N1={sub} at eps={eps}: {exc}")
     return spec, pairs, energies, float(eps), params
 
 
 SCAN_CHUNK = 64  # centers per task; fixed so plans don't depend on workers
 
 
-def _center_chunks(size: int, d: int) -> list[list[tuple[int, ...]]]:
-    centers = list(scan_centers(size, d))
-    return [centers[i : i + SCAN_CHUNK] for i in range(0, len(centers), SCAN_CHUNK)]
+def _scan_tasks(fn, spec, pairs, energies, eps, params) -> list[Task]:
+    """``fn`` over each chunk of SCAN_CHUNK centers of [-N, N]^d at each
+    energy, in (N, E, chunk) order; the chunks of each N are built once."""
+    tasks = []
+    for n, sub in pairs:
+        centers = list(scan_centers(n, spec.dimension))
+        chunks = [centers[i : i + SCAN_CHUNK] for i in range(0, len(centers), SCAN_CHUNK)]
+        tasks += [Task(fn, dict(spec=spec, size=n, sub_size=sub, energy=e,
+                                eps=eps, params=params, centers=chunk))
+                  for e in energies for chunk in chunks]
+    return tasks
 
 
 def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec, pairs, energies, eps, params = _scan_setup(r)
     r.check()
-    tasks = [
-        Task(
-            _task_box_scan,
-            dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
-                 params=params, centers=chunk),
-        )
-        for n, sub in pairs
-        for e in energies
-        for chunk in _center_chunks(n, spec.dimension)
-    ]
+    tasks = _scan_tasks(_task_box_scan, spec, pairs, energies, eps, params)
     header = ["N", "N1", "E", "eps", *_coords_header(spec.dimension),
               "shapeId", "norm", "worstPairDecayMargin", "good", "stronglyGood"]
     return Plan(tasks, {"main": ("scan", header)})
@@ -435,16 +441,7 @@ def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
     if pairs is not None and len(pairs) < 3:
         r.issues.append("'scan.sizes' needs at least three scales for the fit")
     r.check()
-    tasks = [
-        Task(
-            _task_bad_set,
-            dict(spec=spec, size=n, sub_size=sub, energy=e, eps=eps,
-                 params=params, centers=chunk),
-        )
-        for e in energies
-        for n, sub in pairs
-        for chunk in _center_chunks(n, spec.dimension)
-    ]
+    tasks = _scan_tasks(_task_bad_set, spec, pairs, energies, eps, params)
     header = ["N", "N1", "E", "eps", "badCount", "totalCenters", "fraction"]
     fit_header = ["E", "eps", "delta", "slope", "slopeStderr", "residualRms",
                   "noBadBoxes"]
@@ -485,7 +482,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     radius = r.integer("parseval.radius", default=64, minimum=2)
     horizons = r.floats("parseval.horizons", required=True, positive=True,
                         distinct=True)
-    p = r.number("parseval.p", default=2.0, minimum=0.0)
+    p = r.number("parseval.p", default=2.0, positive=True)
     source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)

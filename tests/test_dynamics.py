@@ -300,6 +300,17 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment(DELTA0, 0.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0])
+    def test_every_moment_reader_rejects_nonpositive_p(self, p):
+        # unchecked, p = -1 gives inf with a RuntimeWarning and p = 0 the mass
+        run = evolve(AMO3, DELTA0, [1.0], 8)
+        table = amplitude_table_direct(AMO3, DELTA0, 2.0, 8)
+        for read in (lambda: moment_series(AMO3, DELTA0, p, [1.0], 8),
+                     lambda: run.moments(p),
+                     lambda: table.moment(p)):
+            with pytest.raises(ValueError, match="p must be positive"):
+                read()
+
     def test_series_carries_leakage_flag(self):
         leaky = moment_series(free_laplacian(1), DELTA0, 2.0, [30.0], 16)
         assert leaky.flagged and leaky.leakage > 1e-8

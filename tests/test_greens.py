@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_worst_pair
+from oracles import oracle_worst_pair, sup_dist as oracle_sup_dist
 from qpdyn.greens import (
     BadSetReport,
     ClassificationParams,
@@ -87,6 +87,12 @@ class TestGreens:
         assert resolvent_norm(AMO3, region, z) == pytest.approx(
             g.norm(), rel=1e-10
         )
+
+    def test_resolvent_norm_reads_the_dense_cap(self):
+        # 69^2 = 4761 points: the cap raises before any matrix is assembled
+        region = ElementaryRegion((0, 0), 34)
+        with pytest.raises(ValueError, match="4761 points; .* capped at 4500"):
+            resolvent_norm(free_laplacian(2), region, 1j)
 
     def test_residual_is_the_frobenius_norm(self):
         # ||(H - z) G - I||_F bounds the spectral norm at every size
@@ -683,3 +689,17 @@ def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, 
     else:
         assert witness.pair == pair
         assert (good, witness.margin) == (True, -math.inf)
+
+
+@pytest.mark.parametrize("spec, z, sub", [
+    (AMO3, 0.5 + 1e-3j, 9),
+    (AMO3, 0.5 + 0.0j, 9),
+    (FREE_RANGE2, 0.5 + 1e-3j, 7),
+    (amo_2d(3.0, 0.3), 0.5 + 1e-3j, 3),
+], ids=["recursion", "engine-eps-0", "engine-range-2", "engine-2d"])
+def test_witness_exponent_is_c2_times_the_pair_distance(spec, z, sub):
+    c2 = 0.37
+    centers = [(0,) * spec.dimension, (5,) * spec.dimension, (-3,) * spec.dimension]
+    for shape in enumerate_shapes(spec.dimension, sub):
+        for _, witness, _ in GREENS._resolver(spec, shape, z, c2).resolve(centers):
+            assert witness.exponent == c2 * oracle_sup_dist(*witness.pair)

@@ -9,6 +9,7 @@ import pytest
 from qpdyn.harness import cli, recipes
 from qpdyn.harness.config import (
     ConfigError,
+    config_from_raw,
     config_hash,
     load_config,
     parse_config_text,
@@ -26,6 +27,17 @@ model.preset = amo
 model.lambda = 3.0
 model.alpha = {GOLDEN}
 model.phase = 0.3
+"""
+
+# a 2-d Laplacian with a rank-one cosine potential: its boxes take the
+# batched engine, whose volumes are capped at 4500 points
+LAPLACIAN_2D = f"""
+model.kernel = laplacian
+model.dimension = 2
+model.potential.cos.1 = 6.0
+model.dynamics.mode = rank-one
+model.dynamics.alpha = {GOLDEN},0.414
+model.dynamics.phase = 0.3
 """
 
 
@@ -974,13 +986,15 @@ class TestCli:
         ("greens-scan", "scan.sizes = 0", "scan.sizes"),
         ("diophantine", f"dio.alpha = {GOLDEN}\ndio.tau = -1", "dio.tau"),
         ("moments", "moments.times = 10.0,1.0", "moments.times"),
+        ("parseval-check", "parseval.horizons = 2.0\nparseval.p = 0",
+         "parseval.p"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
             "source-length", "initial-outside-box", "evolve-initial-outside-box",
             "source-outside-box", "repeated-sizes", "repeated-energies",
             "class-xi", "horizons-negative", "horizons-zero", "sizes-negative",
             "sublinear-sizes-negative", "sizes-zero", "tau-negative",
-            "times-unsorted"])
+            "times-unsorted", "parseval-p-zero"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"
@@ -991,6 +1005,32 @@ class TestCli:
         code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,points", [
+        ("greens-scan", f"{LAPLACIAN_2D}scan.sizes = 35\nscan.sub_size = 34", 4761),
+        ("sublinear", f"{LAPLACIAN_2D}scan.sizes = 35,40,50\nscan.sub_size = 34",
+         4761),
+        ("greens-scan", f"{AMO_MODEL}scan.sizes = 2300\nscan.sub_size = 2250\n"
+         "scan.epsilon = 0.0", 4501),
+    ], ids=["2d", "2d-sublinear", "1d-eps-0"])
+    def test_dense_scan_over_the_cap_exit_two(self, tmp_path, capsys, command,
+                                              body, points):
+        # the plan rejects, with the count and the cap, what the first task
+        # would raise from inside the run
+        p = write(tmp_path, "cap.cfg", body)
+        code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"volume has {points} points; dense solves are capped at 4500"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_1d_recursion_scan_is_not_capped(self):
+        # the same 4501-site boxes off the real axis take the recursion
+        cfg = config_from_raw(parse_config_text(
+            f"{AMO_MODEL}scan.sizes = 2300\nscan.sub_size = 2250\n"
+            "scan.epsilon = 0.001\n"), "bad-set-scan")
+        plan = RECIPES["bad-set-scan"](cfg)
+        assert len(plan.tasks) == math.ceil(4601 / recipes.SCAN_CHUNK)
 
     @pytest.mark.parametrize("model", [
         "model.kernel = laplacian\nmodel.coupling = 2.0",
