@@ -728,9 +728,10 @@ def verify_resolvent_identity(
     if set(sites1) & set(sites2):
         raise ValueError("regions overlap")
     union = site_list(sites1 + sites2)
-    G = greens(spec, union, zc).matrix
-    idx1 = [union.index(p) for p in sites1]
-    idx2 = [union.index(p) for p in sites2]
+    whole = greens(spec, union, zc)
+    G = whole.matrix
+    idx1 = [whole._index[p] for p in sites1]
+    idx2 = [whole._index[p] for p in sites2]
     n = len(union)
     B = np.zeros((n, n), dtype=np.complex128)
     B[np.ix_(idx1, idx1)] = greens(spec, sites1, zc).matrix

@@ -294,6 +294,9 @@ class ConfigReader:
         except (TypeError, ValueError):
             self.issues.append(f"'{key}' must be an integer site, got {v!r}")
             return origin
+        if not site:
+            self.issues.append(f"'{key}' must be a non-empty site, got {v!r}")
+            return origin
         if dimension is not None and len(site) != dimension:
             self.issues.append(
                 f"'{key}' must have {dimension} coordinates, got {v!r}"

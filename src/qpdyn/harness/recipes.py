@@ -367,6 +367,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
         for mode in modes
         for group in ([(p,) for p in ps] if mode == "time-averaged-parseval"
                       else [ps])
+        if group
     ]
     header = ["mode", "p", "t_or_T", "value", "radius", "leakage", "model"]
     fit_header = ["mode", "p", "gamma", "residual_rms", "poor_fit", "note"]
@@ -505,7 +506,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
 def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     dynamics = build_dynamics(r, prefix="orbit")
-    sizes = r.integers("disc.sizes", required=True, positive=True)
+    sizes = r.integers("disc.sizes", required=True, positive=True, distinct=True)
     samples = r.integer("disc.phase_samples", default=0, minimum=0)
     resolution = r.integer("disc.grid_resolution", default=32, minimum=2)
     if dynamics is not None and not dynamics.lattice_dim_compatible(1):
@@ -532,6 +533,8 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
 def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     alpha = r.floats("dio.alpha", required=True)
+    if alpha == ():
+        r.issues.append("'dio.alpha' must list at least one frequency")
     kappa = r.number("dio.kappa", default=DiophantineParams.kappa, minimum=1.0)
     tau = r.number("dio.tau", default=DiophantineParams.tau, positive=True)
     # the library's default cutoff is a 1-d one: b >= 2 needs its own
@@ -551,7 +554,7 @@ def _plan_diophantine(cfg: ExperimentConfig) -> Plan:
 def _plan_lyapunov(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
-    energies = r.floats("lyapunov.energies", required=True)
+    energies = r.floats("lyapunov.energies", required=True, distinct=True)
     eps = r.number("lyapunov.epsilon", default=0.0, minimum=0.0)
     length = r.integer("lyapunov.length", default=10000, minimum=10)
     n_phases = r.integer("lyapunov.phase_samples", default=8, minimum=1)

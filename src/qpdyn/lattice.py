@@ -68,23 +68,20 @@ class ElementaryRegion:
     def dimension(self) -> int:
         return len(self.center)
 
+    def _in_sector(self, rel: Coords) -> bool:
+        """Whether a point relative to the center lies in the removed sector."""
+        marked = [(r, s) for r, s in zip(rel, self.sector) if s is not None]
+        return bool(marked) and all(r < 0 if s == LESS else r > 0 for r, s in marked)
+
     def contains(self, n: Sequence[int]) -> bool:
         rel = tuple(int(a) - c for a, c in zip(n, self.center, strict=True))
-        if any(abs(r) > self.size for r in rel):
-            return False
-        marked = [(r, s) for r, s in zip(rel, self.sector) if s is not None]
-        if not marked:
-            return True
-        in_sector = all(r < 0 if s == LESS else r > 0 for r, s in marked)
-        return not in_sector
+        return all(abs(r) <= self.size for r in rel) and not self._in_sector(rel)
 
     def points(self) -> Iterator[Coords]:
         rng = range(-self.size, self.size + 1)
         for rel in itertools.product(rng, repeat=self.dimension):
-            marked = [(r, s) for r, s in zip(rel, self.sector) if s is not None]
-            if marked and all(r < 0 if s == LESS else r > 0 for r, s in marked):
-                continue
-            yield tuple(r + c for r, c in zip(rel, self.center))
+            if not self._in_sector(rel):
+                yield tuple(r + c for r, c in zip(rel, self.center))
 
     def translate(self, k: Sequence[int]) -> "ElementaryRegion":
         center = tuple(c + int(a) for c, a in zip(self.center, k, strict=True))

@@ -351,35 +351,21 @@ def hopping_block(spec: OperatorSpec, sites: np.ndarray) -> np.ndarray:
     """Kernel part S(n - n') / coupling of the volume matrix.
 
     ``sites`` is an (m, d) integer array of distinct sites; rows and columns
-    follow its order.  The block depends only on site differences, so every
-    translate of a volume shares it.
+    follow its order.  A dict from site to row finds, for each kernel offset
+    k, the row of every target p - k inside the volume, so any coordinate
+    range works.  Each (row, col) pair has one offset, so every entry is
+    zero plus one hop.  The block depends only on site differences, so
+    every translate of a volume shares it.
     """
     sites = np.asarray(sites, dtype=np.int64)
-    n, d = sites.shape
+    n = len(sites)
     H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
-    offsets, hops = [], []
+    row_of = {p: i for i, p in enumerate(map(tuple, sites.tolist()))}
     for k, _ in spec.kernel.coefficients:
-        hop = spec.hopping(k)
-        if any(k):
-            offsets.append(k)
-            hops.append(hop)
-        else:
-            H[np.diag_indices(n)] += hop
-    if not offsets:
-        return H
-    # site p couples to q = p - k: label sites and targets by one
-    # lexicographic sort, which works for any coordinate range
-    offsets = np.asarray(offsets, dtype=np.int64)
-    targets = (sites[None, :, :] - offsets[:, None, :]).reshape(-1, d)
-    _, label = np.unique(np.concatenate([sites, targets]), axis=0,
-                         return_inverse=True)
-    label = label.reshape(-1)
-    site_of = np.full(label.max() + 1, -1, dtype=np.int64)
-    site_of[label[:n]] = np.arange(n)
-    cols = site_of[label[n:]].reshape(len(offsets), n)
-    k, rows = np.nonzero(cols >= 0)
-    # one offset per (row, col) pair, so each entry is zero plus one hop
-    H[rows, cols[k, rows]] += np.asarray(hops, dtype=H.dtype)[k]
+        targets = map(tuple, (sites - k).tolist())
+        cols = np.fromiter((row_of.get(q, -1) for q in targets), np.int64, n)
+        rows = np.flatnonzero(cols >= 0)
+        H[rows, cols[rows]] += spec.hopping(k)
     return H
 
 

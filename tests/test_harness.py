@@ -344,9 +344,14 @@ class TestRecipes:
          "'evolve.times' must be sorted ascending, got (10.0, 1.0)"),
         ("evolve", "evolve.times = 1.0,1.0",
          "'evolve.times' repeats a value: (1.0, 1.0)"),
+        ("lyapunov-map", "lyapunov.energies = 0.0,0.0",
+         "'lyapunov.energies' repeats a value: (0.0, 0.0)"),
+        ("discrepancy-sweep", "disc.sizes = 10,10",
+         "'disc.sizes' repeats a value: (10, 10)"),
     ], ids=["p-repeated", "modes-repeated", "times-repeated", "times-unsorted",
             "horizons-repeated", "parseval-horizons-repeated", "sizes-repeated",
-            "evolve-times-unsorted", "evolve-times-repeated"])
+            "evolve-times-unsorted", "evolve-times-repeated",
+            "lyapunov-energies-repeated", "disc-sizes-repeated"])
     def test_a_repeated_or_unsorted_grid_is_one_issue(self, tmp_path, experiment,
                                                       body, issue):
         p = write(tmp_path, "grid.cfg",
@@ -612,6 +617,30 @@ class TestRecipes:
         assert fit.endswith(",instantaneous,2.0,nan,nan,false,need at least 10 samples")
         manifest = json.loads((tmp_path / "out" / "mom_manifest.json").read_text())
         assert manifest["max_matrix_order"] == 0
+
+    def test_an_empty_p_grid_runs_nothing(self, tmp_path, monkeypatch):
+        decomposed = []
+        box_eigh = dynamics._box_eigh
+        monkeypatch.setattr(dynamics, "_box_eigh",
+                            lambda *args: decomposed.append(args) or box_eigh(*args))
+        p = write(
+            tmp_path,
+            "mom.cfg",
+            f"""
+            experiment = moment-growth
+            {AMO_MODEL}
+            moments.modes = instantaneous,time-averaged-direct,time-averaged-parseval
+            moments.p = ,
+            moments.times = 1.0,2.0
+            moments.horizons = 2.0
+            moments.radius = 8
+            output.prefix = mom
+            """,
+        )
+        assert RECIPES["moment-growth"](load_config(p)).tasks == []
+        result = run_experiment(load_config(p), tmp_path / "out")
+        assert decomposed == []
+        assert result.row_counts == {"mom_moments.csv": 0, "mom_fits.csv": 0}
 
     def test_manifest_records_max_leakage(self, tmp_path):
         p = write(
@@ -988,13 +1017,23 @@ class TestCli:
         ("moments", "moments.times = 10.0,1.0", "moments.times"),
         ("parseval-check", "parseval.horizons = 2.0\nparseval.p = 0",
          "parseval.p"),
+        ("diophantine", "dio.alpha = ,", "dio.alpha"),
+        # an invalid model leaves the dimension unknown; the site is still read
+        ("evolve", "model.preset = nope\nevolve.times = 1.0\nevolve.initial = ,",
+         "evolve.initial"),
+        ("moments", "model.preset = nope\nmoments.times = 1.0\n"
+         "moments.initial = ,", "moments.initial"),
+        ("parseval-check", "model.preset = nope\nparseval.horizons = 2.0\n"
+         "parseval.source = ,", "parseval.source"),
     ], ids=["typo", "max-doublings", "horizon", "sizes-text", "sizes-fraction",
             "disc-sizes-fraction", "initial-length", "evolve-initial-length",
             "source-length", "initial-outside-box", "evolve-initial-outside-box",
             "source-outside-box", "repeated-sizes", "repeated-energies",
             "class-xi", "horizons-negative", "horizons-zero", "sizes-negative",
             "sublinear-sizes-negative", "sizes-zero", "tau-negative",
-            "times-unsorted", "parseval-p-zero"])
+            "times-unsorted", "parseval-p-zero", "dio-alpha-empty",
+            "evolve-initial-empty-bad-model", "initial-empty-bad-model",
+            "source-empty-bad-model"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,
                                               body, key):
         model = AMO_MODEL if command != "discrepancy" else f"orbit.alpha = {GOLDEN}"

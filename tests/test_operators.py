@@ -156,6 +156,7 @@ class TestAssemble:
         [
             (almost_mathieu(3.0, GOLDEN, 0.3), ElementaryRegion((7,), 12)),
             (free_laplacian(2), ElementaryRegion((1, -2), 3, ("<", ">"))),
+            (free_laplacian(3), ElementaryRegion((0, 0, 0), 3, ("<", "<", None))),
             (free_laplacian(2), GeneralizedRegion((0, 0), (2, 3), cut=(1, 1))),
             (free_laplacian(1), [(0,), (3,), (1,), (10**12,)]),
             (
@@ -169,6 +170,18 @@ class TestAssemble:
                     coupling=3.0,
                 ),
                 ElementaryRegion((-4,), 9),
+            ),
+            (
+                OperatorSpec(
+                    KernelSpec.toeplitz(
+                        {(0,): 0.5, (1,): 0.4 + 0.3j, (3,): -0.1j},
+                        decay_amplitude=2.0, decay_rate=0.4,
+                    ),
+                    PotentialSpec.cosine_series({(1,): 1.0}),
+                    ShiftDynamics(LINEAR_FORM, (GOLDEN,), (0.2,)),
+                    coupling=3.0,
+                ),
+                ElementaryRegion((0,), 64),
             ),
         ],
     )
