@@ -204,11 +204,11 @@ class DiophantineParams:
     k_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kappa < 1.0:
+        if not self.kappa >= 1.0:  # so that NaN fails
             raise ValueError("kappa must be at least 1")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.k_max is not None and self.k_max < 1:
+        if self.k_max is not None and not self.k_max >= 1:
             raise ValueError("k_max must be at least 1")
 
 
@@ -234,9 +234,9 @@ def diophantine_check(
     ones, in lexicographic order, the first of tied vectors winning.  The
     report's ``params`` carry the cutoff that was used."""
     vec = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if vec.ndim != 1 or not vec.size:
+    if vec.ndim != 1 or not vec.size or not np.isfinite(vec).all():
         raise ValueError(
-            f"alpha must be a non-empty list of frequencies, got {alpha!r}"
+            f"alpha must be a non-empty list of finite frequencies, got {alpha!r}"
         )
     if params.k_max is None:
         if vec.size >= 2:

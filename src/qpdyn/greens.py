@@ -59,7 +59,7 @@ class ComplexEnergy:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:  # so that NaN fails
             raise ValueError("epsilon must be non-negative")
 
     @property
@@ -180,7 +180,7 @@ class ClassificationParams:
     # can actually fail at desk scales (N^(0.95-xi) < tile count at N ~ 100)
 
     def __post_init__(self) -> None:
-        if self.c2 <= 0:
+        if not self.c2 > 0:  # so that NaN fails
             raise ValueError("c2 must be positive")
         for name in ("sigma", "xi", "varsigma"):
             v = getattr(self, name)

@@ -8,9 +8,11 @@ config is reported in full.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -151,10 +153,6 @@ def _as_tuple(value: Any) -> tuple:
     return (value,)
 
 
-def _floats(value: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in _as_tuple(value))
-
-
 def _exempt(key: str) -> bool:
     """Keys read outside the recipes: the runners own these."""
     return key in ("experiment", "seed", "output.prefix") or key.startswith("sweep.")
@@ -162,7 +160,11 @@ def _exempt(key: str) -> bool:
 
 class ConfigReader:
     """Pulls typed values out of the raw mapping, accumulating issues and
-    remembering which keys were read."""
+    remembering which keys were read.  Every numeric value (scalar, grid,
+    site coordinate, model coefficient) passes one rule, ``_numbers``: a
+    finite int or float, never a bool, complex only for a kernel coefficient.
+    A key's own rules (integral, positive, minimum, maximum, distinct,
+    ascending) sit on top; the first one broken is the key's one issue."""
 
     def __init__(self, raw: Mapping[str, Any]):
         self.raw = raw
@@ -186,71 +188,62 @@ class ConfigReader:
             self.issues.append(f"missing required key '{key}'")
         return default
 
-    def _admits(self, key, values, v, positive=False, distinct=False,
-                ascending=False) -> bool:
-        """The list rules a reader can ask for: with ``positive`` every
-        value is > 0, with ``distinct`` none repeats, with ``ascending`` they
-        are sorted.  A broken rule is an issue, and the value reads as the
-        default."""
-        if positive and not all(x > 0 for x in values):
-            self.issues.append(f"'{key}' must be positive, got {v!r}")
-            return False
-        if distinct and len(set(values)) < len(values):
+    def _numbers(self, key, v, scalar=False, integral=False, complex_ok=False,
+                 positive=False, minimum=None, maximum=None, distinct=False,
+                 ascending=False) -> tuple | None:
+        """The entries of ``v`` (one value with ``scalar``, else a comma
+        list) under the one number rule and the key's own rules, as ints
+        when ``integral``; None once the first broken rule is an issue."""
+        values = (v,) if scalar else _as_tuple(v)
+        kinds = (int, float, complex) if complex_ok else (int, float)
+        # an int is finite, and may be too large for isfinite
+        if not all(isinstance(x, kinds) and not isinstance(x, bool)
+                   and (isinstance(x, int) or cmath.isfinite(x)) for x in values):
+            issue = f"must be {'a finite number' if scalar else 'finite numbers'}"
+        elif integral and any(x != int(x) for x in values):
+            issue = f"must be {'an integer' if scalar else 'integers'}"
+        elif positive and not all(x > 0 for x in values):
+            issue = "must be positive"
+        elif minimum is not None and any(x < minimum for x in values):
+            issue = f"must be >= {minimum}"
+        elif maximum is not None and any(x > maximum for x in values):
+            issue = f"must be <= {maximum}"
+        elif distinct and len(set(values)) < len(values):
             self.issues.append(f"'{key}' repeats a value: {v!r}")
-            return False
-        if ascending and list(values) != sorted(values):
-            self.issues.append(f"'{key}' must be sorted ascending, got {v!r}")
-            return False
-        return True
+            return None
+        elif ascending and list(values) != sorted(values):
+            issue = "must be sorted ascending"
+        else:
+            return tuple(map(int, values)) if integral else values
+        self.issues.append(f"'{key}' {issue}, got {v!r}")
+        return None
+
+    def _read(self, key, default, required, **rules) -> tuple | None:
+        v = self._fetch(key, default, required)
+        return None if v is None else self._numbers(key, v, **rules)
 
     def number(self, key, default=None, required=False, minimum=None, maximum=None,
                positive=False):
-        v = self._fetch(key, default, required)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.issues.append(f"'{key}' must be a number, got {v!r}")
-            return default
-        if not self._admits(key, (v,), v, positive):
-            return default
-        if minimum is not None and v < minimum:
-            self.issues.append(f"'{key}' must be >= {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            self.issues.append(f"'{key}' must be <= {maximum}, got {v}")
-        return v
+        got = self._read(key, default, required, scalar=True, minimum=minimum,
+                         maximum=maximum, positive=positive)
+        return default if got is None else got[0]
 
     def integer(self, key, default=None, required=False, minimum=None):
-        v = self.number(key, default, required, minimum)
-        if v is None:
-            return None
-        if int(v) != v:
-            self.issues.append(f"'{key}' must be an integer, got {v!r}")
-            return default
-        return int(v)
+        got = self._read(key, default, required, scalar=True, integral=True,
+                         minimum=minimum)
+        return default if got is None else got[0]
 
     def floats(self, key, default=None, required=False, positive=False,
                distinct=False, ascending=False):
-        v = self._fetch(key, default, required)
-        if v is None:
-            return None
-        try:
-            values = _floats(v)
-        except (TypeError, ValueError):
-            self.issues.append(f"'{key}' must be numeric, got {v!r}")
-            return default
-        if not self._admits(key, values, v, positive, distinct, ascending):
-            return default
-        return values
+        got = self._read(key, default, required, positive=positive,
+                         distinct=distinct, ascending=ascending)
+        return default if got is None else tuple(map(float, got))
 
     def integers(self, key, default=None, required=False, positive=False,
                  distinct=False):
-        v = self.floats(key, default, required, positive, distinct)
-        if v is None:
-            return None
-        if not all(x.is_integer() for x in v):
-            self.issues.append(f"'{key}' must be integers, got {v!r}")
-            return default
-        return tuple(int(x) for x in v)
+        got = self._read(key, default, required, integral=True, positive=positive,
+                         distinct=distinct)
+        return default if got is None else got
 
     def string(self, key, default=None, required=False, choices=None):
         v = self._fetch(key, default, required)
@@ -266,15 +259,25 @@ class ConfigReader:
         v = tuple(str(x) for x in _as_tuple(self._fetch(key, default, False)))
         if any(x not in choices for x in v):
             self.issues.append(f"'{key}' entries must be in {choices}, got {v!r}")
-        self._admits(key, v, v, distinct=True)
+        if len(set(v)) < len(v):
+            self.issues.append(f"'{key}' repeats a value: {v!r}")
         return v
 
-    def prefixed(self, head: str) -> list[tuple[str, Any]]:
-        """(rest of the key, value) for every key that starts with ``head``."""
-        items = [(k[len(head) :], v) for k, v in self.raw.items()
-                 if k.startswith(head)]
-        self.read.update(head + rest for rest, _ in items)
-        return items
+    def coefficients(self, head: str, complex_ok: bool = False) -> dict:
+        """{integer vector: value} of every key ``head`` + ``k1,...,kd``;
+        each value is read by the one number rule."""
+        table = {}
+        for key in [k for k in self.raw if k.startswith(head)]:
+            self.read.add(key)
+            index = tuple(_parse_scalar(c) for c in key[len(head):].split(","))
+            if not all(type(c) is int for c in index):
+                self.issues.append(f"'{key}' must end in integer coordinates")
+                continue
+            got = self._numbers(key, self.raw[key], scalar=True,
+                                complex_ok=complex_ok)
+            if got is not None:
+                table[index] = got[0]
+        return table
 
     def flag(self, key, default=False):
         v = self._fetch(key, default, required=False)
@@ -289,10 +292,8 @@ class ConfigReader:
         passes when ``dimension`` is None (the model itself is invalid)."""
         origin = (0,) * (dimension or 1)
         v = self._fetch(key, origin, required=False)
-        try:
-            site = tuple(int(c) for c in _as_tuple(v))
-        except (TypeError, ValueError):
-            self.issues.append(f"'{key}' must be an integer site, got {v!r}")
+        site = self._numbers(key, v, integral=True)
+        if site is None:
             return origin
         if not site:
             self.issues.append(f"'{key}' must be a non-empty site, got {v!r}")
@@ -320,78 +321,66 @@ def build_dynamics(reader: ConfigReader, prefix: str = "model.dynamics"):
 
 
 def build_operator(reader: ConfigReader) -> OperatorSpec | None:
+    """The model of the ``model.*`` keys, or None with its issues recorded:
+    each key is read and checked where it takes effect, and then one guarded
+    construction builds the model."""
     preset = reader.string("model.preset", default=None)
     if preset == "amo":
-        lam = reader.number("model.lambda", required=True, minimum=0.0)
-        alpha = reader.number("model.alpha", required=True)
-        phase = reader.number("model.phase", default=0.0)
-        if reader.issues:
-            return None
-        return almost_mathieu(float(lam), float(alpha), float(phase))
-    if preset == "free-laplacian":
-        d = reader.integer("model.dimension", default=1, minimum=1)
-        return free_laplacian(d or 1)
-    if preset is not None:
+        build = partial(almost_mathieu,
+                        reader.number("model.lambda", required=True, minimum=0.0),
+                        reader.number("model.alpha", required=True),
+                        reader.number("model.phase", default=0.0))
+    elif preset == "free-laplacian":
+        build = partial(free_laplacian,
+                        reader.integer("model.dimension", default=1, minimum=1))
+    elif preset is None:
+        build = _explicit_model(reader)
+    else:
         reader.issues.append(
             f"unknown model.preset {preset!r} (amo, free-laplacian, or omit)"
         )
+    if reader.issues:
         return None
-
-    kind = reader.string(
-        "model.kernel", default="laplacian", choices={"zero", "laplacian", "toeplitz"}
-    )
-    d = reader.integer("model.dimension", default=1, minimum=1) or 1
-    kernel = None
-    if kind == "zero":
-        kernel = KernelSpec.zero(d)
-    elif kind == "laplacian":
-        kernel = KernelSpec.laplacian(d)
-    else:
-        coeffs = {}
-        for offset_text, value in reader.prefixed("model.kernel.coeff."):
-            try:
-                offset = tuple(int(c) for c in offset_text.split(","))
-                coeffs[offset] = complex(value)
-            except (TypeError, ValueError):
-                reader.issues.append(
-                    f"bad kernel coefficient at 'model.kernel.coeff.{offset_text}'"
-                )
-        amp = reader.number("model.kernel.amplitude", default=math.e, minimum=0.0)
-        rate = reader.number("model.kernel.rate", default=1.0, minimum=0.0)
-        if not coeffs:
-            reader.issues.append("toeplitz kernel needs model.kernel.coeff.* entries")
-        else:
-            try:
-                kernel = KernelSpec.toeplitz(coeffs, float(amp), float(rate))
-            except ValueError as exc:
-                reader.issues.append(f"kernel: {exc}")
-
-    const = reader.number("model.potential.const", default=0.0)
-    cosine = {}
-    sine = {}
-    for name, store in (("cos", cosine), ("sin", sine)):
-        head = f"model.potential.{name}."
-        for freq_text, value in reader.prefixed(head):
-            try:
-                freq = tuple(int(c) for c in freq_text.split(","))
-                store[freq] = float(value)
-            except (TypeError, ValueError):
-                reader.issues.append(
-                    f"bad potential coefficient at '{head}{freq_text}'"
-                )
-    dynamics = build_dynamics(reader)
-    if dynamics is None or kernel is None or reader.issues:
-        return None
-    b = dynamics.torus_dim
-    potential = PotentialSpec(
-        b,
-        constant=float(const),
-        cosine=tuple(sorted(cosine.items())),
-        sine=tuple(sorted(sine.items())),
-    )
-    coupling = reader.number("model.coupling", default=1.0, minimum=0.0)
     try:
-        return OperatorSpec(kernel, potential, dynamics, float(coupling))
+        return build()
     except ValueError as exc:
         reader.issues.append(f"model: {exc}")
         return None
+
+
+def _explicit_model(reader: ConfigReader):
+    """Read the keys of a model without a preset; returns its builder."""
+    kind = reader.string(
+        "model.kernel", default="laplacian", choices={"zero", "laplacian", "toeplitz"}
+    )
+    d = reader.integer("model.dimension", default=None, minimum=1)
+    if kind == "toeplitz":
+        head = "model.kernel.coeff."
+        coeffs = reader.coefficients(head, complex_ok=True)
+        amp = reader.number("model.kernel.amplitude", default=math.e, positive=True)
+        rate = reader.number("model.kernel.rate", default=1.0, positive=True)
+        if not any(key.startswith(head) for key in reader.raw):
+            reader.issues.append(f"toeplitz kernel needs {head}* entries")
+    const = reader.number("model.potential.const", default=0.0)
+    cosine = reader.coefficients("model.potential.cos.")
+    sine = reader.coefficients("model.potential.sin.")
+    dynamics = build_dynamics(reader)
+    coupling = reader.number("model.coupling", default=1.0, positive=True)
+
+    def build():
+        if kind == "toeplitz":
+            kernel = KernelSpec.toeplitz(coeffs, float(amp), float(rate))
+            if d not in (None, kernel.dimension):
+                raise ValueError(f"'model.dimension' is {d}, but the kernel "
+                                 f"offsets are {kernel.dimension}-dimensional")
+        else:
+            make = KernelSpec.zero if kind == "zero" else KernelSpec.laplacian
+            kernel = make(d or 1)
+        potential = PotentialSpec(
+            dynamics.torus_dim,
+            constant=float(const),
+            cosine=tuple(sorted(cosine.items())),
+            sine=tuple(sorted(sine.items())),
+        )
+        return OperatorSpec(kernel, potential, dynamics, float(coupling))
+    return build

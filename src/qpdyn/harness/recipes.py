@@ -220,7 +220,7 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
     run = dynamics if phase is None else type(dynamics)(
-        dynamics.mode, dynamics.alpha, (phase,) * len(dynamics.phase)
+        dynamics.mode, dynamics.alpha, phase
     )
     pts = orbit_points(run, n_points)
     report = discrepancy(pts, grid_resolution)
@@ -512,9 +512,10 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
     if dynamics is not None and not dynamics.lattice_dim_compatible(1):
         r.issues.append("orbit dynamics must be driven by a single index")
     r.check()
+    # the configured phase, then one point of T^b per sample
+    b = dynamics.torus_dim
     rng = np.random.default_rng(cfg.seed)
-    phases: list[float | None] = [None]
-    phases += [float(x) for x in rng.random(samples)]
+    phases = [None, *(tuple(map(float, x)) for x in rng.random((samples, b)))]
     tasks = [
         Task(
             _task_discrepancy,
@@ -524,7 +525,6 @@ def _plan_discrepancy(cfg: ExperimentConfig) -> Plan:
         for n in sizes
         for phase in phases
     ]
-    b = dynamics.torus_dim
     header = ["b", "N", *[f"alpha{i}" for i in range(b)],
               *[f"x{i}" for i in range(b)], "D_N", "method", "attained"]
     return Plan(tasks, {"main": ("discrepancy", header)})

@@ -50,7 +50,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.decay_amplitude <= 0 or self.decay_rate <= 0:
+        if not (self.decay_amplitude > 0 and self.decay_rate > 0):  # NaN fails
             raise ValueError("decay constants must be positive")
         table = {}
         for k, v in self.coefficients:
@@ -256,7 +256,7 @@ class OperatorSpec:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.coupling <= 0:
+        if not self.coupling > 0:  # so that NaN fails
             raise ValueError("coupling must be positive")
         if not self.dynamics.lattice_dim_compatible(self.kernel.dimension):
             raise ValueError(

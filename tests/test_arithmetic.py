@@ -209,11 +209,22 @@ class TestDiophantine:
         with pytest.raises(ValueError, match="alpha"):
             diophantine_check([])
 
+    @pytest.mark.parametrize("alpha", [[math.nan], (GOLDEN, math.inf)])
+    def test_rejects_a_frequency_that_is_not_finite(self, alpha):
+        # every distance ||k.alpha|| of a NaN frequency is NaN, which no
+        # margin comparison catches
+        with pytest.raises(ValueError, match="finite frequencies"):
+            diophantine_check(alpha, DiophantineParams(k_max=100))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DiophantineParams(kappa=0.5)
         with pytest.raises(ValueError):
             DiophantineParams(tau=-1.0)
+        # NaN fails every bound, rather than passing it
+        for name in ("kappa", "tau", "k_max"):
+            with pytest.raises(ValueError, match=name):
+                DiophantineParams(**{name: math.nan})
 
 
 class TestContinuedFraction:

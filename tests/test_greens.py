@@ -75,6 +75,11 @@ class TestGreens:
         expected = np.array([[a, -b], [-b, a]]) / det
         assert np.allclose(g.matrix, expected, atol=1e-14)
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan])
+    def test_epsilon_must_be_non_negative(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            ComplexEnergy(0.0, eps)
+
     def test_norm_bounded_by_inverse_epsilon(self):
         g = greens(AMO3, ElementaryRegion((0,), 40), ComplexEnergy(1.0, 0.1))
         assert g.norm() <= 10.0 * (1.0 + 1e-10)
@@ -119,6 +124,14 @@ class TestGreens:
 
 
 class TestGoodness:
+    @pytest.mark.parametrize("name,value", [
+        ("c2", 0.0), ("c2", math.nan), ("sigma", 1.0), ("sigma", math.nan),
+        ("xi", math.nan), ("varsigma", math.nan),
+    ])
+    def test_classification_params_are_validated(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ClassificationParams(**{name: value})
+
     def test_diagonal_resolvent_good_for_any_rate(self):
         spec = constant_diag(0.0)
         for c2 in (0.1, 1.0, 5.0):

@@ -16,9 +16,10 @@ from qpdyn.harness.config import (
     parse_value,
 )
 from qpdyn import dynamics
+from qpdyn.arithmetic import discrepancy, orbit_points
 from qpdyn.dynamics import amplitude_table_parseval, evolve
 from qpdyn.harness.recipes import RECIPES, run_experiment, run_sweep
-from qpdyn.operators import StateVector, almost_mathieu
+from qpdyn.operators import LINEAR_FORM, ShiftDynamics, StateVector, almost_mathieu
 
 GOLDEN = repr((math.sqrt(5.0) - 1.0) / 2.0)
 
@@ -38,6 +39,13 @@ model.potential.cos.1 = 6.0
 model.dynamics.mode = rank-one
 model.dynamics.alpha = {GOLDEN},0.414
 model.dynamics.phase = 0.3
+"""
+
+
+# a 1-d Laplacian on a 1-torus, for model keys added by each test
+EXPLICIT_1D = f"""
+model.kernel = laplacian
+model.dynamics.alpha = {GOLDEN}
 """
 
 
@@ -194,6 +202,50 @@ class TestRecipes:
         manifest = json.loads((tmp_path / "out" / "ev_manifest.json").read_text())
         assert manifest["config_hash"] == result.config_hash
         assert manifest["row_counts"] == result.row_counts
+
+    def _discrepancy_rows(self, tmp_path, body):
+        """The rows of one discrepancy-sweep, after checking that they are
+        byte-identical at one and two workers and that each D_N is the
+        discrepancy of its own orbit."""
+        p = write(tmp_path, "disc.cfg",
+                  f"experiment = discrepancy-sweep\n{body}\noutput.prefix = d\n")
+        for workers in (1, 2):
+            run_experiment(load_config(p), tmp_path / f"w{workers}", workers=workers)
+        csvs = [(tmp_path / w / "d_discrepancy.csv").read_bytes() for w in ("w1", "w2")]
+        assert csvs[0] == csvs[1]
+        lines = csvs[0].decode().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for row in rows:
+            b = int(row["b"])
+            alpha = tuple(float(row[f"alpha{i}"]) for i in range(b))
+            phase = tuple(float(row[f"x{i}"]) for i in range(b))
+            pts = orbit_points(ShiftDynamics(LINEAR_FORM, alpha, phase), int(row["N"]))
+            assert float(row["D_N"]) == discrepancy(pts, 32).value
+        return rows
+
+    def test_discrepancy_sweep_samples_phases(self, tmp_path):
+        # each size runs the configured phase, then the same sampled phases
+        rows = self._discrepancy_rows(
+            tmp_path,
+            f"orbit.alpha = {GOLDEN}\norbit.phase = 0.25\n"
+            "disc.sizes = 10,20\ndisc.phase_samples = 2",
+        )
+        assert [row["N"] for row in rows] == ["10"] * 3 + ["20"] * 3
+        phases = [row["x0"] for row in rows]
+        assert phases[0] == phases[3] == "0.25"
+        assert phases[1:3] == phases[4:6]
+        assert len(set(phases)) == 3
+
+    def test_discrepancy_phase_samples_cover_the_torus(self, tmp_path):
+        # a sample is a point of T^2, not a point of its diagonal
+        rows = self._discrepancy_rows(
+            tmp_path,
+            f"orbit.alpha = {GOLDEN},0.4142135623730951\n"
+            "disc.sizes = 10\ndisc.phase_samples = 1",
+        )
+        assert len(rows) == 2
+        assert rows[0]["x0"] == rows[0]["x1"] == "0.0"
+        assert rows[1]["x0"] != rows[1]["x1"]
 
     def test_empty_grid_is_noop(self, tmp_path):
         p = write(
@@ -1044,6 +1096,75 @@ class TestCli:
         code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,issues", [
+        ("evolve", f"{AMO_MODEL}evolve.times = 1.0\nevolve.radius = nan",
+         ["'evolve.radius' must be a finite number, got nan"]),
+        ("evolve", f"{AMO_MODEL}evolve.times = 1.0\nevolve.radius = inf",
+         ["'evolve.radius' must be a finite number, got inf"]),
+        ("greens-scan", f"{AMO_MODEL}scan.sizes = 10\nscan.sub_exponent = nan",
+         ["'scan.sub_exponent' must be a finite number, got nan"]),
+        ("lyapunov", f"{AMO_MODEL}lyapunov.energies = 0.0\nlyapunov.length = nan",
+         ["'lyapunov.length' must be a finite number, got nan"]),
+        ("evolve", AMO_MODEL.replace("lambda = 3.0", "lambda = nan")
+         + "evolve.times = 1.0", ["'model.lambda' must be a finite number, got nan"]),
+        ("evolve", AMO_MODEL.replace(f"alpha = {GOLDEN}", "alpha = inf")
+         + "evolve.times = 1.0", ["'model.alpha' must be a finite number, got inf"]),
+        ("evolve", f"{EXPLICIT_1D}model.potential.cos.1 = nan\nevolve.times = 1.0",
+         ["'model.potential.cos.1' must be a finite number, got nan"]),
+        ("evolve", f"{EXPLICIT_1D}model.potential.sin.1 = 1+2j\nevolve.times = 1.0",
+         ["'model.potential.sin.1' must be a finite number, got (1+2j)"]),
+        ("evolve", "model.kernel = toeplitz\nmodel.kernel.coeff.1 = nan+1j\n"
+         "evolve.times = 1.0",
+         ["'model.kernel.coeff.1' must be a finite number, got (nan+1j)"]),
+        ("evolve", "model.kernel = toeplitz\nmodel.kernel.coeff.1 = true\n"
+         "evolve.times = 1.0", ["'model.kernel.coeff.1' must be a finite number, got True"]),
+        ("evolve", "model.kernel = toeplitz\nmodel.kernel.coeff.1 = 0.3\n"
+         "model.kernel.rate = 0\nevolve.times = 1.0",
+         ["'model.kernel.rate' must be positive, got 0"]),
+        ("diophantine", f"dio.alpha = {GOLDEN}\ndio.kappa = nan",
+         ["'dio.kappa' must be a finite number, got nan"]),
+        ("sublinear", f"{AMO_MODEL}scan.sizes = 10,20,40\nscan.epsilon = nan",
+         ["'scan.epsilon' must be a finite number, got nan"]),
+        ("evolve", f"{AMO_MODEL}evolve.times = 1.0,inf",
+         ["'evolve.times' must be finite numbers, got (1.0, inf)"]),
+        ("moments", f"{AMO_MODEL}moments.times = 1.0\nmoments.p = true",
+         ["'moments.p' must be finite numbers, got True"]),
+        ("evolve", f"{AMO_MODEL}evolve.times = 1.0\nevolve.initial = 1.5",
+         ["'evolve.initial' must be integers, got 1.5"]),
+        ("parseval-check", f"{AMO_MODEL}parseval.horizons = 2.0\nparseval.source = 2.9",
+         ["'parseval.source' must be integers, got 2.9"]),
+        ("evolve", f"{EXPLICIT_1D}model.potential.cos.1,1 = 1.0\nevolve.times = 1.0",
+         ["model: frequency (1, 1) has the wrong dimension"]),
+        ("evolve", "model.kernel = toeplitz\nmodel.dimension = 2\n"
+         "model.kernel.coeff.1 = 0.3\nevolve.times = 1.0",
+         ["model: 'model.dimension' is 2, but the kernel offsets are 1-dimensional"]),
+        ("evolve", f"{EXPLICIT_1D}model.potential.cos.x = 1.0\nmodel.coupling = -1\n"
+         "evolve.times = 1.0",
+         ["'model.potential.cos.x' must end in integer coordinates",
+          "'model.coupling' must be positive, got -1"]),
+        # a toeplitz-only key is read only under the toeplitz kernel
+        ("evolve", f"{EXPLICIT_1D}model.kernel.amplitude = 2\nevolve.times = 1.0",
+         ["unknown key 'model.kernel.amplitude'"]),
+    ], ids=["radius-nan", "radius-inf", "sub-exponent-nan", "lyapunov-length-nan",
+            "lambda-nan", "alpha-inf", "cos-nan", "sin-complex", "coeff-nan-complex",
+            "coeff-bool", "rate-zero", "kappa-nan", "epsilon-nan", "times-inf",
+            "p-bool", "initial-fraction", "source-fraction", "cos-wrong-torus",
+            "toeplitz-dimension", "cos-index-and-coupling",
+            "amplitude-under-laplacian"])
+    def test_a_number_outside_the_rule_exit_two(self, tmp_path, capsys, command,
+                                                body, issues):
+        # every numeric value is a finite int or float (complex only for a
+        # kernel coefficient), and the model is built in one guarded step:
+        # each broken rule is its own issue, with no traceback
+        p = write(tmp_path, "num.cfg", body + "\n")
+        cfg = load_config(p, experiment=cli.SUBCOMMANDS[command])
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, tmp_path / "o")
+        assert err.value.issues == issues
+        code = cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [f"- {i}" for i in issues]
 
     @pytest.mark.parametrize("command,body,points", [
         ("greens-scan", f"{LAPLACIAN_2D}scan.sizes = 35\nscan.sub_size = 34", 4761),

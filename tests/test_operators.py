@@ -48,6 +48,19 @@ class TestKernel:
         with pytest.raises(ValueError, match="decay"):
             KernelSpec.toeplitz({(3,): 1.0}, decay_amplitude=1.0, decay_rate=1.0)
 
+    @pytest.mark.parametrize("amplitude,rate", [
+        (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_decay_constants_must_be_positive(self, amplitude, rate):
+        with pytest.raises(ValueError, match="decay constants"):
+            KernelSpec(1, (), decay_amplitude=amplitude, decay_rate=rate)
+
+    @pytest.mark.parametrize("coupling", [0.0, -1.0, math.nan])
+    def test_coupling_must_be_positive(self, coupling):
+        amo = almost_mathieu(3.0, GOLDEN)
+        with pytest.raises(ValueError, match="coupling"):
+            OperatorSpec(amo.kernel, amo.potential, amo.dynamics, coupling)
+
     def test_toeplitz_autofills_conjugate(self):
         k = KernelSpec.toeplitz({(2,): 0.1 - 0.05j}, 2.0, 0.5)
         assert k.value((-2,)) == (0.1 + 0.05j)
