@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .greens import RECURSION_ENTRIES, continued_fractions
+from .greens import RECURSION_ENTRIES, _as_complex, continued_fractions
 from .lattice import Coords, ElementaryRegion, sup_norm
 from .operators import (
     OperatorSpec,
@@ -68,10 +68,24 @@ def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
     return np.abs(np.asarray(sites, dtype=np.int64)).max(axis=1).astype(float)
 
 
+def _check_positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:  # so that NaN fails
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_state(spec: OperatorSpec, phi: StateVector, radius: int) -> None:
+    """The checks on an initial state that need no box, so that a bad state
+    raises before any decomposition."""
+    wrong = [p for p in phi.support if len(p) != spec.dimension]
+    if wrong:
+        raise ValueError(f"support sites {wrong} are not among the sites")
+    if 2 * phi.support_radius > radius:
+        raise ValueError("initial state must be supported in [-R/2, R/2]^d")
+
+
 def _moment_weights(norms: np.ndarray, p: float) -> np.ndarray:
     """|n|^p over sites of sup norms ``norms``: every moment's weights."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_positive(p, "p")
     return norms**p
 
 
@@ -167,10 +181,11 @@ def evolve(
 ) -> EvolutionResult:
     """exp(-itH) phi at the given times on the cube of the given radius."""
     times = tuple(float(t) for t in times)
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"times must be finite, got {times}")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
-    if 2 * phi.support_radius > radius:
-        raise ValueError("initial state must be supported in [-R/2, R/2]^d")
+    _check_state(spec, phi, radius)
     sites, norms, w, U = _box_eigh(spec, radius)
     dense = phi.dense(sites)
     c = _apply(U.conj().T, dense)
@@ -248,6 +263,7 @@ def moment_series(
     leakage_tol: float = DEFAULT_LEAKAGE_TOL,
 ) -> MomentSeries:
     """Instantaneous p-th moments of the evolved state."""
+    _check_positive(p, "p")
     result = evolve(spec, phi, times, radius, leakage_tol)
     vals = result.moments(p)
     return MomentSeries(
@@ -332,10 +348,8 @@ def amplitude_table_direct(
     vanishes and a(., n, T) = sum_l (U Re M)_{nl} U_{nl}: one real product,
     with Re M built in real arithmetic.
     """
-    if T <= 0:
-        raise ValueError("averaging horizon T must be positive")
-    if 2 * phi.support_radius > radius:
-        raise ValueError("initial state must be supported in [-R/2, R/2]^d")
+    _check_positive(T, "averaging horizon T")
+    _check_state(spec, phi, radius)
     sites, norms, w, U = _box_eigh(spec, radius)
     c = _apply(U.conj().T, phi.dense(sites))
     if np.iscomplexobj(U):
@@ -505,8 +519,9 @@ def amplitude_table_parseval(
     stopping one are never used.  The returned table therefore does not
     depend on the band edge beyond the quadrature tolerance.
     """
-    if T <= 0:
-        raise ValueError("averaging horizon T must be positive")
+    _check_positive(T, "averaging horizon T")
+    if band_edge is not None:  # a negative edge reverses the band panels
+        _check_positive(band_edge, "band edge")
     src = tuple(int(c) for c in source)
     if len(src) != spec.dimension:
         raise ValueError(
@@ -630,6 +645,7 @@ def averaged_moment_direct(
 ) -> TimeAveragedMoment:
     """Time-averaged p-th moment by the exact time average of the direct
     route."""
+    _check_positive(p, "p")
     table = amplitude_table_direct(spec, phi, T, radius, leakage_tol)
     note = "truncation-unsafe" if table.flagged else ""
     return TimeAveragedMoment(
@@ -651,8 +667,7 @@ def averaged_moment_parseval(
     ||phi||^2 sum_j sum_n |n|^p a(j, n, T) is computed and flagged as a
     bound, not an equality (and as truncation-unsafe when any table leaks).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_positive(p, "p")
     support = phi.support
     if not support:
         raise ValueError("phi must have non-empty support")
@@ -700,6 +715,8 @@ def fit_log_exponent(series) -> LogFit:
         t, v = (np.asarray(a, dtype=float) for a in series)
     if len(t) < 10:
         raise ValueError("need at least 10 samples")
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise ValueError("samples must be finite")
     if t.min() <= 1.0:
         raise ValueError("samples must have t > 1")
     if t.max() / t.min() < 100.0:
@@ -740,7 +757,7 @@ def lyapunov_estimate(
             "Lyapunov estimates need the 1-d nearest-neighbour kernel at "
             "unit coupling"
         )
-    z = complex(energy)
+    z = _as_complex(energy)
     e = z.real if z.imag == 0.0 else z
     samples = []
     for x in phases:

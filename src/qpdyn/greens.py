@@ -29,6 +29,7 @@ formed on the way to a verdict.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -61,6 +62,7 @@ class ComplexEnergy:
     def __post_init__(self) -> None:
         if not self.epsilon >= 0.0:  # so that NaN fails
             raise ValueError("epsilon must be non-negative")
+        _as_complex(self.z)  # raises on a non-finite energy
 
     @property
     def z(self) -> complex:
@@ -68,9 +70,11 @@ class ComplexEnergy:
 
 
 def _as_complex(z) -> complex:
-    if isinstance(z, ComplexEnergy):
-        return z.z
-    return complex(z)
+    """z as a complex number; a non-finite z is an error."""
+    zc = z.z if isinstance(z, ComplexEnergy) else complex(z)
+    if not cmath.isfinite(zc):
+        raise ValueError(f"energy {zc} is not finite")
+    return zc
 
 
 @dataclass(frozen=True)
@@ -767,7 +771,7 @@ def combes_thomas_probe(
         )
     box = ElementaryRegion((0,) * d, radius)
     sites = site_list(box)
-    zc = complex(energy, epsilon)
+    zc = _as_complex(complex(energy, epsilon))
     dist = 1.0 / resolvent_norm(spec, sites, zc)
     if dist < 1.0:
         raise ValueError(

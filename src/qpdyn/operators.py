@@ -13,6 +13,7 @@ immutable (and hashable, so eigendecompositions can be cached per spec).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -58,6 +59,8 @@ class KernelSpec:
             if len(k) != self.dimension:
                 raise ValueError(f"offset {k} has the wrong dimension")
             table[k] = complex(v)
+            if not cmath.isfinite(table[k]):
+                raise ValueError(f"kernel value {v} at offset {k} is not finite")
         for k, v in table.items():
             neg = tuple(-c for c in k)
             if neg not in table or table[neg] != v.conjugate():
@@ -122,6 +125,8 @@ class PotentialSpec:
     v(theta) = constant + sum_k cos_k cos(2 pi k.theta)
                         + sum_k sin_k sin(2 pi k.theta)
     with real coefficients indexed by integer frequency vectors.
+    ``values`` is the one evaluator; calling the spec at one point is a
+    view of it.
     """
 
     torus_dim: int
@@ -132,13 +137,20 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.torus_dim < 1:
             raise ValueError("torus dimension must be at least 1")
+        if not math.isfinite(self.constant):
+            raise ValueError(f"constant {self.constant} is not finite")
         for name in ("cosine", "sine"):
             terms = []
             for k, a in getattr(self, name):
                 k = tuple(int(c) for c in k)
                 if len(k) != self.torus_dim:
                     raise ValueError(f"frequency {k} has the wrong dimension")
-                terms.append((k, float(a)))
+                a = float(a)
+                if not math.isfinite(a):
+                    raise ValueError(
+                        f"coefficient {a} of frequency {k} is not finite"
+                    )
+                terms.append((k, a))
             object.__setattr__(self, name, tuple(sorted(terms)))
 
     @classmethod
@@ -154,12 +166,8 @@ class PotentialSpec:
         return cls(b, cosine=_freeze(coeffs))
 
     def __call__(self, theta: Sequence[float]) -> float:
-        total = self.constant
-        for k, a in self.cosine:
-            total += a * math.cos(2.0 * math.pi * _dot(k, theta))
-        for k, a in self.sine:
-            total += a * math.sin(2.0 * math.pi * _dot(k, theta))
-        return total
+        """v(theta) at one point of the torus."""
+        return float(self.values([theta])[0])
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; ``thetas`` has shape (m, torus_dim)."""
@@ -180,10 +188,6 @@ class PotentialSpec:
         )
 
 
-def _dot(k: Sequence[int], theta: Sequence[float]) -> float:
-    return sum(ki * ti for ki, ti in zip(k, theta, strict=True))
-
-
 @dataclass(frozen=True)
 class ShiftDynamics:
     """Torus shift orbits n -> f^n(x).
@@ -192,6 +196,9 @@ class ShiftDynamics:
     mode "rank-one":    b = 1, any lattice dimension d, the phase advances
                         by n . alpha with one alpha component per axis.
     mode "product":     d = b, component-wise x_i + n_i alpha_i.
+
+    ``orbit_array`` is the one evaluator, and ``orbit`` a view of it for one
+    site; a site whose dimension the mode does not take raises ValueError.
     """
 
     mode: str
@@ -201,10 +208,12 @@ class ShiftDynamics:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        alpha = tuple(float(a) % 1.0 for a in self.alpha)
-        phase = tuple(float(x) % 1.0 for x in self.phase)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "phase", phase)
+        alpha = tuple(map(float, self.alpha))
+        phase = tuple(map(float, self.phase))
+        if not all(map(math.isfinite, alpha + phase)):
+            raise ValueError("alpha and phase must be finite")
+        object.__setattr__(self, "alpha", tuple(a % 1.0 for a in alpha))
+        object.__setattr__(self, "phase", tuple(x % 1.0 for x in phase))
         if self.mode == LINEAR_FORM and len(phase) != len(alpha):
             raise ValueError("linear-form needs one alpha per torus axis")
         if self.mode == RANK_ONE and len(phase) != 1:
@@ -223,27 +232,21 @@ class ShiftDynamics:
 
     def orbit(self, n: Sequence[int]) -> tuple[float, ...]:
         """f^n(x) for a lattice site n."""
-        if self.mode == LINEAR_FORM:
-            (k,) = n
-            return tuple((x + k * a) % 1.0 for x, a in zip(self.phase, self.alpha))
-        if self.mode == RANK_ONE:
-            s = sum(k * a for k, a in zip(n, self.alpha, strict=True))
-            return ((self.phase[0] + s) % 1.0,)
-        return tuple(
-            (x + k * a) % 1.0
-            for x, k, a in zip(self.phase, n, self.alpha, strict=True)
-        )
+        return tuple(self.orbit_array([n])[0].tolist())
 
     def orbit_array(self, sites: np.ndarray) -> np.ndarray:
         """Orbit points for an (m, d) integer site array, shape (m, b)."""
         sites = np.atleast_2d(np.asarray(sites, dtype=float))
+        if not self.lattice_dim_compatible(sites.shape[1]):
+            raise ValueError(f"{self.mode} dynamics take no site of "
+                             f"dimension {sites.shape[1]}")
         alpha = np.asarray(self.alpha, dtype=float)
         phase = np.asarray(self.phase, dtype=float)
-        if self.mode == LINEAR_FORM:
-            return (phase[None, :] + sites[:, :1] * alpha[None, :]) % 1.0
         if self.mode == RANK_ONE:
             return (phase[0] + sites @ alpha)[:, None] % 1.0
-        return (phase[None, :] + sites * alpha[None, :]) % 1.0
+        # linear-form broadcasts its one index over the b axes; product pairs
+        # axis i with alpha_i
+        return (phase + sites * alpha) % 1.0
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ class OperatorSpec:
         return v.real * inv if self.is_real else v * inv
 
     def potential_at(self, n: Coords) -> float:
-        return self.potential(self.dynamics.orbit(n))
+        return float(potential_values(self, [n])[0])
 
     def with_phase(self, phase: Sequence[float]) -> "OperatorSpec":
         dyn = ShiftDynamics(self.dynamics.mode, self.dynamics.alpha, tuple(phase))
@@ -427,6 +430,8 @@ class StateVector:
             tuple(int(c) for c in k): complex(v)
             for k, v in self.amplitudes.items()
         }
+        if not all(map(cmath.isfinite, self.amplitudes.values())):
+            raise ValueError("amplitudes must be finite")
 
     @classmethod
     def delta(cls, site: Coords) -> "StateVector":

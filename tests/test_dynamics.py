@@ -47,6 +47,18 @@ AMO3 = almost_mathieu(3.0, GOLDEN, 0.3)
 DELTA0 = StateVector.delta((0,))
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The arguments of every box decomposition started during a test."""
+    started = []
+    for name in ("_box_eigh", "_source_column"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(
+            dynamics, name,
+            lambda *args, real=real: started.append(args) or real(*args))
+    return started
+
+
 class TestEvolve:
     def test_time_zero_identity(self):
         res = evolve(free_laplacian(1), DELTA0, [0.0], 16)
@@ -93,10 +105,42 @@ class TestEvolve:
         (lambda spec: amplitude_table_parseval(spec, (0,), 5.0, 8),
          "must have 2 coordinates"),
     ], ids=["evolve", "moment_series", "averaged_moment_direct", "parseval"])
-    def test_state_of_wrong_dimension_raises(self, call, match):
-        # a 1-d site on a 2-d box used to give silent zeros
+    def test_state_of_wrong_dimension_raises(self, call, match, decompositions):
+        # a 1-d site on a 2-d box used to give silent zeros, and the check
+        # needs no dense eigh of the box
         with pytest.raises(ValueError, match=match):
             call(free_laplacian(2))
+        assert decompositions == []
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: evolve(AMO3, DELTA0, [1.0, math.inf], 8), "finite"),
+        (lambda: evolve(AMO3, DELTA0, [math.nan], 8), "finite"),
+        (lambda: moment_series(AMO3, DELTA0, math.nan, [1.0], 8),
+         "p must be positive"),
+        (lambda: amplitude_table_direct(AMO3, DELTA0, math.nan, 8), "horizon"),
+        (lambda: amplitude_table_direct(AMO3, DELTA0, math.inf, 8), "horizon"),
+        (lambda: averaged_moment_direct(AMO3, DELTA0, math.inf, 5.0, 8),
+         "p must be positive"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), math.nan, 8), "horizon"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), math.inf, 8), "horizon"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, band_edge=math.nan),
+         "band edge"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, band_edge=-1.0),
+         "band edge"),
+        (lambda: averaged_moment_parseval(AMO3, DELTA0, math.nan, 5.0, 8),
+         "p must be positive"),
+    ], ids=["evolve-t-inf", "evolve-t-nan", "series-p", "direct-T-nan",
+            "direct-T-inf", "direct-p", "parseval-T-nan", "parseval-T-inf",
+            "parseval-edge-nan", "parseval-edge-negative", "parseval-p"])
+    def test_a_non_finite_input_raises_before_any_decomposition(
+        self, call, match, decompositions
+    ):
+        # unchecked, t = inf gives leakage NaN, which no tolerance flags,
+        # T = nan spins the band bisections for seconds, and band edge -1
+        # gives a table of total mass -0.69
+        with pytest.raises(ValueError, match=match):
+            call()
+        assert decompositions == []
 
     def test_site_norms_match_per_site_loop(self):
         spec = free_laplacian(2)
@@ -621,6 +665,14 @@ class TestLogFit:
             fit_log_exponent((t, vals))
         with pytest.raises(ValueError, match="t > 1"):
             fit_log_exponent((np.logspace(0.0, 3.0, 30), np.ones(30)))
+        # unchecked, a NaN sample fits with poor_fit False, as logarithmic growth
+        for bad in (np.nan, np.inf):
+            vals, times = np.log(t) ** 3, t.copy()
+            vals[3] = times[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_log_exponent((t, vals))
+            with pytest.raises(ValueError, match="finite"):
+                fit_log_exponent((times, np.log(t) ** 3))
 
 
 def transfer_product_oracle(potential_values, energy, renorm=16):
@@ -681,3 +733,9 @@ class TestLyapunov:
         spec = diagonal_model(PotentialSpec.constant_value(0.0), STILL)
         with pytest.raises(ValueError, match="nearest-neighbour"):
             lyapunov_estimate(spec, 0.0, 100, [0.0])
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, complex(0.5, math.nan)])
+    def test_a_non_finite_energy_raises(self, energy):
+        # unchecked, a NaN energy gives a NaN exponent
+        with pytest.raises(ValueError, match="not finite"):
+            lyapunov_estimate(AMO3, energy, 100, [0.1])

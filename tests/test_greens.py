@@ -79,6 +79,9 @@ class TestGreens:
     def test_epsilon_must_be_non_negative(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             ComplexEnergy(0.0, eps)
+        for energy, epsilon in [(math.nan, 0.1), (math.inf, 0.1), (0.0, math.inf)]:
+            with pytest.raises(ValueError, match="not finite"):
+                ComplexEnergy(energy, epsilon)
 
     def test_norm_bounded_by_inverse_epsilon(self):
         g = greens(AMO3, ElementaryRegion((0,), 40), ComplexEnergy(1.0, 0.1))
@@ -210,6 +213,16 @@ class TestBadSet:
             bad_set(amo_2d(3.0, 0.3), 5, 2, 1j, ClassificationParams(),
                     centers=[(0,), (1,)])
 
+    def test_a_non_finite_energy_raises(self):
+        # unchecked, a NaN energy counts every center as bad
+        params, box = ClassificationParams(), ElementaryRegion((0,), 5)
+        for z in (complex(math.nan, 1e-3), complex(0.0, math.inf)):
+            for call in (lambda: bad_set(AMO3, 20, 5, z, params),
+                         lambda: classify_box(AMO3, box, z, params),
+                         lambda: greens(AMO3, box, z)):
+                with pytest.raises(ValueError, match="not finite"):
+                    call()
+
 
 @pytest.mark.parametrize("c2", [0.8, 1.5])
 def test_norm_bound_is_inf_where_exp_overflows(c2):
@@ -326,6 +339,9 @@ class TestCombesThomas:
     def test_rejects_energy_near_spectrum(self):
         with pytest.raises(ValueError, match="distance"):
             combes_thomas_probe(free_laplacian(1), 16, 2.5)
+        for energy, epsilon in [(math.nan, 0.0), (4.0, math.inf)]:
+            with pytest.raises(ValueError, match="not finite"):
+                combes_thomas_probe(free_laplacian(1), 16, energy, epsilon)
 
     @pytest.mark.parametrize("source", [(20,), (0, 0)])
     def test_rejects_a_source_outside_the_cube(self, source):

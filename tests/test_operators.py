@@ -20,6 +20,7 @@ from qpdyn.operators import (
     assemble,
     diagonal_model,
     free_laplacian,
+    potential_values,
     site_list,
 )
 
@@ -28,6 +29,21 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def still_dynamics(b=1):
     return ShiftDynamics(LINEAR_FORM, (0.0,) * b, (0.0,) * b)
+
+
+def assert_rejects_site(dynamics, site):
+    """A site of a dimension the mode does not take raises on every path."""
+    d = 1 if dynamics.mode == LINEAR_FORM else len(dynamics.alpha)
+    spec = OperatorSpec(
+        KernelSpec.laplacian(d), PotentialSpec.constant_value(1.0, dynamics.torus_dim),
+        dynamics,
+    )
+    for read in (lambda: dynamics.orbit(site),
+                 lambda: dynamics.orbit_array([site]),
+                 lambda: potential_values(spec, [site]),
+                 lambda: spec.potential_at(site)):
+        with pytest.raises(ValueError, match=f"no site of dimension {len(site)}"):
+            read()
 
 
 class TestKernel:
@@ -43,6 +59,11 @@ class TestKernel:
     def test_hermiticity_enforced(self):
         with pytest.raises(ValueError, match="Hermitian"):
             KernelSpec(1, (((1,), 1.0 + 0.5j), ((-1,), 1.0 + 0.5j)))
+        # the decay envelope skips k = 0, and NaN is never Hermitian: both
+        # are caught as non-finite first
+        for value in (math.inf, math.nan, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="not finite"):
+                KernelSpec(1, (((0,), value),))
 
     def test_decay_enforced(self):
         with pytest.raises(ValueError, match="decay"):
@@ -80,6 +101,25 @@ class TestPotential:
         v = PotentialSpec.cosine_series({(1,): 6.0})
         assert v.sup_bound() == 6.0
 
+    def test_sine_term_by_hand(self):
+        # theta = n / 8: v = 1/2 + 2 cos(2 pi theta) + (3/4) sin(4 pi theta)
+        v = PotentialSpec(
+            1, constant=0.5, cosine=(((1,), 2.0),), sine=(((2,), 0.75),)
+        )
+        spec = diagonal_model(v, ShiftDynamics(LINEAR_FORM, (0.125,), (0.0,)))
+        got = potential_values(spec, [(1,), (2,), (3,)])
+        expected = [0.5 + math.sqrt(2.0) + 0.75, 0.5, 0.5 - math.sqrt(2.0) - 0.75]
+        assert got == pytest.approx(expected, abs=1e-14)
+        assert v((0.125,)) == pytest.approx(expected[0], abs=1e-14)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"constant": math.nan}, {"constant": math.inf},
+        {"cosine": (((1,), math.nan),)}, {"sine": (((1,), -math.inf),)},
+    ], ids=["constant-nan", "constant-inf", "cosine-nan", "sine-inf"])
+    def test_coefficients_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError, match="not finite"):
+            PotentialSpec(1, **kwargs)
+
 
 class TestShiftDynamics:
     def test_cocycle_exact_on_dyadic_rationals(self):
@@ -95,20 +135,46 @@ class TestShiftDynamics:
         v = PotentialSpec.cosine_series({(1,): 1.0})
         spec = diagonal_model(v, d)
         assert spec.potential_at((1,)) == pytest.approx(0.0, abs=1e-15)
+        # x + n alpha, not x - n alpha: the sine and the orbit tell them apart
+        assert d.orbit((1,)) == (0.25,)
+        assert d.orbit_array([(3,), (-1,)]).tolist() == [[0.75], [0.75]]
+        sine = diagonal_model(PotentialSpec(1, sine=(((1,), 1.0),)), d)
+        assert sine.potential_at((1,)) == pytest.approx(1.0, abs=1e-15)
+        # one index drives every torus axis
+        d2 = ShiftDynamics(LINEAR_FORM, (0.25, 0.125), (0.0, 0.5))
+        assert d2.orbit((3,)) == (0.75, 0.875)
+        assert_rejects_site(d, (1, 5))
+        assert_rejects_site(d2, (1, 5))
 
     def test_rank_one_mode(self):
         d = ShiftDynamics(RANK_ONE, (0.3, 0.4), (0.1,))
         assert d.orbit((1, 1))[0] == pytest.approx((0.1 + 0.3 + 0.4) % 1.0)
+        # an asymmetric site with dyadic alpha and x, so the orbit is exact
+        d = ShiftDynamics(RANK_ONE, (0.25, 0.375), (0.125,))
+        assert d.orbit((2, -1)) == (0.25,)
+        assert d.orbit_array([(2, -1), (-1, 2)]).tolist() == [[0.25], [0.625]]
+        assert_rejects_site(d, (2,))
+        assert_rejects_site(d, (2, -1, 0))
 
     def test_product_mode(self):
         d = ShiftDynamics(PRODUCT, (0.3, 0.4), (0.1, 0.2))
         assert d.orbit((2, 0)) == pytest.approx(((0.1 + 0.6) % 1.0, 0.2))
+        d = ShiftDynamics(PRODUCT, (0.25, 0.375), (0.125, 0.5))
+        assert d.orbit((2, -1)) == (0.625, 0.125)
+        assert d.orbit_array([(2, -1), (-1, 2)]).tolist() == [
+            [0.625, 0.125], [0.875, 0.25],
+        ]
+        assert_rejects_site(d, (2,))
+        assert_rejects_site(d, (2, -1, 0))
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             ShiftDynamics("skew", (0.1,), (0.0,))
         with pytest.raises(ValueError):
             ShiftDynamics(RANK_ONE, (0.1, 0.2), (0.0, 0.0))
+        for alpha, phase in [((math.nan,), (0.0,)), ((0.25,), (math.inf,))]:
+            with pytest.raises(ValueError, match="finite"):
+                ShiftDynamics(LINEAR_FORM, alpha, phase)
 
 
 class TestAssemble:
@@ -276,6 +342,11 @@ class TestStateVector:
         phi = StateVector({(0,): 1.0, (2,): -2.0j})
         with pytest.raises(ValueError, match="not among the sites"):
             phi.dense(sites)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_amplitudes_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector({(0,): 1.0, (1,): value})
 
 
 @given(
