@@ -69,13 +69,9 @@ from .lattice import (
     ElementaryRegion,
     GeneralizedRegion,
     RegionFamily,
-    boundary,
-    diameter,
     enumerate_shapes,
-    sup_dist,
     sup_norm,
     tile_disjoint,
-    width,
 )
 from .operators import (
     KernelSpec,
@@ -93,9 +89,8 @@ from .operators import (
 __all__ = [
     "__version__",
     # lattice
-    "ElementaryRegion", "GeneralizedRegion", "RegionFamily", "boundary",
-    "diameter", "enumerate_shapes", "sup_dist", "sup_norm", "tile_disjoint",
-    "width",
+    "ElementaryRegion", "GeneralizedRegion", "RegionFamily",
+    "enumerate_shapes", "sup_norm", "tile_disjoint",
     # operators
     "KernelSpec", "OperatorSpec", "PotentialSpec", "ShiftDynamics",
     "StateVector", "almost_mathieu", "assemble", "diagonal_model",

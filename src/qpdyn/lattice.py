@@ -1,9 +1,13 @@
 """Geometry of finite lattice regions in Z^d.
 
-Regions are cubes with optional sector cuts, rectangles with a rectangular
-notch, and grid families of disjoint cubes.  All distances are sup-norm.
-Regions are stored as descriptors (center, size, sector markers); point sets
-are only ever materialised transiently by iterating ``points()``.
+The module holds the sup norm (``sup_norm``), cubes with an optional sector
+cut (``ElementaryRegion``) and every such shape of one size
+(``enumerate_shapes``), rectangles with a rectangular notch
+(``GeneralizedRegion``), and disjoint cubes of one size in a host region
+(``RegionFamily``), laid on a grid by ``tile_disjoint``.  All distances are
+sup-norm.  Regions are stored as descriptors (center, size, sector
+markers); point sets are only ever materialised transiently by iterating
+``points()``.
 
 Everything here is an immutable value with pure methods, so the module is
 safe to use from any number of concurrent workers.
@@ -25,11 +29,6 @@ _MARKERS = (None, LESS, GREATER)
 def sup_norm(n: Sequence[int]) -> int:
     """|n| = max_i |n_i|."""
     return max(abs(int(c)) for c in n)
-
-
-def sup_dist(n: Sequence[int], m: Sequence[int]) -> int:
-    """Sup-norm distance between two lattice points."""
-    return max(abs(int(a) - int(b)) for a, b in zip(n, m, strict=True))
 
 
 @dataclass(frozen=True)
@@ -189,112 +188,6 @@ def enumerate_shapes(d: int, size: int) -> list[ElementaryRegion]:
         if sum(s is not None for s in sector) >= 2:
             shapes.append(ElementaryRegion(origin, size, sector))
     return shapes
-
-
-def _axis_ranges(region) -> tuple[list[int], list[int]]:
-    lo: list[int] | None = None
-    hi: list[int] | None = None
-    for p in region.points():
-        if lo is None:
-            lo = list(p)
-            hi = list(p)
-            continue
-        for i, c in enumerate(p):
-            lo[i] = min(lo[i], c)
-            hi[i] = max(hi[i], c)
-    if lo is None:
-        raise ValueError("region is empty")
-    return lo, hi
-
-
-def diameter(region) -> int:
-    """sup-norm diameter, max over member pairs of |n - n'|.
-
-    Equals the largest per-axis coordinate range because the sup norm
-    maximises each axis independently.
-    """
-    lo, hi = _axis_ranges(region)
-    return max(h - l for l, h in zip(lo, hi))
-
-
-def boundary(region) -> set[Coords]:
-    """Inner boundary: members at sup-distance 1 from the complement."""
-    d = region.dimension
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
-    out: set[Coords] = set()
-    empty = True
-    for n in region.points():
-        empty = False
-        for o in offsets:
-            if not region.contains(tuple(a + b for a, b in zip(n, o))):
-                out.add(n)
-                break
-    if empty:
-        raise ValueError("region is empty")
-    return out
-
-
-def _guard_radius(size: int) -> int:
-    # dist(n, L \ hat) >= M/2 fails exactly when some excluded point of L
-    # sits within ceil(M/2) - 1 of n (distances are integers).
-    return (size + 1) // 2 - 1
-
-
-def _admits_size(region, pts: list[Coords], size: int) -> bool:
-    d = region.dimension
-    shapes = enumerate_shapes(d, size)
-    guard = _guard_radius(size)
-    guard_offsets = [
-        o
-        for o in itertools.product(range(-guard, guard + 1), repeat=d)
-        if any(o)
-    ]
-    center_offsets = sorted(
-        itertools.product(range(-size, size + 1), repeat=d),
-        key=lambda o: (max(abs(c) for c in o), o),
-    )
-    for n in pts:
-        found = False
-        for off in center_offsets:
-            center = tuple(a - b for a, b in zip(n, off))
-            for shape in shapes:
-                cand = ElementaryRegion(center, size, shape.sector)
-                if not cand.contains(n):
-                    continue
-                if not all(region.contains(q) for q in cand.points()):
-                    continue
-                # region points near n must all lie inside the candidate
-                ok = True
-                for o in guard_offsets:
-                    q = tuple(a + b for a, b in zip(n, o))
-                    if region.contains(q) and not cand.contains(q):
-                        ok = False
-                        break
-                if ok:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
-
-
-def width(region) -> int:
-    """Width of a region.
-
-    The largest M such that every member point n admits an elementary region
-    of size M containing n, contained in the region, and with every excluded
-    region point at sup-distance at least M/2 from n; 0 when no M >= 1 works.
-    """
-    pts = list(region.points())
-    if not pts:
-        raise ValueError("region is empty")
-    # any candidate of size M has diameter 2M, so M is capped by diam/2
-    for size in range(diameter(region) // 2, 0, -1):
-        if _admits_size(region, pts, size):
-            return size
-    return 0
 
 
 def tile_disjoint(host: ElementaryRegion, size: int) -> RegionFamily:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -172,6 +173,9 @@ class PotentialSpec:
     def values(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorised evaluation; ``thetas`` has shape (m, torus_dim)."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if thetas.shape[1] != self.torus_dim:
+            raise ValueError(f"points of dimension {thetas.shape[1]} are not "
+                             f"on a torus of torus_dim {self.torus_dim}")
         out = np.full(thetas.shape[0], self.constant)
         for k, a in self.cosine:
             out += a * np.cos(2.0 * np.pi * (thetas @ np.asarray(k, dtype=float)))
@@ -419,19 +423,26 @@ def _trivial_dynamics(dimension: int) -> ShiftDynamics:
     return ShiftDynamics(RANK_ONE, (0.0,) * dimension, (0.0,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    """Finitely supported complex amplitudes on Z^d."""
+    """Finitely supported complex amplitudes on Z^d.  ``amplitudes`` is a
+    read-only copy of the mapping given, so the finiteness check holds for
+    the life of the state."""
 
-    amplitudes: dict[Coords, complex]
+    amplitudes: Mapping[Coords, complex]
 
     def __post_init__(self) -> None:
-        self.amplitudes = {
+        amplitudes = {
             tuple(int(c) for c in k): complex(v)
             for k, v in self.amplitudes.items()
         }
-        if not all(map(cmath.isfinite, self.amplitudes.values())):
+        if not all(map(cmath.isfinite, amplitudes.values())):
             raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "amplitudes", MappingProxyType(amplitudes))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the plain mapping does
+        return StateVector, (dict(self.amplitudes),)
 
     @classmethod
     def delta(cls, site: Coords) -> "StateVector":

@@ -15,24 +15,6 @@ def sup_dist(a, b):
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def oracle_diameter(points):
-    pts = list(points)
-    return max(sup_dist(a, b) for a in pts for b in pts)
-
-
-def oracle_boundary(points):
-    pts = set(points)
-    d = len(next(iter(pts)))
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
-    out = set()
-    for n in pts:
-        for o in offsets:
-            if tuple(a + b for a, b in zip(n, o)) not in pts:
-                out.add(n)
-                break
-    return out
-
-
 def elementary_point_set(center, size, sector):
     """Point set of a cube with a sector cut, straight from the inequalities."""
     d = len(center)
@@ -54,47 +36,6 @@ def all_shape_point_sets(d, size):
         if sum(s is not None for s in sector) >= 2:
             shapes.add(elementary_point_set((0,) * d, size, sector))
     return shapes
-
-
-def oracle_width(points):
-    """Width by exhaustive search over sizes, centers, and shapes."""
-    pts = set(points)
-    d = len(next(iter(pts)))
-    diam = oracle_diameter(pts)
-    admissible = []
-    for size in range(1, diam // 2 + 1):
-        ok_all = True
-        for n in pts:
-            ok = False
-            for center in itertools.product(
-                *[range(c - size, c + size + 1) for c in n]
-            ):
-                for sector in itertools.chain(
-                    [None],
-                    (
-                        s
-                        for s in itertools.product((None, "<", ">"), repeat=d)
-                        if sum(m is not None for m in s) >= 2
-                    ),
-                ):
-                    cand = elementary_point_set(center, size, sector)
-                    if n not in cand or not cand <= pts:
-                        continue
-                    excluded = pts - cand
-                    dist = min(
-                        (sup_dist(n, q) for q in excluded), default=math.inf
-                    )
-                    if 2 * dist >= size:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                ok_all = False
-                break
-        if ok_all:
-            admissible.append(size)
-    return max(admissible, default=0)
 
 
 def oracle_assemble(spec, sites):

@@ -27,13 +27,7 @@ from qpdyn.greens import (
 )
 from qpdyn.harness.config import load_config
 from qpdyn.harness.recipes import run_sweep
-from qpdyn.lattice import (
-    ElementaryRegion,
-    GeneralizedRegion,
-    diameter,
-    enumerate_shapes,
-    width,
-)
+from qpdyn.lattice import ElementaryRegion, enumerate_shapes
 from qpdyn.operators import (
     LINEAR_FORM,
     PotentialSpec,
@@ -44,7 +38,7 @@ from qpdyn.operators import (
     free_laplacian,
 )
 
-from oracles import oracle_bad_centers, oracle_diameter, oracle_width
+from oracles import all_shape_point_sets, oracle_bad_centers
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 AMO3 = almost_mathieu(3.0, GOLDEN, 0.3)
@@ -259,27 +253,18 @@ def test_diophantine_certification():
 
 def test_geometry_combinatorics():
     counts_ok = len(enumerate_shapes(2, 1)) == 5 and len(enumerate_shapes(3, 1)) == 21
-    regions = [
-        ElementaryRegion((0,), 5),
-        ElementaryRegion((0, 0), 4),
-        ElementaryRegion((0, 0), 3, ("<", ">")),
-        GeneralizedRegion((0, 0), (4, 3), cut=(3, 3)),
-        GeneralizedRegion((0, 0), (6, 2), cut=(-3, 2)),
-        GeneralizedRegion((1,), (9,), cut=(12,)),
+    mismatches = [
+        (d, size)
+        for d in (1, 2, 3)
+        for size in (1, 2)
+        if {frozenset(s.points()) for s in enumerate_shapes(d, size)}
+        != all_shape_point_sets(d, size)
     ]
-    mismatches = []
-    for region in regions:
-        pts = frozenset(region.points())
-        assert len(pts) <= 200
-        if diameter(region) != oracle_diameter(pts):
-            mismatches.append(("diameter", region))
-        if width(region) != oracle_width(pts):
-            mismatches.append(("width", region))
     record(
         "geometry-combinatorics",
         counts_ok and not mismatches,
         f"shape counts (5, 21) ok={counts_ok}; "
-        f"oracle mismatches={mismatches or 'none'}",
+        f"shape point-set mismatches (d, size)={mismatches or 'none'}",
     )
 
 

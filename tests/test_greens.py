@@ -12,6 +12,7 @@ from qpdyn.greens import (
     BadSetReport,
     ClassificationParams,
     ComplexEnergy,
+    DecayWitness,
     bad_set,
     classify_box,
     combes_thomas_probe,
@@ -671,6 +672,11 @@ def test_margins_stay_exact_where_decay_bounds_underflow(spec, sub, recursion):
     (n,), (m,) = witness.pair
     oracle = math.log(abs(greens(spec, region, z).entry((n,), (m,)))) + 0.8 * abs(n - m)
     assert verdict.decay_margin == pytest.approx(oracle, abs=1e-9)
+    assert witness.bound == math.exp(-witness.exponent)
+    assert witness.value == math.exp(witness.margin - witness.exponent)
+    # past an exponent of about 745 both derived numbers read 0
+    far = DecayWitness(witness.pair, margin=-1.0, exponent=800.0)
+    assert (far.value, far.bound, far.margin) == (0.0, 0.0, -1.0)
     centers = [(0,), (7,)]
     scan = scan_boxes(spec, sub + 1, sub, z, params, centers=centers)
     report = bad_set(spec, sub + 1, sub, z, params, centers=centers)

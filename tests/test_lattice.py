@@ -8,21 +8,11 @@ from qpdyn.lattice import (
     ElementaryRegion,
     GeneralizedRegion,
     RegionFamily,
-    boundary,
-    diameter,
     enumerate_shapes,
-    sup_dist,
     tile_disjoint,
-    width,
 )
 
-from oracles import (
-    all_shape_point_sets,
-    elementary_point_set,
-    oracle_boundary,
-    oracle_diameter,
-    oracle_width,
-)
+from oracles import all_shape_point_sets, elementary_point_set
 
 
 class TestEnumerateShapes:
@@ -61,71 +51,6 @@ class TestEnumerateShapes:
         assert set(moved.points()) == {
             (a + 5, b - 2) for a, b in shape.points()
         }
-
-
-class TestWidthDiameter:
-    def test_interval_width(self):
-        assert width(ElementaryRegion((0,), 2)) == 2
-
-    def test_single_point_width(self):
-        assert width(GeneralizedRegion((0,), (0,))) == 0
-
-    def test_square_width_matches_frozen_oracle_value(self):
-        # oracle_width on [-4,4]^2 was run ahead of the build; value frozen
-        assert width(ElementaryRegion((0, 0), 4)) == 4
-
-    def test_empty_region_raises(self):
-        empty = GeneralizedRegion((0,), (2,), cut=(0,))
-        with pytest.raises(ValueError):
-            width(empty)
-        with pytest.raises(ValueError):
-            diameter(empty)
-
-    @pytest.mark.parametrize(
-        "region",
-        [
-            ElementaryRegion((0,), 3),
-            ElementaryRegion((2,), 5),
-            ElementaryRegion((0, 0), 2),
-            ElementaryRegion((1, -1), 3),
-            ElementaryRegion((0, 0), 2, ("<", "<")),
-            ElementaryRegion((0, 0), 3, (">", "<")),
-            ElementaryRegion((0, 0, 0), 1, ("<", ">", "<")),
-            GeneralizedRegion((0,), (4,)),
-            GeneralizedRegion((0, 0), (3, 2)),
-            GeneralizedRegion((0, 0), (4, 3), cut=(3, 3)),
-            GeneralizedRegion((0, 0), (4, 2), cut=(-2, 1)),
-            GeneralizedRegion((1, 1), (2, 5), cut=(0, 7)),
-        ],
-    )
-    def test_against_exhaustive_oracles(self, region):
-        pts = frozenset(region.points())
-        assert len(pts) <= 200
-        assert diameter(region) == oracle_diameter(pts)
-        assert width(region) == oracle_width(pts)
-
-
-class TestBoundary:
-    def test_interval(self):
-        assert boundary(ElementaryRegion((0,), 2)) == {(-2,), (2,)}
-
-    def test_singleton(self):
-        assert boundary(GeneralizedRegion((0,), (0,))) == {(0,)}
-
-    def test_square_perimeter(self):
-        got = boundary(ElementaryRegion((0, 0), 2))
-        assert len(got) == 16
-        assert got == oracle_boundary(ElementaryRegion((0, 0), 2).points())
-
-    @pytest.mark.parametrize(
-        "region",
-        [
-            ElementaryRegion((0, 0), 3, ("<", ">")),
-            GeneralizedRegion((0, 0), (4, 3), cut=(3, 3)),
-        ],
-    )
-    def test_against_oracle(self, region):
-        assert boundary(region) == oracle_boundary(region.points())
 
 
 class TestTiling:
@@ -196,5 +121,3 @@ def test_generalized_membership_matches_points(half, cut):
     box = itertools.product(*[range(-h - 1, h + 2) for h in half])
     for p in box:
         assert region.contains(p) == (p in pts)
-    if pts:
-        assert diameter(region) == oracle_diameter(pts)

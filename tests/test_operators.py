@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_assemble
+from qpdyn.dynamics import evolve
 from qpdyn.lattice import ElementaryRegion, GeneralizedRegion
 from qpdyn.operators import (
     LINEAR_FORM,
@@ -95,7 +98,12 @@ class TestPotential:
         thetas = np.linspace(0.0, 1.0, 13)[:, None]
         vec = v.values(thetas)
         for t, val in zip(thetas[:, 0], vec):
-            assert val == pytest.approx(v((t,)), abs=1e-14)
+            expected = (
+                0.5 + 2.0 * math.cos(2 * math.pi * t)
+                - 0.3 * math.cos(4 * math.pi * t) + 0.7 * math.sin(2 * math.pi * t)
+            )
+            assert val == pytest.approx(expected, abs=1e-14)
+            assert v((t,)) == val
 
     def test_sup_bound(self):
         v = PotentialSpec.cosine_series({(1,): 6.0})
@@ -119,6 +127,14 @@ class TestPotential:
     def test_coefficients_must_be_finite(self, kwargs):
         with pytest.raises(ValueError, match="not finite"):
             PotentialSpec(1, **kwargs)
+
+    @pytest.mark.parametrize("v", [
+        PotentialSpec(2, constant=1.0),
+        PotentialSpec(2, cosine=(((1, 0), 1.0),)),
+    ], ids=["constant-only", "with-terms"])
+    def test_points_must_match_the_torus_dimension(self, v):
+        with pytest.raises(ValueError, match="torus_dim 2"):
+            v.values([[0.1]])
 
 
 class TestShiftDynamics:
@@ -347,6 +363,16 @@ class TestStateVector:
     def test_amplitudes_must_be_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
             StateVector({(0,): 1.0, (1,): value})
+
+    def test_amplitudes_cannot_be_changed_after_the_check(self):
+        phi = StateVector.delta((0,))
+        with pytest.raises(TypeError):
+            phi.amplitudes[(1,)] = math.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            phi.amplitudes = {(1,): math.nan}
+        res = evolve(almost_mathieu(3.0, 0.618), phi, [1.0], 8)
+        assert math.isfinite(res.leakage) and math.isfinite(res.norm_drift)
+        assert pickle.loads(pickle.dumps(phi)) == phi
 
 
 @given(
