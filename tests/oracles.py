@@ -28,6 +28,25 @@ def elementary_point_set(center, size, sector):
     return frozenset(pts)
 
 
+def generalized_point_set(center, half_widths, cut):
+    """Point set of a rectangle minus its translate by ``cut``, straight
+    from the inequalities over a box one wider than the rectangle."""
+    def in_rect(n, shift):
+        return all(
+            abs(a - c - y) <= m
+            for a, c, y, m in zip(n, center, shift, half_widths)
+        )
+
+    box = itertools.product(
+        *[range(c - m - 1, c + m + 2) for c, m in zip(center, half_widths)]
+    )
+    zero = (0,) * len(center)
+    return frozenset(
+        n for n in box
+        if in_rect(n, zero) and (cut is None or not in_rect(n, cut))
+    )
+
+
 def all_shape_point_sets(d, size):
     """Distinct shape point sets over every sector-marker vector with
     zero or at least two marked axes, deduplicated by point set."""

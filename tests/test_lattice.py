@@ -4,15 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from qpdyn.lattice import (
     ElementaryRegion,
     GeneralizedRegion,
     RegionFamily,
     enumerate_shapes,
+    sup_norm,
     tile_disjoint,
 )
 
-from oracles import all_shape_point_sets, elementary_point_set
+from oracles import (
+    all_shape_point_sets,
+    elementary_point_set,
+    generalized_point_set,
+)
 
 
 class TestEnumerateShapes:
@@ -51,6 +58,109 @@ class TestEnumerateShapes:
         assert set(moved.points()) == {
             (a + 5, b - 2) for a, b in shape.points()
         }
+
+
+def _oracle_points(region):
+    if isinstance(region, ElementaryRegion):
+        return elementary_point_set(region.center, region.size, region.sector)
+    return generalized_point_set(region.center, region.half_widths, region.cut)
+
+
+class TestRegionPointSets:
+    @pytest.mark.parametrize(
+        "region",
+        [
+            ElementaryRegion((0,), 3),
+            ElementaryRegion((2,), 5),
+            ElementaryRegion((0, 0), 2),
+            ElementaryRegion((1, -1), 3),
+            ElementaryRegion((0, 0), 2, ("<", "<")),
+            ElementaryRegion((0, 0), 3, (">", "<")),
+            ElementaryRegion((0, 0, 0), 1, ("<", ">", "<")),
+            GeneralizedRegion((0,), (4,)),
+            GeneralizedRegion((0, 0), (3, 2)),
+            GeneralizedRegion((0, 0), (4, 3), cut=(3, 3)),
+            GeneralizedRegion((0, 0), (4, 2), cut=(-2, 1)),
+            GeneralizedRegion((1, 1), (2, 5), cut=(0, 7)),
+        ],
+    )
+    def test_points_match_defining_inequalities(self, region):
+        pts = list(region.points())
+        expected = _oracle_points(region)
+        assert len(pts) == len(set(pts))
+        assert set(pts) == expected
+        reach = region.size if isinstance(region, ElementaryRegion) else max(
+            region.half_widths
+        )
+        box = itertools.product(
+            *[range(c - reach - 1, c + reach + 2) for c in region.center]
+        )
+        for p in box:
+            assert region.contains(p) == (p in expected)
+
+    def test_single_point_region(self):
+        region = GeneralizedRegion((0,), (0,))
+        assert list(region.points()) == [(0,)]
+        assert region.contains((0,))
+        assert not region.contains((1,))
+
+    def test_region_cut_by_itself_is_empty(self):
+        empty = GeneralizedRegion((0,), (2,), cut=(0,))
+        assert list(empty.points()) == []
+        assert not any(empty.contains((n,)) for n in range(-3, 4))
+        with pytest.raises(ValueError):
+            RegionFamily((ElementaryRegion((0,), 1),), empty)
+
+
+class TestSupNorm:
+    @pytest.mark.parametrize(
+        "n,expected",
+        [((0,), 0), ((3, -5), 5), ((-7, 2, 7), 7), (np.array([4, -9]), 9)],
+    )
+    def test_largest_absolute_coordinate(self, n, expected):
+        got = sup_norm(n)
+        assert got == expected
+        assert type(got) is int
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ElementaryRegion((), 1),
+            lambda: ElementaryRegion((0,), 0),
+            lambda: ElementaryRegion((0, 0), 1, ("<",)),
+            lambda: ElementaryRegion((0, 0), 1, ("<", "=")),
+            lambda: GeneralizedRegion((), ()),
+            lambda: GeneralizedRegion((0, 0), (1,)),
+            lambda: GeneralizedRegion((0,), (-1,)),
+            lambda: GeneralizedRegion((0, 0), (1, 1), cut=(1,)),
+            lambda: enumerate_shapes(0, 1),
+            lambda: enumerate_shapes(2, 0),
+            lambda: tile_disjoint(ElementaryRegion((0,), 2), 0),
+            lambda: RegionFamily(
+                (ElementaryRegion((-3,), 1), ElementaryRegion((2,), 2)),
+                ElementaryRegion((0,), 5),
+            ),
+        ],
+        ids=[
+            "elementary-no-dimension",
+            "elementary-size-zero",
+            "elementary-sector-length",
+            "elementary-sector-marker",
+            "generalized-no-dimension",
+            "generalized-widths-length",
+            "generalized-negative-width",
+            "generalized-cut-length",
+            "shapes-dimension-zero",
+            "shapes-size-zero",
+            "tiling-size-zero",
+            "family-mixed-sizes",
+        ],
+    )
+    def test_invalid_geometry_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestTiling:
