@@ -7,24 +7,27 @@ addition ||G|| <= exp(N^sigma).  Scans count centers whose translated box
 fails strong goodness for some shape, and a log-log fit extracts the
 sublinear exponent from counts across scales.
 
-Classification picks one of two resolvers per shape (``_resolver``).  A 1-d
+Classification picks one of two resolvers per shape (``_resolver``), and a
+resolver covers every energy of a scan (all of them share Im z).  A 1-d
 box of a real kernel with offsets |k| <= 1 (``OperatorSpec.tridiagonal``)
 at eps > 0 takes the recursive Green's-function method: one
-``continued_fractions`` sweep, shared with ``dynamics``, of an (n, 2, batch)
-array holding both directions, O(n) per box and no n x n matrix; its
-residual is that of the column of G through the worst decay pair.  Every
-other box takes the batched engine, which is ``greens`` and
-``resolvent_norm`` batched over the translates of one shape: an LU solve of
-(H - z) G = I, the Hermitian eigenvalues for ||G||, and the Frobenius
-residual ||(H - z) G - I||_F.  Dense volumes are capped at desk scale (a few
-thousand points), where direct factorisation is the most verifiable route;
-the per-box ``greens`` with an explicit loop over pairs is the engine's test
-oracle, and the engine the recursion's.  Both resolvers run the same batch
-loops (``_BatchResolver``): a resolver's ``_batch`` returns five arrays, the
-worst decay pair (i, j) of each translate, its margin, its residual and the
-state its norms need, and the loops derive each pair's exponent c2 |i - j|.
-Each decay margin stays in log space, so no bound exp(-c2 |n - n'|) is
-formed on the way to a verdict.
+``continued_fractions`` sweep per energy, shared with ``dynamics``, of an
+(n, 2, batch) array holding both directions, O(n) per box and no n x n
+matrix; its residual is that of the column of G through the worst decay
+pair.  Every other box takes the batched engine, which is ``greens`` and
+``resolvent_norm`` batched over the translates of one shape: the Hermitian
+eigenvalues for ||G||, computed once per box for all energies since H does
+not depend on z, then at each energy an LU solve of (H - z) G = I and the
+Frobenius residual ||(H - z) G - I||_F, taken in one pass over the product.
+Dense volumes are capped at desk scale (a few thousand points), where
+direct factorisation is the most verifiable route; the per-box ``greens``
+with an explicit loop over pairs is the engine's test oracle, and the
+engine the recursion's.  Both resolvers run the same batch loops
+(``_BatchResolver``): a resolver's ``_batch`` gives, at each energy in turn,
+five arrays, the worst decay pair (i, j) of each translate, its margin, its
+residual and the state its norms need, and the loops derive each pair's
+exponent c2 |i - j|.  Each decay margin stays in log space, so no bound
+exp(-c2 |n - n'|) is formed on the way to a verdict.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,6 +79,20 @@ def _as_complex(z) -> complex:
     if not cmath.isfinite(zc):
         raise ValueError(f"energy {zc} is not finite")
     return zc
+
+
+def _energies(z) -> tuple[complex, ...]:
+    """One complex energy, or each of a sequence of them, as a tuple of
+    complex numbers; the energies of one scan share Im z, which picks the
+    resolver of every shape."""
+    if isinstance(z, (ComplexEnergy, numbers.Number)):
+        return (_as_complex(z),)
+    zs = tuple(_as_complex(e) for e in z)
+    if not zs:
+        raise ValueError("a scan needs at least one energy")
+    if len({e.imag for e in zs}) > 1:
+        raise ValueError("the energies of one scan must share Im z")
+    return zs
 
 
 @dataclass(frozen=True)
@@ -124,10 +142,16 @@ def _singular(z: complex) -> str:
     return f"volume is singular at z={z}; use epsilon > 0 away from eigenvalues"
 
 
-def _residual_norm(R: np.ndarray):
-    """Frobenius norm of a residual (H - z) G - I, or of each of a stack of
-    them: an upper bound on its spectral norm."""
-    return np.linalg.norm(R, axis=(-2, -1))
+def _residual_norm(A: np.ndarray, G: np.ndarray):
+    """Frobenius norm of the residual A G - I, or of each of a stack of
+    them: an upper bound on its spectral norm.  One pass over the product,
+    taken in place: subtract 1 on its diagonal and sum the squares of its
+    real and imaginary parts."""
+    R = A @ G
+    n = R.shape[-1]
+    R[..., np.arange(n), np.arange(n)] -= 1.0
+    parts = R.view(np.float64).reshape(*R.shape[:-2], -1)
+    return np.sqrt(np.square(parts, out=parts).sum(axis=-1))
 
 
 def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
@@ -147,7 +171,7 @@ def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
         raise np.linalg.LinAlgError(singular) from exc
     if not np.isfinite(G).all():  # scipy may hand back inf/nan with a warning
         raise np.linalg.LinAlgError(singular)
-    return GreensMatrix(sites, zc, G, float(_residual_norm(A @ G - eye)))
+    return GreensMatrix(sites, zc, G, float(_residual_norm(A, G)))
 
 
 def resolvent_norm(spec: OperatorSpec, region_or_points, z) -> float:
@@ -269,24 +293,27 @@ RECURSION_ENTRIES = 1 << 16
 
 
 class _BatchResolver:
-    """The batch loops of both resolvers of one shape at one complex energy.
+    """The batch loops of both resolvers of one shape at one complex energy
+    or at each of a sequence of them (``zs``).
 
-    A resolver supplies ``_batch``: for a batch of shifts, the five arrays
-    (i, j, margin, residual, state) of each translate, that is, the site
-    indices of its worst decay pair, the pair's margin log|G(i, j)| +
-    c2 |i - j|, its residual, and the state its norms need.  ``resolve``
-    derives each pair's exponent c2 |i - j| from (i, j), the one place it
-    is formed.  ``_norms`` turns the state into ||G||, and ``_norms_within``
-    into the mask ``ok`` & ||G|| <= bound; by default the state is ||G||
-    itself.
+    A resolver supplies ``_batch``: for a batch of shifts it gives, at each
+    energy in turn, the five arrays (i, j, margin, residual, state) of each
+    translate, that is, the site indices of its worst decay pair, the pair's
+    margin log|G(i, j)| + c2 |i - j|, its residual, and the state its norms
+    need.  ``resolve`` derives each pair's exponent c2 |i - j| from (i, j),
+    the one place it is formed.  ``_norms`` turns the state at energy z into
+    ||G||, and ``_norms_within`` into the mask ``ok`` & ||G|| <= bound; by
+    default the state is ||G|| itself.  ``spectra`` counts the dense
+    eigenvalue sets the resolver has computed.
     """
 
-    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float, sites, batch: int):
-        self.spec, self.z, self.c2 = spec, z, c2
+        self.spec, self.zs, self.c2 = spec, _energies(z), c2
         self.sites = np.asarray(sites, dtype=np.int64)
         self.min_dist = pair_distance_threshold(shape.size)
         self.batch = max(1, batch)
+        self.spectra = 0
 
     def _batches(self, shifts) -> list[np.ndarray]:
         # raises ValueError when a shift has the wrong dimension
@@ -297,49 +324,60 @@ class _BatchResolver:
         self, shifts
     ) -> list[tuple[float, DecayWitness, float]]:
         """(||G||, worst decay pair, residual) of the shape translated by
-        each row of ``shifts``."""
-        out = []
+        each row of ``shifts``, at each energy in turn: row s at the k-th
+        energy is entry k len(shifts) + s."""
+        out = [[] for _ in self.zs]
         for s in self._batches(shifts):
-            i, j, margin, residual, state = self._batch(s)
-            exponent = self.c2 * np.abs(self.sites[i] - self.sites[j]).max(axis=1)
-            witnesses = [
-                DecayWitness((tuple(p), tuple(q)), m, e)
-                for p, q, m, e in zip((self.sites[i] + s).tolist(),
-                                      (self.sites[j] + s).tolist(),
-                                      margin.tolist(), exponent.tolist())
-            ]
-            out.extend(zip(self._norms(state).tolist(), witnesses, residual.tolist()))
-        return out
+            for z, rows, (i, j, margin, residual, state) in zip(
+                self.zs, out, self._batch(s)
+            ):
+                exponent = self.c2 * np.abs(self.sites[i] - self.sites[j]).max(axis=1)
+                witnesses = [
+                    DecayWitness((tuple(p), tuple(q)), m, e)
+                    for p, q, m, e in zip((self.sites[i] + s).tolist(),
+                                          (self.sites[j] + s).tolist(),
+                                          margin.tolist(), exponent.tolist())
+                ]
+                rows.extend(zip(self._norms(state, z).tolist(), witnesses,
+                                residual.tolist()))
+        return [row for rows in out for row in rows]
 
     def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
         """Mask of the translates that decay and have ||G|| <= norm_bound,
-        and the largest residual among them all."""
-        good, worst = [], 0.0
+        at each energy in turn as in ``resolve``, and the largest residual
+        among them all."""
+        good, worst = [[] for _ in self.zs], 0.0
         for s in self._batches(shifts):
-            _, _, margin, residual, state = self._batch(s)
-            worst = max(worst, float(residual.max()))
-            good.append(self._norms_within(state, margin <= 0.0, norm_bound))
-        return np.concatenate(good), worst
+            for z, masks, (_, _, margin, residual, state) in zip(
+                self.zs, good, self._batch(s)
+            ):
+                worst = max(worst, float(residual.max()))
+                masks.append(self._norms_within(state, margin <= 0.0, norm_bound, z))
+        return np.concatenate([m for masks in good for m in masks]), worst
 
-    def _norms(self, norm: np.ndarray) -> np.ndarray:
+    def _norms(self, norm: np.ndarray, z: complex) -> np.ndarray:
         return norm
 
-    def _norms_within(self, norm, ok: np.ndarray, norm_bound: float) -> np.ndarray:
+    def _norms_within(self, norm, ok: np.ndarray, norm_bound: float,
+                      z: complex) -> np.ndarray:
         return ok & (norm <= norm_bound)
 
 
 class _TranslateEngine(_BatchResolver):
-    """Resolvents of the translates of one shape at one complex energy.
+    """Resolvents of the translates of one shape at each of its energies.
 
     The shape's hopping block and pair distances are built once.  Each batch
-    of translates adds its potential diagonals to the block, solves
-    (H - z) G = I by one batched LU solve, as ``greens`` does box by box,
-    and takes ||G|| = 1/min|w - z| from one batched ``eigvalsh``, as
-    ``resolvent_norm`` does.  The worst decay pair and the Frobenius
+    of translates adds its potential diagonals to the block and takes the
+    Hermitian eigenvalues of the batch from one batched ``eigvalsh``, as
+    ``resolvent_norm`` does; H and its spectrum do not depend on z, so one
+    spectrum per box serves every energy.  At each energy ||G|| =
+    1/min|w - z| comes from that spectrum, and a complex copy of H shifted on
+    its diagonal gives G by one batched LU solve of (H - z) G = I, as
+    ``greens`` does box by box.  The worst decay pair and the Frobenius
     residual ||(H - z) G - I||_F come from G.
     """
 
-    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float):
         sites = _dense_sites(shape)
         super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // len(sites) ** 2)
@@ -352,26 +390,28 @@ class _TranslateEngine(_BatchResolver):
 
     def _batch(self, shifts: np.ndarray):
         b, (n, d) = len(shifts), self.sites.shape
-        z = self.z
         translated = self.sites[None, :, :] + shifts[:, None, :]
         diag = np.arange(n)
         H = np.repeat(self.hopping[None, :, :], b, axis=0)
         H[:, diag, diag] += potential_values(
             self.spec, translated.reshape(-1, d)
         ).reshape(b, n)
-        nearest = np.hypot(np.linalg.eigvalsh(H) - z.real, z.imag).min(axis=1)
-        if not nearest.all():
-            raise np.linalg.LinAlgError(_singular(z))
-        A = H - z * np.eye(n)
-        eye = np.broadcast_to(np.eye(n), A.shape)
-        G = np.linalg.solve(A, eye)
-        # the worst far pair by the margin it reports, -inf where G(i, j) = 0
-        with np.errstate(divide="ignore"):
-            margins = np.log(np.abs(G.reshape(b, -1)[:, self.far])) + self.decay
-        k = margins.argmax(axis=1)
-        i, j = np.divmod(self.far[k], n)
-        margin = margins[np.arange(b), k]
-        return i, j, margin, _residual_norm(A @ G - eye), 1.0 / nearest
+        w = np.linalg.eigvalsh(H)
+        self.spectra += b
+        for z in self.zs:
+            nearest = np.hypot(w - z.real, z.imag).min(axis=1)
+            if not nearest.all():
+                raise np.linalg.LinAlgError(_singular(z))
+            A = H.astype(np.complex128)
+            A[:, diag, diag] -= z
+            G = np.linalg.inv(A)  # the LU solve of A G = I
+            # the worst far pair by the margin it reports, -inf where G(i, j) = 0
+            with np.errstate(divide="ignore"):
+                margins = np.log(np.abs(G.reshape(b, -1)[:, self.far])) + self.decay
+            k = margins.argmax(axis=1)
+            i, j = np.divmod(self.far[k], n)
+            margin = margins[np.arange(b), k]
+            yield i, j, margin, _residual_norm(A, G), 1.0 / nearest
 
 
 def continued_fractions(work: np.ndarray, numerators) -> None:
@@ -396,9 +436,10 @@ class _TridiagonalResolver(_BatchResolver):
     (Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981), in O(n) per box and
     vectorised over a batch of translates.
 
-    With diagonal a and hopping b, one ``continued_fractions`` sweep of an
-    (n, 2, batch) array gives hL_k = b^2 / (a_k - z - hL_{k-1}) on side 0
-    and the same from the right end on side 1, whose row r is hR_{n-1-r}.
+    The diagonals a of a batch are formed once.  At each energy, with
+    hopping b, one ``continued_fractions`` sweep of an (n, 2, batch) array
+    gives hL_k = b^2 / (a_k - z - hL_{k-1}) on side 0 and the same from the
+    right end on side 1, whose row r is hR_{n-1-r}.
     Then G(j, j) = 1/(a_j - z - hL_{j-1} - hR_{j+1}), and G is complex
     symmetric with G(i, j) = G(j, j) prod_{k=i}^{j-1} (-hL_k / b) for i < j.
     So the decay margin log|G(i, j)| + c2 (j - i) splits into B_j - A_i,
@@ -412,20 +453,25 @@ class _TridiagonalResolver(_BatchResolver):
     sqrt(bound^-2 - eps^2) of E, which two Sturm counts decide.
     """
 
-    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z: complex,
+    def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float):
         sites = site_list(shape)
         super().__init__(spec, shape, z, c2, sites, RECURSION_ENTRIES // len(sites))
         self.onsite, self.hop = spec.tridiagonal
 
     def _batch(self, shifts: np.ndarray):
-        a, h, diag = self._fractions(shifts)
-        i, j, margin = self._worst_pairs(h[:, 0], diag)
-        residual = self._column_residuals(a, h, diag, j)
-        return i, j, margin, residual, a
+        n = len(self.sites)
+        translated = (self.sites + shifts[:, 0]).reshape(-1, 1)
+        a = self.onsite + potential_values(self.spec, translated).reshape(n, -1)
+        for z in self.zs:
+            h, diag = self._fractions(a, z)
+            i, j, margin = self._worst_pairs(h[:, 0], diag)
+            residual = self._column_residuals(a, h, diag, j, z)
+            yield i, j, margin, residual, a
 
-    def _norms_within(self, a, ok: np.ndarray, norm_bound: float) -> np.ndarray:
-        energy, eps = self.z.real, self.z.imag
+    def _norms_within(self, a, ok: np.ndarray, norm_bound: float,
+                      z: complex) -> np.ndarray:
+        energy, eps = z.real, z.imag
         radius_sq = norm_bound**-2 - eps**2
         if radius_sq > 0.0 and ok.any():
             r = math.sqrt(radius_sq)
@@ -433,18 +479,15 @@ class _TridiagonalResolver(_BatchResolver):
             ok[ok] = below[0] == below[1]
         return ok
 
-    def _fractions(self, shifts: np.ndarray):
-        """Diagonals a and G(j, j) of each translate, as (n, b) arrays, and
-        the fractions of both sides as one (n, 2, b) array."""
-        n = len(self.sites)
-        translated = (self.sites + shifts[:, 0]).reshape(-1, 1)
-        a = self.onsite + potential_values(self.spec, translated).reshape(n, -1)
-        d = a - self.z
+    def _fractions(self, a: np.ndarray, z: complex):
+        """The fractions of both sides at z as one (n, 2, b) array, and
+        G(j, j) of each translate as an (n, b) array, from its diagonals a."""
+        d = a - z
         h = np.stack((d, d[::-1]), axis=1)
-        continued_fractions(h, [self.hop * self.hop] * n)
+        continued_fractions(h, [self.hop * self.hop] * len(a))
         d[1:] -= h[:-1, 0]
         d[:-1] -= h[-2::-1, 1]
-        return a, h, 1.0 / d
+        return h, 1.0 / d
 
     def _worst_pairs(self, hL: np.ndarray, diag: np.ndarray):
         """Index arrays (i, j), i < j, of the worst decay pair of each
@@ -464,7 +507,7 @@ class _TridiagonalResolver(_BatchResolver):
         i = np.where(np.arange(n)[:, None] <= j - m, A, np.inf).argmin(axis=0)
         return i, j, margin
 
-    def _column_residuals(self, a, h, diag, j) -> np.ndarray:
+    def _column_residuals(self, a, h, diag, j, z: complex) -> np.ndarray:
         """||(H - z) g - e_j||_2 of each box's column g = G e_j, built in h."""
         n, b = a.shape
         boxes = np.arange(b)
@@ -475,7 +518,7 @@ class _TridiagonalResolver(_BatchResolver):
         for r in range(n - 2, -1, -1):
             np.multiply(h[r], h[r + 1], out=h[r], where=r < ends)
         g = np.where(np.arange(n)[:, None] <= j, h[:, 0], h[::-1, 1])
-        r = (a - self.z) * g
+        r = (a - z) * g
         r[1:] += self.hop * g[:-1]
         r[:-1] += self.hop * g[1:]
         r[j, boxes] -= 1.0
@@ -495,10 +538,10 @@ class _TridiagonalResolver(_BatchResolver):
             count += q <= 0.0
         return count
 
-    def _norms(self, a: np.ndarray) -> np.ndarray:
+    def _norms(self, a: np.ndarray, z: complex) -> np.ndarray:
         """||G|| = 1/min|w - z| of each box, from the eigenvalues on either
         side of E."""
-        energy, eps = self.z.real, self.z.imag
+        energy, eps = z.real, z.imag
         n = len(a)
         hops = np.full(n - 1, self.hop)
         below = self._counts(a, np.array(energy))
@@ -513,15 +556,17 @@ class _TridiagonalResolver(_BatchResolver):
         return norms
 
 
-def _resolver(spec: OperatorSpec, shape: ElementaryRegion, z: complex, c2: float):
+def _resolver(spec: OperatorSpec, shape: ElementaryRegion, z, c2: float):
     """The resolver of the translates of ``shape``: the recursion when the
     boxes are tridiagonal (``OperatorSpec.tridiagonal``) and z lies off
     the real axis, where no pivot of the fractions can vanish; the batched
     engine for every other box (d >= 2, kernel range > 1, complex hopping,
-    or eps = 0, where it reports a singular box)."""
-    if _recursive(spec, z.imag):
-        return _TridiagonalResolver(spec, shape, z, c2)
-    return _TranslateEngine(spec, shape, z, c2)
+    or eps = 0, where it reports a singular box).  ``z`` is one complex
+    energy or a sequence of them that share Im z."""
+    zs = _energies(z)
+    if _recursive(spec, zs[0].imag):
+        return _TridiagonalResolver(spec, shape, zs, c2)
+    return _TranslateEngine(spec, shape, zs, c2)
 
 
 def _recursive(spec: OperatorSpec, epsilon: float) -> bool:
@@ -586,8 +631,9 @@ def is_strongly_good(
 class BadSetReport:
     """Bad centers of one scan: n is bad when some shape of size N1
     translated to n fails strong goodness.  ``max_residual`` is the largest
-    residual (as in ``BoxVerdict.residual``) over the boxes the scan
-    resolved."""
+    residual (as in ``BoxVerdict.residual``) over the ``boxes`` boxes the
+    scan resolved, and ``box_spectra`` the number of dense eigenvalue sets
+    it computed."""
 
     size: int
     sub_size: int
@@ -595,6 +641,8 @@ class BadSetReport:
     bad_centers: tuple[Coords, ...]
     total_centers: int
     max_residual: float
+    boxes: int
+    box_spectra: int
 
     @property
     def count(self) -> int:
@@ -622,6 +670,26 @@ def _scan_setup(spec, size, sub_size, z, params, centers):
     return shapes, resolvers, [tuple(c) for c in centers]
 
 
+@dataclass(frozen=True)
+class BoxScan:
+    """The verdicts of ``scan_boxes`` as (center, shape index, verdict), in
+    (energy, center, shape) order; iterating a scan iterates them.
+    ``boxes`` counts the resolutions of one box at one energy, and
+    ``box_spectra`` the dense eigenvalue sets they took: one per box of the
+    batched engine, whatever the number of energies, and none in the 1-d
+    recursion."""
+
+    verdicts: tuple[tuple[Coords, int, BoxVerdict], ...]
+    box_spectra: int
+
+    @property
+    def boxes(self) -> int:
+        return len(self.verdicts)
+
+    def __iter__(self) -> Iterator[tuple[Coords, int, BoxVerdict]]:
+        return iter(self.verdicts)
+
+
 def scan_boxes(
     spec: OperatorSpec,
     size: int,
@@ -629,23 +697,30 @@ def scan_boxes(
     z,
     params: ClassificationParams,
     centers: Iterable[Coords] | None = None,
-) -> Iterable[tuple[Coords, int, BoxVerdict]]:
+) -> BoxScan:
     """Exhaustive verdicts for every center in [-N, N]^d and every shape of
-    size N1; yields (center, shape index, verdict).
+    size N1, at one complex energy ``z`` or at each of a sequence of them
+    sharing Im z, in (energy, center, shape) order.
 
-    ``centers`` restricts the scan to a subset, letting a pool of workers
-    split the cube into chunks while keeping center order deterministic.
-    One call resolves all the centers it is given before it yields, so its
-    memory grows with their number; the recipes pass 64 at a time."""
-    zc = _as_complex(z)
-    shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
+    Each shape's resolver covers every energy, so the batched engine takes
+    one spectrum per box for all of them.  ``centers`` restricts the scan to
+    a subset, letting a pool of workers split the cube into chunks while
+    keeping center order deterministic.  One call holds the verdicts of all
+    the centers it is given at every energy, so its memory grows with their
+    number; the recipes pass 64 at a time."""
+    zs = _energies(z)
+    shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
     resolved = [resolver.resolve(centers) for resolver in resolvers]
-    for k, center in enumerate(centers):
-        for shape_id, shape in enumerate(shapes):
-            verdict = _verdict(
-                shape.translate(center), zc, *resolved[shape_id][k], params.sigma
-            )
-            yield center, shape_id, verdict
+    regions = [[shape.translate(c) for shape in shapes] for c in centers]
+    n = len(centers)
+    verdicts = tuple(
+        (center, shape_id,
+         _verdict(region, z, *resolved[shape_id][k * n + c], params.sigma))
+        for k, z in enumerate(zs)
+        for c, (center, row) in enumerate(zip(centers, regions))
+        for shape_id, region in enumerate(row)
+    )
+    return BoxScan(verdicts, sum(r.spectra for r in resolvers))
 
 
 def bad_set(
@@ -664,16 +739,18 @@ def bad_set(
     _, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
     norm_bound = strong_norm_bound(sub_size, params.sigma)
     remaining = centers
-    max_residual = 0.0
+    max_residual, boxes = 0.0, 0
     for resolver in resolvers:
         if not remaining:
             break
         good, residual = resolver.verdicts(remaining, norm_bound)
         max_residual = max(max_residual, residual)
+        boxes += len(remaining)
         remaining = [c for c, ok in zip(remaining, good.tolist()) if ok]
     good = set(remaining)
     bad = tuple(c for c in centers if c not in good)
-    return BadSetReport(size, sub_size, zc, bad, len(centers), max_residual)
+    return BadSetReport(size, sub_size, zc, bad, len(centers), max_residual,
+                        boxes, sum(r.spectra for r in resolvers))
 
 
 @dataclass(frozen=True)

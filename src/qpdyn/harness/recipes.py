@@ -160,19 +160,20 @@ def _fit_series(mode, p, times, values):
         return (mode, p, float("nan"), float("nan"), False, str(exc))
 
 
-def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
-    rows = []
+def _task_box_scan(spec, size, sub_size, energies, eps, params, centers):
+    """One scan of the centers at every energy; ``by_energy`` holds the rows
+    of each energy in turn, in (center, shape) order."""
+    scan = scan_boxes(spec, size, sub_size, [complex(e, eps) for e in energies],
+                      params, centers=centers)
+    rows = {complex(e, eps): [] for e in energies}
     residual = 0.0
-    z = complex(energy, eps)
-    for center, shape_id, verdict in scan_boxes(
-        spec, size, sub_size, z, params, centers=centers
-    ):
+    for center, shape_id, verdict in scan:
         residual = max(residual, verdict.residual)
-        rows.append(
+        rows[verdict.z].append(
             (
                 size,
                 sub_size,
-                energy,
+                verdict.z.real,
                 eps,
                 *center,
                 shape_id,
@@ -182,18 +183,22 @@ def _task_box_scan(spec, size, sub_size, energy, eps, params, centers):
                 verdict.strongly_good,
             )
         )
-    return {"main": rows, "flags": [], "residual": residual,
-            "matrix_order": _box_order(spec, sub_size)}
+    return {"size": size, "by_energy": list(rows.values()), "flags": [],
+            "residual": residual, "matrix_order": _box_order(spec, sub_size),
+            "boxes": scan.boxes, "box_spectra": scan.box_spectra}
 
 
-def _task_bad_set(spec, size, sub_size, energy, eps, params, centers):
-    report = bad_set(
-        spec, size, sub_size, complex(energy, eps), params, centers=centers
-    )
-    partial = (energy, eps, size, sub_size, report.count, report.total_centers)
-    return {"main": [], "partial": partial, "flags": [],
-            "residual": report.max_residual,
-            "matrix_order": _box_order(spec, sub_size)}
+def _task_bad_set(spec, size, sub_size, energies, eps, params, centers):
+    """One ``bad_set`` per energy, each with its own early exits."""
+    reports = [bad_set(spec, size, sub_size, complex(e, eps), params, centers=centers)
+               for e in energies]
+    partials = [(e, eps, size, sub_size, r.count, r.total_centers)
+                for e, r in zip(energies, reports)]
+    return {"main": [], "partials": partials, "flags": [],
+            "residual": max(r.max_residual for r in reports),
+            "matrix_order": _box_order(spec, sub_size),
+            "boxes": sum(r.boxes for r in reports),
+            "box_spectra": sum(r.box_spectra for r in reports)}
 
 
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
@@ -414,15 +419,15 @@ SCAN_CHUNK = 64  # centers per task; fixed so plans don't depend on workers
 
 
 def _scan_tasks(fn, spec, pairs, energies, eps, params) -> list[Task]:
-    """``fn`` over each chunk of SCAN_CHUNK centers of [-N, N]^d at each
-    energy, in (N, E, chunk) order; the chunks of each N are built once."""
+    """``fn`` over each chunk of SCAN_CHUNK centers of [-N, N]^d, each task
+    covering every energy, in (N, chunk) order."""
     tasks = []
     for n, sub in pairs:
         centers = list(scan_centers(n, spec.dimension))
-        chunks = [centers[i : i + SCAN_CHUNK] for i in range(0, len(centers), SCAN_CHUNK)]
-        tasks += [Task(fn, dict(spec=spec, size=n, sub_size=sub, energy=e,
-                                eps=eps, params=params, centers=chunk))
-                  for e in energies for chunk in chunks]
+        tasks += [Task(fn, dict(spec=spec, size=n, sub_size=sub, energies=energies,
+                                eps=eps, params=params,
+                                centers=centers[i : i + SCAN_CHUNK]))
+                  for i in range(0, len(centers), SCAN_CHUNK)]
     return tasks
 
 
@@ -433,7 +438,17 @@ def _plan_box_scan(cfg: ExperimentConfig) -> Plan:
     tasks = _scan_tasks(_task_box_scan, spec, pairs, energies, eps, params)
     header = ["N", "N1", "E", "eps", *_coords_header(spec.dimension),
               "shapeId", "norm", "worstPairDecayMargin", "good", "stronglyGood"]
-    return Plan(tasks, {"main": ("scan", header)})
+    return Plan(tasks, {"main": ("scan", header)}, aggregate=_aggregate_box_scan)
+
+
+def _aggregate_box_scan(results):
+    """Rows in (N, E, center, shape) order from tasks in (N, chunk) order,
+    each holding its rows of every energy."""
+    rows = []
+    for _, tasks in itertools.groupby(results, key=lambda res: res["size"]):
+        for chunks in zip(*(res["by_energy"] for res in tasks)):
+            rows += [row for chunk in chunks for row in chunk]
+    return {"main": rows}
 
 
 def _plan_sublinear(cfg: ExperimentConfig) -> Plan:
@@ -457,10 +472,10 @@ def _aggregate_sublinear(energies, eps, pairs, results):
     """Sum per-chunk bad counts into per-(E, N) rows plus per-E fits."""
     sums: dict[tuple[float, int], list[int]] = {}
     for res in results:
-        e, _, n, _, count, total = res["partial"]
-        acc = sums.setdefault((e, n), [0, 0])
-        acc[0] += count
-        acc[1] += total
+        for e, _, n, _, count, total in res["partials"]:
+            acc = sums.setdefault((e, n), [0, 0])
+            acc[0] += count
+            acc[1] += total
     count_rows = []
     fit_rows = []
     for e in energies:
@@ -622,7 +637,8 @@ def _write_run(
     """Write one CSV per output key plus the run manifest.
 
     Run diagnostics (wall time, the seconds of each task in plan order, the
-    largest resolvent residual of a scan,
+    largest resolvent residual of a scan, the boxes a scan resolved at each
+    energy and the dense box spectra it computed, summed over tasks,
     the largest truncation leakage of an evolution or moment run, the
     largest norm drift of an evolution, the largest quadrature tail bound
     of a time-averaged table, the most energy-quadrature panels of a
@@ -649,6 +665,10 @@ def _write_run(
         values = [res[key] for res in results if key in res]
         if values:
             manifest[name] = max(values)
+    for key in ("boxes", "box_spectra"):
+        values = [res[key] for res in results if key in res]
+        if values:
+            manifest[key] = sum(values)
     manifest.update(
         outputs=[f.name for f in files],
         row_counts=counts,

@@ -7,7 +7,9 @@ cut (``ElementaryRegion``) and every such shape of one size
 (``RegionFamily``), laid on a grid by ``tile_disjoint``.  All distances are
 sup-norm.  Regions are stored as descriptors (center, size, sector
 markers); point sets are only ever materialised transiently by iterating
-``points()``.
+``points()``.  Sizes, coordinates, half widths and cut offsets are
+integers: any other number raises ``ValueError`` rather than being
+truncated.
 
 Everything here is an immutable value with pure methods, so the module is
 safe to use from any number of concurrent workers.
@@ -16,6 +18,7 @@ safe to use from any number of concurrent workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -29,6 +32,15 @@ _MARKERS = (None, LESS, GREATER)
 def sup_norm(n: Sequence[int]) -> int:
     """|n| = max_i |n_i|."""
     return max(abs(int(c)) for c in n)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: Python and NumPy integers pass, and anything
+    else, a float of integral value too, is an error rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -47,12 +59,14 @@ class ElementaryRegion:
     sector: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
-        center = tuple(int(c) for c in self.center)
+        center = tuple(_integer(c, "a center coordinate") for c in self.center)
         object.__setattr__(self, "center", center)
         if not center:
             raise ValueError("dimension must be at least 1")
-        if self.size < 1:
+        size = _integer(self.size, "size")
+        if size < 1:
             raise ValueError("size must be a positive integer")
+        object.__setattr__(self, "size", size)
         sector = tuple(self.sector) if self.sector else (None,) * len(center)
         if len(sector) != len(center):
             raise ValueError("sector markers must match the dimension")
@@ -83,7 +97,7 @@ class ElementaryRegion:
                 yield tuple(r + c for r, c in zip(rel, self.center))
 
     def translate(self, k: Sequence[int]) -> "ElementaryRegion":
-        center = tuple(c + int(a) for c, a in zip(self.center, k, strict=True))
+        center = tuple(c + a for c, a in zip(self.center, k, strict=True))
         return ElementaryRegion(center, self.size, self.sector)
 
 
@@ -97,8 +111,8 @@ class GeneralizedRegion:
     cut: Coords | None = None
 
     def __post_init__(self) -> None:
-        center = tuple(int(c) for c in self.center)
-        widths = tuple(int(m) for m in self.half_widths)
+        center = tuple(_integer(c, "a center coordinate") for c in self.center)
+        widths = tuple(_integer(m, "a half width") for m in self.half_widths)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_widths", widths)
         if not center:
@@ -108,7 +122,7 @@ class GeneralizedRegion:
         if any(m < 0 for m in widths):
             raise ValueError("half widths must be non-negative")
         if self.cut is not None:
-            cut = tuple(int(y) for y in self.cut)
+            cut = tuple(_integer(y, "a cut offset") for y in self.cut)
             if len(cut) != len(center):
                 raise ValueError("cut offset must match the dimension")
             object.__setattr__(self, "cut", cut)
@@ -180,7 +194,7 @@ def enumerate_shapes(d: int, size: int) -> list[ElementaryRegion]:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if size < 1:
+    if _integer(size, "size") < 1:
         raise ValueError("size must be a positive integer")
     origin = (0,) * d
     shapes = [ElementaryRegion(origin, size)]
@@ -197,7 +211,7 @@ def tile_disjoint(host: ElementaryRegion, size: int) -> RegionFamily:
     with stride 2M + 1; grid cubes that are not fully inside the host (a
     sector cut can clip them) are dropped.
     """
-    if size < 1:
+    if _integer(size, "tile size") < 1:
         raise ValueError("tile size must be a positive integer")
     if size > host.size:
         raise ValueError("tile size exceeds the host size")

@@ -508,6 +508,42 @@ def test_engine_batches_do_not_change_verdicts(monkeypatch):
     )
 
 
+def test_engine_takes_one_spectrum_per_box_for_every_energy(monkeypatch):
+    # H does not depend on z: a scan at k energies calls eigvalsh once per
+    # (shape, batch), as a one-energy scan does, and gives the verdicts of
+    # k one-energy scans bit for bit
+    spec = amo_2d(3.0, 0.3)
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    centers = list(scan_centers(3, 2))
+    zs = [0.2 + 1e-3j, -1.5 + 1e-3j, 4.0 + 1e-3j]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    scan = scan_boxes(spec, 4, 2, zs, params, centers=centers)
+    shapes = enumerate_shapes(2, 2)
+    batches = [max(1, GREENS.BATCH_ENTRIES // len(list(s.points())) ** 2)
+               for s in shapes]
+    assert len(calls) == sum(math.ceil(len(centers) / b) for b in batches)
+    assert sum(calls) == scan.box_spectra == len(shapes) * len(centers)
+    assert scan.boxes == len(zs) * scan.box_spectra
+    multi = len(calls)
+    singles = [list(scan_boxes(spec, 4, 2, z, params, centers=centers)) for z in zs]
+    assert len(calls) == (1 + len(zs)) * multi
+    assert list(scan) == [row for single in singles for row in single]
+
+
+@pytest.mark.parametrize("zs", [[], [0.2 + 1e-3j, 0.5 + 0.0j]], ids=["none", "two-eps"])
+def test_scan_energies_must_share_one_im_z(zs):
+    # Im z picks each shape's resolver, once for all the energies of a scan
+    with pytest.raises(ValueError, match="energ"):
+        scan_boxes(AMO3, 4, 2, zs, ClassificationParams())
+
+
 def test_engine_reports_singular_box():
     # z equal to an eigenvalue of the box, as greens() reports it
     with pytest.raises(np.linalg.LinAlgError):

@@ -331,6 +331,76 @@ class TestRecipes:
             assert 0.0 < record["max_resolvent_residual"] < 1e-10
             assert record["max_matrix_order"] == 5  # the box [-2, 2]
 
+    def test_multi_energy_scan_rows_are_the_one_energy_runs(self, tmp_path):
+        # one task per chunk of centers covers every energy; the rows still
+        # come in (N, E, center, shape) order, at any worker count, and each
+        # energy's rows are those of a run at that energy alone
+        base = f"""
+            experiment = bad-set-scan
+            {LAPLACIAN_2D}
+            scan.sizes = 5,6
+            scan.sub_size = 1
+            scan.epsilon = 0.001
+            """
+        energies = ("0.0", "2.5", "-1.0")
+        p = write(tmp_path, "three.cfg",
+                  base + f"scan.energies = {','.join(energies)}\n")
+        for workers in (1, 2):
+            run_experiment(load_config(p), tmp_path / f"w{workers}",
+                           workers=workers, prefix="gs")
+        one_worker, two_workers = (
+            (tmp_path / w / "gs_scan.csv").read_bytes() for w in ("w1", "w2")
+        )
+        assert one_worker == two_workers
+        header, *rows = one_worker.decode().splitlines()
+        hash_col = header.split(",").index("config_hash")
+
+        def cells(line):
+            values = line.split(",")
+            return values[:hash_col] + values[hash_col + 1 :]
+
+        n_col = cells(header).index("N")
+
+        singles = []
+        for i, e in enumerate(energies):
+            q = write(tmp_path, f"e{i}.cfg", base + f"scan.energies = {e}\n")
+            run_experiment(load_config(q), tmp_path / f"e{i}", prefix="gs")
+            one_header, *one = (
+                (tmp_path / f"e{i}" / "gs_scan.csv").read_text().splitlines()
+            )
+            assert one_header == header
+            singles.append([cells(line) for line in one])
+        expected = [row for n in ("5", "6") for single in singles
+                    for row in single if row[n_col] == n]
+        assert [cells(line) for line in rows] == expected
+        assert len(rows) == 3 * 5 * (11**2 + 13**2)  # 5 shapes of size 1
+
+    def test_scan_manifests_count_boxes_and_box_spectra(self, tmp_path):
+        # a 2-d box takes one dense spectrum for all the energies of a scan;
+        # the 1-d recursion takes none
+        two_energies = "scan.energies = 0.0,2.5\nscan.epsilon = 0.001\n"
+        scan_2d = f"experiment = bad-set-scan\n{LAPLACIAN_2D}scan.sizes = 3\n" \
+                  "scan.sub_size = 1\n" + two_energies
+        scan_1d = f"experiment = bad-set-scan\n{AMO_MODEL}scan.sizes = 6\n" \
+                  "scan.sub_size = 2\n" + two_energies
+        sublinear_2d = scan_2d.replace("bad-set-scan", "sublinear").replace(
+            "scan.sizes = 3", "scan.sizes = 3,4,5")
+        records = []
+        for name, text in (("a", scan_2d), ("b", scan_1d), ("c", sublinear_2d)):
+            run_experiment(load_config(write(tmp_path, f"{name}.cfg", text)),
+                           tmp_path / name, prefix=name)
+            records.append(json.loads(
+                (tmp_path / name / f"{name}_manifest.json").read_text()))
+        two_d, one_d, sublinear = records
+        # 49 centers, 5 shapes of size 1, 2 energies
+        assert (two_d["boxes"], two_d["box_spectra"]) == (490, 245)
+        assert (one_d["boxes"], one_d["box_spectra"]) == (26, 0)
+        # bad_set runs one energy at a time and stops at a center's first
+        # bad shape: every box it resolves takes its own spectrum
+        assert sublinear["boxes"] == sublinear["box_spectra"]
+        assert 2 * (7**2 + 9**2 + 11**2) <= sublinear["boxes"] <= 2 * 5 * (
+            7**2 + 9**2 + 11**2)
+
     def test_scan_where_the_norm_bound_overflows(self, tmp_path):
         # exp(1003^0.95) overflows a double, so the bound reads inf and every
         # box that decays is strongly good; a diagonal quasi-periodic model

@@ -142,6 +142,14 @@ class TestValidation:
                 (ElementaryRegion((-3,), 1), ElementaryRegion((2,), 2)),
                 ElementaryRegion((0,), 5),
             ),
+            # a non-integral number is rejected, not truncated or kept
+            lambda: ElementaryRegion((0,), 1.5),
+            lambda: enumerate_shapes(2, 1.5),
+            lambda: ElementaryRegion((0.9,), 2),
+            lambda: GeneralizedRegion((0,), (1.7,)),
+            lambda: GeneralizedRegion((0, 0), (2, 2), cut=(1, 0.5)),
+            lambda: ElementaryRegion((0,), 2).translate((0.5,)),
+            lambda: tile_disjoint(ElementaryRegion((0,), 5), 1.5),
         ],
         ids=[
             "elementary-no-dimension",
@@ -156,11 +164,28 @@ class TestValidation:
             "shapes-size-zero",
             "tiling-size-zero",
             "family-mixed-sizes",
+            "elementary-float-size",
+            "shapes-float-size",
+            "elementary-float-center",
+            "generalized-float-width",
+            "generalized-float-cut",
+            "translate-float-shift",
+            "tiling-float-size",
         ],
     )
     def test_invalid_geometry_raises(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_numpy_integers_are_accepted_as_python_ints(self):
+        box = ElementaryRegion(np.array([3, -1]), np.int32(2))
+        shifted = ElementaryRegion((0, 0), 2).translate(np.array([3, -1]))
+        rect = GeneralizedRegion(np.array([0]), np.array([2]), cut=np.array([1]))
+        assert box == shifted
+        assert rect == GeneralizedRegion((0,), (2,), cut=(1,))
+        for value in (*box.center, box.size, *rect.half_widths, *rect.cut):
+            assert type(value) is int
+        assert enumerate_shapes(2, np.int64(1)) == enumerate_shapes(2, 1)
 
 
 class TestTiling:
