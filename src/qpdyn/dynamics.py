@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .greens import RECURSION_ENTRIES, _as_complex, continued_fractions
-from .lattice import Coords, ElementaryRegion, sup_norm
+from .lattice import Coords, ElementaryRegion, site, sup_norm, sup_norms
 from .operators import (
     OperatorSpec,
     StateVector,
@@ -61,11 +61,6 @@ RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
 @lru_cache(maxsize=4)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
-
-
-def _sup_norms(sites: Sequence[Coords]) -> np.ndarray:
-    """Sup norms |n| of the sites, as floats (exact: they are integers)."""
-    return np.abs(np.asarray(sites, dtype=np.int64)).max(axis=1).astype(float)
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -96,7 +91,7 @@ def _box_diagonals(spec: OperatorSpec, radius: int):
     ``OperatorSpec.tridiagonal``, with no n x n matrix."""
     onsite, hop = spec.tridiagonal
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
-    return sites, _sup_norms(sites), onsite + potential_values(spec, sites), hop
+    return sites, sup_norms(sites), onsite + potential_values(spec, sites), hop
 
 
 @lru_cache(maxsize=4)
@@ -114,7 +109,7 @@ def _box_eigh(spec: OperatorSpec, radius: int):
         return sites, norms, w, U
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
     w, U = np.linalg.eigh(assemble(spec, sites))
-    return sites, _sup_norms(sites), w, U
+    return sites, sup_norms(sites), w, U
 
 
 def _apply(U: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -310,7 +305,7 @@ class AmplitudeTable:
         return {p: i for i, p in enumerate(self.sites)}
 
     def value_at(self, n: Coords) -> float:
-        return float(self.values[self._index[tuple(n)]])
+        return float(self.values[self._index[site(n)]])
 
 
 def _real_weights(c: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
@@ -522,13 +517,8 @@ def amplitude_table_parseval(
     _check_positive(T, "averaging horizon T")
     if band_edge is not None:  # a negative edge reverses the band panels
         _check_positive(band_edge, "band edge")
-    src = tuple(int(c) for c in source)
-    if len(src) != spec.dimension:
-        raise ValueError(
-            f"source site {src} must have {spec.dimension} coordinates"
-        )
-    if 2 * max(abs(c) for c in src) > radius:
-        raise ValueError("source site must lie in [-R/2, R/2]^d")
+    src = site(source)
+    _check_state(spec, StateVector.delta(src), radius)
     sites, norms, w, column = _source_column(spec, radius, src)
     eps = 1.0 / T
     prefactor = 1.0 / (T * math.pi)

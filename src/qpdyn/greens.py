@@ -44,7 +44,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .lattice import Coords, ElementaryRegion, enumerate_shapes, tile_disjoint
+from .lattice import (Coords, ElementaryRegion, _integer, enumerate_shapes, site,
+                      sup_norm, sup_norms, tile_disjoint)
 from .operators import (
     OperatorSpec,
     assemble,
@@ -115,7 +116,7 @@ class GreensMatrix:
         return {p: i for i, p in enumerate(self.sites)}
 
     def entry(self, n: Coords, nprime: Coords) -> complex:
-        return self.matrix[self._index[tuple(n)], self._index[tuple(nprime)]]
+        return self.matrix[self._index[site(n)], self._index[site(nprime)]]
 
     def norm(self) -> float:
         """Spectral norm of G, computed independently via SVD."""
@@ -310,14 +311,15 @@ class _BatchResolver:
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float, sites, batch: int):
         self.spec, self.zs, self.c2 = spec, _energies(z), c2
-        self.sites = np.asarray(sites, dtype=np.int64)
+        self.sites = np.asarray(sites)
         self.min_dist = pair_distance_threshold(shape.size)
         self.batch = max(1, batch)
         self.spectra = 0
 
     def _batches(self, shifts) -> list[np.ndarray]:
-        # raises ValueError when a shift has the wrong dimension
-        shifts = np.asarray(shifts, np.int64).reshape(len(shifts), self.sites.shape[1])
+        # the shifts are sites read by ``lattice.site``; raises ValueError
+        # when one has the wrong dimension
+        shifts = np.asarray(shifts).reshape(len(shifts), self.sites.shape[1])
         return [shifts[s : s + self.batch] for s in range(0, len(shifts), self.batch)]
 
     def resolve(
@@ -331,7 +333,7 @@ class _BatchResolver:
             for z, rows, (i, j, margin, residual, state) in zip(
                 self.zs, out, self._batch(s)
             ):
-                exponent = self.c2 * np.abs(self.sites[i] - self.sites[j]).max(axis=1)
+                exponent = self.c2 * sup_norms(self.sites[i] - self.sites[j])
                 witnesses = [
                     DecayWitness((tuple(p), tuple(q)), m, e)
                     for p, q, m, e in zip((self.sites[i] + s).tolist(),
@@ -382,8 +384,7 @@ class _TranslateEngine(_BatchResolver):
         sites = _dense_sites(shape)
         super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // len(sites) ** 2)
         self.hopping = hopping_block(spec, self.sites)
-        coords = self.sites.astype(float)
-        dist = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2).ravel()
+        dist = sup_norms(self.sites[:, None, :] - self.sites[None, :, :]).ravel()
         # flat indices of the far pairs, in row-major order, and their c2 |i - j|
         self.far = np.flatnonzero(dist >= self.min_dist)
         self.decay = c2 * dist[self.far]
@@ -584,10 +585,6 @@ def check_scan_volume(spec: OperatorSpec, sub_size: int, epsilon: float) -> None
         _check_dense((2 * sub_size + 1) ** spec.dimension)
 
 
-def _resolve_box(spec, region: ElementaryRegion, z: complex, c2: float):
-    return _resolver(spec, region, z, c2).resolve([(0,) * region.dimension])[0]
-
-
 def _verdict(region, z, norm, witness, residual, sigma) -> BoxVerdict:
     good, bound = witness.margin <= 0.0, strong_norm_bound(region.size, sigma)
     return BoxVerdict(
@@ -603,28 +600,28 @@ def classify_box(
 ) -> BoxVerdict:
     """Good / strongly-good verdict for one elementary region."""
     zc = _as_complex(z)
-    return _verdict(
-        region, zc, *_resolve_box(spec, region, zc, params.c2), params.sigma
-    )
+    resolver = _resolver(spec, region, zc, params.c2)
+    (resolved,) = resolver.resolve([(0,) * region.dimension])
+    return _verdict(region, zc, *resolved, params.sigma)
 
 
 def is_good(
     spec: OperatorSpec, region: ElementaryRegion, z, c2: float
 ) -> tuple[bool, DecayWitness]:
     """Class-G check: |G(n,n')| <= exp(-c2 |n-n'|) for all pairs at
-    sup-distance >= ceil(N/10).  Returns the verdict and the worst pair."""
-    _, witness, _ = _resolve_box(spec, region, _as_complex(z), c2)
-    return witness.margin <= 0.0, witness
+    sup-distance >= ceil(N/10).  Returns the verdict and the worst pair.
+    A view of ``classify_box``, so ``c2`` obeys ``ClassificationParams``."""
+    verdict = classify_box(spec, region, z, ClassificationParams(c2=c2))
+    return verdict.good, verdict.witness
 
 
 def is_strongly_good(
     spec: OperatorSpec, region: ElementaryRegion, z, c2: float, sigma: float
 ) -> bool:
-    """Class-SG check: class G plus ||G|| <= exp(N^sigma)."""
-    zc = _as_complex(z)
-    return _verdict(
-        region, zc, *_resolve_box(spec, region, zc, c2), sigma
-    ).strongly_good
+    """Class-SG check: class G plus ||G|| <= exp(N^sigma).  A view of
+    ``classify_box``, so ``c2`` and ``sigma`` obey ``ClassificationParams``."""
+    params = ClassificationParams(c2=c2, sigma=sigma)
+    return classify_box(spec, region, z, params).strongly_good
 
 
 @dataclass(frozen=True)
@@ -667,7 +664,7 @@ def _scan_setup(spec, size, sub_size, z, params, centers):
     resolvers = [_resolver(spec, s, z, params.c2) for s in shapes]
     if centers is None:
         centers = scan_centers(size, spec.dimension)
-    return shapes, resolvers, [tuple(c) for c in centers]
+    return shapes, resolvers, [site(c) for c in centers]
 
 
 @dataclass(frozen=True)
@@ -770,7 +767,8 @@ def fit_sublinear_exponent(counts: Sequence[tuple[int, int]]) -> SublinearFit:
     Needs at least three scales.  All-zero counts cap delta at 1 and set
     the ``no_bad_boxes`` flag.
     """
-    pts = [(int(n), int(c)) for n, c in counts]
+    pts = [(_integer(n, "a scale N"), _integer(c, "a bad count"))
+           for n, c in counts]
     if len({n for n, _ in pts}) < 3:
         raise ValueError("need at least three scales to fit an exponent")
     if any(c < 0 for _, c in pts):
@@ -840,8 +838,8 @@ def combes_thomas_probe(
     R/4 <= |n| <= R/2; a diagonal resolvent reports an infinite rate.
     """
     d = spec.dimension
-    src = tuple(int(c) for c in source) if source is not None else (0,) * d
-    if len(src) != d or max(map(abs, src)) > radius:
+    src = site(source) if source is not None else (0,) * d
+    if len(src) != d or sup_norm(src) > radius:
         raise ValueError(
             f"source site {src} must have {d} coordinates and lie in the cube "
             f"of radius {radius}"
@@ -860,16 +858,11 @@ def combes_thomas_probe(
     rhs = np.zeros(len(sites), dtype=np.complex128)
     rhs[sites.index(src)] = 1.0
     col = sla.solve(A, rhs)
-    lo, hi = math.ceil(radius / 4.0), radius // 2
-    xs, ys = [], []
-    for p, g in zip(sites, col):
-        r = max(abs(c) for c in p)
-        if lo <= r <= hi and abs(g) > 0.0:
-            xs.append(r)
-            ys.append(math.log(abs(g)))
-    if not xs:
+    r, g = sup_norms(sites), np.abs(col)
+    annulus = (math.ceil(radius / 4.0) <= r) & (r <= radius // 2) & (g > 0.0)
+    if not annulus.any():
         return math.inf
-    slope = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0]
+    slope = np.polyfit(r[annulus], np.log(g[annulus]), 1)[0]
     rate = -float(slope)
     if rate <= 0.0:
         raise ArithmeticError(
@@ -907,9 +900,12 @@ def multiscale_decay_check(
 ) -> MultiscaleReport:
     """Count bad sub-boxes in the canonical tiling and, when the count is
     sublinear, test whether the host Green's function decays at rate
-    c2 - slack (default slack c2/10) for pairs at distance >= ceil(N/10).
-    The host's witness comes from the resolver ``is_good`` uses."""
+    c2 - slack (default slack c2/10, and a slack outside [0, c2) raises
+    ``ValueError``) for pairs at distance >= ceil(N/10), by ``is_good``."""
     zc = _as_complex(z)
+    slack = params.c2 / 10.0 if slack is None else slack
+    if not 0.0 <= slack < params.c2:  # so that NaN fails
+        raise ValueError(f"slack must lie in [0, c2 = {params.c2}), got {slack}")
     N = region.size
     M = int(N**params.xi)
     if M < 10:
@@ -922,12 +918,8 @@ def multiscale_decay_check(
     bad = int(np.count_nonzero(~decays))
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound
-    decay_holds: bool | None = None
-    witness = None
-    rate = params.c2 - (slack if slack is not None else params.c2 / 10.0)
-    if met:
-        _, witness, _ = _resolve_box(spec, region, zc, rate)
-        decay_holds = witness.margin <= 0.0
+    rate = params.c2 - slack
+    decay_holds, witness = is_good(spec, region, zc, rate) if met else (None, None)
     return MultiscaleReport(
         size=N,
         sub_size=M,

@@ -18,6 +18,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..lattice import sup_norm
 from ..operators import (
     KernelSpec,
     OperatorSpec,
@@ -303,7 +304,7 @@ class ConfigReader:
                 f"'{key}' must have {dimension} coordinates, got {v!r}"
             )
             return origin
-        if 2 * max(abs(c) for c in site) > radius:
+        if 2 * sup_norm(site) > radius:
             self.issues.append(f"'{key}' must lie in [-R/2, R/2]^d, got {v!r}")
         return site
 

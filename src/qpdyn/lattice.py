@@ -1,15 +1,16 @@
-"""Geometry of finite lattice regions in Z^d.
+"""Lattice sites in Z^d and the geometry of finite regions of them.
 
-The module holds the sup norm (``sup_norm``), cubes with an optional sector
-cut (``ElementaryRegion``) and every such shape of one size
+Every module reads sites, offsets, frequencies, centers and sources by the
+one site reader (``site``) and measures them by the one sup norm, of a
+site (``sup_norm``) or along an integer array (``sup_norms``): Python and
+NumPy integers pass, and any other number raises ``ValueError`` rather
+than being truncated, as do region sizes, half widths and cut offsets.
+The regions, all measured in the sup norm, are cubes with an optional
+sector cut (``ElementaryRegion``) and every such shape of one size
 (``enumerate_shapes``), rectangles with a rectangular notch
 (``GeneralizedRegion``), and disjoint cubes of one size in a host region
-(``RegionFamily``), laid on a grid by ``tile_disjoint``.  All distances are
-sup-norm.  Regions are stored as descriptors (center, size, sector
-markers); point sets are only ever materialised transiently by iterating
-``points()``.  Sizes, coordinates, half widths and cut offsets are
-integers: any other number raises ``ValueError`` rather than being
-truncated.
+(``RegionFamily``), laid on a grid by ``tile_disjoint``: descriptors whose
+point sets are only materialised transiently by iterating ``points()``.
 
 Everything here is an immutable value with pure methods, so the module is
 safe to use from any number of concurrent workers.
@@ -22,16 +23,13 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 Coords = tuple[int, ...]
 
 LESS = "<"
 GREATER = ">"
 _MARKERS = (None, LESS, GREATER)
-
-
-def sup_norm(n: Sequence[int]) -> int:
-    """|n| = max_i |n_i|."""
-    return max(abs(int(c)) for c in n)
 
 
 def _integer(value, what: str) -> int:
@@ -41,6 +39,26 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
+def site(p: Sequence[int]) -> Coords:
+    """The site (or kernel offset, or frequency) ``p`` as a tuple of ints;
+    a coordinate that is not an integer raises ``ValueError``."""
+    return tuple(_integer(c, "a site coordinate") for c in p)
+
+
+def sup_norm(n: Sequence[int]) -> int:
+    """|n| = max_i |n_i| of one site."""
+    return max(map(abs, site(n)))
+
+
+def sup_norms(sites) -> np.ndarray:
+    """|n| along the last axis of an integer array of sites or of site
+    differences, as floats (exact); any other dtype raises ``ValueError``."""
+    sites = np.asarray(sites)
+    if not np.issubdtype(sites.dtype, np.integer):
+        raise ValueError(f"a site coordinate must be an integer, not {sites.dtype}")
+    return np.abs(sites).max(axis=-1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -87,7 +105,7 @@ class ElementaryRegion:
         return bool(marked) and all(r < 0 if s == LESS else r > 0 for r, s in marked)
 
     def contains(self, n: Sequence[int]) -> bool:
-        rel = tuple(int(a) - c for a, c in zip(n, self.center, strict=True))
+        rel = tuple(a - c for a, c in zip(site(n), self.center, strict=True))
         return all(abs(r) <= self.size for r in rel) and not self._in_sector(rel)
 
     def points(self) -> Iterator[Coords]:
@@ -134,8 +152,8 @@ class GeneralizedRegion:
     def _in_rectangle(self, n: Sequence[int], shift: Coords | None = None) -> bool:
         s = shift or (0,) * self.dimension
         return all(
-            abs(int(a) - c - y) <= m
-            for a, c, y, m in zip(n, self.center, s, self.half_widths, strict=True)
+            abs(a - c - y) <= m
+            for a, c, y, m in zip(site(n), self.center, s, self.half_widths, strict=True)
         )
 
     def contains(self, n: Sequence[int]) -> bool:

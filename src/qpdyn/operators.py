@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Coords, sup_norm
+from .lattice import Coords, site, sup_norm
 
 LINEAR_FORM = "linear-form"
 RANK_ONE = "rank-one"
@@ -56,7 +56,7 @@ class KernelSpec:
             raise ValueError("decay constants must be positive")
         table = {}
         for k, v in self.coefficients:
-            k = tuple(int(c) for c in k)
+            k = site(k)
             if len(k) != self.dimension:
                 raise ValueError(f"offset {k} has the wrong dimension")
             table[k] = complex(v)
@@ -143,7 +143,7 @@ class PotentialSpec:
         for name in ("cosine", "sine"):
             terms = []
             for k, a in getattr(self, name):
-                k = tuple(int(c) for c in k)
+                k = site(k)
                 if len(k) != self.torus_dim:
                     raise ValueError(f"frequency {k} has the wrong dimension")
                 a = float(a)
@@ -341,12 +341,13 @@ class OperatorSpec:
 
 def site_list(region_or_points) -> tuple[Coords, ...]:
     """Canonical (lexicographically sorted) site tuple for a region or an
-    explicit iterable of lattice points."""
+    explicit iterable of lattice points, each read by ``lattice.site``: a
+    coordinate that is not an integer raises ``ValueError``."""
     if hasattr(region_or_points, "points"):
         pts = region_or_points.points()
     else:
         pts = region_or_points
-    return tuple(sorted(tuple(int(c) for c in p) for p in pts))
+    return tuple(sorted(map(site, pts)))
 
 
 def potential_values(spec: OperatorSpec, sites: Sequence[Coords]) -> np.ndarray:
@@ -364,7 +365,7 @@ def hopping_block(spec: OperatorSpec, sites: np.ndarray) -> np.ndarray:
     zero plus one hop.  The block depends only on site differences, so
     every translate of a volume shares it.
     """
-    sites = np.asarray(sites, dtype=np.int64)
+    sites = np.asarray(sites)
     n = len(sites)
     H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
     row_of = {p: i for i, p in enumerate(map(tuple, sites.tolist()))}
@@ -426,16 +427,14 @@ def _trivial_dynamics(dimension: int) -> ShiftDynamics:
 @dataclass(frozen=True)
 class StateVector:
     """Finitely supported complex amplitudes on Z^d.  ``amplitudes`` is a
-    read-only copy of the mapping given, so the finiteness check holds for
-    the life of the state."""
+    read-only copy of the mapping given, its keys read by ``lattice.site``
+    (a coordinate that is not an integer raises ``ValueError``), so the
+    site and finiteness checks hold for the life of the state."""
 
     amplitudes: Mapping[Coords, complex]
 
     def __post_init__(self) -> None:
-        amplitudes = {
-            tuple(int(c) for c in k): complex(v)
-            for k, v in self.amplitudes.items()
-        }
+        amplitudes = {site(k): complex(v) for k, v in self.amplitudes.items()}
         if not all(map(cmath.isfinite, amplitudes.values())):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", MappingProxyType(amplitudes))

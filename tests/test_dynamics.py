@@ -103,7 +103,7 @@ class TestEvolve:
         (lambda spec: averaged_moment_direct(spec, DELTA0, 2.0, 5.0, 8),
          "not among the sites"),
         (lambda spec: amplitude_table_parseval(spec, (0,), 5.0, 8),
-         "must have 2 coordinates"),
+         "not among the sites"),
     ], ids=["evolve", "moment_series", "averaged_moment_direct", "parseval"])
     def test_state_of_wrong_dimension_raises(self, call, match, decompositions):
         # a 1-d site on a 2-d box used to give silent zeros, and the check
@@ -467,7 +467,7 @@ class TestParseval:
         assert out.value >= exact.value
 
     def test_source_must_sit_inside(self):
-        with pytest.raises(ValueError, match="source"):
+        with pytest.raises(ValueError, match="supported"):
             amplitude_table_parseval(free_laplacian(1), (20,), 5.0, 16)
 
     def test_leakage_is_shell_mass_of_the_table(self):

@@ -136,6 +136,19 @@ class TestGoodness:
         with pytest.raises(ValueError, match=name):
             ClassificationParams(**{name: value})
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda r: is_good(AMO3, r, 1e-3j, math.nan), "c2"),
+        (lambda r: is_good(AMO3, r, 1e-3j, -1.0), "c2"),
+        (lambda r: is_strongly_good(AMO3, r, 1e-3j, math.nan, 0.5), "c2"),
+        (lambda r: is_strongly_good(AMO3, r, 1e-3j, 0.8, math.nan), "sigma"),
+        (lambda r: is_strongly_good(AMO3, r, 1e-3j, 0.8, 1.0), "sigma"),
+    ], ids=["good-c2-nan", "good-c2-negative", "strong-c2-nan", "strong-sigma-nan",
+            "strong-sigma-one"])
+    def test_per_box_views_validate_their_parameters(self, call, match):
+        # is_good(..., nan) gave (False, margin=nan), and c2 = -1 read good
+        with pytest.raises(ValueError, match=match):
+            call(ElementaryRegion((0,), 10))
+
     def test_diagonal_resolvent_good_for_any_rate(self):
         spec = constant_diag(0.0)
         for c2 in (0.1, 1.0, 5.0):
@@ -351,6 +364,15 @@ class TestCombesThomas:
 
 
 class TestMultiscale:
+    @pytest.mark.parametrize("slack", [0.8, 0.9, -0.1, math.nan])
+    def test_slack_outside_zero_to_c2_raises(self, slack):
+        # slack 0.9 at c2 = 0.8 asked for decay at rate -0.1, which held
+        params = ClassificationParams(c2=0.8, sigma=0.5, xi=0.5)
+        with pytest.raises(ValueError, match="slack"):
+            multiscale_decay_check(
+                AMO3, ElementaryRegion((0,), 100), 1e-3j, params, slack=slack
+            )
+
     def test_gapped_diagonal_zero_bad_and_decay(self):
         spec = constant_diag(3.0)
         params = ClassificationParams(c2=0.8, sigma=0.5, xi=0.5)

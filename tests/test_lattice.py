@@ -12,6 +12,7 @@ from qpdyn.lattice import (
     RegionFamily,
     enumerate_shapes,
     sup_norm,
+    sup_norms,
     tile_disjoint,
 )
 
@@ -121,6 +122,24 @@ class TestSupNorm:
         got = sup_norm(n)
         assert got == expected
         assert type(got) is int
+
+    @pytest.mark.parametrize("n", [(0.5, -1.7), (1.0, 2), np.array([1.0, -2.0])])
+    def test_a_non_integral_coordinate_raises(self, n):
+        # sup_norm((0.5, -1.7)) used to truncate both coordinates and return 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            sup_norm(n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sup_norms(np.array([n]))
+
+    def test_array_form_matches_the_scalar_form(self):
+        sites = np.array(list(itertools.product(range(-3, 4), repeat=2)))
+        got = sup_norms(sites)
+        assert got.dtype == np.float64
+        assert got.tolist() == [sup_norm(n) for n in sites]
+        pairs = sites[:, None, :] - sites[None, :, :]
+        assert sup_norms(pairs).tolist() == [
+            [sup_norm(p - q) for q in sites] for p in sites
+        ]
 
 
 class TestValidation:
