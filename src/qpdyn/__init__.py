@@ -54,6 +54,7 @@ from .greens import (
     MultiscaleReport,
     SublinearFit,
     bad_set,
+    bad_sets,
     classify_box,
     combes_thomas_probe,
     fit_sublinear_exponent,
@@ -98,7 +99,7 @@ __all__ = [
     # greens
     "BadSetReport", "BoxVerdict", "ClassificationParams", "ComplexEnergy",
     "DecayWitness", "GreensMatrix", "MultiscaleReport", "SublinearFit",
-    "bad_set", "classify_box", "combes_thomas_probe",
+    "bad_set", "bad_sets", "classify_box", "combes_thomas_probe",
     "fit_sublinear_exponent", "greens", "is_good", "is_strongly_good",
     "multiscale_decay_check", "resolvent_norm", "scan_boxes",
     "verify_resolvent_identity",

@@ -11,10 +11,11 @@ Classification picks one of two resolvers per shape (``_resolver``), and a
 resolver covers every energy of a scan (all of them share Im z).  A 1-d
 box of a real kernel with offsets |k| <= 1 (``OperatorSpec.tridiagonal``)
 at eps > 0 takes the recursive Green's-function method: one
-``continued_fractions`` sweep per energy, shared with ``dynamics``, of an
-(n, 2, batch) array holding both directions, O(n) per box and no n x n
-matrix; its residual is that of the column of G through the worst decay
-pair.  Every other box takes the batched engine, which is ``greens`` and
+``continued_fractions`` sweep, shared with ``dynamics``, of an
+(n, 2, columns) array holding both directions of every (energy, translate)
+pair of a batch, O(n) per box and no n x n matrix; its residual is that of
+the column of G through the worst decay pair.  Every other box takes the
+batched engine, which is ``greens`` and
 ``resolvent_norm`` batched over the translates of one shape: the Hermitian
 eigenvalues for ||G||, computed once per box for all energies since H does
 not depend on z, then at each energy an LU solve of (H - z) G = I and the
@@ -23,11 +24,13 @@ Dense volumes are capped at desk scale (a few thousand points), where
 direct factorisation is the most verifiable route; the per-box ``greens``
 with an explicit loop over pairs is the engine's test oracle, and the
 engine the recursion's.  Both resolvers run the same batch loops
-(``_BatchResolver``): a resolver's ``_batch`` gives, at each energy in turn,
-five arrays, the worst decay pair (i, j) of each translate, its margin, its
-residual and the state its norms need, and the loops derive each pair's
-exponent c2 |i - j|.  Each decay margin stays in log space, so no bound
-exp(-c2 |n - n'|) is formed on the way to a verdict.
+(``_BatchResolver``): a resolver's ``_batch`` gives, over the (energy,
+translate) pairs a scan wants, five arrays, the worst decay pair (i, j) of
+each box, its margin, its residual and the state its norms need, and the
+loops derive each pair's exponent c2 |i - j|.  ``bad_sets`` counts bad
+centers at every energy in one pass, each shape resolving a center only at
+the energies where it is still strongly good.  Each decay margin stays in
+log space, so no bound exp(-c2 |n - n'|) is formed on the way to a verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lattice import (Coords, ElementaryRegion, _integer, enumerate_shapes, site,
-                      sup_norm, sup_norms, tile_disjoint)
+                      site_array, sup_norm, sup_norms, tile_disjoint)
 from .operators import (
     OperatorSpec,
     assemble,
@@ -288,24 +291,27 @@ BATCH_ENTRIES = 1 << 14
 # few MB whatever the scan size or the task chunk
 
 RECURSION_ENTRIES = 1 << 16
-# sites per batch of the recursion (n per box): its dozen working arrays stay
-# near 10 MB, and a scan task of 64 boxes of up to 1024 sites is one batch,
-# so the recursion's loop over sites runs once per task
+# sites per sweep of the recursion (n per box and energy): its dozen working
+# arrays stay near 10 MB, and a scan task of 64 boxes at k energies is one
+# sweep while 64 k n <= 2^16 (n <= 512 at two energies), so the recursion's
+# loop over sites runs once per task
 
 
 class _BatchResolver:
     """The batch loops of both resolvers of one shape at one complex energy
-    or at each of a sequence of them (``zs``).
+    or at each of a sequence of them (``zs``), which share Im z.
 
-    A resolver supplies ``_batch``: for a batch of shifts it gives, at each
-    energy in turn, the five arrays (i, j, margin, residual, state) of each
-    translate, that is, the site indices of its worst decay pair, the pair's
-    margin log|G(i, j)| + c2 |i - j|, its residual, and the state its norms
-    need.  ``resolve`` derives each pair's exponent c2 |i - j| from (i, j),
-    the one place it is formed.  ``_norms`` turns the state at energy z into
-    ||G||, and ``_norms_within`` into the mask ``ok`` & ||G|| <= bound; by
-    default the state is ||G|| itself.  ``spectra`` counts the dense
-    eigenvalue sets the resolver has computed.
+    A resolver supplies ``_batch``: for a batch of shifts and a mask
+    ``wanted`` of the (energy, translate) pairs to resolve, one row per
+    energy, it gives five arrays over the wanted pairs in energy-major order
+    (``np.nonzero(wanted)``): the site indices (i, j) of each box's worst
+    decay pair, the pair's margin log|G(i, j)| + c2 |i - j|, its residual,
+    and the state its norms need.  ``resolve`` derives each pair's exponent
+    c2 |i - j| from (i, j), the one place it is formed.  ``_norms`` turns
+    the state at the energies ``z`` of the pairs into ||G||, and
+    ``_norms_within`` into the mask ``ok`` & ||G|| <= bound; by default the
+    state is ||G|| itself.  ``spectra`` counts the dense eigenvalue sets the
+    resolver has computed.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
@@ -316,11 +322,17 @@ class _BatchResolver:
         self.batch = max(1, batch)
         self.spectra = 0
 
-    def _batches(self, shifts) -> list[np.ndarray]:
-        # the shifts are sites read by ``lattice.site``; raises ValueError
-        # when one has the wrong dimension
+    def _batches(self, shifts, wanted):
+        """(start, shifts, wanted) of each batch that resolves some pair;
+        ``wanted`` defaults to every pair.  The shifts are sites read by
+        ``lattice.site_array``; raises ValueError when one has the wrong
+        dimension."""
         shifts = np.asarray(shifts).reshape(len(shifts), self.sites.shape[1])
-        return [shifts[s : s + self.batch] for s in range(0, len(shifts), self.batch)]
+        if wanted is None:
+            wanted = np.ones((len(self.zs), len(shifts)), bool)
+        return [(s, shifts[s : s + self.batch], wanted[:, s : s + self.batch])
+                for s in range(0, len(shifts), self.batch)
+                if wanted[:, s : s + self.batch].any()]
 
     def resolve(
         self, shifts
@@ -329,39 +341,44 @@ class _BatchResolver:
         each row of ``shifts``, at each energy in turn: row s at the k-th
         energy is entry k len(shifts) + s."""
         out = [[] for _ in self.zs]
-        for s in self._batches(shifts):
-            for z, rows, (i, j, margin, residual, state) in zip(
-                self.zs, out, self._batch(s)
-            ):
-                exponent = self.c2 * sup_norms(self.sites[i] - self.sites[j])
-                witnesses = [
-                    DecayWitness((tuple(p), tuple(q)), m, e)
-                    for p, q, m, e in zip((self.sites[i] + s).tolist(),
-                                          (self.sites[j] + s).tolist(),
-                                          margin.tolist(), exponent.tolist())
-                ]
-                rows.extend(zip(self._norms(state, z).tolist(), witnesses,
-                                residual.tolist()))
+        zs = np.asarray(self.zs)
+        for _, s, wanted in self._batches(shifts, None):
+            i, j, margin, residual, state = self._batch(s, wanted)
+            k, t = np.nonzero(wanted)
+            exponent = self.c2 * sup_norms(self.sites[i] - self.sites[j])
+            witnesses = [
+                DecayWitness((tuple(p), tuple(q)), m, e)
+                for p, q, m, e in zip((self.sites[i] + s[t]).tolist(),
+                                      (self.sites[j] + s[t]).tolist(),
+                                      margin.tolist(), exponent.tolist())
+            ]
+            for energy, row in zip(k.tolist(), zip(self._norms(state, zs[k]).tolist(),
+                                                   witnesses, residual.tolist())):
+                out[energy].append(row)
         return [row for rows in out for row in rows]
 
-    def verdicts(self, shifts, norm_bound: float) -> tuple[np.ndarray, float]:
+    def verdicts(self, shifts, norm_bound: float,
+                 wanted=None) -> tuple[np.ndarray, np.ndarray]:
         """Mask of the translates that decay and have ||G|| <= norm_bound,
-        at each energy in turn as in ``resolve``, and the largest residual
-        among them all."""
-        good, worst = [[] for _ in self.zs], 0.0
-        for s in self._batches(shifts):
-            for z, masks, (_, _, margin, residual, state) in zip(
-                self.zs, good, self._batch(s)
-            ):
-                worst = max(worst, float(residual.max()))
-                masks.append(self._norms_within(state, margin <= 0.0, norm_bound, z))
-        return np.concatenate([m for masks in good for m in masks]), worst
+        one row per energy, over the (energy, translate) pairs ``wanted``
+        (default all; every other pair reads False), and the largest
+        residual at each energy among the wanted pairs (0 where none)."""
+        good = np.zeros((len(self.zs), len(shifts)), bool)
+        worst = np.zeros(len(self.zs))
+        zs = np.asarray(self.zs)
+        for start, s, batch_wanted in self._batches(shifts, wanted):
+            _, _, margin, residual, state = self._batch(s, batch_wanted)
+            k, t = np.nonzero(batch_wanted)
+            np.maximum.at(worst, k, residual)
+            good[k, start + t] = self._norms_within(state, margin <= 0.0,
+                                                    norm_bound, zs[k])
+        return good, worst
 
-    def _norms(self, norm: np.ndarray, z: complex) -> np.ndarray:
+    def _norms(self, norm: np.ndarray, z: np.ndarray) -> np.ndarray:
         return norm
 
     def _norms_within(self, norm, ok: np.ndarray, norm_bound: float,
-                      z: complex) -> np.ndarray:
+                      z: np.ndarray) -> np.ndarray:
         return ok & (norm <= norm_bound)
 
 
@@ -372,11 +389,11 @@ class _TranslateEngine(_BatchResolver):
     of translates adds its potential diagonals to the block and takes the
     Hermitian eigenvalues of the batch from one batched ``eigvalsh``, as
     ``resolvent_norm`` does; H and its spectrum do not depend on z, so one
-    spectrum per box serves every energy.  At each energy ||G|| =
-    1/min|w - z| comes from that spectrum, and a complex copy of H shifted on
-    its diagonal gives G by one batched LU solve of (H - z) G = I, as
-    ``greens`` does box by box.  The worst decay pair and the Frobenius
-    residual ||(H - z) G - I||_F come from G.
+    spectrum per box serves every energy.  At each energy, for the
+    translates wanted there, ||G|| = 1/min|w - z| comes from that spectrum,
+    and a complex copy of H shifted on its diagonal gives G by one batched
+    LU solve of (H - z) G = I, as ``greens`` does box by box.  The worst
+    decay pair and the Frobenius residual ||(H - z) G - I||_F come from G.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
@@ -389,7 +406,7 @@ class _TranslateEngine(_BatchResolver):
         self.far = np.flatnonzero(dist >= self.min_dist)
         self.decay = c2 * dist[self.far]
 
-    def _batch(self, shifts: np.ndarray):
+    def _batch(self, shifts: np.ndarray, wanted: np.ndarray):
         b, (n, d) = len(shifts), self.sites.shape
         translated = self.sites[None, :, :] + shifts[:, None, :]
         diag = np.arange(n)
@@ -399,20 +416,25 @@ class _TranslateEngine(_BatchResolver):
         ).reshape(b, n)
         w = np.linalg.eigvalsh(H)
         self.spectra += b
-        for z in self.zs:
-            nearest = np.hypot(w - z.real, z.imag).min(axis=1)
+        parts = []
+        for z, rows in zip(self.zs, wanted):
+            if not rows.any():
+                continue
+            Hz, wz = (H, w) if rows.all() else (H[rows], w[rows])
+            nearest = np.hypot(wz - z.real, z.imag).min(axis=1)
             if not nearest.all():
                 raise np.linalg.LinAlgError(_singular(z))
-            A = H.astype(np.complex128)
+            A = Hz.astype(np.complex128)
             A[:, diag, diag] -= z
             G = np.linalg.inv(A)  # the LU solve of A G = I
             # the worst far pair by the margin it reports, -inf where G(i, j) = 0
             with np.errstate(divide="ignore"):
-                margins = np.log(np.abs(G.reshape(b, -1)[:, self.far])) + self.decay
+                margins = np.log(np.abs(G.reshape(len(A), -1)[:, self.far])) + self.decay
             k = margins.argmax(axis=1)
             i, j = np.divmod(self.far[k], n)
-            margin = margins[np.arange(b), k]
-            yield i, j, margin, _residual_norm(A, G), 1.0 / nearest
+            margin = margins[np.arange(len(A)), k]
+            parts.append((i, j, margin, _residual_norm(A, G), 1.0 / nearest))
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def continued_fractions(work: np.ndarray, numerators) -> None:
@@ -435,12 +457,15 @@ class _TridiagonalResolver(_BatchResolver):
     """Resolvents of the translates of a 1-d interval at Im z > 0 for a spec
     whose boxes are tridiagonal, by the recursive Green's-function method
     (Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981), in O(n) per box and
-    vectorised over a batch of translates.
+    vectorised over a batch of translates at every energy at once.
 
-    The diagonals a of a batch are formed once.  At each energy, with
-    hopping b, one ``continued_fractions`` sweep of an (n, 2, batch) array
-    gives hL_k = b^2 / (a_k - z - hL_{k-1}) on side 0 and the same from the
-    right end on side 1, whose row r is hR_{n-1-r}.
+    The diagonals a of a batch are formed once, and the wanted (energy,
+    translate) pairs are stacked energy-major along the batch axis, so one
+    sweep covers every energy: a translate batch holds RECURSION_ENTRIES /
+    (n energies) boxes, at least one, and a sweep at most RECURSION_ENTRIES
+    / n columns.  With hopping b, one ``continued_fractions`` sweep of an
+    (n, 2, columns) array gives hL_k = b^2 / (a_k - z - hL_{k-1}) on side 0
+    and the same from the right end on side 1, whose row r is hR_{n-1-r}.
     Then G(j, j) = 1/(a_j - z - hL_{j-1} - hR_{j+1}), and G is complex
     symmetric with G(i, j) = G(j, j) prod_{k=i}^{j-1} (-hL_k / b) for i < j.
     So the decay margin log|G(i, j)| + c2 (j - i) splits into B_j - A_i,
@@ -451,38 +476,51 @@ class _TridiagonalResolver(_BatchResolver):
     ||G|| = 1/min|w - z| comes from the eigenvalues next to E: a Sturm
     count gives their index and LAPACK bisection (``stebz``) finds them.  A
     verdict needs only ||G|| <= bound, that is, no eigenvalue within
-    sqrt(bound^-2 - eps^2) of E, which two Sturm counts decide.
+    sqrt(bound^-2 - eps^2) of E, which two Sturm counts decide, for every
+    column at once.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float):
-        sites = site_list(shape)
-        super().__init__(spec, shape, z, c2, sites, RECURSION_ENTRIES // len(sites))
+        sites, zs = site_list(shape), _energies(z)
+        super().__init__(spec, shape, zs, c2, sites,
+                         RECURSION_ENTRIES // (len(sites) * len(zs)))
         self.onsite, self.hop = spec.tridiagonal
 
-    def _batch(self, shifts: np.ndarray):
+    def _batch(self, shifts: np.ndarray, wanted: np.ndarray):
         n = len(self.sites)
         translated = (self.sites + shifts[:, 0]).reshape(-1, 1)
         a = self.onsite + potential_values(self.spec, translated).reshape(n, -1)
-        for z in self.zs:
-            h, diag = self._fractions(a, z)
-            i, j, margin = self._worst_pairs(h[:, 0], diag)
-            residual = self._column_residuals(a, h, diag, j, z)
-            yield i, j, margin, residual, a
+        k, t = np.nonzero(wanted)
+        a, z = np.take(a, t, axis=1), np.asarray(self.zs)[k]  # C-ordered columns
+        width = max(1, RECURSION_ENTRIES // n)
+        sweeps = [self._sweep(a[:, c : c + width], z[c : c + width])
+                  for c in range(0, len(t), width)]
+        i, j, margin, residual = (np.concatenate(p) for p in zip(*sweeps))
+        return i, j, margin, residual, a
+
+    def _sweep(self, a: np.ndarray, z: np.ndarray):
+        """(i, j, margin, residual) of the columns of diagonals ``a`` at the
+        energies ``z``, one per column."""
+        h, diag = self._fractions(a, z)
+        i, j, margin = self._worst_pairs(h[:, 0], diag)
+        gjj = diag[j, np.arange(len(j))]
+        del diag  # the column needs only G(j, j): free the (n, b) array first
+        return i, j, margin, self._column_residuals(a, h, gjj, j, z)
 
     def _norms_within(self, a, ok: np.ndarray, norm_bound: float,
-                      z: complex) -> np.ndarray:
-        energy, eps = z.real, z.imag
-        radius_sq = norm_bound**-2 - eps**2
+                      z: np.ndarray) -> np.ndarray:
+        radius_sq = norm_bound**-2 - self.zs[0].imag ** 2
         if radius_sq > 0.0 and ok.any():
-            r = math.sqrt(radius_sq)
-            below = self._counts(a[:, ok], np.array([[energy - r], [energy + r]]))
+            r, energy = math.sqrt(radius_sq), z.real[ok]
+            below = self._counts(a[:, ok], np.stack((energy - r, energy + r)))
             ok[ok] = below[0] == below[1]
         return ok
 
-    def _fractions(self, a: np.ndarray, z: complex):
-        """The fractions of both sides at z as one (n, 2, b) array, and
-        G(j, j) of each translate as an (n, b) array, from its diagonals a."""
+    def _fractions(self, a: np.ndarray, z: np.ndarray):
+        """The fractions of both sides as one (n, 2, b) array, and G(j, j)
+        of each column as an (n, b) array, from its diagonals a at its
+        energy z."""
         d = a - z
         h = np.stack((d, d[::-1]), axis=1)
         continued_fractions(h, [self.hop * self.hop] * len(a))
@@ -496,30 +534,36 @@ class _TridiagonalResolver(_BatchResolver):
         (n, b), m = hL.shape, self.min_dist
         if self.hop == 0.0:  # G is diagonal: the first far pair, at |G| = 0
             return np.zeros(b, np.int64), np.full(b, m), np.full(b, -np.inf)
-        steps = np.log(np.abs(hL[:-1] / self.hop))
-        # A_i = sum_{k < i} log|hL_k / b| + c2 i, B_j = log|G(j, j)| + A_j
+        # A_i = sum_{k < i} log|hL_k / b| + c2 i, B_j = log|G(j, j)| + A_j,
+        # each formed in place
         A = np.zeros((n, b))
-        np.cumsum(steps, axis=0, out=A[1:])
+        np.log(np.abs(hL[:-1] / self.hop), out=A[1:])
+        np.cumsum(A[1:], axis=0, out=A[1:])
         A += self.c2 * np.arange(n)[:, None]
-        margins = np.log(np.abs(diag[m:])) + A[m:] - np.minimum.accumulate(A[: n - m])
+        margins = np.log(np.abs(diag[m:]))
+        margins += A[m:]
+        margins -= np.minimum.accumulate(A[: n - m])
         j = margins.argmax(axis=0)
         margin = margins[j, np.arange(b)]
         j += m
         i = np.where(np.arange(n)[:, None] <= j - m, A, np.inf).argmin(axis=0)
         return i, j, margin
 
-    def _column_residuals(self, a, h, diag, j, z: complex) -> np.ndarray:
-        """||(H - z) g - e_j||_2 of each box's column g = G e_j, built in h."""
+    def _column_residuals(self, a, h, gjj, j, z: np.ndarray) -> np.ndarray:
+        """||(H - z) g - e_j||_2 of each box's column g = G e_j, built in h
+        from G(j, j) (``gjj``)."""
         n, b = a.shape
         boxes = np.arange(b)
         ends = np.stack((j, n - 1 - j))
         h *= -1.0 / self.hop if self.hop else 0.0
-        h[ends, [[0], [1]], boxes] = diag[j, boxes]
+        h[ends, [[0], [1]], boxes] = gjj
         # G(k, j) = -(h_k / b) G(k', j), k' the next site towards j
         for r in range(n - 2, -1, -1):
             np.multiply(h[r], h[r + 1], out=h[r], where=r < ends)
-        g = np.where(np.arange(n)[:, None] <= j, h[:, 0], h[::-1, 1])
-        r = (a - z) * g
+        g = h[:, 0]  # side 0 below j, side 1 (reversed) above it
+        np.copyto(g, h[::-1, 1], where=np.arange(n)[:, None] > j)
+        r = a - z
+        r *= g
         r[1:] += self.hop * g[:-1]
         r[:-1] += self.hop * g[1:]
         r[j, boxes] -= 1.0
@@ -539,13 +583,13 @@ class _TridiagonalResolver(_BatchResolver):
             count += q <= 0.0
         return count
 
-    def _norms(self, a: np.ndarray, z: complex) -> np.ndarray:
-        """||G|| = 1/min|w - z| of each box, from the eigenvalues on either
-        side of E."""
-        energy, eps = z.real, z.imag
+    def _norms(self, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """||G|| = 1/min|w - z| of each column, from the eigenvalues on
+        either side of its E."""
+        energy, eps = z.real, self.zs[0].imag
         n = len(a)
         hops = np.full(n - 1, self.hop)
-        below = self._counts(a, np.array(energy))
+        below = self._counts(a, energy)
         norms = np.empty(a.shape[1])
         for k, count in enumerate(below.tolist()):
             w = sla.eigvalsh_tridiagonal(
@@ -553,7 +597,7 @@ class _TridiagonalResolver(_BatchResolver):
                 select_range=(max(count - 1, 0), min(count, n - 1)),
                 tol=2.0 * np.finfo(float).tiny, lapack_driver="stebz",
             )
-            norms[k] = 1.0 / np.hypot(w - energy, eps).min()
+            norms[k] = 1.0 / np.hypot(w - energy[k], eps).min()
         return norms
 
 
@@ -626,11 +670,12 @@ def is_strongly_good(
 
 @dataclass(frozen=True)
 class BadSetReport:
-    """Bad centers of one scan: n is bad when some shape of size N1
-    translated to n fails strong goodness.  ``max_residual`` is the largest
-    residual (as in ``BoxVerdict.residual``) over the ``boxes`` boxes the
-    scan resolved, and ``box_spectra`` the number of dense eigenvalue sets
-    it computed."""
+    """Bad centers of one scan at one energy: n is bad when some shape of
+    size N1 translated to n fails strong goodness.  ``max_residual`` is the
+    largest residual (as in ``BoxVerdict.residual``) over the ``boxes``
+    boxes the scan resolved at this energy, and ``box_spectra`` the number
+    of dense eigenvalue sets the pass that made the report computed, shared
+    by every energy of that pass (see ``bad_sets``)."""
 
     size: int
     sub_size: int
@@ -656,15 +701,20 @@ def scan_centers(size: int, d: int) -> Iterable[Coords]:
 
 
 def _scan_setup(spec, size, sub_size, z, params, centers):
-    """The shapes of size N1, one resolver per shape, and the scan centers;
-    each resolver batches the centers by the size of its own shape."""
+    """The shapes of size N1, one resolver per shape, and the scan centers
+    as one (m, d) integer array (``lattice.site_array``); each resolver
+    batches the centers by the size of its own shape."""
     if sub_size >= size:
         raise ValueError("sub-box size must be smaller than the scan size")
     shapes = enumerate_shapes(spec.dimension, sub_size)
     resolvers = [_resolver(spec, s, z, params.c2) for s in shapes]
     if centers is None:
         centers = scan_centers(size, spec.dimension)
-    return shapes, resolvers, [site(c) for c in centers]
+    return shapes, resolvers, site_array(centers, spec.dimension)
+
+
+def _coords(sites: np.ndarray) -> list[Coords]:
+    return [tuple(p) for p in sites.tolist()]
 
 
 @dataclass(frozen=True)
@@ -708,6 +758,7 @@ def scan_boxes(
     zs = _energies(z)
     shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
     resolved = [resolver.resolve(centers) for resolver in resolvers]
+    centers = _coords(centers)
     regions = [[shape.translate(c) for shape in shapes] for c in centers]
     n = len(centers)
     verdicts = tuple(
@@ -720,6 +771,51 @@ def scan_boxes(
     return BoxScan(verdicts, sum(r.spectra for r in resolvers))
 
 
+def bad_sets(
+    spec: OperatorSpec,
+    size: int,
+    sub_size: int,
+    z,
+    params: ClassificationParams,
+    centers: Iterable[Coords] | None = None,
+) -> tuple[BadSetReport, ...]:
+    """``bad_set`` at one complex energy ``z`` or at each of a sequence of
+    them sharing Im z, in one pass: one report per energy, with the bad
+    centers and the ``boxes`` of that energy's own ``bad_set``.  Its
+    ``max_residual`` is a rounding-level figure, and numpy may round a
+    column of a wider sweep differently in its last bits.
+
+    The resolvers and the centers are set up once.  Each shape resolves
+    the centers still strongly good at one or more energies, at exactly
+    the energies where they still are, so a report resolves the boxes its
+    one-energy scan would; the 1-d recursion stacks those energies into one
+    sweep per batch, and the batched engine takes one spectrum per box for
+    all of them, counted once in every report's ``box_spectra``."""
+    zs = _energies(z)
+    _, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
+    norm_bound = strong_norm_bound(sub_size, params.sigma)
+    # alive[k, c]: center remaining[c] is strongly good at zs[k] so far
+    remaining = np.arange(len(centers))
+    alive = np.ones((len(zs), len(centers)), bool)
+    max_residual, boxes = np.zeros(len(zs)), np.zeros(len(zs), np.int64)
+    for resolver in resolvers:
+        if not len(remaining):
+            break
+        boxes += alive.sum(axis=1)
+        alive, residual = resolver.verdicts(centers[remaining], norm_bound, alive)
+        max_residual = np.maximum(max_residual, residual)
+        keep = alive.any(axis=0)
+        remaining, alive = remaining[keep], alive[:, keep]
+    good = np.zeros((len(zs), len(centers)), bool)
+    good[:, remaining] = alive
+    spectra = sum(r.spectra for r in resolvers)
+    return tuple(
+        BadSetReport(size, sub_size, zk, tuple(_coords(centers[~ok])), len(centers),
+                     float(residual), int(n), spectra)
+        for zk, ok, residual, n in zip(zs, good, max_residual, boxes)
+    )
+
+
 def bad_set(
     spec: OperatorSpec,
     size: int,
@@ -728,26 +824,13 @@ def bad_set(
     params: ClassificationParams,
     centers: Iterable[Coords] | None = None,
 ) -> BadSetReport:
-    """Scan of [-N, N]^d for centers with a non-strongly-good shape.
+    """Scan of [-N, N]^d for centers with a non-strongly-good shape at one
+    complex energy: the one-energy view of ``bad_sets``.
 
     Each shape only resolves the centers that every earlier shape left
     strongly good."""
-    zc = _as_complex(z)
-    _, resolvers, centers = _scan_setup(spec, size, sub_size, zc, params, centers)
-    norm_bound = strong_norm_bound(sub_size, params.sigma)
-    remaining = centers
-    max_residual, boxes = 0.0, 0
-    for resolver in resolvers:
-        if not remaining:
-            break
-        good, residual = resolver.verdicts(remaining, norm_bound)
-        max_residual = max(max_residual, residual)
-        boxes += len(remaining)
-        remaining = [c for c, ok in zip(remaining, good.tolist()) if ok]
-    good = set(remaining)
-    bad = tuple(c for c in centers if c not in good)
-    return BadSetReport(size, sub_size, zc, bad, len(centers), max_residual,
-                        boxes, sum(r.spectra for r in resolvers))
+    (report,) = bad_sets(spec, size, sub_size, (_as_complex(z),), params, centers)
+    return report
 
 
 @dataclass(frozen=True)
@@ -891,6 +974,19 @@ class MultiscaleReport:
         return "ok" if self.hypothesis_met else "hypothesis-not-met"
 
 
+def _sub_box_scale(N: int, xi: float) -> int:
+    """floor(N^xi), read from the float power and corrected by one step
+    where M^(1/xi), taken in integers when 1/xi is one, shows that the power
+    rounded across an integer (1000 ** (1/3) is 9.999999999999998)."""
+    M, root = int(N**xi), 1.0 / xi
+    root = int(root) if root.is_integer() else root
+    if (M + 1) ** root <= N:
+        return M + 1
+    if M**root > N:
+        return M - 1
+    return M
+
+
 def multiscale_decay_check(
     spec: OperatorSpec,
     region: ElementaryRegion,
@@ -907,14 +1003,14 @@ def multiscale_decay_check(
     if not 0.0 <= slack < params.c2:  # so that NaN fails
         raise ValueError(f"slack must lie in [0, c2 = {params.c2}), got {slack}")
     N = region.size
-    M = int(N**params.xi)
+    M = _sub_box_scale(N, params.xi)
     if M < 10:
         raise ValueError("sub-box scale N^xi must be at least 10")
     tiles = tile_disjoint(region, M)
     cube = _resolver(
         spec, ElementaryRegion((0,) * region.dimension, M), zc, params.c2
     )
-    decays, _ = cube.verdicts([t.center for t in tiles], math.inf)
+    (decays,), _ = cube.verdicts([t.center for t in tiles], math.inf)
     bad = int(np.count_nonzero(~decays))
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound

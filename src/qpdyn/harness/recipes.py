@@ -37,12 +37,13 @@ from ..dynamics import (
 )
 from ..greens import (
     ClassificationParams,
-    bad_set,
+    bad_sets,
     check_scan_volume,
     fit_sublinear_exponent,
     scan_boxes,
     scan_centers,
 )
+from ..lattice import site_array
 from ..operators import StateVector
 from .config import (
     ConfigError,
@@ -189,16 +190,17 @@ def _task_box_scan(spec, size, sub_size, energies, eps, params, centers):
 
 
 def _task_bad_set(spec, size, sub_size, energies, eps, params, centers):
-    """One ``bad_set`` per energy, each with its own early exits."""
-    reports = [bad_set(spec, size, sub_size, complex(e, eps), params, centers=centers)
-               for e in energies]
+    """One ``bad_sets`` pass of the centers at every energy, with the early
+    exits of each energy; its dense spectra are shared by all of them."""
+    reports = bad_sets(spec, size, sub_size, [complex(e, eps) for e in energies],
+                       params, centers=centers)
     partials = [(e, eps, size, sub_size, r.count, r.total_centers)
                 for e, r in zip(energies, reports)]
     return {"main": [], "partials": partials, "flags": [],
             "residual": max(r.max_residual for r in reports),
             "matrix_order": _box_order(spec, sub_size),
             "boxes": sum(r.boxes for r in reports),
-            "box_spectra": sum(r.box_spectra for r in reports)}
+            "box_spectra": reports[0].box_spectra}
 
 
 def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
@@ -420,10 +422,11 @@ SCAN_CHUNK = 64  # centers per task; fixed so plans don't depend on workers
 
 def _scan_tasks(fn, spec, pairs, energies, eps, params) -> list[Task]:
     """``fn`` over each chunk of SCAN_CHUNK centers of [-N, N]^d, each task
-    covering every energy, in (N, chunk) order."""
+    covering every energy, in (N, chunk) order; each N's centers are read
+    once into one integer array, and a task holds its rows."""
     tasks = []
     for n, sub in pairs:
-        centers = list(scan_centers(n, spec.dimension))
+        centers = site_array(scan_centers(n, spec.dimension), spec.dimension)
         tasks += [Task(fn, dict(spec=spec, size=n, sub_size=sub, energies=energies,
                                 eps=eps, params=params,
                                 centers=centers[i : i + SCAN_CHUNK]))

@@ -1,8 +1,9 @@
 """Lattice sites in Z^d and the geometry of finite regions of them.
 
-Every module reads sites, offsets, frequencies, centers and sources by the
-one site reader (``site``) and measures them by the one sup norm, of a
-site (``sup_norm``) or along an integer array (``sup_norms``): Python and
+Every module reads sites, offsets, frequencies and sources by the one
+site reader (``site``), an array of sites such as the centers of a scan by
+its array form (``site_array``), and measures them by the one sup norm, of
+a site (``sup_norm``) or along an integer array (``sup_norms``): Python and
 NumPy integers pass, and any other number raises ``ValueError`` rather
 than being truncated, as do region sizes, half widths and cut offsets.
 The regions, all measured in the sup norm, are cubes with an optional
@@ -52,13 +53,32 @@ def sup_norm(n: Sequence[int]) -> int:
     return max(map(abs, site(n)))
 
 
-def sup_norms(sites) -> np.ndarray:
-    """|n| along the last axis of an integer array of sites or of site
-    differences, as floats (exact); any other dtype raises ``ValueError``."""
+def _integer_array(sites) -> np.ndarray:
+    """``sites`` as an array of an integer dtype; any other dtype, floats of
+    integral value too, raises ``ValueError``."""
     sites = np.asarray(sites)
     if not np.issubdtype(sites.dtype, np.integer):
         raise ValueError(f"a site coordinate must be an integer, not {sites.dtype}")
-    return np.abs(sites).max(axis=-1).astype(float)
+    return sites
+
+
+def site_array(points, d: int) -> np.ndarray:
+    """The sites ``points`` of Z^d as one (m, d) integer array, read by the
+    rule of ``sup_norms``: a coordinate that is not an integer, or a site
+    with other than d coordinates, raises ``ValueError``."""
+    points = points if isinstance(points, np.ndarray) else list(points)
+    if len(points) == 0:
+        return np.empty((0, d), np.int64)
+    sites = _integer_array(points)
+    if sites.ndim != 2 or sites.shape[1] != d:
+        raise ValueError(f"a site must have {d} coordinates")
+    return sites
+
+
+def sup_norms(sites) -> np.ndarray:
+    """|n| along the last axis of an integer array of sites or of site
+    differences, as floats (exact); any other dtype raises ``ValueError``."""
+    return np.abs(_integer_array(sites)).max(axis=-1).astype(float)
 
 
 @dataclass(frozen=True)

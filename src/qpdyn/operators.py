@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Coords, site, sup_norm
+from .lattice import Coords, site, site_array, sup_norm
 
 LINEAR_FORM = "linear-form"
 RANK_ONE = "rank-one"
@@ -358,14 +358,15 @@ def potential_values(spec: OperatorSpec, sites: Sequence[Coords]) -> np.ndarray:
 def hopping_block(spec: OperatorSpec, sites: np.ndarray) -> np.ndarray:
     """Kernel part S(n - n') / coupling of the volume matrix.
 
-    ``sites`` is an (m, d) integer array of distinct sites; rows and columns
-    follow its order.  A dict from site to row finds, for each kernel offset
-    k, the row of every target p - k inside the volume, so any coordinate
-    range works.  Each (row, col) pair has one offset, so every entry is
-    zero plus one hop.  The block depends only on site differences, so
-    every translate of a volume shares it.
+    ``sites`` is an (m, d) array of distinct sites, read by
+    ``lattice.site_array``; rows and columns follow its order.  A dict from
+    site to row finds, for each kernel offset k, the row of every target
+    p - k inside the volume, so any coordinate range works.  Each (row, col)
+    pair has one offset, so every entry is zero plus one hop.  The block
+    depends only on site differences, so every translate of a volume
+    shares it.
     """
-    sites = np.asarray(sites)
+    sites = site_array(sites, spec.dimension)
     n = len(sites)
     H = np.zeros((n, n), dtype=np.float64 if spec.is_real else np.complex128)
     row_of = {p: i for i, p in enumerate(map(tuple, sites.tolist()))}

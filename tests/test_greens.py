@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from qpdyn.greens import (
     ComplexEnergy,
     DecayWitness,
     bad_set,
+    bad_sets,
     classify_box,
     combes_thomas_probe,
     fit_sublinear_exponent,
@@ -424,6 +427,17 @@ class TestMultiscale:
         for other in (witness, oracle):
             assert report.witness.margin == pytest.approx(other.margin, abs=1e-10)
 
+    def test_sub_box_scale_of_an_exact_power(self):
+        # 1000 ** (1/3) is 9.999999999999998 in floating point: the integer
+        # root still reads M = 10
+        params = ClassificationParams(c2=0.8, sigma=0.5, xi=1 / 3)
+        report = multiscale_decay_check(
+            constant_diag(3.0), ElementaryRegion((0,), 1000), 2.0 + 1e-3j, params
+        )
+        assert report.sub_size == 10
+        assert report.sub_box_total == (2 * 1000 + 1) // 21
+        assert report.bad_sub_boxes == 0 and report.decay_holds
+
     def test_scale_precondition(self):
         params = ClassificationParams(c2=0.8, sigma=0.5, xi=0.5)
         with pytest.raises(ValueError, match="at least 10"):
@@ -633,33 +647,47 @@ def recursion_scans(draw):
     centers = draw(st.lists(st.integers(-50, 50).map(lambda c: (c,)),
                             min_size=1, max_size=4, unique=True))
     eps = 10.0 ** draw(st.floats(-4.0, -1.0))
-    if draw(st.booleans()):
-        # next to an eigenvalue of a box, where the norm clause is decided
-        w = np.linalg.eigvalsh(assemble(spec, ElementaryRegion(centers[0], sub)))
-        offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-5.0, -1.0))
-        energy = float(draw(st.sampled_from(w.tolist()))) + offset
-    else:
-        # the spectrum lies in [-K + 1, K - 1]: energies inside it and off it
-        K = spec.spectral_bound + 2.0
-        energy = draw(st.floats(-K, K))
+    w = np.linalg.eigvalsh(assemble(spec, ElementaryRegion(centers[0], sub)))
+    zs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            # next to an eigenvalue of a box, where the norm clause is decided
+            offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-5.0, -1.0))
+            energy = float(draw(st.sampled_from(w.tolist()))) + offset
+        else:
+            # the spectrum lies in [-K + 1, K - 1]: energies inside it and off it
+            K = spec.spectral_bound + 2.0
+            energy = draw(st.floats(-K, K))
+        zs.append(complex(energy, eps))
     params = ClassificationParams(c2=draw(st.floats(0.01, 1.0)), sigma=0.5)
-    return spec, sub, centers, complex(energy, eps), params
+    return spec, sub, centers, zs, params
 
 
 @given(recursion_scans())
 @settings(max_examples=80, deadline=None)
 def test_recursion_matches_engine_and_lu_oracle(scan):
-    spec, sub, centers, z, params = scan
+    # 1 to 3 energies sharing eps, stacked into one sweep of the recursion
+    spec, sub, centers, zs, params = scan
     n = 2 * sub + 1
     spread = n * np.finfo(float).eps * spec.spectral_bound
-    engine = GREENS._TranslateEngine(spec, ElementaryRegion((0,), sub), z, params.c2)
-    verdicts = list(scan_boxes(spec, sub + 1, sub, z, params, centers=centers))
-    report = bad_set(spec, sub + 1, sub, z, params, centers=centers)
-    assert report.max_residual == max(v.residual for *_, v in verdicts)
-    for (_, _, v), (engine_norm, engine_witness, _) in zip(
+    engine = GREENS._TranslateEngine(spec, ElementaryRegion((0,), sub), zs, params.c2)
+    verdicts = list(scan_boxes(spec, sub + 1, sub, zs, params, centers=centers))
+    reports = bad_sets(spec, sub + 1, sub, zs, params, centers=centers)
+    m = len(centers)
+    for k, (z, report) in enumerate(zip(zs, reports)):
+        at_z = [v for *_, v in verdicts[k * m : (k + 1) * m]]
+        assert report.max_residual == max(v.residual for v in at_z)
+        # a one-energy pass sweeps fewer columns, and numpy's complex loops
+        # may round a lone column differently: its residual, a rounding-level
+        # figure, agrees within the recursion's residual bound
+        single = bad_set(spec, sub + 1, sub, z, params, centers=centers)
+        assert dataclasses.replace(report, max_residual=single.max_residual) == single
+        assert abs(report.max_residual - single.max_residual) <= spread * max(
+            v.norm for v in at_z)
+    for r, ((_, _, v), (engine_norm, engine_witness, _)) in enumerate(zip(
         verdicts, engine.resolve(centers)
-    ):
-        norm, witness, good, strongly_good = lu_verdict(spec, v.region, z, params)
+    )):
+        norm, witness, good, strongly_good = lu_verdict(spec, v.region, v.z, params)
         for other_norm, other in ((engine_norm, engine_witness), (norm, witness)):
             assert v.decay_margin == pytest.approx(other.margin, abs=1e-10)
             assert norms_agree(v.norm, other_norm, spread), (v.norm, other_norm)
@@ -669,7 +697,8 @@ def test_recursion_matches_engine_and_lu_oracle(scan):
             assert v.good == good
             if abs(math.log(norm / v.norm_bound)) > 1e-9:
                 assert v.strongly_good == strongly_good
-                assert (v.region.center in report.bad_centers) != strongly_good
+                bad = reports[r // m].bad_centers
+                assert (v.region.center in bad) != strongly_good
 
 
 def test_recursion_batches_do_not_change_verdicts(monkeypatch):
@@ -688,6 +717,83 @@ def test_recursion_batches_do_not_change_verdicts(monkeypatch):
             [getattr(v, field) for *_, v in single], rel=1e-12
         )
     assert bad_set(AMO3, 30, 12, z, params).bad_centers == whole_bad.bad_centers
+
+
+MULTI_ENERGY_SCANS = {
+    # one shape: the pass resolves every center at every energy
+    "1d-recursion": (AMO3, 30, 12, None),
+    # 25 entries hold one interval of 25 sites: every column is its own sweep
+    "1d-recursion-entries-25": (AMO3, 30, 12, 25),
+    # five shapes: a center leaves the pass at an energy where a shape fails
+    "2d-engine": (amo_2d(3.0, 0.3), 4, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", MULTI_ENERGY_SCANS.values(), ids=MULTI_ENERGY_SCANS.keys())
+def test_bad_sets_are_the_one_energy_bad_sets(monkeypatch, case):
+    spec, size, sub, entries = case
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    zs = [0.2 + 1e-3j, -1.5 + 1e-3j, 4.0 + 1e-3j, 9.0 + 1e-3j]
+    if entries is not None:
+        monkeypatch.setattr(GREENS, "RECURSION_ENTRIES", entries)
+    singles = [bad_set(spec, size, sub, z, params) for z in zs]
+    sweeps, solved = [], []
+    fractions, inv = GREENS.continued_fractions, np.linalg.inv
+
+    def recorded_fractions(work, numerators):
+        sweeps.append(work.shape[0] * work.shape[2])
+        return fractions(work, numerators)
+
+    def counted_inv(a):
+        solved.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(GREENS, "continued_fractions", recorded_fractions)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    reports = bad_sets(spec, size, sub, zs, params)
+    for report, single in zip(reports, singles):
+        assert report.z == single.z
+        assert report.bad_centers == single.bad_centers
+        assert (report.count, report.total_centers) == (single.count, single.total_centers)
+        assert report.max_residual == single.max_residual
+        assert report.boxes == single.boxes
+    assert len({r.box_spectra for r in reports}) == 1
+    assert 0 < sum(r.count for r in reports) < sum(r.total_centers for r in reports)
+    if spec.dimension == 1:
+        # one sweep for every energy, none over RECURSION_ENTRIES entries
+        centers = singles[0].total_centers
+        assert len(sweeps) == (1 if entries is None else len(zs) * centers)
+        assert max(sweeps) <= GREENS.RECURSION_ENTRIES
+        assert reports[0].box_spectra == 0 and not solved
+    else:
+        # each energy solves only the boxes of its own early exits, and a
+        # box still strongly good at any energy takes one spectrum for all
+        assert sum(solved) == sum(r.boxes for r in reports)
+        assert len({r.boxes for r in reports}) > 1
+        assert max(r.boxes for r in reports) <= reports[0].box_spectra
+        assert reports[0].box_spectra < sum(s.box_spectra for s in singles)
+
+
+def test_a_many_energy_pass_stays_within_the_sweep_budget():
+    # 37 energies at N1 = 63 (127 sites) over one chunk of 64 centers: the
+    # translate batch shrinks 37-fold, so one sweep holds at most
+    # RECURSION_ENTRIES entries, its working arrays about a hundred bytes
+    # an entry, plus 1 MiB for the rest; the 37 x 64 boxes in one sweep
+    # would not fit
+    zs = [complex(e, 1e-3) for e in np.linspace(-9.0, 9.0, 37)]
+    centers = [(c,) for c in range(64)]
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    bad_sets(AMO3, 64, 63, zs[:1], params, centers)  # warm the caches
+    tracemalloc.start()
+    try:
+        reports = bad_sets(AMO3, 64, 63, zs, params, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 128 * GREENS.RECURSION_ENTRIES + (1 << 20)
+    assert peak <= budget
+    assert 128 * len(zs) * len(centers) * 127 > budget
+    assert len(reports) == len(zs)
 
 
 @pytest.mark.parametrize("energy, strongly_good", [(1.0, False), (3.0, True)])

@@ -395,9 +395,12 @@ class TestRecipes:
         # 49 centers, 5 shapes of size 1, 2 energies
         assert (two_d["boxes"], two_d["box_spectra"]) == (490, 245)
         assert (one_d["boxes"], one_d["box_spectra"]) == (26, 0)
-        # bad_set runs one energy at a time and stops at a center's first
-        # bad shape: every box it resolves takes its own spectrum
-        assert sublinear["boxes"] == sublinear["box_spectra"]
+        # a sublinear pass stops at a center's first bad shape at each energy
+        # and takes one spectrum for each box it resolves at either energy:
+        # one for every center and scale at the first shape, and fewer
+        # spectra than boxes
+        assert (sublinear["boxes"], sublinear["box_spectra"]) == (1302, 915)
+        assert 7**2 + 9**2 + 11**2 <= sublinear["box_spectra"] < sublinear["boxes"]
         assert 2 * (7**2 + 9**2 + 11**2) <= sublinear["boxes"] <= 2 * 5 * (
             7**2 + 9**2 + 11**2)
 

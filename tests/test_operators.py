@@ -23,6 +23,7 @@ from qpdyn.operators import (
     assemble,
     diagonal_model,
     free_laplacian,
+    hopping_block,
     potential_values,
     site_list,
 )
@@ -245,6 +246,13 @@ class TestAssemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             assemble(free_laplacian(1), [])
+
+    def test_hopping_block_reads_sites_by_the_integer_rule(self):
+        # a float site array is not truncated into neighbouring sites
+        with pytest.raises(ValueError, match="must be an integer"):
+            hopping_block(free_laplacian(1), np.array([[0.5], [1.5]]))
+        H = hopping_block(free_laplacian(1), np.array([[0], [1]]))
+        assert np.array_equal(H, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize(
         "spec, region",
