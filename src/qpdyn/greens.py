@@ -291,10 +291,12 @@ BATCH_ENTRIES = 1 << 14
 # few MB whatever the scan size or the task chunk
 
 RECURSION_ENTRIES = 1 << 16
-# sites per sweep of the recursion (n per box and energy): its dozen working
-# arrays stay near 10 MB, and a scan task of 64 boxes at k energies is one
-# sweep while 64 k n <= 2^16 (n <= 512 at two energies), so the recursion's
-# loop over sites runs once per task
+# sites per sweep of the recursion (n per box and energy): one full sweep of
+# 21-site boxes at two energies peaks at about 6 MB of working arrays (peak
+# RSS +6.4 MB on sublinear-1d with scan tasks of 4096 centers).  A scan task
+# of k energies holds 2^14 / k box sites, a quarter sweep, or 64 boxes if
+# that is more (recipes._scan_tasks), so it is one sweep while 64 k n <= 2^16
+# (n <= 512 at two energies) and the loop over sites runs once per task
 
 
 class _BatchResolver:
@@ -754,7 +756,8 @@ def scan_boxes(
     a subset, letting a pool of workers split the cube into chunks while
     keeping center order deterministic.  One call holds the verdicts of all
     the centers it is given at every energy, so its memory grows with their
-    number; the recipes pass 64 at a time."""
+    number; a recipe task passes 2^14 box sites per energy of them, at
+    least 64 centers (``recipes._scan_tasks``)."""
     zs = _energies(z)
     shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
     resolved = [resolver.resolve(centers) for resolver in resolvers]

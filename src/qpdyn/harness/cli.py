@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands map onto recipes; every one takes --config, --out, --workers,
-and --verbose.  Exit codes: 0 on success, 2 on a config error, 3 when a
-numerical-safety flag (truncation leakage, quadrature non-convergence) was
-raised during the run.
+and --verbose.  Exit codes: 0 on success, 2 on a config or usage error
+(--workers below 1 is one), 3 when a numerical-safety flag (truncation
+leakage, quadrature non-convergence) was raised during the run.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ EXIT_CONFIG = 2
 EXIT_SAFETY = 3
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpdyn",
@@ -48,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {recipe} recipe")
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
+        p.add_argument("--workers", type=_positive_int, default=1,
+                       help="worker processes, at least 1")
         p.add_argument("--verbose", action="store_true")
     return parser
 

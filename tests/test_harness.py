@@ -375,6 +375,43 @@ class TestRecipes:
         assert [cells(line) for line in rows] == expected
         assert len(rows) == 3 * 5 * (11**2 + 13**2)  # 5 shapes of size 1
 
+    def test_box_scan_split_into_tasks_keeps_its_row_order(self, tmp_path):
+        # 25-site boxes at three energies: 218 centers a task, so each N is
+        # three tasks, and the rows still come in (N, E, center, shape)
+        # order, byte-identical at one and two workers
+        from qpdyn.greens import scan_centers
+        from qpdyn.lattice import enumerate_shapes
+
+        energies = (0.0, 2.5, -1.0)
+        p = write(tmp_path, "split.cfg", f"""
+            experiment = bad-set-scan
+            {LAPLACIAN_2D}
+            scan.sizes = 10,11
+            scan.sub_size = 2
+            scan.energies = {','.join(map(str, energies))}
+            scan.epsilon = 0.001
+            """)
+        plan = RECIPES["bad-set-scan"](load_config(p))
+        assert [len(t.kwargs["centers"]) for t in plan.tasks] == [
+            218, 218, 5, 218, 218, 93]
+        for workers in (1, 2):
+            run_experiment(load_config(p), tmp_path / f"w{workers}",
+                           workers=workers, prefix="gs")
+        one_worker, two_workers = (
+            (tmp_path / w / "gs_scan.csv").read_bytes() for w in ("w1", "w2")
+        )
+        assert one_worker == two_workers
+        header, *rows = one_worker.decode().splitlines()
+        col = {name: i for i, name in enumerate(header.split(","))}
+        got = [(int(r[col["N"]]), float(r[col["E"]]), int(r[col["n0"]]),
+                int(r[col["n1"]]), int(r[col["shapeId"]]))
+               for r in (line.split(",") for line in rows)]
+        shapes = len(enumerate_shapes(2, 2))
+        assert got == [(n, e, *center, shape)
+                       for n in (10, 11) for e in energies
+                       for center in scan_centers(n, 2)
+                       for shape in range(shapes)]
+
     def test_scan_manifests_count_boxes_and_box_spectra(self, tmp_path):
         # a 2-d box takes one dense spectrum for all the energies of a scan;
         # the 1-d recursion takes none
@@ -553,6 +590,99 @@ class TestRecipes:
         params = ClassificationParams.for_spec(spec)
         for n in (40, 60, 80):
             assert got[n] == bad_set(spec, n, 3, 1e-3j, params).count
+
+    def test_sublinear_tasks_that_split_a_scale_sum_to_one_bad_sets(self,
+                                                                     tmp_path):
+        # 129-site boxes at two energies keep the fewest centers a task, so
+        # every N is split into four or more tasks; their summed counts at
+        # each energy are those of one module-level pass over all centers
+        from qpdyn.greens import ClassificationParams, bad_sets
+        from qpdyn.operators import almost_mathieu
+
+        p = write(tmp_path, "sub.cfg", f"""
+            experiment = sublinear
+            {AMO_MODEL}
+            scan.sizes = 100,150,200
+            scan.sub_size = 64
+            scan.energies = 0.0,1.0
+            scan.epsilon = 0.001
+            output.prefix = sub
+            """)
+        plan = RECIPES["sublinear"](load_config(p))
+        per_size = [sum(t.kwargs["size"] == n for t in plan.tasks)
+                    for n in (100, 150, 200)]
+        assert per_size == [4, 5, 7]
+        run_experiment(load_config(p), tmp_path / "out", workers=2)
+        lines = (tmp_path / "out" / "sub_counts.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        n_col, e_col, bad_col = (header.index(c) for c in ("N", "E", "badCount"))
+        got = {(int(r[n_col]), float(r[e_col])): int(r[bad_col])
+               for r in (line.split(",") for line in lines[1:])}
+        spec = almost_mathieu(3.0, float(GOLDEN), 0.3)
+        params = ClassificationParams.for_spec(spec)
+        want = {}
+        for n in (100, 150, 200):
+            reports = bad_sets(spec, n, 64, [0.0 + 1e-3j, 1.0 + 1e-3j], params)
+            want.update({(n, e): r.count for e, r in zip((0.0, 1.0), reports)})
+        assert got == want
+
+    def test_scan_tasks_are_sized_by_their_box_sites(self):
+        # sublinear-1d: boxes of 11, 15, 17 and 21 sites at two energies
+        # give 2^14 / (sites x 2) centers a task, every center once and in
+        # order; 4501-site boxes keep the floor of 64 centers a task
+        from qpdyn.greens import scan_centers
+
+        cfg = config_from_raw(parse_config_text(
+            f"{AMO_MODEL}scan.sizes = 200,400,800,1600\n"
+            "scan.sub_exponent = 0.3\nscan.energies = 0.0,1.0\n"
+            "scan.epsilon = 0.001\n"), "sublinear")
+        tasks = RECIPES["sublinear"](cfg).tasks
+        assert [len(t.kwargs["centers"]) for t in tasks] == [
+            401, 546, 255, *[481] * 3, 158, *[390] * 8, 81]
+        for n, sub in ((200, 5), (400, 7), (800, 8), (1600, 10)):
+            chunks = [t.kwargs for t in tasks if t.kwargs["size"] == n]
+            assert {kw["sub_size"] for kw in chunks} == {sub}
+            centers = [c for kw in chunks for c in kw["centers"].tolist()]
+            assert centers == [list(c) for c in scan_centers(n, 1)]
+        big = config_from_raw(parse_config_text(
+            f"{AMO_MODEL}scan.sizes = 2300\nscan.sub_size = 2250\n"
+            "scan.epsilon = 0.001\n"), "bad-set-scan")
+        sizes = [len(t.kwargs["centers"]) for t in RECIPES["bad-set-scan"](big).tasks]
+        assert sizes == [recipes.SCAN_CHUNK] * 71 + [4601 - 71 * 64]
+
+    @pytest.mark.parametrize("workers,tasks,pool", [
+        (8, 3, 3), (2, 3, 2), (10**6, 5, 5), (8, 1, None), (1, 4, None),
+    ])
+    def test_the_pool_is_no_larger_than_the_plan(self, monkeypatch, workers,
+                                                 tasks, pool):
+        # a process pool forks all of its workers at the first submit, so
+        # it starts no more of them than there are tasks; no real process
+        # starts here
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(recipes, "ProcessPoolExecutor", Pool)
+        plan = [recipes.Task(dict, {"i": i}) for i in range(tasks)]
+        results, seconds = recipes.execute_tasks(plan, workers)
+        assert results == [{"i": i} for i in range(tasks)]
+        assert len(seconds) == tasks
+        assert started == ([] if pool is None else [pool])
+
+    def test_workers_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            recipes.execute_tasks([recipes.Task(dict, {})], 0)
 
     def test_moments_auto_double_raises_radius(self, tmp_path):
         p = write(
@@ -1328,6 +1458,21 @@ class TestCli:
         run_experiment(load_config(p), tmp_path / "quiet", workers=workers)
         for name in ("mom_moments.csv", "mom_fits.csv"):
             assert (out / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_workers_below_one_exit_two_with_usage(self, tmp_path, capsys,
+                                                   workers):
+        p = write(tmp_path, "sub.cfg", f"{AMO_MODEL}scan.sizes = 10,20,40\n"
+                  "scan.sub_size = 2\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["sublinear", "--config", str(p), "--out", str(out),
+                      "--workers", workers])
+        assert exit_.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qpdyn sublinear")
+        assert f"--workers: must be an integer of at least 1, got '{workers}'" in err
+        assert not out.exists()
 
     def test_missing_file_exit_two(self, tmp_path):
         code = cli.main(
