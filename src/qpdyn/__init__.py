@@ -32,16 +32,12 @@ from .dynamics import (
     LyapunovEstimate,
     MomentSeries,
     QuadratureError,
-    TimeAveragedMoment,
     amplitude_table_direct,
     amplitude_table_parseval,
-    averaged_moment_direct,
-    averaged_moment_parseval,
     double_while_flagged,
     evolve,
     fit_log_exponent,
     lyapunov_estimate,
-    moment,
     moment_series,
 )
 from .greens import (
@@ -56,7 +52,6 @@ from .greens import (
     bad_set,
     bad_sets,
     classify_box,
-    combes_thomas_probe,
     fit_sublinear_exponent,
     greens,
     is_good,
@@ -64,7 +59,6 @@ from .greens import (
     multiscale_decay_check,
     resolvent_norm,
     scan_boxes,
-    verify_resolvent_identity,
 )
 from .lattice import (
     ElementaryRegion,
@@ -99,17 +93,14 @@ __all__ = [
     # greens
     "BadSetReport", "BoxVerdict", "ClassificationParams", "ComplexEnergy",
     "DecayWitness", "GreensMatrix", "MultiscaleReport", "SublinearFit",
-    "bad_set", "bad_sets", "classify_box", "combes_thomas_probe",
-    "fit_sublinear_exponent", "greens", "is_good", "is_strongly_good",
-    "multiscale_decay_check", "resolvent_norm", "scan_boxes",
-    "verify_resolvent_identity",
+    "bad_set", "bad_sets", "classify_box", "fit_sublinear_exponent",
+    "greens", "is_good", "is_strongly_good", "multiscale_decay_check",
+    "resolvent_norm", "scan_boxes",
     # dynamics
     "AmplitudeTable", "EvolutionResult", "LogFit", "LyapunovEstimate",
-    "MomentSeries", "QuadratureError", "TimeAveragedMoment",
-    "amplitude_table_direct", "amplitude_table_parseval",
-    "averaged_moment_direct", "averaged_moment_parseval",
-    "double_while_flagged", "evolve", "fit_log_exponent", "lyapunov_estimate",
-    "moment", "moment_series",
+    "MomentSeries", "QuadratureError", "amplitude_table_direct",
+    "amplitude_table_parseval", "double_while_flagged", "evolve",
+    "fit_log_exponent", "lyapunov_estimate", "moment_series",
     # arithmetic
     "ContinuedFraction", "DiophantineParams", "DiophantineReport",
     "DiscrepancyReport", "continued_fraction", "diophantine_check",

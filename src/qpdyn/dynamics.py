@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .greens import RECURSION_ENTRIES, _as_complex, continued_fractions
-from .lattice import Coords, ElementaryRegion, site, sup_norm, sup_norms
+from .lattice import Coords, ElementaryRegion, site, sup_norms
 from .operators import (
     OperatorSpec,
     StateVector,
@@ -68,9 +68,15 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_state(spec: OperatorSpec, phi: StateVector, radius: int) -> None:
-    """The checks on an initial state that need no box, so that a bad state
-    raises before any decomposition."""
+def _check_inputs(
+    spec: OperatorSpec, phi: StateVector, radius: int, leakage_tol: float
+) -> None:
+    """The checks on an initial state and a leakage tolerance that need no
+    box, so that a bad input raises before any decomposition; a NaN
+    tolerance would never flag."""
+    if not 0.0 <= leakage_tol < math.inf:  # so that NaN fails
+        raise ValueError(
+            f"leakage_tol must be non-negative and finite, got {leakage_tol}")
     wrong = [p for p in phi.support if len(p) != spec.dimension]
     if wrong:
         raise ValueError(f"support sites {wrong} are not among the sites")
@@ -154,15 +160,6 @@ class EvolutionResult:
     flagged: bool
     norm_drift: float
 
-    def state(self, i: int) -> StateVector:
-        row = self.amplitudes[i]
-        return StateVector(
-            {p: complex(a) for p, a in zip(self.sites, row) if a != 0.0}
-        )
-
-    def site_norms(self) -> np.ndarray:
-        return self.norms
-
     def moments(self, p: float) -> np.ndarray:
         return (np.abs(self.amplitudes) ** 2) @ _moment_weights(self.norms, p)
 
@@ -180,7 +177,7 @@ def evolve(
         raise ValueError(f"times must be finite, got {times}")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
-    _check_state(spec, phi, radius)
+    _check_inputs(spec, phi, radius, leakage_tol)
     sites, norms, w, U = _box_eigh(spec, radius)
     dense = phi.dense(sites)
     c = _apply(U.conj().T, dense)
@@ -221,12 +218,6 @@ def double_while_flagged(run: Callable, radius: int, max_doublings: int):
         r *= 2
         result = run(r)
     return result
-
-
-def moment(psi: StateVector, p: float) -> float:
-    """p-th moment sum |n|^p |psi_n|^2 with the sup norm."""
-    norms = np.array([sup_norm(n) for n in psi.amplitudes], dtype=float)
-    return float(_moment_weights(norms, p) @ np.abs(list(psi.amplitudes.values())) ** 2)
 
 
 @dataclass(frozen=True)
@@ -344,7 +335,7 @@ def amplitude_table_direct(
     with Re M built in real arithmetic.
     """
     _check_positive(T, "averaging horizon T")
-    _check_state(spec, phi, radius)
+    _check_inputs(spec, phi, radius, leakage_tol)
     sites, norms, w, U = _box_eigh(spec, radius)
     c = _apply(U.conj().T, phi.dense(sites))
     if np.iscomplexobj(U):
@@ -512,13 +503,21 @@ def amplitude_table_parseval(
     a safety factor, drops below the tolerance; the doublings are evaluated
     in speculative chunks and replayed in order, and the panels past the
     stopping one are never used.  The returned table therefore does not
-    depend on the band edge beyond the quadrature tolerance.
+    depend on the band edge beyond the quadrature tolerance.  A ``rel_tol``
+    that is not positive and finite, or control orders that are none or
+    not finite and >= 0, raise ``ValueError`` before the box is decomposed.
     """
     _check_positive(T, "averaging horizon T")
     if band_edge is not None:  # a negative edge reverses the band panels
         _check_positive(band_edge, "band edge")
+    _check_positive(rel_tol, "rel_tol")
+    if len(control_orders) == 0 or not all(
+            0.0 <= q < math.inf for q in control_orders):  # so that NaN fails
+        raise ValueError(
+            f"control orders must be one or more finite values >= 0, got "
+            f"{control_orders}")
     src = site(source)
-    _check_state(spec, StateVector.delta(src), radius)
+    _check_inputs(spec, StateVector.delta(src), radius, leakage_tol)
     sites, norms, w, column = _source_column(spec, radius, src)
     eps = 1.0 / T
     prefactor = 1.0 / (T * math.pi)
@@ -613,78 +612,6 @@ def amplitude_table_parseval(
 
 
 @dataclass(frozen=True)
-class TimeAveragedMoment:
-    """One time-averaged p-th moment value with its provenance."""
-
-    value: float
-    p: float
-    horizon: float
-    route: str
-    flagged: bool
-    note: str
-    table: AmplitudeTable | None = None
-
-
-def averaged_moment_direct(
-    spec: OperatorSpec,
-    phi: StateVector,
-    p: float,
-    T: float,
-    radius: int,
-    leakage_tol: float = DEFAULT_LEAKAGE_TOL,
-) -> TimeAveragedMoment:
-    """Time-averaged p-th moment by the exact time average of the direct
-    route."""
-    _check_positive(p, "p")
-    table = amplitude_table_direct(spec, phi, T, radius, leakage_tol)
-    note = "truncation-unsafe" if table.flagged else ""
-    return TimeAveragedMoment(
-        table.moment(p), p, T, "direct", table.flagged, note, table
-    )
-
-
-def averaged_moment_parseval(
-    spec: OperatorSpec,
-    phi: StateVector,
-    p: float,
-    T: float,
-    radius: int,
-) -> TimeAveragedMoment:
-    """Time-averaged p-th moment through the energy-integral route.
-
-    Exact (up to quadrature) for a single-site phi, flagged when the table
-    leaks; for multi-site phi the cross-term-free upper bound
-    ||phi||^2 sum_j sum_n |n|^p a(j, n, T) is computed and flagged as a
-    bound, not an equality (and as truncation-unsafe when any table leaks).
-    """
-    _check_positive(p, "p")
-    support = phi.support
-    if not support:
-        raise ValueError("phi must have non-empty support")
-    orders = (0.0, p)
-    if len(support) == 1:
-        j = support[0]
-        table = amplitude_table_parseval(spec, j, T, radius, control_orders=orders)
-        scale = abs(phi.amplitudes[j]) ** 2
-        note = "truncation-unsafe" if table.flagged else ""
-        return TimeAveragedMoment(
-            scale * table.moment(p), p, T, "parseval", table.flagged, note,
-            table,
-        )
-    tables = [
-        amplitude_table_parseval(spec, j, T, radius, control_orders=orders)
-        for j in support
-    ]
-    note = "bound-not-equality"
-    if any(table.flagged for table in tables):
-        note += ",truncation-unsafe"
-    return TimeAveragedMoment(
-        phi.norm_sq() * sum(table.moment(p) for table in tables),
-        p, T, "parseval", True, note, None,
-    )
-
-
-@dataclass(frozen=True)
 class LogFit:
     """Least-squares exponent of log(value) against log(log t)."""
 
@@ -740,7 +667,7 @@ def lyapunov_estimate(
 
     Averages (1/N) log || prod_n [[v(f^n(x)) - E, -1], [1, 0]] || over the
     given phases, renormalising the running product periodically so it
-    never overflows.
+    never overflows.  Needs a length of at least 1 and at least one phase.
     """
     if spec.tridiagonal != (0.0, 1.0):
         raise ValueError(
@@ -748,10 +675,15 @@ def lyapunov_estimate(
             "unit coupling"
         )
     z = _as_complex(energy)
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
+    phases = [float(x) for x in phases]
+    if not phases:
+        raise ValueError("need at least one phase")
     e = z.real if z.imag == 0.0 else z
     samples = []
     for x in phases:
-        run = spec.with_phase((float(x),))
+        run = spec.with_phase((x,))
         v = potential_values(run, np.arange(1, length + 1)[:, None]).tolist()
         # the product's two columns (p, q) and (r, s), each stepped by the
         # three-term recurrence (p, q) -> ((v_n - E) p - q, p)

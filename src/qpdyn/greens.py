@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .lattice import (Coords, ElementaryRegion, _integer, enumerate_shapes, site,
-                      site_array, sup_norm, sup_norms, tile_disjoint)
+                      site_array, sup_norms, tile_disjoint)
 from .operators import (
     OperatorSpec,
     assemble,
@@ -876,86 +876,6 @@ def fit_sublinear_exponent(counts: Sequence[tuple[int, int]]) -> SublinearFit:
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         no_bad_boxes=False,
     )
-
-
-def verify_resolvent_identity(
-    spec: OperatorSpec, region1, region2, z
-) -> float:
-    """Deviation of the exact two-block resolvent identity.
-
-    For disjoint volumes with union L,
-    G_L = (G_1 + G_2) - (G_1 + G_2)(H_L - H_1 - H_2) G_L
-    holds exactly; returns the relative spectral-norm deviation.
-    """
-    zc = _as_complex(z)
-    sites1 = site_list(region1)
-    sites2 = site_list(region2)
-    if set(sites1) & set(sites2):
-        raise ValueError("regions overlap")
-    union = site_list(sites1 + sites2)
-    whole = greens(spec, union, zc)
-    G = whole.matrix
-    idx1 = [whole._index[p] for p in sites1]
-    idx2 = [whole._index[p] for p in sites2]
-    n = len(union)
-    B = np.zeros((n, n), dtype=np.complex128)
-    B[np.ix_(idx1, idx1)] = greens(spec, sites1, zc).matrix
-    B[np.ix_(idx2, idx2)] = greens(spec, sites2, zc).matrix
-    H = assemble(spec, union).astype(np.complex128)
-    coupling = np.zeros_like(H)
-    coupling[np.ix_(idx1, idx2)] = H[np.ix_(idx1, idx2)]
-    coupling[np.ix_(idx2, idx1)] = H[np.ix_(idx2, idx1)]
-    rhs = B - B @ coupling @ G
-    dev = np.linalg.norm(G - rhs, 2)
-    return float(dev / max(1.0, np.linalg.norm(G, 2)))
-
-
-def combes_thomas_probe(
-    spec: OperatorSpec,
-    radius: int,
-    energy: float,
-    epsilon: float = 0.0,
-    source: Coords | None = None,
-) -> float:
-    """Measured off-diagonal decay rate of G on a cube of the given radius.
-
-    Requires the energy to sit at distance >= 1 from the spectrum of the
-    truncation.  Fits log |G(source, n)| against |n| over the annulus
-    R/4 <= |n| <= R/2; a diagonal resolvent reports an infinite rate.
-    """
-    d = spec.dimension
-    src = site(source) if source is not None else (0,) * d
-    if len(src) != d or sup_norm(src) > radius:
-        raise ValueError(
-            f"source site {src} must have {d} coordinates and lie in the cube "
-            f"of radius {radius}"
-        )
-    box = ElementaryRegion((0,) * d, radius)
-    sites = site_list(box)
-    zc = _as_complex(complex(energy, epsilon))
-    dist = 1.0 / resolvent_norm(spec, sites, zc)
-    if dist < 1.0:
-        raise ValueError(
-            f"energy {energy} is at distance {dist:.3g} < 1 from the "
-            "truncated spectrum"
-        )
-    A = assemble(spec, sites).astype(np.complex128)
-    A[np.diag_indices(len(sites))] -= zc
-    rhs = np.zeros(len(sites), dtype=np.complex128)
-    rhs[sites.index(src)] = 1.0
-    col = sla.solve(A, rhs)
-    r, g = sup_norms(sites), np.abs(col)
-    annulus = (math.ceil(radius / 4.0) <= r) & (r <= radius // 2) & (g > 0.0)
-    if not annulus.any():
-        return math.inf
-    slope = np.polyfit(r[annulus], np.log(g[annulus]), 1)[0]
-    rate = -float(slope)
-    if rate <= 0.0:
-        raise ArithmeticError(
-            f"measured rate {rate:.3g} is not positive; the energy may be "
-            "too close to the spectrum for this radius"
-        )
-    return rate
 
 
 @dataclass(frozen=True)

@@ -522,7 +522,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     p = r.number("parseval.p", default=2.0, positive=True)
     source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
-    rel_tol = r.number("parseval.rel_tol", default=1e-9, minimum=0.0)
+    rel_tol = r.number("parseval.rel_tol", default=1e-9, positive=True)
     r.check()
     tasks = [
         Task(

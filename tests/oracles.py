@@ -2,7 +2,8 @@
 
 These work on explicit point sets and follow the defining conditions
 literally, with no pruning, so they stay independent of the library's
-descriptor-based implementations.
+descriptor-based implementations.  The dense resolvent checks behind the
+resolvent-identity and Combes-Thomas acceptance criteria live here too.
 """
 
 from __future__ import annotations
@@ -261,3 +262,87 @@ def oracle_diophantine(alpha, kappa, k_max):
     margins = np.minimum(frac, 1.0 - frac) * sizes**kappa
     i = int(np.argmin(margins))
     return ks[i], float(margins[i])
+
+
+def verify_resolvent_identity(spec, region1, region2, z):
+    """Deviation of the exact two-block resolvent identity.
+
+    For disjoint volumes with union L,
+    G_L = (G_1 + G_2) - (G_1 + G_2)(H_L - H_1 - H_2) G_L
+    holds exactly; returns the relative spectral-norm deviation.  Each G is
+    a dense LU ``greens``."""
+    import numpy as np
+
+    from qpdyn.greens import _as_complex, greens
+    from qpdyn.operators import assemble, site_list
+
+    zc = _as_complex(z)
+    sites1 = site_list(region1)
+    sites2 = site_list(region2)
+    if set(sites1) & set(sites2):
+        raise ValueError("regions overlap")
+    union = site_list(sites1 + sites2)
+    whole = greens(spec, union, zc)
+    G = whole.matrix
+    idx1 = [whole._index[p] for p in sites1]
+    idx2 = [whole._index[p] for p in sites2]
+    n = len(union)
+    B = np.zeros((n, n), dtype=np.complex128)
+    B[np.ix_(idx1, idx1)] = greens(spec, sites1, zc).matrix
+    B[np.ix_(idx2, idx2)] = greens(spec, sites2, zc).matrix
+    H = assemble(spec, union).astype(np.complex128)
+    coupling = np.zeros_like(H)
+    coupling[np.ix_(idx1, idx2)] = H[np.ix_(idx1, idx2)]
+    coupling[np.ix_(idx2, idx1)] = H[np.ix_(idx2, idx1)]
+    rhs = B - B @ coupling @ G
+    dev = np.linalg.norm(G - rhs, 2)
+    return float(dev / max(1.0, np.linalg.norm(G, 2)))
+
+
+def combes_thomas_probe(spec, radius, energy, epsilon=0.0, source=None):
+    """Measured off-diagonal decay rate of G on a cube of the given radius.
+
+    Requires the energy to sit at distance >= 1 from the spectrum of the
+    truncation.  Fits log |G(source, n)| against |n| over the annulus
+    R/4 <= |n| <= R/2, with the column from a dense solve; a diagonal
+    resolvent reports an infinite rate.  The source is read by
+    ``lattice.site``."""
+    import numpy as np
+    import scipy.linalg as sla
+
+    from qpdyn.greens import _as_complex, resolvent_norm
+    from qpdyn.lattice import ElementaryRegion, site, sup_norm, sup_norms
+    from qpdyn.operators import assemble, site_list
+
+    d = spec.dimension
+    src = site(source) if source is not None else (0,) * d
+    if len(src) != d or sup_norm(src) > radius:
+        raise ValueError(
+            f"source site {src} must have {d} coordinates and lie in the cube "
+            f"of radius {radius}"
+        )
+    sites = site_list(ElementaryRegion((0,) * d, radius))
+    zc = _as_complex(complex(energy, epsilon))
+    dist = 1.0 / resolvent_norm(spec, sites, zc)
+    if dist < 1.0:
+        raise ValueError(
+            f"energy {energy} is at distance {dist:.3g} < 1 from the "
+            "truncated spectrum"
+        )
+    A = assemble(spec, sites).astype(np.complex128)
+    A[np.diag_indices(len(sites))] -= zc
+    rhs = np.zeros(len(sites), dtype=np.complex128)
+    rhs[sites.index(src)] = 1.0
+    col = sla.solve(A, rhs)
+    r, g = sup_norms(sites), np.abs(col)
+    annulus = (math.ceil(radius / 4.0) <= r) & (r <= radius // 2) & (g > 0.0)
+    if not annulus.any():
+        return math.inf
+    slope = np.polyfit(r[annulus], np.log(g[annulus]), 1)[0]
+    rate = -float(slope)
+    if rate <= 0.0:
+        raise ArithmeticError(
+            f"measured rate {rate:.3g} is not positive; the energy may be "
+            "too close to the spectrum for this radius"
+        )
+    return rate

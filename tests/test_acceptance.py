@@ -11,19 +11,16 @@ import pytest
 
 from qpdyn.arithmetic import DiophantineParams, diophantine_check, discrepancy, orbit_points
 from qpdyn.dynamics import (
+    amplitude_table_direct,
     amplitude_table_parseval,
-    averaged_moment_direct,
-    averaged_moment_parseval,
     fit_log_exponent,
     moment_series,
 )
 from qpdyn.greens import (
     ClassificationParams,
     bad_set,
-    combes_thomas_probe,
     fit_sublinear_exponent,
     greens,
-    verify_resolvent_identity,
 )
 from qpdyn.harness.config import load_config
 from qpdyn.harness.recipes import run_sweep
@@ -38,7 +35,12 @@ from qpdyn.operators import (
     free_laplacian,
 )
 
-from oracles import all_shape_point_sets, oracle_bad_centers
+from oracles import (
+    all_shape_point_sets,
+    combes_thomas_probe,
+    oracle_bad_centers,
+    verify_resolvent_identity,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 AMO3 = almost_mathieu(3.0, GOLDEN, 0.3)
@@ -56,9 +58,9 @@ def test_route_equivalence():
     details = []
     for spec, name in ((FREE, "free"), (AMO3, "amo3")):
         for T in (5.0, 20.0, 50.0):
-            d = averaged_moment_direct(spec, DELTA0, 2.0, T, 128)
-            p = averaged_moment_parseval(spec, DELTA0, 2.0, T, 128)
-            rel = abs(d.value - p.value) / d.value
+            d = amplitude_table_direct(spec, DELTA0, T, 128).moment(2.0)
+            p = amplitude_table_parseval(spec, (0,), T, 128).moment(2.0)
+            rel = abs(d - p) / d
             worst = max(worst, rel)
             details.append(f"{name}/T={T:g}: {rel:.2e}")
     record(

@@ -14,13 +14,10 @@ from qpdyn.dynamics import (
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
-    averaged_moment_direct,
-    averaged_moment_parseval,
     double_while_flagged,
     evolve,
     fit_log_exponent,
     lyapunov_estimate,
-    moment,
     moment_series,
     _apply,
     _box_eigh,
@@ -62,7 +59,9 @@ def decompositions(monkeypatch):
 class TestEvolve:
     def test_time_zero_identity(self):
         res = evolve(free_laplacian(1), DELTA0, [0.0], 16)
-        assert res.state(0).amplitudes == {(0,): 1.0 + 0.0j}
+        (nonzero,) = np.flatnonzero(res.amplitudes[0])
+        assert res.sites[nonzero] == (0,)
+        assert res.amplitudes[0, nonzero] == 1.0 + 0.0j
 
     def test_diagonal_evolution_is_phase_rotation(self):
         spec = diagonal_model(PotentialSpec.constant_value(2.0), STILL)
@@ -100,11 +99,11 @@ class TestEvolve:
         (lambda spec: evolve(spec, DELTA0, [1.0], 8), "not among the sites"),
         (lambda spec: moment_series(spec, DELTA0, 2.0, [1.0], 8),
          "not among the sites"),
-        (lambda spec: averaged_moment_direct(spec, DELTA0, 2.0, 5.0, 8),
+        (lambda spec: amplitude_table_direct(spec, DELTA0, 5.0, 8),
          "not among the sites"),
         (lambda spec: amplitude_table_parseval(spec, (0,), 5.0, 8),
          "not among the sites"),
-    ], ids=["evolve", "moment_series", "averaged_moment_direct", "parseval"])
+    ], ids=["evolve", "moment_series", "direct", "parseval"])
     def test_state_of_wrong_dimension_raises(self, call, match, decompositions):
         # a 1-d site on a 2-d box used to give silent zeros, and the check
         # needs no dense eigh of the box
@@ -119,25 +118,48 @@ class TestEvolve:
          "p must be positive"),
         (lambda: amplitude_table_direct(AMO3, DELTA0, math.nan, 8), "horizon"),
         (lambda: amplitude_table_direct(AMO3, DELTA0, math.inf, 8), "horizon"),
-        (lambda: averaged_moment_direct(AMO3, DELTA0, math.inf, 5.0, 8),
-         "p must be positive"),
         (lambda: amplitude_table_parseval(AMO3, (0,), math.nan, 8), "horizon"),
         (lambda: amplitude_table_parseval(AMO3, (0,), math.inf, 8), "horizon"),
         (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, band_edge=math.nan),
          "band edge"),
         (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, band_edge=-1.0),
          "band edge"),
-        (lambda: averaged_moment_parseval(AMO3, DELTA0, math.nan, 5.0, 8),
-         "p must be positive"),
+        (lambda: evolve(AMO3, DELTA0, [1.0], 8, leakage_tol=math.nan),
+         "leakage_tol"),
+        (lambda: evolve(AMO3, DELTA0, [1.0], 8, leakage_tol=-1e-8),
+         "leakage_tol"),
+        (lambda: amplitude_table_direct(AMO3, DELTA0, 5.0, 8, leakage_tol=math.nan),
+         "leakage_tol"),
+        (lambda: amplitude_table_direct(AMO3, DELTA0, 5.0, 8, leakage_tol=math.inf),
+         "leakage_tol"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, leakage_tol=math.nan),
+         "leakage_tol"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, rel_tol=math.nan),
+         "rel_tol"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, rel_tol=0.0),
+         "rel_tol"),
+        (lambda: amplitude_table_parseval(
+            AMO3, (0,), 5.0, 8, control_orders=(0.0, math.nan)), "control orders"),
+        (lambda: amplitude_table_parseval(
+            AMO3, (0,), 5.0, 8, control_orders=(0.0, -1.0)), "control orders"),
+        (lambda: amplitude_table_parseval(AMO3, (0,), 5.0, 8, control_orders=()),
+         "control orders"),
     ], ids=["evolve-t-inf", "evolve-t-nan", "series-p", "direct-T-nan",
-            "direct-T-inf", "direct-p", "parseval-T-nan", "parseval-T-inf",
-            "parseval-edge-nan", "parseval-edge-negative", "parseval-p"])
+            "direct-T-inf", "parseval-T-nan", "parseval-T-inf",
+            "parseval-edge-nan", "parseval-edge-negative", "evolve-leakage-tol-nan",
+            "evolve-leakage-tol-negative", "direct-leakage-tol-nan",
+            "direct-leakage-tol-inf", "parseval-leakage-tol-nan",
+            "parseval-rel-tol-nan", "parseval-rel-tol-zero", "parseval-order-nan",
+            "parseval-order-negative", "parseval-orders-empty"])
     def test_a_non_finite_input_raises_before_any_decomposition(
         self, call, match, decompositions
     ):
         # unchecked, t = inf gives leakage NaN, which no tolerance flags,
         # T = nan spins the band bisections for seconds, and band edge -1
-        # gives a table of total mass -0.69
+        # gives a table of total mass -0.69; a NaN leakage_tol never flags,
+        # rel_tol NaN or 0 and a NaN order run all MAX_PANELS bisections
+        # before a QuadratureError, a negative order divides by zero at the
+        # origin, and no order at all fails inside np.vstack
         with pytest.raises(ValueError, match=match):
             call()
         assert decompositions == []
@@ -148,7 +170,7 @@ class TestEvolve:
         loop = np.array([float(sup_norm(n)) for n in sites])
         assert norms.tobytes() == loop.tobytes()
         res = evolve(spec, StateVector.delta((0, 0)), [1.0], 6)
-        assert res.site_norms().tobytes() == loop.tobytes()
+        assert res.norms.tobytes() == loop.tobytes()
         table = amplitude_table_direct(spec, StateVector.delta((0, 0)), 2.0, 6)
         assert table.moment(1.5) == float((loop**1.5) @ table.values)
 
@@ -328,21 +350,10 @@ class TestBoxEigensolver:
 
 
 class TestMoment:
-    def test_delta_at_origin(self):
-        assert moment(DELTA0, 2.0) == 0.0
-
-    def test_delta_at_site(self):
-        assert moment(StateVector.delta((-3,)), 2.0) == 9.0
-        assert moment(StateVector.delta((2, -5)), 1.5) == pytest.approx(5.0**1.5)
-
     def test_free_laplacian_ballistic_law(self):
         series = moment_series(free_laplacian(1), DELTA0, 2.0, [1.0, 4.0, 16.0], 256)
         for t, v in series.entries:
             assert v == pytest.approx(2.0 * t * t, rel=1e-6)
-
-    def test_rejects_nonpositive_p(self):
-        with pytest.raises(ValueError):
-            moment(DELTA0, 0.0)
 
     @pytest.mark.parametrize("p", [0.0, -1.0])
     def test_every_moment_reader_rejects_nonpositive_p(self, p):
@@ -366,19 +377,17 @@ class TestDirectAverage:
     def test_zero_kernel_delta_origin(self):
         spec = diagonal_model(PotentialSpec.constant_value(1.0), STILL)
         for T in (1.0, 10.0):
-            out = averaged_moment_direct(spec, DELTA0, 2.0, T, 8)
-            assert out.value == pytest.approx(0.0, abs=1e-15)
+            table = amplitude_table_direct(spec, DELTA0, T, 8)
+            assert table.moment(2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_kernel_delta_offsite(self):
         spec = diagonal_model(PotentialSpec.constant_value(1.0), STILL)
         phi = StateVector.delta((3,))
-        out = averaged_moment_direct(spec, phi, 2.0, 5.0, 16)
-        assert out.value == pytest.approx(9.0, rel=1e-12)
+        table = amplitude_table_direct(spec, phi, 5.0, 16)
+        assert table.moment(2.0) == pytest.approx(9.0, rel=1e-12)
 
     def test_flag_propagates(self):
-        out = averaged_moment_direct(free_laplacian(1), DELTA0, 2.0, 50.0, 32)
-        assert out.flagged
-        assert out.note == "truncation-unsafe"
+        assert amplitude_table_direct(free_laplacian(1), DELTA0, 50.0, 32).flagged
 
     def test_leakage_is_shell_mass_of_the_averaged_table(self):
         # a(0, ., 2) of the free Laplacian stays far inside r = 64: the
@@ -438,9 +447,9 @@ class TestParseval:
 
     @pytest.mark.parametrize("spec", [free_laplacian(1), AMO3])
     def test_route_equivalence_moments(self, spec):
-        d = averaged_moment_direct(spec, DELTA0, 2.0, 10.0, 64)
-        p = averaged_moment_parseval(spec, DELTA0, 2.0, 10.0, 64)
-        assert abs(d.value - p.value) / d.value < 1e-6
+        d = amplitude_table_direct(spec, DELTA0, 10.0, 64).moment(2.0)
+        p = amplitude_table_parseval(spec, (0,), 10.0, 64).moment(2.0)
+        assert abs(d - p) / d < 1e-6
 
     def test_band_edge_insensitivity(self):
         # growing the band only reshuffles panels; values stay put
@@ -453,18 +462,8 @@ class TestParseval:
     def test_localized_moment_bounded_in_horizon(self):
         values = []
         for T in (10.0, 100.0, 1000.0, 10000.0):
-            out = averaged_moment_parseval(AMO3, DELTA0, 2.0, T, 64)
-            values.append(out.value)
+            values.append(amplitude_table_parseval(AMO3, (0,), T, 64).moment(2.0))
         assert max(values) < 10.0 * values[0] + 1.0
-
-    def test_multi_site_bound_is_flagged(self):
-        phi = StateVector({(0,): 1.0, (1,): 1.0})
-        out = averaged_moment_parseval(free_laplacian(1), phi, 2.0, 5.0, 32)
-        assert out.flagged
-        # the ballistic tables also leak out of the r = 32 box at T = 5
-        assert out.note == "bound-not-equality,truncation-unsafe"
-        exact = averaged_moment_direct(free_laplacian(1), phi, 2.0, 5.0, 32)
-        assert out.value >= exact.value
 
     def test_source_must_sit_inside(self):
         with pytest.raises(ValueError, match="supported"):
@@ -486,18 +485,8 @@ class TestParseval:
         assert not localized.flagged
 
     def test_moment_flag_propagates(self):
-        out = averaged_moment_parseval(free_laplacian(1), DELTA0, 2.0, 20.0, 16)
-        assert out.flagged
-        assert out.note == "truncation-unsafe"
-        clean = averaged_moment_parseval(AMO3, DELTA0, 2.0, 20.0, 32)
-        assert not clean.flagged
-        assert clean.note == ""
-        pair = StateVector({(0,): 1.0, (1,): 1.0})
-        leaky = averaged_moment_parseval(free_laplacian(1), pair, 2.0, 20.0, 16)
-        assert leaky.note == "bound-not-equality,truncation-unsafe"
-        bound = averaged_moment_parseval(AMO3, pair, 2.0, 20.0, 32)
-        assert bound.flagged
-        assert bound.note == "bound-not-equality"
+        assert amplitude_table_parseval(free_laplacian(1), (0,), 20.0, 16).flagged
+        assert not amplitude_table_parseval(AMO3, (0,), 20.0, 32).flagged
 
 
 COMPLEX_HOPPING = _amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0))
@@ -739,3 +728,12 @@ class TestLyapunov:
         # unchecked, a NaN energy gives a NaN exponent
         with pytest.raises(ValueError, match="not finite"):
             lyapunov_estimate(AMO3, energy, 100, [0.1])
+
+    @pytest.mark.parametrize("length,phases,match", [
+        (0, [0.1], "length"), (-5, [0.1], "length"), (100, [], "phase"),
+    ], ids=["length-zero", "length-negative", "no-phases"])
+    def test_a_bad_length_or_no_phase_raises(self, length, phases, match):
+        # unchecked, length 0 divides by zero, length -5 gives a finite
+        # exponent, and no phases give NaN with two RuntimeWarnings
+        with pytest.raises(ValueError, match=match):
+            lyapunov_estimate(AMO3, 0.0, length, phases)

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_worst_pair, sup_dist as oracle_sup_dist
+from oracles import (
+    combes_thomas_probe,
+    oracle_worst_pair,
+    sup_dist as oracle_sup_dist,
+    verify_resolvent_identity,
+)
 from qpdyn.greens import (
     BadSetReport,
     ClassificationParams,
@@ -18,7 +23,6 @@ from qpdyn.greens import (
     bad_set,
     bad_sets,
     classify_box,
-    combes_thomas_probe,
     fit_sublinear_exponent,
     greens,
     is_good,
@@ -27,7 +31,6 @@ from qpdyn.greens import (
     resolvent_norm,
     scan_boxes,
     scan_centers,
-    verify_resolvent_identity,
 )
 from qpdyn.lattice import ElementaryRegion, GeneralizedRegion, enumerate_shapes
 from qpdyn.operators import (

@@ -156,7 +156,7 @@ class TestConfigParsing:
         scope = {}
         exec(compile(code, "README.md", "exec"), scope)
         direct, parseval = scope["direct"], scope["parseval"]
-        assert abs(direct.value - parseval.value) <= 1e-12 * abs(direct.value)
+        assert abs(direct - parseval) <= 1e-12 * abs(direct)
         assert scope["report"].total_centers == 201
 
     def test_sub_size_and_sub_exponent_are_exclusive(self, tmp_path, capsys):
@@ -1272,6 +1272,8 @@ class TestCli:
         ("moments", "moments.times = 10.0,1.0", "moments.times"),
         ("parseval-check", "parseval.horizons = 2.0\nparseval.p = 0",
          "parseval.p"),
+        ("parseval-check", "parseval.horizons = 2.0\nparseval.rel_tol = 0",
+         "parseval.rel_tol"),
         ("diophantine", "dio.alpha = ,", "dio.alpha"),
         # an invalid model leaves the dimension unknown; the site is still read
         ("evolve", "model.preset = nope\nevolve.times = 1.0\nevolve.initial = ,",
@@ -1286,7 +1288,8 @@ class TestCli:
             "source-outside-box", "repeated-sizes", "repeated-energies",
             "class-xi", "horizons-negative", "horizons-zero", "sizes-negative",
             "sublinear-sizes-negative", "sizes-zero", "tau-negative",
-            "times-unsorted", "parseval-p-zero", "dio-alpha-empty",
+            "times-unsorted", "parseval-p-zero", "parseval-rel-tol-zero",
+            "dio-alpha-empty",
             "evolve-initial-empty-bad-model", "initial-empty-bad-model",
             "source-empty-bad-model"])
     def test_unread_or_malformed_key_exit_two(self, tmp_path, capsys, command,

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import combes_thomas_probe
 from qpdyn.dynamics import amplitude_table_direct, amplitude_table_parseval
 from qpdyn.greens import (
     ClassificationParams,
     bad_set,
-    combes_thomas_probe,
     fit_sublinear_exponent,
     greens,
     scan_boxes,
