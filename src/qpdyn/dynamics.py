@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .greens import RECURSION_ENTRIES, _as_complex, continued_fractions
-from .lattice import Coords, ElementaryRegion, site, sup_norms
+from .lattice import Coords, ElementaryRegion, _integer, site, sup_norms
 from .operators import (
     OperatorSpec,
     StateVector,
@@ -667,7 +667,8 @@ def lyapunov_estimate(
 
     Averages (1/N) log || prod_n [[v(f^n(x)) - E, -1], [1, 0]] || over the
     given phases, renormalising the running product periodically so it
-    never overflows.  Needs a length of at least 1 and at least one phase.
+    never overflows.  Needs an integer length of at least 1 and at least
+    one phase.
     """
     if spec.tridiagonal != (0.0, 1.0):
         raise ValueError(
@@ -675,6 +676,7 @@ def lyapunov_estimate(
             "unit coupling"
         )
     z = _as_complex(energy)
+    length = _integer(length, "length")
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
     phases = [float(x) for x in phases]

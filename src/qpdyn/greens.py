@@ -26,11 +26,13 @@ with an explicit loop over pairs is the engine's test oracle, and the
 engine the recursion's.  Both resolvers run the same batch loops
 (``_BatchResolver``): a resolver's ``_batch`` gives, over the (energy,
 translate) pairs a scan wants, five arrays, the worst decay pair (i, j) of
-each box, its margin, its residual and the state its norms need, and the
-loops derive each pair's exponent c2 |i - j|.  ``bad_sets`` counts bad
-centers at every energy in one pass, each shape resolving a center only at
-the energies where it is still strongly good.  Each decay margin stays in
-log space, so no bound exp(-c2 |n - n'|) is formed on the way to a verdict.
+each box, its margin, its residual and the state its norms need, and
+``resolve`` places them with ||G|| in arrays indexed [energy, translate],
+the one record of a scanned box from ``scan_boxes`` to the CSV.
+``bad_sets`` counts bad centers at every energy in one pass, each shape
+resolving a center only at the energies where it is still strongly good.
+Each decay margin stays in log space, so no bound exp(-c2 |n - n'|) is
+formed on the way to a verdict.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -308,12 +310,13 @@ class _BatchResolver:
     energy, it gives five arrays over the wanted pairs in energy-major order
     (``np.nonzero(wanted)``): the site indices (i, j) of each box's worst
     decay pair, the pair's margin log|G(i, j)| + c2 |i - j|, its residual,
-    and the state its norms need.  ``resolve`` derives each pair's exponent
-    c2 |i - j| from (i, j), the one place it is formed.  ``_norms`` turns
-    the state at the energies ``z`` of the pairs into ||G||, and
-    ``_norms_within`` into the mask ``ok`` & ||G|| <= bound; by default the
-    state is ||G|| itself.  ``spectra`` counts the dense eigenvalue sets the
-    resolver has computed.
+    and the state its norms need.  ``resolve`` places them, with ||G||, in
+    arrays indexed [energy, translate], the one record of a resolved box;
+    ``witness`` turns one box's (i, j) into a ``DecayWitness``, the one
+    place the exponent c2 |i - j| is formed.  ``_norms`` turns the state at
+    the energies ``z`` of the pairs into ||G||, and ``_norms_within`` into
+    the mask ``ok`` & ||G|| <= bound; by default the state is ||G|| itself.
+    ``spectra`` counts the dense eigenvalue sets the resolver has computed.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
@@ -336,28 +339,27 @@ class _BatchResolver:
                 for s in range(0, len(shifts), self.batch)
                 if wanted[:, s : s + self.batch].any()]
 
-    def resolve(
-        self, shifts
-    ) -> list[tuple[float, DecayWitness, float]]:
-        """(||G||, worst decay pair, residual) of the shape translated by
-        each row of ``shifts``, at each energy in turn: row s at the k-th
-        energy is entry k len(shifts) + s."""
-        out = [[] for _ in self.zs]
-        zs = np.asarray(self.zs)
-        for _, s, wanted in self._batches(shifts, None):
-            i, j, margin, residual, state = self._batch(s, wanted)
+    def resolve(self, shifts):
+        """(||G||, margin, residual, i, j) of the shape translated by each row
+        of ``shifts``: five arrays of shape (energies, shifts), the last two
+        the site indices of each box's worst decay pair."""
+        zs, shape = np.asarray(self.zs), (len(self.zs), len(shifts))
+        norm, margin, residual = np.empty((3, *shape))
+        i, j = np.empty((2, *shape), np.int64)
+        for start, s, wanted in self._batches(shifts, None):
+            bi, bj, margin_b, residual_b, state = self._batch(s, wanted)
             k, t = np.nonzero(wanted)
-            exponent = self.c2 * sup_norms(self.sites[i] - self.sites[j])
-            witnesses = [
-                DecayWitness((tuple(p), tuple(q)), m, e)
-                for p, q, m, e in zip((self.sites[i] + s[t]).tolist(),
-                                      (self.sites[j] + s[t]).tolist(),
-                                      margin.tolist(), exponent.tolist())
-            ]
-            for energy, row in zip(k.tolist(), zip(self._norms(state, zs[k]).tolist(),
-                                                   witnesses, residual.tolist())):
-                out[energy].append(row)
-        return [row for rows in out for row in rows]
+            t += start
+            i[k, t], j[k, t], margin[k, t], residual[k, t] = bi, bj, margin_b, residual_b
+            norm[k, t] = self._norms(state, zs[k])
+        return norm, margin, residual, i, j
+
+    def witness(self, i: int, j: int, margin: float) -> DecayWitness:
+        """The worst decay pair (i, j) of an untranslated box: the one place
+        its exponent c2 |i - j| is formed."""
+        p, q = self.sites[i], self.sites[j]
+        return DecayWitness((tuple(p.tolist()), tuple(q.tolist())), float(margin),
+                            float(self.c2 * sup_norms(p - q)))
 
     def verdicts(self, shifts, norm_bound: float,
                  wanted=None) -> tuple[np.ndarray, np.ndarray]:
@@ -631,13 +633,6 @@ def check_scan_volume(spec: OperatorSpec, sub_size: int, epsilon: float) -> None
         _check_dense((2 * sub_size + 1) ** spec.dimension)
 
 
-def _verdict(region, z, norm, witness, residual, sigma) -> BoxVerdict:
-    good, bound = witness.margin <= 0.0, strong_norm_bound(region.size, sigma)
-    return BoxVerdict(
-        region, z, norm, bound, witness, good, good and norm <= bound, residual
-    )
-
-
 def classify_box(
     spec: OperatorSpec,
     region: ElementaryRegion,
@@ -647,8 +642,11 @@ def classify_box(
     """Good / strongly-good verdict for one elementary region."""
     zc = _as_complex(z)
     resolver = _resolver(spec, region, zc, params.c2)
-    (resolved,) = resolver.resolve([(0,) * region.dimension])
-    return _verdict(region, zc, *resolved, params.sigma)
+    norm, margin, residual, i, j = (
+        a[0, 0].item() for a in resolver.resolve([(0,) * region.dimension]))
+    good, bound = margin <= 0.0, strong_norm_bound(region.size, params.sigma)
+    return BoxVerdict(region, zc, norm, bound, resolver.witness(i, j, margin),
+                      good, good and norm <= bound, residual)
 
 
 def is_good(
@@ -703,40 +701,51 @@ def scan_centers(size: int, d: int) -> Iterable[Coords]:
 
 
 def _scan_setup(spec, size, sub_size, z, params, centers):
-    """The shapes of size N1, one resolver per shape, and the scan centers
-    as one (m, d) integer array (``lattice.site_array``); each resolver
-    batches the centers by the size of its own shape."""
+    """One resolver per shape of size N1, in ``enumerate_shapes`` order, and
+    the scan centers as one (m, d) integer array (``lattice.site_array``);
+    each resolver batches the centers by the size of its own shape."""
     if sub_size >= size:
         raise ValueError("sub-box size must be smaller than the scan size")
-    shapes = enumerate_shapes(spec.dimension, sub_size)
-    resolvers = [_resolver(spec, s, z, params.c2) for s in shapes]
+    resolvers = [_resolver(spec, s, z, params.c2)
+                 for s in enumerate_shapes(spec.dimension, sub_size)]
     if centers is None:
         centers = scan_centers(size, spec.dimension)
-    return shapes, resolvers, site_array(centers, spec.dimension)
+    return resolvers, site_array(centers, spec.dimension)
 
 
 def _coords(sites: np.ndarray) -> list[Coords]:
     return [tuple(p) for p in sites.tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxScan:
-    """The verdicts of ``scan_boxes`` as (center, shape index, verdict), in
-    (energy, center, shape) order; iterating a scan iterates them.
-    ``boxes`` counts the resolutions of one box at one energy, and
-    ``box_spectra`` the dense eigenvalue sets they took: one per box of the
-    batched engine, whatever the number of energies, and none in the 1-d
-    recursion."""
+    """The boxes of ``scan_boxes``: ``norm``, ``margin`` and ``residual``
+    (as in ``BoxVerdict``) indexed [energy, center, shape] by the complex
+    ``energies``, the rows of the (m, d) array ``centers`` and the shapes in
+    ``enumerate_shapes`` order; ``good`` and ``strongly_good`` derive from
+    them and ``norm_bound``.  ``box_spectra`` counts the dense eigenvalue
+    sets the scan took: one per box of the batched engine for all energies,
+    none in the 1-d recursion."""
 
-    verdicts: tuple[tuple[Coords, int, BoxVerdict], ...]
+    energies: tuple[complex, ...]
+    centers: np.ndarray
+    norm: np.ndarray
+    margin: np.ndarray
+    residual: np.ndarray
+    norm_bound: float
     box_spectra: int
 
     @property
-    def boxes(self) -> int:
-        return len(self.verdicts)
+    def good(self) -> np.ndarray:
+        return self.margin <= 0.0
 
-    def __iter__(self) -> Iterator[tuple[Coords, int, BoxVerdict]]:
-        return iter(self.verdicts)
+    @property
+    def strongly_good(self) -> np.ndarray:
+        return self.good & (self.norm <= self.norm_bound)
+
+    @property
+    def boxes(self) -> int:
+        return self.norm.size
 
 
 def scan_boxes(
@@ -747,31 +756,26 @@ def scan_boxes(
     params: ClassificationParams,
     centers: Iterable[Coords] | None = None,
 ) -> BoxScan:
-    """Exhaustive verdicts for every center in [-N, N]^d and every shape of
-    size N1, at one complex energy ``z`` or at each of a sequence of them
-    sharing Im z, in (energy, center, shape) order.
+    """Exhaustive norms, margins and residuals for every center in
+    [-N, N]^d and every shape of size N1, at one complex energy ``z`` or at
+    each of a sequence of them sharing Im z, as the arrays of a ``BoxScan``;
+    no per-box object is built.
 
     Each shape's resolver covers every energy, so the batched engine takes
     one spectrum per box for all of them.  ``centers`` restricts the scan to
     a subset, letting a pool of workers split the cube into chunks while
-    keeping center order deterministic.  One call holds the verdicts of all
-    the centers it is given at every energy, so its memory grows with their
-    number; a recipe task passes 2^14 box sites per energy of them, at
-    least 64 centers (``recipes._scan_tasks``)."""
+    keeping center order deterministic.  One call holds three floats per box
+    of the centers it is given at every energy; a recipe task passes 2^14
+    box sites per energy of them, at least 64 centers
+    (``recipes._scan_tasks``)."""
     zs = _energies(z)
-    shapes, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
-    resolved = [resolver.resolve(centers) for resolver in resolvers]
-    centers = _coords(centers)
-    regions = [[shape.translate(c) for shape in shapes] for c in centers]
-    n = len(centers)
-    verdicts = tuple(
-        (center, shape_id,
-         _verdict(region, z, *resolved[shape_id][k * n + c], params.sigma))
-        for k, z in enumerate(zs)
-        for c, (center, row) in enumerate(zip(centers, regions))
-        for shape_id, region in enumerate(row)
-    )
-    return BoxScan(verdicts, sum(r.spectra for r in resolvers))
+    resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
+    norm, margin, residual = (
+        np.stack(arrays, axis=-1)
+        for arrays in zip(*(r.resolve(centers)[:3] for r in resolvers)))
+    return BoxScan(zs, centers, norm, margin, residual,
+                   strong_norm_bound(sub_size, params.sigma),
+                   sum(r.spectra for r in resolvers))
 
 
 def bad_sets(
@@ -795,7 +799,7 @@ def bad_sets(
     sweep per batch, and the batched engine takes one spectrum per box for
     all of them, counted once in every report's ``box_spectra``."""
     zs = _energies(z)
-    _, resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
+    resolvers, centers = _scan_setup(spec, size, sub_size, zs, params, centers)
     norm_bound = strong_norm_bound(sub_size, params.sigma)
     # alive[k, c]: center remaining[c] is strongly good at zs[k] so far
     remaining = np.arange(len(centers))
@@ -920,7 +924,7 @@ def multiscale_decay_check(
     """Count bad sub-boxes in the canonical tiling and, when the count is
     sublinear, test whether the host Green's function decays at rate
     c2 - slack (default slack c2/10, and a slack outside [0, c2) raises
-    ``ValueError``) for pairs at distance >= ceil(N/10), by ``is_good``."""
+    ``ValueError``) for pairs at distance >= ceil(N/10) by ``classify_box``."""
     zc = _as_complex(z)
     slack = params.c2 / 10.0 if slack is None else slack
     if not 0.0 <= slack < params.c2:  # so that NaN fails
@@ -938,7 +942,7 @@ def multiscale_decay_check(
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound
     rate = params.c2 - slack
-    decay_holds, witness = is_good(spec, region, zc, rate) if met else (None, None)
+    host = classify_box(spec, region, zc, ClassificationParams(c2=rate)) if met else None
     return MultiscaleReport(
         size=N,
         sub_size=M,
@@ -946,7 +950,7 @@ def multiscale_decay_check(
         sub_box_total=len(tiles),
         count_bound=bound,
         hypothesis_met=met,
-        decay_holds=decay_holds,
+        decay_holds=host.good if met else None,
         required_rate=rate,
-        witness=witness,
+        witness=host.witness if met else None,
     )

@@ -163,29 +163,22 @@ def _fit_series(mode, p, times, values):
 
 def _task_box_scan(spec, size, sub_size, energies, eps, params, centers):
     """One scan of the centers at every energy; ``by_energy`` holds the rows
-    of each energy in turn, in (center, shape) order."""
+    of each energy in turn, in (center, shape) order, zipped from columns."""
     scan = scan_boxes(spec, size, sub_size, [complex(e, eps) for e in energies],
                       params, centers=centers)
-    rows = {complex(e, eps): [] for e in energies}
-    residual = 0.0
-    for center, shape_id, verdict in scan:
-        residual = max(residual, verdict.residual)
-        rows[verdict.z].append(
-            (
-                size,
-                sub_size,
-                verdict.z.real,
-                eps,
-                *center,
-                shape_id,
-                verdict.norm,
-                verdict.decay_margin,
-                verdict.good,
-                verdict.strongly_good,
-            )
-        )
-    return {"size": size, "by_energy": list(rows.values()), "flags": [],
-            "residual": residual, "matrix_order": _box_order(spec, sub_size),
+    shapes = scan.norm.shape[2]
+    box_centers = np.repeat(scan.centers, shapes, axis=0).tolist()
+    shape_ids = list(range(shapes)) * len(scan.centers)
+    by_energy = [
+        [(size, sub_size, z.real, eps, *center, shape_id, *box)
+         for center, shape_id, *box in zip(box_centers, shape_ids,
+                                           *(a.ravel().tolist() for a in columns))]
+        for z, *columns in zip(scan.energies, scan.norm, scan.margin,
+                               scan.good, scan.strongly_good)
+    ]
+    return {"size": size, "by_energy": by_energy, "flags": [],
+            "residual": float(scan.residual.max(initial=0.0)),
+            "matrix_order": _box_order(spec, sub_size),
             "boxes": scan.boxes, "box_spectra": scan.box_spectra}
 
 

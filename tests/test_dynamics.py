@@ -730,10 +730,12 @@ class TestLyapunov:
             lyapunov_estimate(AMO3, energy, 100, [0.1])
 
     @pytest.mark.parametrize("length,phases,match", [
-        (0, [0.1], "length"), (-5, [0.1], "length"), (100, [], "phase"),
-    ], ids=["length-zero", "length-negative", "no-phases"])
+        (0, [0.1], "length"), (-5, [0.1], "length"), (2.5, [0.1], "length"),
+        (100, [], "phase"),
+    ], ids=["length-zero", "length-negative", "length-fraction", "no-phases"])
     def test_a_bad_length_or_no_phase_raises(self, length, phases, match):
         # unchecked, length 0 divides by zero, length -5 gives a finite
-        # exponent, and no phases give NaN with two RuntimeWarnings
+        # exponent, length 2.5 raises TypeError from range, and no phases
+        # give NaN with two RuntimeWarnings
         with pytest.raises(ValueError, match=match):
             lyapunov_estimate(AMO3, 0.0, length, phases)

@@ -218,11 +218,8 @@ class TestBadSet:
         params = ClassificationParams(c2=0.8, sigma=0.5)
         z = 0.0 + 1e-2j
         report = bad_set(AMO3, 10, 3, z, params)
-        bad_centers = set()
-        for center, _, verdict in scan_boxes(AMO3, 10, 3, z, params):
-            if not verdict.strongly_good:
-                bad_centers.add(center)
-        assert set(report.bad_centers) == bad_centers
+        scan = scan_boxes(AMO3, 10, 3, z, params)
+        assert set(report.bad_centers) == scan_bad_centers(scan)
 
     def test_size_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -258,12 +255,13 @@ def test_norm_bound_is_inf_where_exp_overflows(c2):
     assert verdict.strongly_good == verdict.good
     assert is_strongly_good(AMO3, region, z, c2, 0.95) == verdict.good
     centers = [(-7,), (0,), (3,), (11,)]
-    verdicts = [v for _, _, v in scan_boxes(AMO3, 1004, 1003, z, params, centers)]
-    assert {v.norm_bound for v in verdicts} == {math.inf}
-    assert all(v.strongly_good == v.good for v in verdicts)
+    scan = scan_boxes(AMO3, 1004, 1003, z, params, centers)
+    assert scan.norm_bound == math.inf
+    assert (scan.strongly_good == scan.good).all()
     report = bad_set(AMO3, 1004, 1003, z, params, centers)
+    # one shape in 1-d: box [0, c, 0] is the center's only box
     assert report.bad_centers == tuple(
-        c for c, v in zip(centers, verdicts) if not v.good
+        c for c, good in zip(centers, scan.good[0, :, 0]) if not good
     )
 
 
@@ -477,6 +475,23 @@ def lu_verdict(spec, region, z, params):
     return norm, witness, good, good and norm <= math.exp(region.size**params.sigma)
 
 
+def scanned_boxes(scan, spec, sub):
+    """(index [energy, center, shape], region) of every box of a
+    ``BoxScan``, in (energy, center, shape) order: the region is the shape
+    of that index, translated to its center."""
+    shapes = enumerate_shapes(spec.dimension, sub)
+    for index in np.ndindex(scan.norm.shape):
+        _, c, s = index
+        yield index, shapes[s].translate(tuple(scan.centers[c].tolist()))
+
+
+def scan_bad_centers(scan, k=0):
+    """The centers of a ``BoxScan`` with a box that is not strongly good at
+    its k-th energy."""
+    bad = ~scan.strongly_good[k].all(axis=1)
+    return {tuple(c) for c in scan.centers[bad].tolist()}
+
+
 @st.composite
 def amo_scans(draw):
     lam = draw(st.floats(0.5, 5.0))
@@ -501,17 +516,19 @@ def amo_scans(draw):
 @settings(max_examples=60, deadline=None)
 def test_batched_engine_matches_lu_oracle(scan):
     spec, sub, centers, z, params = scan
-    for _, _, v in scan_boxes(spec, sub + 1, sub, z, params, centers=centers):
-        norm, witness, good, strongly_good = lu_verdict(spec, v.region, z, params)
-        assert (v.good, v.strongly_good) == (good, strongly_good), (
-            f"verdict flip on {v.region}: LU margin {witness.margin!r}, "
-            f"engine margin {v.decay_margin!r}, LU norm {norm!r}, engine "
-            f"norm {v.norm!r}, bound {v.norm_bound!r}"
+    boxes = scan_boxes(spec, sub + 1, sub, z, params, centers=centers)
+    for index, region in scanned_boxes(boxes, spec, sub):
+        norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)
+        v_norm, v_margin = boxes.norm[index], boxes.margin[index]
+        assert (boxes.good[index], boxes.strongly_good[index]) == (good, strongly_good), (
+            f"verdict flip on {region}: LU margin {witness.margin!r}, "
+            f"engine margin {v_margin!r}, LU norm {norm!r}, engine "
+            f"norm {v_norm!r}, bound {boxes.norm_bound!r}"
         )
-        assert v.norm == pytest.approx(norm, rel=1e-9)
+        assert v_norm == pytest.approx(norm, rel=1e-9)
         # a margin is log(|G| / bound): abs 1e-9 is |G| within 1e-9 relative
-        assert v.decay_margin == pytest.approx(witness.margin, rel=1e-9, abs=1e-9)
-        assert v.residual < 1e-10
+        assert v_margin == pytest.approx(witness.margin, rel=1e-9, abs=1e-9)
+        assert boxes.residual[index] < 1e-10
 
 
 @pytest.mark.parametrize("z", [5.0 + 0.0j, 3.0 + 1e-3j, 0.5 + 1e-3j])
@@ -536,15 +553,24 @@ def test_engine_batches_do_not_change_verdicts(monkeypatch):
     spec = amo_2d(3.0, 0.3)
     params = ClassificationParams(c2=0.8, sigma=0.5)
     centers = list(scan_centers(3, 2))
-    whole = list(scan_boxes(spec, 4, 2, 0.2 + 1e-3j, params, centers=centers))
+    z = 0.2 + 1e-3j
+
+    def run():
+        # the scan, and the worst pair (i, j) of each box as resolve gives it
+        pairs = [GREENS._resolver(spec, shape, z, params.c2).resolve(centers)[3:]
+                 for shape in enumerate_shapes(2, 2)]
+        return scan_boxes(spec, 4, 2, z, params, centers=centers), pairs
+
+    whole, whole_pairs = run()
     # 25 entries hold one 5 x 5 cube: every box is its own batch
     monkeypatch.setattr(GREENS, "BATCH_ENTRIES", 25)
-    single = list(scan_boxes(spec, 4, 2, 0.2 + 1e-3j, params, centers=centers))
-    assert [(c, s) for c, s, _ in whole] == [(c, s) for c, s, _ in single]
-    assert [v.witness for *_, v in whole] == [v.witness for *_, v in single]
-    assert [v.norm for *_, v in whole] == pytest.approx(
-        [v.norm for *_, v in single], rel=1e-12
-    )
+    single, single_pairs = run()
+    assert np.array_equal(whole.centers, single.centers)
+    assert whole.norm.shape == single.norm.shape
+    for (i, j), (i1, j1) in zip(whole_pairs, single_pairs, strict=True):
+        assert np.array_equal(i, i1) and np.array_equal(j, j1)
+    assert np.array_equal(whole.margin, single.margin)
+    assert whole.norm == pytest.approx(single.norm, rel=1e-12)
 
 
 def test_engine_takes_one_spectrum_per_box_for_every_energy(monkeypatch):
@@ -571,9 +597,20 @@ def test_engine_takes_one_spectrum_per_box_for_every_energy(monkeypatch):
     assert sum(calls) == scan.box_spectra == len(shapes) * len(centers)
     assert scan.boxes == len(zs) * scan.box_spectra
     multi = len(calls)
-    singles = [list(scan_boxes(spec, 4, 2, z, params, centers=centers)) for z in zs]
+    singles = [scan_boxes(spec, 4, 2, z, params, centers=centers) for z in zs]
     assert len(calls) == (1 + len(zs)) * multi
-    assert list(scan) == [row for single in singles for row in single]
+    assert scan.energies == tuple(zs) and scan.norm_bound == singles[0].norm_bound
+    for single in singles:
+        assert np.array_equal(single.centers, scan.centers)
+    for field in ("norm", "margin", "residual"):
+        assert np.array_equal(getattr(scan, field),
+                              np.concatenate([getattr(s, field) for s in singles]))
+    # and the worst pairs, as resolve gives them at all energies and at one
+    for shape in shapes:
+        i, j = GREENS._resolver(spec, shape, zs, params.c2).resolve(centers)[3:]
+        for k, z in enumerate(zs):
+            i1, j1 = GREENS._resolver(spec, shape, z, params.c2).resolve(centers)[3:]
+            assert np.array_equal(i[k], i1[0]) and np.array_equal(j[k], j1[0])
 
 
 @pytest.mark.parametrize("zs", [[], [0.2 + 1e-3j, 0.5 + 0.0j]], ids=["none", "two-eps"])
@@ -674,51 +711,47 @@ def test_recursion_matches_engine_and_lu_oracle(scan):
     n = 2 * sub + 1
     spread = n * np.finfo(float).eps * spec.spectral_bound
     engine = GREENS._TranslateEngine(spec, ElementaryRegion((0,), sub), zs, params.c2)
-    verdicts = list(scan_boxes(spec, sub + 1, sub, zs, params, centers=centers))
+    scan = scan_boxes(spec, sub + 1, sub, zs, params, centers=centers)
     reports = bad_sets(spec, sub + 1, sub, zs, params, centers=centers)
-    m = len(centers)
     for k, (z, report) in enumerate(zip(zs, reports)):
-        at_z = [v for *_, v in verdicts[k * m : (k + 1) * m]]
-        assert report.max_residual == max(v.residual for v in at_z)
+        assert report.max_residual == scan.residual[k].max()
         # a one-energy pass sweeps fewer columns, and numpy's complex loops
         # may round a lone column differently: its residual, a rounding-level
         # figure, agrees within the recursion's residual bound
         single = bad_set(spec, sub + 1, sub, z, params, centers=centers)
         assert dataclasses.replace(report, max_residual=single.max_residual) == single
-        assert abs(report.max_residual - single.max_residual) <= spread * max(
-            v.norm for v in at_z)
-    for r, ((_, _, v), (engine_norm, engine_witness, _)) in enumerate(zip(
-        verdicts, engine.resolve(centers)
-    )):
-        norm, witness, good, strongly_good = lu_verdict(spec, v.region, v.z, params)
-        for other_norm, other in ((engine_norm, engine_witness), (norm, witness)):
-            assert v.decay_margin == pytest.approx(other.margin, abs=1e-10)
-            assert norms_agree(v.norm, other_norm, spread), (v.norm, other_norm)
+        assert abs(report.max_residual - single.max_residual) <= spread * scan.norm[k].max()
+    # one shape in 1-d: box [k, c, 0] is the engine's box [k, c]
+    engine_norm, engine_margin = engine.resolve(centers)[:2]
+    for (k, c, s), region in scanned_boxes(scan, spec, sub):
+        v_norm, v_margin = scan.norm[k, c, s], scan.margin[k, c, s]
+        norm, witness, good, strongly_good = lu_verdict(spec, region, zs[k], params)
+        for other_norm, other_margin in ((engine_norm[k, c], engine_margin[k, c]),
+                                         (norm, witness.margin)):
+            assert v_margin == pytest.approx(other_margin, abs=1e-10)
+            assert norms_agree(v_norm, other_norm, spread), (v_norm, other_norm)
         # the column residual of a backward-stable recursion
-        assert v.residual <= spread * v.norm
+        assert scan.residual[k, c, s] <= spread * v_norm
         if abs(witness.margin) > 1e-9:
-            assert v.good == good
-            if abs(math.log(norm / v.norm_bound)) > 1e-9:
-                assert v.strongly_good == strongly_good
-                bad = reports[r // m].bad_centers
-                assert (v.region.center in bad) != strongly_good
+            assert scan.good[k, c, s] == good
+            if abs(math.log(norm / scan.norm_bound)) > 1e-9:
+                assert scan.strongly_good[k, c, s] == strongly_good
+                assert (region.center in reports[k].bad_centers) != strongly_good
 
 
 def test_recursion_batches_do_not_change_verdicts(monkeypatch):
     params = ClassificationParams(c2=0.8, sigma=0.5)
     z = 0.2 + 1e-3j
-    whole = list(scan_boxes(AMO3, 30, 12, z, params))
+    whole = scan_boxes(AMO3, 30, 12, z, params)
     whole_bad = bad_set(AMO3, 30, 12, z, params)
     # 25 entries hold one interval of 25 sites: every box is its own batch
     monkeypatch.setattr(GREENS, "RECURSION_ENTRIES", 25)
-    single = list(scan_boxes(AMO3, 30, 12, z, params))
-    assert [(c, v.good, v.strongly_good) for c, _, v in whole] == [
-        (c, v.good, v.strongly_good) for c, _, v in single
-    ]
-    for field in ("decay_margin", "norm", "residual"):
-        assert [getattr(v, field) for *_, v in whole] == pytest.approx(
-            [getattr(v, field) for *_, v in single], rel=1e-12
-        )
+    single = scan_boxes(AMO3, 30, 12, z, params)
+    assert np.array_equal(whole.centers, single.centers)
+    for field in ("good", "strongly_good"):
+        assert np.array_equal(getattr(whole, field), getattr(single, field))
+    for field in ("margin", "norm", "residual"):
+        assert getattr(whole, field) == pytest.approx(getattr(single, field), rel=1e-12)
     assert bad_set(AMO3, 30, 12, z, params).bad_centers == whole_bad.bad_centers
 
 
@@ -847,7 +880,7 @@ def test_margins_stay_exact_where_decay_bounds_underflow(spec, sub, recursion):
     centers = [(0,), (7,)]
     scan = scan_boxes(spec, sub + 1, sub, z, params, centers=centers)
     report = bad_set(spec, sub + 1, sub, z, params, centers=centers)
-    assert {c for c, _, v in scan if not v.strongly_good} == set(report.bad_centers)
+    assert scan_bad_centers(scan) == set(report.bad_centers)
 
 
 @pytest.mark.parametrize("entry", ["classify_box", "scan_boxes", "bad_set"])
@@ -856,7 +889,7 @@ def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
     spec, z, params = constant_diag(1.0), 1.0 + 0.0j, ClassificationParams()
     run = {
         "classify_box": lambda: classify_box(spec, ElementaryRegion((0,), 3), z, params),
-        "scan_boxes": lambda: list(scan_boxes(spec, 4, 3, z, params)),
+        "scan_boxes": lambda: scan_boxes(spec, 4, 3, z, params),
         "bad_set": lambda: bad_set(spec, 4, 3, z, params),
     }[entry]
     with pytest.raises(np.linalg.LinAlgError):
@@ -903,5 +936,9 @@ def test_witness_exponent_is_c2_times_the_pair_distance(spec, z, sub):
     c2 = 0.37
     centers = [(0,) * spec.dimension, (5,) * spec.dimension, (-3,) * spec.dimension]
     for shape in enumerate_shapes(spec.dimension, sub):
-        for _, witness, _ in GREENS._resolver(spec, shape, z, c2).resolve(centers):
+        resolver = GREENS._resolver(spec, shape, z, c2)
+        _, margin, _, i, j = resolver.resolve(centers)
+        assert margin.shape == i.shape == j.shape == (1, len(centers))
+        for box in zip(i[0].tolist(), j[0].tolist(), margin[0].tolist()):
+            witness = resolver.witness(*box)
             assert witness.exponent == c2 * oracle_sup_dist(*witness.pair)

@@ -1,3 +1,5 @@
+import csv
+import importlib
 import json
 import logging
 import math
@@ -47,6 +49,10 @@ EXPLICIT_1D = f"""
 model.kernel = laplacian
 model.dynamics.alpha = {GOLDEN}
 """
+
+
+# a boolean CSV cell
+BOOLEAN = {"true": True, "false": False}
 
 
 def write(tmp_path, name, text):
@@ -411,6 +417,82 @@ class TestRecipes:
                        for n in (10, 11) for e in energies
                        for center in scan_centers(n, 2)
                        for shape in range(shapes)]
+
+    # two energies each: the 1-d recursion and the 2-d batched engine
+    PER_BOX_SCANS = {
+        "1d-recursion": (AMO_MODEL, "scan.sizes = 30\nscan.sub_size = 5\n"),
+        "2d-engine": (LAPLACIAN_2D, "scan.sizes = 3\nscan.sub_size = 1\n"),
+    }
+
+    @pytest.mark.parametrize("model, scale", PER_BOX_SCANS.values(),
+                             ids=PER_BOX_SCANS.keys())
+    def test_scan_rows_are_the_per_box_verdicts(self, tmp_path, model, scale):
+        # each row is classify_box of its shape, in enumerate_shapes order,
+        # translated to its center, at its energy
+        from qpdyn.greens import ClassificationParams, classify_box, scan_centers
+        from qpdyn.lattice import enumerate_shapes
+
+        p = write(tmp_path, "gs.cfg", f"""
+            experiment = bad-set-scan
+            {model}
+            {scale}
+            scan.energies = 0.0,2.5
+            scan.epsilon = 0.001
+            """)
+        run_experiment(load_config(p), tmp_path / "out", prefix="gs")
+        with open(tmp_path / "out" / "gs_scan.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        spec = recipes.RECIPES["bad-set-scan"](load_config(p)).tasks[0].kwargs["spec"]
+        d, params = spec.dimension, ClassificationParams.for_spec(spec)
+        (size,), (sub,) = {int(r["N"]) for r in rows}, {int(r["N1"]) for r in rows}
+        shapes = enumerate_shapes(d, sub)
+        coords = [f"n{a}" for a in range(d)]
+        assert [(float(r["E"]), tuple(int(r[c]) for c in coords), int(r["shapeId"]))
+                for r in rows] == [(e, center, shape) for e in (0.0, 2.5)
+                                   for center in scan_centers(size, d)
+                                   for shape in range(len(shapes))]
+        for r in rows:
+            region = shapes[int(r["shapeId"])].translate([int(r[c]) for c in coords])
+            z = complex(float(r["E"]), float(r["eps"]))
+            verdict = classify_box(spec, region, z, params)
+            assert (BOOLEAN[r["good"]], BOOLEAN[r["stronglyGood"]]) == (
+                verdict.good, verdict.strongly_good)
+            assert math.isclose(float(r["norm"]), verdict.norm, rel_tol=1e-12)
+            assert math.isclose(float(r["worstPairDecayMargin"]),
+                                verdict.decay_margin, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("model, scale", PER_BOX_SCANS.values(),
+                             ids=PER_BOX_SCANS.keys())
+    def test_a_box_scan_builds_no_per_box_object(self, tmp_path, monkeypatch,
+                                                 model, scale):
+        # the resolvers' arrays are the only record of a scanned box, from
+        # scan_boxes to the CSV
+        from qpdyn.lattice import ElementaryRegion
+
+        # the module, not the function the package re-exports under its name
+        greens = importlib.import_module("qpdyn.greens")
+
+        def built(*args, **kwargs):
+            raise AssertionError("a per-box object was built")
+
+        p = write(tmp_path, "gs.cfg", f"""
+            experiment = bad-set-scan
+            {model}
+            {scale}
+            scan.energies = 0.0,2.5
+            scan.epsilon = 0.001
+            """)
+        plan = recipes.RECIPES["bad-set-scan"](load_config(p))
+        task = plan.tasks[0].kwargs
+        for name in ("BoxVerdict", "DecayWitness"):
+            monkeypatch.setattr(greens, name, built)
+        monkeypatch.setattr(ElementaryRegion, "translate", built)
+        scan = greens.scan_boxes(task["spec"], task["size"], task["sub_size"],
+                                 [complex(e, task["eps"]) for e in task["energies"]],
+                                 task["params"], task["centers"])
+        assert scan.boxes == 2 * len(task["centers"]) * scan.norm.shape[2]
+        result = run_experiment(load_config(p), tmp_path / "out", prefix="gs")
+        assert result.row_counts["gs_scan.csv"] == scan.boxes
 
     def test_scan_manifests_count_boxes_and_box_spectra(self, tmp_path):
         # a 2-d box takes one dense spectrum for all the energies of a scan;
