@@ -8,7 +8,13 @@ decomposed from its diagonals by LAPACK's tridiagonal divide and conquer
 (``stevd``) in O(n^2) time; every other box (d >= 2, kernel range > 1,
 complex hopping) by the dense Hermitian ``eigh``.  A real eigenbasis is
 applied to complex data as two real products, never through a complex
-copy.  The time-averaged site occupations
+copy.  Every eigenbasis sum reads the overlaps c = U^H phi once, from the
+support rows of phi, and runs over the eigenvectors whose overlap is
+nonzero.  Divide and conquer deflates the overlaps of a localized source
+with most eigenvectors to exact zeros, so on a localized box the sums run
+over a few localization lengths' worth of eigenvectors; skipping an exact
+zero changes only the order of summation.  The time-averaged site
+occupations
 
     a(j, n, T) = (2/T) integral_0^inf exp(-2t/T) |(exp(-itH) delta_j, delta_n)|^2 dt
 
@@ -129,6 +135,21 @@ def _apply(U: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigen_support(U: np.ndarray, dense: np.ndarray):
+    """(keep, c[keep]) for the overlaps c = U^H dense, read from the
+    support rows of ``dense`` alone; ``keep`` indexes the eigenvectors
+    whose overlap is nonzero.  The skipped overlaps are exact zeros, so a
+    sum over ``keep`` is the full sum in another order.  When more than
+    half the overlaps are nonzero, ``keep`` is ``slice(None)``: then
+    ``U[:, keep]`` is a view of U, with no copy."""
+    rows = np.flatnonzero(dense)
+    c = _apply(U[rows].conj().T, dense[rows])
+    keep = np.flatnonzero(c)
+    if 2 * len(keep) > len(c):
+        return slice(None), c
+    return keep, c[keep]
+
+
 def _shell_mask(norms: np.ndarray, radius: int) -> np.ndarray:
     return norms > 0.9 * radius
 
@@ -148,7 +169,8 @@ class EvolutionResult:
 
     ``leakage`` is the largest mass seen in the outer 10% shell across the
     sampled times; ``flagged`` marks results whose leakage exceeded the
-    tolerance (retry with a larger radius).
+    tolerance (retry with a larger radius).  ``eigen_support`` is the
+    number of box eigenvectors the evolution summed over.
     """
 
     radius: int
@@ -159,6 +181,7 @@ class EvolutionResult:
     leakage: float
     flagged: bool
     norm_drift: float
+    eigen_support: int
 
     def moments(self, p: float) -> np.ndarray:
         return (np.abs(self.amplitudes) ** 2) @ _moment_weights(self.norms, p)
@@ -171,7 +194,12 @@ def evolve(
     radius: int,
     leakage_tol: float = DEFAULT_LEAKAGE_TOL,
 ) -> EvolutionResult:
-    """exp(-itH) phi at the given times on the cube of the given radius."""
+    """exp(-itH) phi at the given times on the cube of the given radius.
+
+    With H = U diag(w) U^H and c = U^H phi, the amplitudes are
+    U[:, keep] (exp(-i t w) c)[keep] over the eigenvectors ``keep`` that phi
+    overlaps (``_eigen_support``); the rest contribute exact zeros.  The
+    amplitudes cover every site of the box at every time."""
     times = tuple(float(t) for t in times)
     if not all(map(math.isfinite, times)):
         raise ValueError(f"times must be finite, got {times}")
@@ -180,9 +208,9 @@ def evolve(
     _check_inputs(spec, phi, radius, leakage_tol)
     sites, norms, w, U = _box_eigh(spec, radius)
     dense = phi.dense(sites)
-    c = _apply(U.conj().T, dense)
-    phases = np.exp(-1j * np.outer(np.asarray(times), w))
-    amps = _apply(U, (phases * c[None, :]).T).T
+    keep, c = _eigen_support(U, dense)
+    phases = np.exp(-1j * np.outer(np.asarray(times), w[keep]))
+    amps = _apply(U[:, keep], (phases * c[None, :]).T).T
     for i, t in enumerate(times):  # exp(0) is the identity, exactly
         if t == 0.0:
             amps[i] = dense
@@ -200,6 +228,7 @@ def evolve(
         leakage=leakage,
         flagged=leakage > leakage_tol,
         norm_drift=drift,
+        eigen_support=len(c),
     )
 
 
@@ -270,6 +299,8 @@ class AmplitudeTable:
 
     ``leakage`` is the mass of a(j, ., T) in the outer 10% shell, on both
     routes; ``flagged`` marks tables whose leakage exceeded the tolerance.
+    ``eigen_support`` is the number of box eigenvectors the table summed
+    over: none for the 1-d energy route, which forms no eigenvectors.
     """
 
     source: Coords | None
@@ -284,6 +315,7 @@ class AmplitudeTable:
     tail_bound: float
     band_edge: float | None = None
     panels: int = 0  # quadrature panels of a parseval table: band + tails
+    eigen_support: int = 0
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -301,7 +333,8 @@ class AmplitudeTable:
 
 def _real_weights(c: np.ndarray, w: np.ndarray, T: float) -> np.ndarray:
     """Re M_lm = (Re(c_l conj c_m) + x_lm Im(c_l conj c_m)) / (1 + x_lm^2),
-    x_lm = T (w_l - w_m) / 2, with at most three real n x n arrays alive."""
+    x_lm = T (w_l - w_m) / 2, with at most three real k x k arrays alive
+    for k overlaps."""
     x = np.subtract.outer(w, w)
     x *= 0.5 * T
     re = np.outer(c.imag, c.real)
@@ -327,8 +360,10 @@ def amplitude_table_direct(
     With H = U diag(w) U^H and c = U^H phi, the weighted integral of
     exp(-i(w_l - w_m)t) is 1 / (1 + iT(w_l - w_m)/2), so
     a(., n, T) = Re sum_l (U M)_{nl} conj(U_{nl}) with
-    M_lm = c_l conj(c_m) / (1 + iT(w_l - w_m)/2).  One n x n product, at a
-    cost that does not depend on T; the only truncation is the box.
+    M_lm = c_l conj(c_m) / (1 + iT(w_l - w_m)/2).  Only the k eigenvectors
+    that phi overlaps enter (``_eigen_support``), so M is k x k and the
+    route is one n x k product, O(n k^2), at a cost that does not depend
+    on T; the only truncation is the box.
 
     Im M is antisymmetric, so for a real U the diagonal of U Im(M) U^T
     vanishes and a(., n, T) = sum_l (U Re M)_{nl} U_{nl}: one real product,
@@ -337,7 +372,8 @@ def amplitude_table_direct(
     _check_positive(T, "averaging horizon T")
     _check_inputs(spec, phi, radius, leakage_tol)
     sites, norms, w, U = _box_eigh(spec, radius)
-    c = _apply(U.conj().T, phi.dense(sites))
+    keep, c = _eigen_support(U, phi.dense(sites))
+    w, U = w[keep], U[:, keep]
     if np.iscomplexobj(U):
         M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
         values = np.einsum("nl,nl->n", U @ M, U.conj()).real
@@ -356,6 +392,7 @@ def amplitude_table_direct(
         leakage=leakage,
         flagged=flagged,
         tail_bound=0.0,
+        eigen_support=len(c),
     )
 
 
@@ -382,6 +419,8 @@ class _RecursionColumn:
     side 1 is scratch, and ``rows`` maps each site to its row of the
     flattened array.
     """
+
+    eigen_support = 0
 
     def __init__(self, a: np.ndarray, hop: float, j: int):
         n = len(a)
@@ -419,11 +458,15 @@ class _RecursionColumn:
 
 class _EigenColumn:
     """G(z)(., j) = U diag(1/(w - z)) U^H e_j over the box eigenbasis, for
-    boxes that are not tridiagonal; one row per site."""
+    boxes that are not tridiagonal; one row per site.  The sum runs over
+    the ``eigen_support`` eigenvectors that e_j overlaps."""
 
     def __init__(self, w: np.ndarray, U: np.ndarray, j: int):
-        self.w, self.U = w, U
-        self.cj = U[j, :].conj()
+        source = np.zeros(len(w), dtype=np.complex128)
+        source[j] = 1.0
+        keep, self.cj = _eigen_support(U, source)
+        self.w, self.U = w[keep], U[:, keep]
+        self.eigen_support = len(self.cj)
         self.rows = np.arange(len(w))
         self.size = len(w)
 
@@ -608,6 +651,7 @@ def amplitude_table_parseval(
         tail_bound=prefactor * tail_bound,
         band_edge=edge,
         panels=len(heap) + tail_panels,
+        eigen_support=column.eigen_support,
     )
 
 

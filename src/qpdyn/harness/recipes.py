@@ -87,7 +87,8 @@ def _task_evolve(spec, initial, times, radius, leakage_tol, prob_floor):
                 rows.append((t, *site, amp.real, amp.imag, prob))
     flags = ["leakage"] if res.flagged else []
     return {"main": rows, "flags": flags, "leakage": res.leakage,
-            "norm_drift": res.norm_drift, "matrix_order": len(res.sites)}
+            "norm_drift": res.norm_drift, "matrix_order": len(res.sites),
+            "eigen_support": res.eigen_support}
 
 
 def _task_moment_series(spec, initial, mode, ps, times, horizons, radius,
@@ -144,6 +145,7 @@ def _task_moment_series(spec, initial, mode, ps, times, horizons, radius,
         "leakage": max((run.leakage for run in runs), default=0.0),
         "matrix_order": max((_box_order(spec, run.radius) for run in runs),
                             default=0),
+        "eigen_support": max((run.eigen_support for run in runs), default=0),
         **diagnostic,
     }
 
@@ -215,7 +217,8 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     flags = ["leakage"] if direct.flagged else []
     return {"main": entries, "summary": summary, "flags": flags,
             "tail_bound": parseval.tail_bound, "panels": parseval.panels,
-            "matrix_order": len(direct.sites)}
+            "matrix_order": len(direct.sites),
+            "eigen_support": direct.eigen_support}
 
 
 def _task_discrepancy(dynamics, n_points, phase, grid_resolution):
@@ -656,8 +659,9 @@ def _write_run(
     the largest truncation leakage of an evolution or moment run, the
     largest norm drift of an evolution, the largest quadrature tail bound
     of a time-averaged table, the most energy-quadrature panels of a
-    Parseval table and the order of the largest box a dynamics task
-    decomposed) go to the manifest only, so CSV bodies stay
+    Parseval table, the order of the largest box a dynamics task
+    decomposed and the most box eigenvectors one of its sums ran over) go
+    to the manifest only, so CSV bodies stay
     byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
@@ -675,7 +679,8 @@ def _write_run(
                       ("norm_drift", "max_norm_drift"),
                       ("tail_bound", "max_tail_bound"),
                       ("panels", "max_quadrature_panels"),
-                      ("matrix_order", "max_matrix_order")):
+                      ("matrix_order", "max_matrix_order"),
+                      ("eigen_support", "max_eigen_support")):
         values = [res[key] for res in results if key in res]
         if values:
             manifest[name] = max(values)

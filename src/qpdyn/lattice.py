@@ -35,7 +35,10 @@ _MARKERS = (None, LESS, GREATER)
 
 def _integer(value, what: str) -> int:
     """``value`` as an int: Python and NumPy integers pass, and anything
-    else, a float of integral value too, is an error rather than truncated."""
+    else, a bool or a float of integral value too, is an error rather than
+    read as a number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
     try:
         return operator.index(value)
     except TypeError:

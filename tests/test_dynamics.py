@@ -28,6 +28,7 @@ from oracles import oracle_assemble, oracle_parseval_table, oracle_time_average
 from qpdyn.greens import RECURSION_ENTRIES
 from qpdyn.operators import (
     LINEAR_FORM,
+    RANK_ONE,
     KernelSpec,
     OperatorSpec,
     PotentialSpec,
@@ -589,6 +590,98 @@ class TestEnergyRouteEngine:
         assert 8 * len(sites) * table.panels > budget
 
 
+class TestEigenSupport:
+    """Eigenbasis sums run over the eigenvectors the source overlaps; the
+    overlaps they skip are exact zeros of U^H phi, and a source that
+    overlaps more than half the eigenvectors reads U itself."""
+
+    def test_localized_box_matches_the_full_product(self):
+        radius, times, T = 1024, [0.0, 1.0, 10.0, 100.0, 1000.0], 50.0
+        sites, norms, w, U = _box_eigh(AMO3, radius)
+        c = U[sites.index((0,))]  # U^H delta_0 of a real U
+        support = np.count_nonzero(c)
+        assert 2 * support < len(w)  # stevd deflates most overlaps to 0.0
+        amps = (U @ (np.exp(-1j * np.outer(w, times)) * c[:, None])).T
+        moments = (np.abs(amps) ** 2) @ norms**2
+        x = 0.5 * T * np.subtract.outer(w, w)
+        table = np.einsum("nl,nl->n", U @ (np.outer(c, c) / (1.0 + x * x)), U)
+        res = evolve(AMO3, DELTA0, times, radius)
+        direct = amplitude_table_direct(AMO3, DELTA0, T, radius)
+        assert res.eigen_support == direct.eigen_support == support
+        assert np.abs(res.amplitudes - amps).max() <= 1e-13 * np.abs(amps).max()
+        assert np.abs(res.moments(2.0) - moments).max() <= 1e-13 * moments.max()
+        assert abs(direct.moment(2.0) - table @ norms**2) <= 1e-13 * (table @ norms**2)
+        assert np.abs(direct.values - table).max() <= 1e-13 * table.max()
+
+    def test_full_support_reads_u_itself_bit_for_bit(self, monkeypatch):
+        spec, radius, times, T = free_laplacian(1), 256, [0.0, 3.0, 30.0], 20.0
+        sites, _, w, U = _box_eigh(spec, radius)
+        assert np.count_nonzero(U[sites.index((0,))]) == len(w)
+        dense = DELTA0.dense(sites)
+        c = _apply(U.conj().T, dense)
+        amps = _apply(U, (np.exp(-1j * np.outer(times, w)) * c[None, :]).T).T
+        amps[0] = dense
+        table = np.einsum("nl,nl->n", U @ dynamics._real_weights(c, w, T), U)
+        read = []  # every n x n matrix a product of the library reads
+        apply, einsum = dynamics._apply, np.einsum
+        monkeypatch.setattr(dynamics, "_apply",
+                            lambda A, X: read.append(A) or apply(A, X))
+        monkeypatch.setattr(np, "einsum",
+                            lambda subs, *ops: read.append(ops[-1]) or einsum(subs, *ops))
+        res = evolve(spec, DELTA0, times, radius)
+        direct = amplitude_table_direct(spec, DELTA0, T, radius)
+        assert res.eigen_support == direct.eigen_support == len(w)
+        assert np.array_equal(res.amplitudes, amps)
+        assert np.array_equal(direct.values, table)
+        products = [A for A in read if A.shape == U.shape]
+        assert len(products) == 2
+        assert all(np.shares_memory(A, U) for A in products)
+
+    @pytest.mark.parametrize("spec,radius,restricted", [
+        (AMO3, 1024, True), (COMPLEX_HOPPING, 64, False)],
+        ids=["amo3", "complex-hopping"])
+    def test_overlaps_of_a_two_site_complex_state(self, spec, radius, restricted):
+        sites, _, _, U = _box_eigh(spec, radius)
+        phi = StateVector({(0,): 1.0 - 0.5j, (3,): 0.25 + 2.0j})
+        dense = phi.dense(sites)
+        keep, c = dynamics._eigen_support(U, dense)
+        full = U.conj().T.astype(np.complex128) @ dense
+        assert isinstance(keep, np.ndarray) == restricted
+        assert np.abs(c - full[keep]).max() <= 1e-15 * np.abs(full).max()
+        skipped = np.ones(len(full), dtype=bool)
+        skipped[keep] = False
+        assert np.all(full[skipped] == 0.0)
+        assert len(c) == (np.count_nonzero(full) if restricted else len(full))
+
+    @pytest.mark.parametrize("spec,radius,restricted", [
+        (free_laplacian(2), 6, False),
+        (_amo_type(KernelSpec.toeplitz({(1,): 1.0, (2,): 0.3}, math.e, 1.0)),
+         256, False),
+        # the eigenvectors of a tridiagonal box, read by the eigenvector sum
+        (AMO3, 256, True),
+        # a 2-d box with no kernel: e_0 overlaps one eigenvector
+        (diagonal_model(PotentialSpec.cosine_series({(1,): 6.0}),
+                        ShiftDynamics(RANK_ONE, (GOLDEN, math.sqrt(2.0) - 1.0),
+                                      (0.3,)), 2), 6, True),
+    ], ids=["free-2d", "range-2", "amo3-stevd", "diagonal-2d"])
+    def test_eigen_column_matches_the_unrestricted_sum(self, spec, radius,
+                                                       restricted):
+        sites, _, w, U = _box_eigh(spec, radius)
+        j = sites.index((0,) * spec.dimension)
+        column = dynamics._EigenColumn(w, U, j)
+        nonzero = np.count_nonzero(U[j])
+        assert (2 * nonzero < len(w)) == restricted
+        assert column.eigen_support == (nonzero if restricted else len(w))
+        energies = np.append(w[:: max(1, len(w) // 16)], 0.123)
+        z = np.concatenate([energies + 1e-3j, energies + 1j])
+        full = _apply(U, U[j].conj()[:, None] / np.subtract.outer(w, z))
+        got = column(z)[column.rows]
+        if restricted:
+            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+        else:
+            assert np.array_equal(got, full)
+
+
 class TestAmplitudeInequality:
     # instantaneous amplitudes against the energy integral at eps = 1/t:
     # |(e^{-itH} phi, delta_n)|^2 <= e^{-c|n|} + (1/t) int_{-K}^{K} |G(0,n)|^2 dE
@@ -731,11 +824,12 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("length,phases,match", [
         (0, [0.1], "length"), (-5, [0.1], "length"), (2.5, [0.1], "length"),
-        (100, [], "phase"),
-    ], ids=["length-zero", "length-negative", "length-fraction", "no-phases"])
+        (True, [0.1], "length"), (100, [], "phase"),
+    ], ids=["length-zero", "length-negative", "length-fraction", "length-bool",
+            "no-phases"])
     def test_a_bad_length_or_no_phase_raises(self, length, phases, match):
         # unchecked, length 0 divides by zero, length -5 gives a finite
-        # exponent, length 2.5 raises TypeError from range, and no phases
-        # give NaN with two RuntimeWarnings
+        # exponent, length 2.5 raises TypeError from range, length True
+        # runs at length 1, and no phases give NaN with two RuntimeWarnings
         with pytest.raises(ValueError, match=match):
             lyapunov_estimate(AMO3, 0.0, length, phases)

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qpdyn.harness import cli, recipes
@@ -1024,6 +1025,32 @@ class TestRecipes:
         # the band starts from the 66 panels between eigenvalue breaks
         assert manifest["max_quadrature_panels"] == max(t.panels for t in tables) > 66
         assert manifest["max_matrix_order"] == 65  # the box [-32, 32]
+
+    @pytest.mark.parametrize("recipe,body,summed", [
+        ("evolve", "evolve.times = 0.0,1.0\nevolve.radius = 128", True),
+        ("moment-growth", "moments.modes = instantaneous\n"
+         "moments.times = 1.0,2.0\nmoments.radius = 128", True),
+        ("moment-growth", "moments.modes = time-averaged-direct\n"
+         "moments.horizons = 2.0,20.0\nmoments.radius = 128", True),
+        ("moment-growth", "moments.modes = time-averaged-parseval\n"
+         "moments.horizons = 2.0\nmoments.radius = 128", False),
+        ("parseval-crosscheck", "parseval.horizons = 2.0\nparseval.radius = 128",
+         True),
+    ], ids=["evolve", "instantaneous", "direct", "parseval-moments",
+            "parseval-crosscheck"])
+    def test_manifest_records_eigen_support(self, tmp_path, recipe, body, summed):
+        # the eigenvectors delta_0 overlaps on the box [-128, 128]; the
+        # energy route of a 1-d box forms none
+        amo = almost_mathieu(3.0, float(GOLDEN), 0.3)
+        sites, _, _, U = dynamics._box_eigh(amo, 128)
+        support = np.count_nonzero(U[sites.index((0,))])
+        assert 2 * support < len(sites)
+        p = write(tmp_path, "es.cfg",
+                  f"experiment = {recipe}\n{AMO_MODEL}\n{body}\noutput.prefix = es")
+        run_experiment(load_config(p), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "es_manifest.json").read_text())
+        assert manifest["max_eigen_support"] == (support if summed else 0)
+        assert manifest["max_matrix_order"] == 257
 
     def test_manifest_records_quadrature_panels(self, tmp_path):
         direct = write(

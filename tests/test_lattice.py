@@ -206,6 +206,17 @@ class TestValidation:
             assert type(value) is int
         assert enumerate_shapes(2, np.int64(1)) == enumerate_shapes(2, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ElementaryRegion((True,), 2),
+        lambda: ElementaryRegion((0,), np.True_),
+        lambda: GeneralizedRegion((0,), (False,)),
+    ], ids=["center", "size", "half-width"])
+    def test_a_bool_is_not_an_integer(self, build):
+        # operator.index(True) is 1: read as an integer, the first center
+        # would be (1,)
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
 
 class TestTiling:
     def test_interval_tiling(self):
