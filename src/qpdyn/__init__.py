@@ -30,7 +30,6 @@ from .dynamics import (
     EvolutionResult,
     LogFit,
     LyapunovEstimate,
-    MomentSeries,
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
@@ -44,7 +43,6 @@ from .greens import (
     BadSetReport,
     BoxVerdict,
     ClassificationParams,
-    ComplexEnergy,
     DecayWitness,
     GreensMatrix,
     MultiscaleReport,
@@ -63,7 +61,6 @@ from .greens import (
 from .lattice import (
     ElementaryRegion,
     GeneralizedRegion,
-    RegionFamily,
     enumerate_shapes,
     sup_norm,
     tile_disjoint,
@@ -84,23 +81,23 @@ from .operators import (
 __all__ = [
     "__version__",
     # lattice
-    "ElementaryRegion", "GeneralizedRegion", "RegionFamily",
-    "enumerate_shapes", "sup_norm", "tile_disjoint",
+    "ElementaryRegion", "GeneralizedRegion", "enumerate_shapes", "sup_norm",
+    "tile_disjoint",
     # operators
     "KernelSpec", "OperatorSpec", "PotentialSpec", "ShiftDynamics",
     "StateVector", "almost_mathieu", "assemble", "diagonal_model",
     "free_laplacian", "site_list",
     # greens
-    "BadSetReport", "BoxVerdict", "ClassificationParams", "ComplexEnergy",
-    "DecayWitness", "GreensMatrix", "MultiscaleReport", "SublinearFit",
-    "bad_set", "bad_sets", "classify_box", "fit_sublinear_exponent",
-    "greens", "is_good", "is_strongly_good", "multiscale_decay_check",
-    "resolvent_norm", "scan_boxes",
+    "BadSetReport", "BoxVerdict", "ClassificationParams", "DecayWitness",
+    "GreensMatrix", "MultiscaleReport", "SublinearFit", "bad_set", "bad_sets",
+    "classify_box", "fit_sublinear_exponent", "greens", "is_good",
+    "is_strongly_good", "multiscale_decay_check", "resolvent_norm",
+    "scan_boxes",
     # dynamics
     "AmplitudeTable", "EvolutionResult", "LogFit", "LyapunovEstimate",
-    "MomentSeries", "QuadratureError", "amplitude_table_direct",
-    "amplitude_table_parseval", "double_while_flagged", "evolve",
-    "fit_log_exponent", "lyapunov_estimate", "moment_series",
+    "QuadratureError", "amplitude_table_direct", "amplitude_table_parseval",
+    "double_while_flagged", "evolve", "fit_log_exponent", "lyapunov_estimate",
+    "moment_series",
     # arithmetic
     "ContinuedFraction", "DiophantineParams", "DiophantineReport",
     "DiscrepancyReport", "continued_fraction", "diophantine_check",

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 import numpy as np
 
+from .lattice import _integer
 from .operators import ShiftDynamics
 
 
@@ -169,9 +170,9 @@ def discrepancy(
     if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
         pts = pts.T
     n, b = pts.shape
-    if n < 1:
+    if pts.size == 0:  # [] and [[]] read as one point of no coordinates
         raise ValueError("need at least one point")
-    if np.any(pts < 0.0) or np.any(pts >= 1.0):
+    if not ((pts >= 0.0) & (pts < 1.0)).all():  # so that NaN fails
         raise ValueError("points must lie in [0, 1)^b")
     if b == 1:
         counted = np.unique(pts[:, 0], return_counts=True)
@@ -188,28 +189,33 @@ def discrepancy(
 def orbit_points(dynamics: ShiftDynamics, n_points: int) -> np.ndarray:
     """The orbit sequence f(1, x), ..., f(N, x) as an (N, b) array.
 
-    Defined for dynamics driven by a single lattice index (d = 1)."""
+    Defined for dynamics driven by a single lattice index (d = 1); the
+    count is read by the library's integer rule."""
     if not dynamics.lattice_dim_compatible(1):
         raise ValueError("orbit sequences need one-dimensional dynamics")
+    n_points = _integer(n_points, "the number of points")
     sites = np.arange(1, n_points + 1, dtype=float)[:, None]
     return dynamics.orbit_array(sites)
 
 
 @dataclass(frozen=True)
 class DiophantineParams:
-    """``k_max = None`` is the 1-d cutoff 10^6; b >= 2 needs its own."""
+    """``k_max = None`` is the 1-d cutoff 10^6; b >= 2 needs its own, an
+    integer by the library's rule.  kappa and tau must be finite."""
 
     kappa: float = 1.01
     tau: float = 0.3
     k_max: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.kappa >= 1.0:  # so that NaN fails
-            raise ValueError("kappa must be at least 1")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if self.k_max is not None and not self.k_max >= 1:
-            raise ValueError("k_max must be at least 1")
+        if not 1.0 <= self.kappa < math.inf:  # so that NaN fails
+            raise ValueError(f"kappa must be at least 1 and finite, got {self.kappa}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max", _integer(self.k_max, "k_max"))
+            if self.k_max < 1:
+                raise ValueError("k_max must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ the eigenbasis of that box, which is exact up to floating point at desk
 scale.  A 1-d box of a real nearest-neighbour kernel is tridiagonal and is
 decomposed from its diagonals by LAPACK's tridiagonal divide and conquer
 (``stevd``) in O(n^2) time; every other box (d >= 2, kernel range > 1,
-complex hopping) by the dense Hermitian ``eigh``.  A real eigenbasis is
+complex hopping) by the dense Hermitian ``eigh``, capped at the scans'
+``greens.MAX_DENSE_POINTS`` before it is assembled (``check_box_order``).
+Instantaneous moments are read from one evolution; ``moment_series``
+returns them as (times, values) arrays.  A real eigenbasis is
 applied to complex data as two real products, never through a complex
 copy.  Every eigenbasis sum reads the overlaps c = U^H phi once, from the
 support rows of phi, and runs over the eigenvectors whose overlap is
@@ -48,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .greens import RECURSION_ENTRIES, _as_complex, continued_fractions
+from .greens import RECURSION_ENTRIES, _as_complex, _check_dense, continued_fractions
 from .lattice import Coords, ElementaryRegion, _integer, site, sup_norms
 from .operators import (
     OperatorSpec,
@@ -106,6 +109,15 @@ def _box_diagonals(spec: OperatorSpec, radius: int):
     return sites, sup_norms(sites), onsite + potential_values(spec, sites), hop
 
 
+def check_box_order(spec: OperatorSpec, radius: int) -> None:
+    """Raise the ValueError that the box of the given radius would raise
+    before its decomposition: a box that is not tridiagonal takes a dense
+    ``eigh`` of order (2r + 1)^d, capped at ``greens.MAX_DENSE_POINTS`` as
+    the volumes of a scan are.  A tridiagonal box has no cap."""
+    if spec.tridiagonal is None:
+        _check_dense((2 * radius + 1) ** spec.dimension)
+
+
 @lru_cache(maxsize=4)
 def _box_eigh(spec: OperatorSpec, radius: int):
     """Sites, their sup norms, eigenvalues, and eigenvectors of the cube
@@ -113,12 +125,13 @@ def _box_eigh(spec: OperatorSpec, radius: int):
 
     A tridiagonal box is decomposed by ``stevd`` from its diagonals,
     without the O(n^3) reduction a dense ``eigh`` starts with.  Any other
-    box takes the dense ``eigh``.
+    box takes the dense ``eigh``, within ``check_box_order``'s cap.
     """
     if spec.tridiagonal is not None:
         sites, norms, a, hop = _box_diagonals(spec, radius)
         w, U = eigh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="stevd")
         return sites, norms, w, U
+    check_box_order(spec, radius)
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
     w, U = np.linalg.eigh(assemble(spec, sites))
     return sites, sup_norms(sites), w, U
@@ -249,26 +262,6 @@ def double_while_flagged(run: Callable, radius: int, max_doublings: int):
     return result
 
 
-@dataclass(frozen=True)
-class MomentSeries:
-    """Sampled moment values for one p, in one of the three modes."""
-
-    mode: str  # instantaneous | time-averaged-direct | time-averaged-parseval
-    p: float
-    entries: tuple[tuple[float, float], ...]  # (t or T, value)
-    radius: int
-    leakage: float
-    flagged: bool
-    fingerprint: str
-    norm_drift: float  # of the evolution behind an instantaneous series
-
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.entries])
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.entries])
-
-
 def moment_series(
     spec: OperatorSpec,
     phi: StateVector,
@@ -276,21 +269,13 @@ def moment_series(
     times: Sequence[float],
     radius: int,
     leakage_tol: float = DEFAULT_LEAKAGE_TOL,
-) -> MomentSeries:
-    """Instantaneous p-th moments of the evolved state."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous p-th moments of the evolved state as (times, values)
+    arrays, the pair ``fit_log_exponent`` reads: a view of one ``evolve``,
+    whose result also carries the leakage and its flag."""
     _check_positive(p, "p")
     result = evolve(spec, phi, times, radius, leakage_tol)
-    vals = result.moments(p)
-    return MomentSeries(
-        "instantaneous",
-        p,
-        tuple(zip(result.times, (float(v) for v in vals))),
-        radius,
-        result.leakage,
-        result.flagged,
-        spec.fingerprint(),
-        result.norm_drift,
-    )
+    return np.array(result.times), result.moments(p)
 
 
 @dataclass(frozen=True)
@@ -665,15 +650,13 @@ class LogFit:
 
 
 def fit_log_exponent(series) -> LogFit:
-    """Growth exponent gamma with value ~ (log t)^gamma.
+    """Growth exponent gamma with value ~ (log t)^gamma, from a pair of
+    sample arrays (t, value).
 
     Requires at least 10 samples spanning two decades with t > 1 and
     positive values; a large residual flags non-logarithmic growth.
     """
-    if isinstance(series, MomentSeries):
-        t, v = series.times(), series.values()
-    else:
-        t, v = (np.asarray(a, dtype=float) for a in series)
+    t, v = (np.asarray(a, dtype=float) for a in series)
     if len(t) < 10:
         raise ValueError("need at least 10 samples")
     if not (np.isfinite(t).all() and np.isfinite(v).all()):

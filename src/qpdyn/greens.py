@@ -20,7 +20,8 @@ batched engine, which is ``greens`` and
 eigenvalues for ||G||, computed once per box for all energies since H does
 not depend on z, then at each energy an LU solve of (H - z) G = I and the
 Frobenius residual ||(H - z) G - I||_F, taken in one pass over the product.
-Dense volumes are capped at desk scale (a few thousand points), where
+Dense volumes are capped at desk scale (``MAX_DENSE_POINTS``, which caps
+the dense boxes of ``dynamics`` too), where
 direct factorisation is the most verifiable route; the per-box ``greens``
 with an explicit loop over pairs is the engine's test oracle, and the
 engine the recursion's.  Both resolvers run the same batch loops
@@ -32,7 +33,9 @@ the one record of a scanned box from ``scan_boxes`` to the CSV.
 ``bad_sets`` counts bad centers at every energy in one pass, each shape
 resolving a center only at the energies where it is still strongly good.
 Each decay margin stays in log space, so no bound exp(-c2 |n - n'|) is
-formed on the way to a verdict.
+formed on the way to a verdict.  Energies are plain complex numbers, and
+the multiscale check resolves the tile centers of ``lattice.tile_disjoint``
+as one array.
 """
 
 from __future__ import annotations
@@ -62,26 +65,9 @@ from .operators import (
 MAX_DENSE_POINTS = 4500
 
 
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """z = energy + i epsilon; epsilon = 1/T when tied to time averaging."""
-
-    energy: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not self.epsilon >= 0.0:  # so that NaN fails
-            raise ValueError("epsilon must be non-negative")
-        _as_complex(self.z)  # raises on a non-finite energy
-
-    @property
-    def z(self) -> complex:
-        return complex(self.energy, self.epsilon)
-
-
 def _as_complex(z) -> complex:
     """z as a complex number; a non-finite z is an error."""
-    zc = z.z if isinstance(z, ComplexEnergy) else complex(z)
+    zc = complex(z)
     if not cmath.isfinite(zc):
         raise ValueError(f"energy {zc} is not finite")
     return zc
@@ -91,7 +77,7 @@ def _energies(z) -> tuple[complex, ...]:
     """One complex energy, or each of a sequence of them, as a tuple of
     complex numbers; the energies of one scan share Im z, which picks the
     resolver of every shape."""
-    if isinstance(z, (ComplexEnergy, numbers.Number)):
+    if isinstance(z, numbers.Number):
         return (_as_complex(z),)
     zs = tuple(_as_complex(e) for e in z)
     if not zs:
@@ -282,10 +268,6 @@ class BoxVerdict:
     good: bool
     strongly_good: bool
     residual: float
-
-    @property
-    def decay_margin(self) -> float:
-        return self.witness.margin
 
 
 BATCH_ENTRIES = 1 << 14
@@ -896,10 +878,6 @@ class MultiscaleReport:
     required_rate: float
     witness: DecayWitness | None
 
-    @property
-    def status(self) -> str:
-        return "ok" if self.hypothesis_met else "hypothesis-not-met"
-
 
 def _sub_box_scale(N: int, xi: float) -> int:
     """floor(N^xi), read from the float power and corrected by one step
@@ -933,11 +911,11 @@ def multiscale_decay_check(
     M = _sub_box_scale(N, params.xi)
     if M < 10:
         raise ValueError("sub-box scale N^xi must be at least 10")
-    tiles = tile_disjoint(region, M)
+    tiles = tile_disjoint(region, M)  # the tile centers, one row each
     cube = _resolver(
         spec, ElementaryRegion((0,) * region.dimension, M), zc, params.c2
     )
-    (decays,), _ = cube.verdicts([t.center for t in tiles], math.inf)
+    (decays,), _ = cube.verdicts(tiles, math.inf)
     bad = int(np.count_nonzero(~decays))
     bound = N**params.varsigma / N**params.xi
     met = bad <= bound

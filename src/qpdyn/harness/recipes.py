@@ -30,6 +30,7 @@ from ..dynamics import (
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
+    check_box_order,
     double_while_flagged,
     evolve,
     fit_log_exponent,
@@ -314,6 +315,20 @@ def _coords_header(d: int) -> list[str]:
     return [f"n{i}" for i in range(d)]
 
 
+def _check_box_order(r: ConfigReader, spec, key: str, radius: int,
+                     doublings: int = 0) -> None:
+    """Record the dense cap as an issue of ``key``: the largest box a run
+    reaches, after at most ``doublings`` doublings of ``radius``, is
+    decomposed within it.  A key that is already an issue is not checked:
+    its radius is the default."""
+    if spec is not None and not any(i.startswith(f"'{key}'") for i in r.issues):
+        try:
+            check_box_order(spec, radius << doublings)
+        except ValueError as exc:
+            doubled = f" (doubled to {radius << doublings})" if doublings else ""
+            r.issues.append(f"'{key}' = {radius}{doubled}: {exc}")
+
+
 def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     r = ConfigReader(cfg.raw)
     spec = build_operator(r)
@@ -323,6 +338,7 @@ def _plan_evolve(cfg: ExperimentConfig) -> Plan:
     initial = r.site("evolve.initial", spec and spec.dimension, radius)
     tol = r.number("evolve.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     floor = r.number("evolve.prob_floor", default=1e-12, minimum=0.0)
+    _check_box_order(r, spec, "evolve.radius", radius)
     r.check()
     task = Task(
         _task_evolve,
@@ -363,6 +379,7 @@ def _plan_moments(cfg: ExperimentConfig) -> Plan:
     initial = r.site("moments.initial", spec and spec.dimension, radius)
     tol = r.number("moments.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     doublings = MAX_DOUBLINGS if r.flag("moments.auto_double") else 0
+    _check_box_order(r, spec, "moments.radius", radius, doublings)
     r.check()
     tasks = [
         Task(
@@ -519,6 +536,7 @@ def _plan_parseval(cfg: ExperimentConfig) -> Plan:
     source = r.site("parseval.source", spec and spec.dimension, radius)
     tol = r.number("parseval.leakage_tol", default=DEFAULT_LEAKAGE_TOL, minimum=0.0)
     rel_tol = r.number("parseval.rel_tol", default=1e-9, positive=True)
+    _check_box_order(r, spec, "parseval.radius", radius)
     r.check()
     tasks = [
         Task(

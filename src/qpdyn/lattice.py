@@ -8,10 +8,11 @@ NumPy integers pass, and any other number raises ``ValueError`` rather
 than being truncated, as do region sizes, half widths and cut offsets.
 The regions, all measured in the sup norm, are cubes with an optional
 sector cut (``ElementaryRegion``) and every such shape of one size
-(``enumerate_shapes``), rectangles with a rectangular notch
-(``GeneralizedRegion``), and disjoint cubes of one size in a host region
-(``RegionFamily``), laid on a grid by ``tile_disjoint``: descriptors whose
-point sets are only materialised transiently by iterating ``points()``.
+(``enumerate_shapes``), and rectangles with a rectangular notch
+(``GeneralizedRegion``): descriptors whose point sets are only
+materialised transiently by iterating ``points()``.  ``tile_disjoint``
+lays disjoint cubes of one size on a grid in a host region and returns
+their centers as a site array.
 
 Everything here is an immutable value with pure methods, so the module is
 safe to use from any number of concurrent workers.
@@ -195,38 +196,6 @@ class GeneralizedRegion:
                 yield n
 
 
-@dataclass(frozen=True)
-class RegionFamily:
-    """Pairwise disjoint elementary regions of one size inside a host region.
-
-    Disjointness and containment are verified point-wise on construction.
-    """
-
-    members: tuple[ElementaryRegion, ...]
-    host: ElementaryRegion | GeneralizedRegion
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        sizes = {m.size for m in members}
-        if len(sizes) > 1:
-            raise ValueError("family members must share one size")
-        seen: set[Coords] = set()
-        for member in members:
-            for p in member.points():
-                if p in seen:
-                    raise ValueError("family members overlap")
-                if not self.host.contains(p):
-                    raise ValueError("family member leaves the host region")
-                seen.add(p)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[ElementaryRegion]:
-        return iter(self.members)
-
-
 def enumerate_shapes(d: int, size: int) -> list[ElementaryRegion]:
     """Every distinct elementary-region shape of a given size centered at 0.
 
@@ -245,12 +214,13 @@ def enumerate_shapes(d: int, size: int) -> list[ElementaryRegion]:
     return shapes
 
 
-def tile_disjoint(host: ElementaryRegion, size: int) -> RegionFamily:
-    """Maximal grid tiling of a host region by disjoint size-M cubes.
+def tile_disjoint(host: ElementaryRegion, size: int) -> np.ndarray:
+    """Centers of a maximal grid tiling of a host region by disjoint size-M
+    cubes, as one (m, d) integer array in grid order.
 
     Cubes are placed on the regular grid anchored at the host's low corner
-    with stride 2M + 1; grid cubes that are not fully inside the host (a
-    sector cut can clip them) are dropped.
+    with stride 2M + 1, so no two overlap; grid cubes that are not fully
+    inside the host (a sector cut can clip them) are dropped.
     """
     if _integer(size, "tile size") < 1:
         raise ValueError("tile size must be a positive integer")
@@ -259,10 +229,9 @@ def tile_disjoint(host: ElementaryRegion, size: int) -> RegionFamily:
     side = 2 * size + 1
     per_axis = (2 * host.size + 1) // side
     starts = [c - host.size + size for c in host.center]
-    members = []
+    centers = []
     for steps in itertools.product(range(per_axis), repeat=host.dimension):
         center = tuple(s + side * k for s, k in zip(starts, steps))
-        cube = ElementaryRegion(center, size)
-        if all(host.contains(p) for p in cube.points()):
-            members.append(cube)
-    return RegionFamily(tuple(members), host)
+        if all(map(host.contains, ElementaryRegion(center, size).points())):
+            centers.append(center)
+    return site_array(centers, host.dimension)

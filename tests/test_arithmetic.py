@@ -81,6 +81,19 @@ class TestDiscrepancy1d:
         with pytest.raises(ValueError):
             discrepancy([0.5, 1.0])
 
+    @pytest.mark.parametrize("points", [[], [[]]], ids=["flat", "nested"])
+    def test_no_points_raises(self, points):
+        # atleast_2d read both as one point of no coordinates: IndexError
+        with pytest.raises(ValueError, match="need at least one point"):
+            discrepancy(points)
+
+    @pytest.mark.parametrize("points", [[0.5, math.nan], [[0.1, math.nan], [0.2, 0.3]]],
+                             ids=["1d", "2d"])
+    def test_a_nan_coordinate_raises(self, points):
+        # a NaN passed the [0, 1) check: the value read nan in 1-d, 0.8 in 2-d
+        with pytest.raises(ValueError, match=r"\[0, 1\)\^b"):
+            discrepancy(points)
+
 
 class TestDiscrepancyNd:
     def test_matches_brute_force_2d(self):
@@ -145,6 +158,14 @@ class TestOrbitPoints:
         with pytest.raises(ValueError):
             orbit_points(dyn, 5)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, True])
+    def test_a_count_that_is_not_an_integer_raises(self, n_points):
+        # 2.5 gave 3 points, and True one
+        dyn = ShiftDynamics(LINEAR_FORM, (0.25,), (0.1,))
+        with pytest.raises(ValueError, match="must be an integer"):
+            orbit_points(dyn, n_points)
+        assert orbit_points(dyn, np.int64(3)).shape == (3, 1)
+
 
 class TestDiophantine:
     def test_golden_mean_passes(self):
@@ -194,6 +215,21 @@ class TestDiophantine:
         )
         assert report.passed
         assert report.worst_k == (1, 1)
+
+    @pytest.mark.parametrize("k_max", [2.5, True, "3"])
+    def test_a_cutoff_that_is_not_an_integer_raises(self, k_max):
+        # 2.5 raised TypeError inside range, and True ran at a cutoff of 1
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            DiophantineParams(k_max=k_max)
+        assert type(DiophantineParams(k_max=np.int64(3)).k_max) is int
+
+    @pytest.mark.parametrize("field", ["kappa", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_exponent_or_constant_raises(self, field, value):
+        # kappa = inf passed with margin inf at k = (0,), outside the
+        # half-box, and tau = inf failed every frequency
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            DiophantineParams(**{field: value})
 
     def test_default_cutoff_is_one_dimensional(self):
         # None means 10^6 at b = 1, and the report names the cutoff it used

@@ -10,7 +10,6 @@ from qpdyn import dynamics
 from qpdyn.dynamics import (
     AmplitudeTable,
     LyapunovEstimate,
-    MomentSeries,
     QuadratureError,
     amplitude_table_direct,
     amplitude_table_parseval,
@@ -292,8 +291,8 @@ class TestBoxEigensolver:
         res = evolve(spec, DELTA0, times, radius)
         assert np.abs(res.amplitudes - amps).max() <= 1e-12 * np.abs(amps).max()
         moments = (np.abs(amps) ** 2) @ norms**2
-        series = moment_series(spec, DELTA0, 2.0, times, radius)
-        assert np.abs(series.values() - moments).max() <= 1e-12 * moments.max()
+        _, series = moment_series(spec, DELTA0, 2.0, times, radius)
+        assert np.abs(series - moments).max() <= 1e-12 * moments.max()
         M = np.outer(c, c.conj()) / (1.0 + 0.5j * T * np.subtract.outer(w, w))
         table = np.einsum("nl,nl->n", Uc @ M, Uc.conj()).real
         direct = amplitude_table_direct(spec, DELTA0, T, radius)
@@ -352,9 +351,21 @@ class TestBoxEigensolver:
 
 class TestMoment:
     def test_free_laplacian_ballistic_law(self):
-        series = moment_series(free_laplacian(1), DELTA0, 2.0, [1.0, 4.0, 16.0], 256)
-        for t, v in series.entries:
+        times, values = moment_series(free_laplacian(1), DELTA0, 2.0,
+                                      [1.0, 4.0, 16.0], 256)
+        assert times.tolist() == [1.0, 4.0, 16.0]
+        for t, v in zip(times, values):
             assert v == pytest.approx(2.0 * t * t, rel=1e-6)
+
+    @pytest.mark.parametrize("spec, phi, radius", [
+        (AMO3, DELTA0, 64), (free_laplacian(2), StateVector.delta((0, 0)), 12),
+    ], ids=["stevd", "dense"])
+    def test_series_is_a_view_of_one_evolution(self, spec, phi, radius):
+        times, p = [0.0, 0.5, 3.0, 20.0], 1.5
+        got_times, values = moment_series(spec, phi, p, times, radius)
+        run = evolve(spec, phi, times, radius)
+        assert got_times.dtype == np.float64 and got_times.tolist() == times
+        assert np.array_equal(values, run.moments(p))
 
     @pytest.mark.parametrize("p", [0.0, -1.0])
     def test_every_moment_reader_rejects_nonpositive_p(self, p):
@@ -368,9 +379,10 @@ class TestMoment:
                 read()
 
     def test_series_carries_leakage_flag(self):
-        leaky = moment_series(free_laplacian(1), DELTA0, 2.0, [30.0], 16)
+        # a series is read from one evolution, whose result carries the flag
+        leaky = evolve(free_laplacian(1), DELTA0, [30.0], 16)
         assert leaky.flagged and leaky.leakage > 1e-8
-        clean = moment_series(free_laplacian(1), DELTA0, 2.0, [1.0], 64)
+        clean = evolve(free_laplacian(1), DELTA0, [1.0], 64)
         assert not clean.flagged
 
 
@@ -833,3 +845,29 @@ class TestLyapunov:
         # runs at length 1, and no phases give NaN with two RuntimeWarnings
         with pytest.raises(ValueError, match=match):
             lyapunov_estimate(AMO3, 0.0, length, phases)
+
+
+class TestDenseCap:
+    def test_the_cap_is_the_scans_dense_cap(self):
+        # (2r + 1)^2 is 4489 at r = 33 and 4761 at r = 34; MAX_DENSE_POINTS
+        # is 4500
+        dynamics.check_box_order(free_laplacian(2), 33)
+        with pytest.raises(ValueError, match="4761 points; dense solves are "
+                           "capped at 4500"):
+            dynamics.check_box_order(free_laplacian(2), 34)
+        dynamics.check_box_order(AMO3, 10**6)  # tridiagonal: no cap
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, phi: evolve(spec, phi, [1.0], 34),
+        lambda spec, phi: amplitude_table_direct(spec, phi, 2.0, 34),
+        lambda spec, phi: amplitude_table_parseval(spec, (0, 0), 2.0, 34),
+    ], ids=["evolve", "direct", "parseval"])
+    def test_every_dense_box_is_capped_before_it_is_assembled(
+        self, monkeypatch, call
+    ):
+        def sentinel(*args):
+            raise AssertionError("the box was assembled")
+
+        monkeypatch.setattr(dynamics, "assemble", sentinel)
+        with pytest.raises(ValueError, match="capped"):
+            call(free_laplacian(2), StateVector.delta((0, 0)))

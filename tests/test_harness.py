@@ -460,7 +460,7 @@ class TestRecipes:
                 verdict.good, verdict.strongly_good)
             assert math.isclose(float(r["norm"]), verdict.norm, rel_tol=1e-12)
             assert math.isclose(float(r["worstPairDecayMargin"]),
-                                verdict.decay_margin, rel_tol=1e-12)
+                                verdict.witness.margin, rel_tol=1e-12)
 
     @pytest.mark.parametrize("model, scale", PER_BOX_SCANS.values(),
                              ids=PER_BOX_SCANS.keys())
@@ -1085,6 +1085,41 @@ class TestRecipes:
         panels = [amplitude_table_parseval(amo, (0,), T, 16).panels
                   for T in (5.0, 50.0)]
         assert manifest["max_quadrature_panels"] == max(panels) > 34
+
+    @pytest.mark.parametrize("recipe,body,message", [
+        ("moment-growth", "moments.times = 1.0,2.0",
+         "'moments.radius' = 64: volume has 16641 points"),
+        ("moment-growth", "moments.times = 1.0\nmoments.radius = 16\n"
+         "moments.auto_double = true",
+         r"'moments.radius' = 16 \(doubled to 64\): volume has 16641 points"),
+        ("evolve", "evolve.times = 1.0\nevolve.radius = 34",
+         "'evolve.radius' = 34: volume has 4761 points"),
+        ("parseval-crosscheck", "parseval.horizons = 2.0",
+         "'parseval.radius' = 64: volume has 16641 points"),
+    ], ids=["moments-default", "moments-doubled", "evolve", "parseval"])
+    def test_a_dense_box_past_the_cap_is_a_config_issue(
+        self, tmp_path, monkeypatch, recipe, body, message
+    ):
+        # a 2-d box of radius 64 would take a dense eigh of order 16641, with
+        # 2.2 GB for each of H and U; the plan refuses it before any task runs
+        def sentinel(*args):
+            raise AssertionError("a box was decomposed")
+
+        monkeypatch.setattr(dynamics, "_box_eigh", sentinel)
+        p = write(tmp_path, "big.cfg", f"experiment = {recipe}\n"
+                  f"model.preset = free-laplacian\nmodel.dimension = 2\n{body}\n")
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(load_config(p), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_bad_radius_is_checked_once(self, tmp_path):
+        # the reader falls back to the default radius 64, over the cap in 2-d
+        p = write(tmp_path, "bad.cfg", "experiment = moment-growth\n"
+                  "model.preset = free-laplacian\nmodel.dimension = 2\n"
+                  "moments.times = 1.0\nmoments.radius = 2.5\n")
+        with pytest.raises(ConfigError) as err:
+            run_experiment(load_config(p), tmp_path / "out")
+        assert err.value.issues == ["'moments.radius' must be an integer, got 2.5"]
 
     @pytest.mark.parametrize("recipe,body,csv", [
         ("moment-growth", "moments.times = 1.0,2.0\nmoments.radius = 8",

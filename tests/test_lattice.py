@@ -9,7 +9,6 @@ import numpy as np
 from qpdyn.lattice import (
     ElementaryRegion,
     GeneralizedRegion,
-    RegionFamily,
     enumerate_shapes,
     sup_norm,
     sup_norms,
@@ -109,8 +108,6 @@ class TestRegionPointSets:
         empty = GeneralizedRegion((0,), (2,), cut=(0,))
         assert list(empty.points()) == []
         assert not any(empty.contains((n,)) for n in range(-3, 4))
-        with pytest.raises(ValueError):
-            RegionFamily((ElementaryRegion((0,), 1),), empty)
 
 
 class TestSupNorm:
@@ -157,10 +154,6 @@ class TestValidation:
             lambda: enumerate_shapes(0, 1),
             lambda: enumerate_shapes(2, 0),
             lambda: tile_disjoint(ElementaryRegion((0,), 2), 0),
-            lambda: RegionFamily(
-                (ElementaryRegion((-3,), 1), ElementaryRegion((2,), 2)),
-                ElementaryRegion((0,), 5),
-            ),
             # a non-integral number is rejected, not truncated or kept
             lambda: ElementaryRegion((0,), 1.5),
             lambda: enumerate_shapes(2, 1.5),
@@ -182,7 +175,6 @@ class TestValidation:
             "shapes-dimension-zero",
             "shapes-size-zero",
             "tiling-size-zero",
-            "family-mixed-sizes",
             "elementary-float-size",
             "shapes-float-size",
             "elementary-float-center",
@@ -220,22 +212,21 @@ class TestValidation:
 
 class TestTiling:
     def test_interval_tiling(self):
-        fam = tile_disjoint(ElementaryRegion((0,), 4), 1)
-        assert len(fam) == 3
-        assert [set(m.points()) for m in fam] == [
+        centers = tile_disjoint(ElementaryRegion((0,), 4), 1)
+        assert centers.dtype.kind == "i" and centers.shape == (3, 1)
+        assert [set(ElementaryRegion(c, 1).points()) for c in centers] == [
             {(-4,), (-3,), (-2,)},
             {(-1,), (0,), (1,)},
             {(2,), (3,), (4,)},
         ]
 
     def test_host_itself(self):
-        fam = tile_disjoint(ElementaryRegion((0,), 1), 1)
-        assert len(fam) == 1
-        assert fam.members[0] == ElementaryRegion((0,), 1)
+        centers = tile_disjoint(ElementaryRegion((0,), 1), 1)
+        assert centers.tolist() == [[0]]
 
     def test_square_tiling(self):
-        fam = tile_disjoint(ElementaryRegion((0, 0), 4), 1)
-        assert len(fam) == 9
+        centers = tile_disjoint(ElementaryRegion((0, 0), 4), 1)
+        assert centers.shape == (9, 2)
 
     def test_oversized_tile_rejected(self):
         with pytest.raises(ValueError):
@@ -243,21 +234,58 @@ class TestTiling:
 
     def test_sector_host_drops_clipped_cubes(self):
         host = ElementaryRegion((0, 0), 4, ("<", "<"))
-        fam = tile_disjoint(host, 1)
-        assert all(host.contains(p) for m in fam for p in m.points())
-        assert len(fam) < 9
+        centers = tile_disjoint(host, 1)
+        assert all(host.contains(p) for c in centers
+                   for p in ElementaryRegion(c, 1).points())
+        assert len(centers) < 9
 
-    def test_family_validation_rejects_overlap(self):
-        host = ElementaryRegion((0,), 4)
-        with pytest.raises(ValueError):
-            RegionFamily(
-                (ElementaryRegion((0,), 1), ElementaryRegion((1,), 1)), host
-            )
+    def test_a_host_with_no_whole_tile_gives_an_empty_array(self):
+        # the one grid cube of [-2, 2]^2 loses (-1, -1) to the sector cut
+        centers = tile_disjoint(ElementaryRegion((0, 0), 2, ("<", "<")), 2)
+        assert centers.shape == (0, 2)
 
-    def test_family_validation_rejects_escape(self):
-        host = ElementaryRegion((0,), 2)
-        with pytest.raises(ValueError):
-            RegionFamily((ElementaryRegion((2,), 1),), host)
+
+def _tiles_by_brute_force(host: ElementaryRegion, size: int):
+    """The point set of the host and, in lexicographic order, every site of
+    its bounding cube that lies on the grid of stride 2 size + 1 anchored at
+    size past the low corner and whose cube of half width ``size`` lies in
+    the host, both straight from the inequalities."""
+    inside = elementary_point_set(host.center, host.size, host.sector)
+    side = 2 * size + 1
+    box = itertools.product(*[range(c - host.size, c + host.size + 1)
+                              for c in host.center])
+    return inside, [
+        c for c in box
+        if all((a - h + host.size - size) % side == 0
+               for a, h in zip(c, host.center))
+        and elementary_point_set(c, size, ()) <= inside]
+
+
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    host_size=st.integers(min_value=1, max_value=5),
+    size=st.integers(min_value=1, max_value=5),
+    center=st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+    cut=st.lists(st.sampled_from([None, "<", ">"]), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_tiles_are_the_disjoint_grid_cubes_inside_the_host(
+        d, host_size, size, center, cut):
+    sector = tuple(cut[:d]) if sum(m is not None for m in cut[:d]) >= 2 else ()
+    host = ElementaryRegion(tuple(center[:d]), host_size, sector)
+    if size > host_size:
+        with pytest.raises(ValueError, match="exceeds"):
+            tile_disjoint(host, size)
+        return
+    centers = tile_disjoint(host, size)
+    inside, expected = _tiles_by_brute_force(host, size)
+    assert centers.shape == (len(expected), d) and centers.dtype.kind == "i"
+    assert list(map(tuple, centers.tolist())) == expected
+    seen = set()
+    for c in map(tuple, centers.tolist()):
+        cube = elementary_point_set(c, size, ())
+        assert not cube & seen and cube <= inside  # disjoint, in the host
+        seen |= cube
 
 
 @given(
