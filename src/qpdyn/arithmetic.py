@@ -190,10 +190,12 @@ def orbit_points(dynamics: ShiftDynamics, n_points: int) -> np.ndarray:
     """The orbit sequence f(1, x), ..., f(N, x) as an (N, b) array.
 
     Defined for dynamics driven by a single lattice index (d = 1); the
-    count is read by the library's integer rule."""
+    count is read by the library's integer rule and must be at least 1."""
     if not dynamics.lattice_dim_compatible(1):
         raise ValueError("orbit sequences need one-dimensional dynamics")
     n_points = _integer(n_points, "the number of points")
+    if n_points < 1:
+        raise ValueError(f"the number of points must be at least 1, got {n_points}")
     sites = np.arange(1, n_points + 1, dtype=float)[:, None]
     return dynamics.orbit_array(sites)
 
@@ -285,13 +287,17 @@ def continued_fraction(
 ) -> ContinuedFraction:
     """Standard continued-fraction expansion of alpha in (0, 1).
 
-    Stops early, flagging a rational, when the remainder vanishes to
-    working precision.  Convergents p/q satisfy |alpha - p/q| < 1/q^2.
+    Stops early, flagging a rational, when the remainder falls below
+    ``rational_tol``, which must lie in (0, 1): at 0 or NaN an exact
+    rational would divide by its zero remainder.  ``depth`` is read by the
+    library's integer rule.  Convergents p/q satisfy |alpha - p/q| < 1/q^2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if depth < 1:
+    if _integer(depth, "depth") < 1:
         raise ValueError("depth must be at least 1")
+    if not 0.0 < rational_tol < 1.0:  # so that NaN fails
+        raise ValueError(f"rational_tol must lie in (0, 1), got {rational_tol}")
     quotients: list[int] = []
     convergents: list[tuple[int, int]] = []
     p_prev, q_prev = 1, 0

@@ -18,17 +18,21 @@ the column of G through the worst decay pair.  Every other box takes the
 batched engine, which is ``greens`` and
 ``resolvent_norm`` batched over the translates of one shape: the Hermitian
 eigenvalues for ||G||, computed once per box for all energies since H does
-not depend on z, then at each energy an LU solve of (H - z) G = I and the
-Frobenius residual ||(H - z) G - I||_F, taken in one pass over the product.
-Dense volumes are capped at desk scale (``MAX_DENSE_POINTS``, which caps
-the dense boxes of ``dynamics`` too), where
-direct factorisation is the most verifiable route; the per-box ``greens``
-with an explicit loop over pairs is the engine's test oracle, and the
-engine the recursion's.  Both resolvers run the same batch loops
-(``_BatchResolver``): a resolver's ``_batch`` gives, over the (energy,
-translate) pairs a scan wants, five arrays, the worst decay pair (i, j) of
-each box, its margin, its residual and the state its norms need, and
-``resolve`` places them with ||G|| in arrays indexed [energy, translate],
+not depend on z, then at each energy G = (H - z)^-1 and the Frobenius
+residual ||(H - z) G - I||_F, taken in one pass over the product.  With
+real hopping H - z is complex symmetric, and a box whose order lies in
+``LDL_ORDERS`` is inverted by a Bunch-Kaufman LDL^T factorisation (LAPACK
+``zsytrf`` and ``zsytri``, about n^3 flops to LU's 8/3 n^3 against I);
+every other box, complex hopping included, by one batched LU solve of
+(H - z) G = I.  Dense volumes are capped at desk scale
+(``MAX_DENSE_POINTS``, which caps the dense boxes of ``dynamics`` too),
+where direct factorisation is the most verifiable route; the per-box
+``greens``, an LU solve with an explicit loop over pairs, is the engine's
+test oracle, and the engine the recursion's.  Both resolvers run the same
+batch loops (``_BatchResolver``): a resolver's ``_batch`` gives, over the
+(energy, translate) pairs a scan wants, five arrays, the worst decay pair
+(i, j) of each box, its margin, its residual and the state its norms need,
+and ``resolve`` places them with ||G|| in arrays indexed [energy, translate],
 the one record of a scanned box from ``scan_boxes`` to the CSV.
 ``bad_sets`` counts bad centers at every energy in one pass, each shape
 resolving a center only at the energies where it is still strongly good.
@@ -93,8 +97,9 @@ class GreensMatrix:
 
     ``residual`` is the Frobenius norm ||(H - z) G - I||_F of the whole
     LU-solved matrix, an upper bound on its spectral norm.  The batched
-    engine's box residuals are the same; a box of the 1-d recursion reports
-    a single column's residual instead (see ``BoxVerdict``).
+    engine's box residuals are the same norm of its own G, from LDL^T or LU
+    (see ``_TranslateEngine``); a box of the 1-d recursion reports a single
+    column's residual instead (see ``BoxVerdict``).
     """
 
     sites: tuple[Coords, ...]
@@ -253,11 +258,12 @@ class BoxVerdict:
     """Classification record for one box at one complex energy.
 
     ``residual`` is the solve-quality diagnostic of the resolvent the
-    verdict came from: the Frobenius norm ||(H - z) G - I||_F of the LU
-    solve (as in ``GreensMatrix.residual``) for a box of the batched engine,
-    and ||(H - z) g - e_j||_2 of the column g = G e_j through the worst decay
-    pair for a box of the recursion (see ``_resolver``).  ``norm_bound`` is
-    exp(N^sigma), or inf where that overflows (N^sigma > 709.78).
+    verdict came from: the Frobenius norm ||(H - z) G - I||_F of the
+    engine's LDL^T or LU inverse (as in ``GreensMatrix.residual``) for a box
+    of the batched engine, and ||(H - z) g - e_j||_2 of the column
+    g = G e_j through the worst decay pair for a box of the recursion (see
+    ``_resolver``).  ``norm_bound`` is exp(N^sigma), or inf where that
+    overflows (N^sigma > 709.78).
     """
 
     region: ElementaryRegion
@@ -273,6 +279,15 @@ class BoxVerdict:
 BATCH_ENTRIES = 1 << 14
 # matrix entries per batched solve: bounds the working memory of a scan to a
 # few MB whatever the scan size or the task chunk
+
+LDL_ORDERS = range(10, 601)
+# the orders of the boxes of real hopping that the engine inverts by LDL^T
+# (zsytrf, zsytri), each box by itself; LU (np.linalg.inv) takes the rest.
+# Time per box, LDL^T over LU, one BLAS thread: 1.12 at order 9, 0.81 at 11,
+# 0.40 at 49, 0.64 at 169, 0.90 at 441, 0.92 at 551, 1.00 at 601, 1.06 at
+# 701, 1.15 at 1089, 1.32 at 2401, 1.73 at 4489.  Below 10 the batched LU
+# inverts a box in about the time of two LAPACK calls from Python; above
+# 600 the unblocked zsytri falls behind the blocked LU
 
 RECURSION_ENTRIES = 1 << 16
 # sites per sweep of the recursion (n per box and energy): one full sweep of
@@ -377,20 +392,39 @@ class _TranslateEngine(_BatchResolver):
     ``resolvent_norm`` does; H and its spectrum do not depend on z, so one
     spectrum per box serves every energy.  At each energy, for the
     translates wanted there, ||G|| = 1/min|w - z| comes from that spectrum,
-    and a complex copy of H shifted on its diagonal gives G by one batched
-    LU solve of (H - z) G = I, as ``greens`` does box by box.  The worst
-    decay pair and the Frobenius residual ||(H - z) G - I||_F come from G.
+    and a complex copy A of H shifted on its diagonal gives G = A^-1.  The
+    worst decay pair and the Frobenius residual ||(H - z) G - I||_F come
+    from G.
+
+    ``__init__`` picks the inverse once per shape.  With real hopping A is
+    complex symmetric, and a shape whose order lies in ``LDL_ORDERS`` takes
+    the LDL^T path (``ldl``): each box is factorised by LDL^T (``zsytrf``,
+    with its blocked work size) and inverted from the factors (``zsytri``),
+    the computed triangle is mirrored into G, and the worst pair is searched
+    over the far pairs with i < j only, so a witness has i < j.  Complex
+    hopping (A is not symmetric) and every other order keep one batched LU
+    solve of A G = I, as ``greens`` does box by box, and search every far
+    pair.
     """
 
     def __init__(self, spec: OperatorSpec, shape: ElementaryRegion, z,
                  c2: float):
         sites = _dense_sites(shape)
-        super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // len(sites) ** 2)
+        n = len(sites)
+        super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // n**2)
         self.hopping = hopping_block(spec, self.sites)
-        dist = sup_norms(self.sites[:, None, :] - self.sites[None, :, :]).ravel()
+        # H - z is complex symmetric when the hopping is real
+        self.ldl = spec.is_real and n in LDL_ORDERS
+        dist = sup_norms(self.sites[:, None, :] - self.sites[None, :, :])
+        far = dist >= self.min_dist
+        if self.ldl:
+            far = np.triu(far, 1)  # G is symmetric: the pairs i < j suffice
+            self.lwork = int(sla.lapack.zsytrf_lwork(n, lower=1)[0].real)
+            i, j = np.triu_indices(n, 1)
+            self.mirror = (j * n + i, i * n + j)  # flat (j, i) and (i, j), i < j
         # flat indices of the far pairs, in row-major order, and their c2 |i - j|
-        self.far = np.flatnonzero(dist >= self.min_dist)
-        self.decay = c2 * dist[self.far]
+        self.far = np.flatnonzero(far)
+        self.decay = c2 * dist.ravel()[self.far]
 
     def _batch(self, shifts: np.ndarray, wanted: np.ndarray):
         b, (n, d) = len(shifts), self.sites.shape
@@ -412,7 +446,7 @@ class _TranslateEngine(_BatchResolver):
                 raise np.linalg.LinAlgError(_singular(z))
             A = Hz.astype(np.complex128)
             A[:, diag, diag] -= z
-            G = np.linalg.inv(A)  # the LU solve of A G = I
+            G = self._invert(A, z)
             # the worst far pair by the margin it reports, -inf where G(i, j) = 0
             with np.errstate(divide="ignore"):
                 margins = np.log(np.abs(G.reshape(len(A), -1)[:, self.far])) + self.decay
@@ -421,6 +455,26 @@ class _TranslateEngine(_BatchResolver):
             margin = margins[np.arange(len(A)), k]
             parts.append((i, j, margin, _residual_norm(A, G), 1.0 / nearest))
         return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _invert(self, A: np.ndarray, z: complex) -> np.ndarray:
+        """G = A^-1 of each box of the stack A = H - z: by LU (the solve of
+        A G = I), or on the LDL^T path one box at a time, in place on a copy,
+        with the computed triangle mirrored into G."""
+        if not self.ldl:
+            return np.linalg.inv(A)
+        G = A.copy()
+        sytrf, sytri = sla.lapack.zsytrf, sla.lapack.zsytri
+        lower, upper = self.mirror
+        for g in G:
+            # g.T is g in Fortran order, its lower triangle g's upper one
+            ldu, ipiv, info = sytrf(g.T, lower=1, lwork=self.lwork, overwrite_a=1)
+            if info == 0:
+                _, info = sytri(ldu, ipiv, lower=1, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(_singular(z))
+            flat = g.reshape(-1)
+            flat[lower] = flat[upper]
+        return G
 
 
 def continued_fractions(work: np.ndarray, numerators) -> None:

@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Coords, site, site_array, sup_norm
+from .lattice import (Coords, ElementaryRegion, GeneralizedRegion, site, site_array,
+                      sup_norm)
 
 LINEAR_FORM = "linear-form"
 RANK_ONE = "rank-one"
@@ -341,13 +342,13 @@ class OperatorSpec:
 
 def site_list(region_or_points) -> tuple[Coords, ...]:
     """Canonical (lexicographically sorted) site tuple for a region or an
-    explicit iterable of lattice points, each read by ``lattice.site``: a
-    coordinate that is not an integer raises ``ValueError``."""
-    if hasattr(region_or_points, "points"):
-        pts = region_or_points.points()
-    else:
-        pts = region_or_points
-    return tuple(sorted(map(site, pts)))
+    explicit iterable of lattice points.  A region's points are integer
+    tuples already in that order; an explicit point is read by
+    ``lattice.site``, so a coordinate that is not an integer raises
+    ``ValueError``, and the points are sorted."""
+    if isinstance(region_or_points, (ElementaryRegion, GeneralizedRegion)):
+        return tuple(region_or_points.points())
+    return tuple(sorted(map(site, region_or_points)))
 
 
 def potential_values(spec: OperatorSpec, sites: Sequence[Coords]) -> np.ndarray:

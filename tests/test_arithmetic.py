@@ -166,6 +166,13 @@ class TestOrbitPoints:
             orbit_points(dyn, n_points)
         assert orbit_points(dyn, np.int64(3)).shape == (3, 1)
 
+    @pytest.mark.parametrize("n_points", [-3, 0])
+    def test_a_count_below_one_raises(self, n_points):
+        # -3 gave an empty (0, 1) array
+        dyn = ShiftDynamics(LINEAR_FORM, (0.25,), (0.1,))
+        with pytest.raises(ValueError, match="at least 1"):
+            orbit_points(dyn, n_points)
+
 
 class TestDiophantine:
     def test_golden_mean_passes(self):
@@ -297,6 +304,21 @@ class TestContinuedFraction:
             continued_fraction(1.5)
         with pytest.raises(ValueError):
             continued_fraction(GOLDEN, depth=0)
+
+    @pytest.mark.parametrize("depth", [True, 2.5, 3.0])
+    def test_a_depth_that_is_not_an_integer_raises(self, depth):
+        # True ran at depth 1, and 2.5 raised TypeError inside range
+        with pytest.raises(ValueError, match="must be an integer"):
+            continued_fraction(GOLDEN, depth=depth)
+        assert continued_fraction(GOLDEN, depth=np.int64(3)).quotients == (1, 1, 1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, 1.0])
+    def test_a_rational_tolerance_outside_the_unit_interval_raises(self, tol):
+        # nan (and 0) ended in ZeroDivisionError on the exact rational 0.5
+        with pytest.raises(ValueError, match="rational_tol"):
+            continued_fraction(0.5, rational_tol=tol)
+        cf = continued_fraction(0.5)
+        assert (cf.quotients, cf.rational) == ((2,), True)
 
 
 @given(

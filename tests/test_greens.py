@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -763,18 +765,24 @@ def test_bad_sets_are_the_one_energy_bad_sets(monkeypatch, case):
         monkeypatch.setattr(GREENS, "RECURSION_ENTRIES", entries)
     singles = [bad_set(spec, size, sub, z, params) for z in zs]
     sweeps, solved = [], []
-    fractions, inv = GREENS.continued_fractions, np.linalg.inv
+    fractions, inv, sytrf = GREENS.continued_fractions, np.linalg.inv, sla.lapack.zsytrf
 
     def recorded_fractions(work, numerators):
         sweeps.append(work.shape[0] * work.shape[2])
         return fractions(work, numerators)
 
+    # the engine's factorisations: an LU of each box of a stack, or one LDL^T
     def counted_inv(a):
         solved.append(len(a))
         return inv(a)
 
+    def counted_sytrf(a, **options):
+        solved.append(1)
+        return sytrf(a, **options)
+
     monkeypatch.setattr(GREENS, "continued_fractions", recorded_fractions)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(sla.lapack, "zsytrf", counted_sytrf)
     reports = bad_sets(spec, size, sub, zs, params)
     for report, single in zip(reports, singles):
         assert report.z == single.z
@@ -913,6 +921,56 @@ def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, 
     else:
         assert witness.pair == pair
         assert (good, witness.margin) == (True, -math.inf)
+
+
+def cos6(kernel):
+    """``kernel`` with the potential 6 cos(2 pi theta) along a golden orbit."""
+    return OperatorSpec(kernel, PotentialSpec.cosine_series({(1,): 6.0}),
+                        ShiftDynamics(RANK_ONE, (GOLDEN,), (0.3,)))
+
+
+ENGINE_PATHS = {
+    # complex hopping: H - z is not symmetric, so the engine keeps its LU
+    # solve at every order
+    "complex-1d": (cos6(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0)), 6, False),
+    "complex-range-2": (cos6(KernelSpec.toeplitz(
+        {(1,): 0.3 + 0.6j, (2,): 0.1 - 0.2j}, math.e, 1.0)), 8, False),
+    # real hopping on either side of both ends of GREENS.LDL_ORDERS
+    "real-order-9": (cos6(FREE_RANGE2.kernel), 4, False),
+    "real-order-11": (cos6(FREE_RANGE2.kernel), 5, True),
+    "real-2d-orders-40-49": (amo_2d(3.0, 0.3), 3, True),
+    "real-order-599": (cos6(FREE_RANGE2.kernel), 299, True),
+    "real-order-601": (cos6(FREE_RANGE2.kernel), 300, False),
+}
+
+
+@pytest.mark.parametrize("spec, sub, ldl", ENGINE_PATHS.values(), ids=ENGINE_PATHS.keys())
+def test_engine_matches_lu_oracle_on_either_factorisation(spec, sub, ldl):
+    # the engine inverts a box of real hopping by LDL^T inside LDL_ORDERS and
+    # by LU elsewhere; both give the oracle's norm and margin, a pair that is
+    # a worst pair of the oracle's G (|G(i, j)| = |G(j, i)| here, so the two
+    # orders of a pair tie up to rounding; LDL^T names the one with i < j),
+    # and a residual at rounding level
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    zs = (0.0 + 1e-3j, 1.0 + 1e-3j)
+    centers = [(7,) * spec.dimension]
+    for shape in enumerate_shapes(spec.dimension, sub):
+        engine = GREENS._resolver(spec, shape, zs, params.c2)
+        assert isinstance(engine, GREENS._TranslateEngine)
+        assert engine.ldl == ldl
+        norm, margin, residual, i, j = engine.resolve(centers)
+        for (k, z), (c, center) in itertools.product(enumerate(zs), enumerate(centers)):
+            region = shape.translate(center)
+            oracle_norm, oracle, _, _ = lu_verdict(spec, region, z, params)
+            assert norm[k, c] == pytest.approx(oracle_norm, rel=1e-9)
+            assert margin[k, c] == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
+            assert residual[k, c] < 1e-10
+            pair = [tuple(np.add(p, center).tolist())
+                    for p in engine.witness(i[k, c], j[k, c], margin[k, c]).pair]
+            value = abs(greens(spec, region, z).entry(*pair))
+            at_pair = math.log(value) + params.c2 * oracle_sup_dist(*pair)
+            assert at_pair == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
+            assert i[k, c] < j[k, c] or not ldl
 
 
 @pytest.mark.parametrize("spec, z, sub", [

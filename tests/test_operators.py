@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_assemble
 from qpdyn.dynamics import evolve
-from qpdyn.lattice import ElementaryRegion, GeneralizedRegion
+from qpdyn.lattice import ElementaryRegion, GeneralizedRegion, site
 from qpdyn.operators import (
     LINEAR_FORM,
     PRODUCT,
@@ -403,3 +403,35 @@ def test_assembled_volumes_are_hermitian(hop, amp, alpha):
     w = np.linalg.eigvalsh(H)
     K = spec.spectral_bound
     assert w.min() >= -K + 1 - 1e-12 and w.max() <= K - 1 + 1e-12
+
+
+@st.composite
+def regions(draw):
+    """An elementary region or a rectangle in d = 1..3, full or cut, at a
+    center off the origin."""
+    d = draw(st.integers(1, 3))
+    center = tuple(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        sector = ()
+        if d >= 2 and draw(st.booleans()):
+            sector = tuple(draw(st.lists(st.sampled_from(["<", ">", None]),
+                                         min_size=d, max_size=d)))
+            if sum(s is not None for s in sector) < 2:
+                sector = ("<", ">") + sector[2:]
+        return ElementaryRegion(center, draw(st.integers(1, 3)), sector)
+    widths = tuple(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    cut = None
+    if draw(st.booleans()):
+        cut = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    return GeneralizedRegion(center, widths, cut)
+
+
+@given(regions())
+@settings(max_examples=60, deadline=None)
+def test_a_region_lists_its_points_as_sorted_sites(region):
+    # a region's points are integer tuples in lexicographic order already,
+    # so site_list takes them as they come
+    sites = site_list(region)
+    assert sites == tuple(sorted(map(site, region.points())))
+    assert all(type(c) is int for p in sites for c in p)
+    assert site_list(reversed(sites)) == sites
