@@ -1,6 +1,5 @@
 import dataclasses
 import importlib
-import itertools
 import math
 import re
 import tracemalloc
@@ -947,30 +946,30 @@ ENGINE_PATHS = {
 @pytest.mark.parametrize("spec, sub, ldl", ENGINE_PATHS.values(), ids=ENGINE_PATHS.keys())
 def test_engine_matches_lu_oracle_on_either_factorisation(spec, sub, ldl):
     # the engine inverts a box of real hopping by LDL^T inside LDL_ORDERS and
-    # by LU elsewhere; both give the oracle's norm and margin, a pair that is
-    # a worst pair of the oracle's G (|G(i, j)| = |G(j, i)| here, so the two
-    # orders of a pair tie up to rounding; LDL^T names the one with i < j),
-    # and a residual at rounding level
+    # by LU elsewhere; both give the oracle's norm and margin, a residual at
+    # rounding level, and a pair whose margin in the oracle's G is the
+    # oracle's worst.  Pairs are not compared as such: where |G(i, j)| =
+    # |G(j, i)| the oracle picks either order by rounding, and LDL^T names
+    # the one with i < j
     params = ClassificationParams(c2=0.8, sigma=0.5)
     zs = (0.0 + 1e-3j, 1.0 + 1e-3j)
-    centers = [(7,) * spec.dimension]
+    center = (7,) * spec.dimension
     for shape in enumerate_shapes(spec.dimension, sub):
         engine = GREENS._resolver(spec, shape, zs, params.c2)
         assert isinstance(engine, GREENS._TranslateEngine)
         assert engine.ldl == ldl
-        norm, margin, residual, i, j = engine.resolve(centers)
-        for (k, z), (c, center) in itertools.product(enumerate(zs), enumerate(centers)):
-            region = shape.translate(center)
+        region = shape.translate(center)
+        for z, norm, margin, residual, i, j in zip(zs, *engine.resolve([center])):
             oracle_norm, oracle, _, _ = lu_verdict(spec, region, z, params)
-            assert norm[k, c] == pytest.approx(oracle_norm, rel=1e-9)
-            assert margin[k, c] == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
-            assert residual[k, c] < 1e-10
+            assert norm[0] == pytest.approx(oracle_norm, rel=1e-9)
+            assert margin[0] == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
+            assert residual[0] < 1e-10
             pair = [tuple(np.add(p, center).tolist())
-                    for p in engine.witness(i[k, c], j[k, c], margin[k, c]).pair]
+                    for p in engine.witness(i[0], j[0], margin[0]).pair]
             value = abs(greens(spec, region, z).entry(*pair))
             at_pair = math.log(value) + params.c2 * oracle_sup_dist(*pair)
             assert at_pair == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
-            assert i[k, c] < j[k, c] or not ldl
+            assert i[0] < j[0] or not ldl
 
 
 @pytest.mark.parametrize("spec, z, sub", [
