@@ -26,11 +26,11 @@ closed form in the box eigenbasis, so it has no quadrature and no cut in
 time.  The energy route integrates the identity
 a(j, n, T) = (1/(T pi)) integral |G(E + i/T)(j, n)|^2 dE at eps = 1/T by
 adaptive quadrature.  On a tridiagonal box the energy route takes the
-column G(E + i/T)(., j) from a two-sided continued fraction in O(n) per
-energy and its panel breaks from eigenvalues it computes itself, so it
-shares only the box's diagonal and hopping with the direct route, and
-their agreement (the tests enforce 1e-6 relative) checks the direct
-route's eigenvectors too.  On every other box both routes take their
+column |G(E + i/T)(., j)|^2 from the two regular solutions of the
+three-term recurrence in O(n) per energy and its panel breaks from
+eigenvalues it computes itself, so it shares only the box's diagonal and
+hopping with the direct route, and their agreement (the tests enforce
+1e-6 relative) checks the direct route's eigenvectors too.  On every other box both routes take their
 eigenpairs from the same ``_box_eigh``, and their agreement checks the
 time integral and the energy quadrature, not the eigenvectors; the tests
 pin the direct route to a Gauss-Legendre time quadrature as well.
@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .greens import RECURSION_ENTRIES, _as_complex, _check_dense, continued_fractions
+from .greens import RECURSION_ENTRIES, _as_complex, _check_dense
 from .lattice import Coords, ElementaryRegion, _integer, site, sup_norms
 from .operators import (
     OperatorSpec,
@@ -65,11 +65,27 @@ DEFAULT_LEAKAGE_TOL = 1e-8
 MAX_PANELS = 4000  # band bisections after the eigenvalue breaks before giving up
 POOR_FIT_RMS = 0.05  # log-fit residual above which growth is not logarithmic
 RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
+_LOG_MAX = math.log(np.finfo(float).max)  # the double range, for rescaling
 
 
 @lru_cache(maxsize=4)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
+
+
+@lru_cache(maxsize=1)
+def _embedded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 45 distinct nodes of the GL-15 and GL-31 rules on [-1, 1], and
+    their (45, 2) weights, one column per rule.  Both rules hold the
+    midpoint 0.0 exactly, so the GL-31 weight of the midpoint sits on row 7,
+    the GL-15 midpoint, and the panel midpoint is evaluated once."""
+    (x15, w15), (x31, w31) = _leggauss(15), _leggauss(31)
+    x = np.concatenate((x15, x31[:15], x31[16:]))
+    weights = np.zeros((len(x), 2))
+    weights[:15, 0] = w15
+    weights[7, 1] = w31[15]
+    weights[15:, 1] = np.concatenate((w31[:15], w31[16:]))
+    return x, weights
 
 
 def _check_positive(value: float, name: str) -> None:
@@ -286,6 +302,9 @@ class AmplitudeTable:
     routes; ``flagged`` marks tables whose leakage exceeded the tolerance.
     ``eigen_support`` is the number of box eigenvectors the table summed
     over: none for the 1-d energy route, which forms no eigenvectors.
+    ``energies`` is the number of energies the energy route evaluated its
+    column at, 45 a panel: band panels, bisections and speculative tail
+    panels, used or not; none for a direct table.
     """
 
     source: Coords | None
@@ -301,6 +320,7 @@ class AmplitudeTable:
     band_edge: float | None = None
     panels: int = 0  # quadrature panels of a parseval table: band + tails
     eigen_support: int = 0
+    energies: int = 0
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -386,23 +406,32 @@ class QuadratureError(RuntimeError):
 
 
 class _RecursionColumn:
-    """G(z)(., j) of a tridiagonal box, for each z of an array with
-    Im z > 0, by a two-sided continued fraction (recursive Green's
-    functions, Thouless & Kirkpatrick, J. Phys. C 14, 235, 1981) in O(n)
-    per energy and with no eigenvectors.
+    """|G(z)(., j)|^2 of a tridiagonal box, for each z of an array with
+    Im z > 0, from the two regular solutions of the three-term recurrence
+    (transfer matrices) in O(n) per energy and with no eigenvectors.
 
-    With diagonal a and hopping b, the fractions
-    h_k = b^2 / (a_k - z - h_{k-1}) run from the left boundary to j - 1,
-    and their mirror images from the right boundary to j + 1; then
-    G(j, j) = 1/(a_j - z - hL_{j-1} - hR_{j+1}), and
-    G(k, j) = -(h_k / b) G(k + 1, j) for k < j, mirrored for k > j.  Both
-    sides sit in one (m + 1, 2, K) work array, boundary first, so one
-    ``greens.continued_fractions`` sweep, as in the box resolver, runs both
-    inward; the shorter side is padded at its boundary end with decoupled
-    rows, whose numerator 0 makes h = 0.  The column overwrites the
-    fractions in place, unmasked; row m of side 0 holds G(j, j), row m of
-    side 1 is scratch, and ``rows`` maps each site to its row of the
-    flattened array.
+    With diagonal a and hopping b, the solution of (H - z) phi = 0 that
+    vanishes just outside one end of the box runs inward from that end by
+    phi_{-1} = 0, phi_0 = 1, phi_{r+1} = ((z - a_r)/b) phi_r - phi_{r-1}:
+    phiL from the left end to j, phiR from the right end to j.  Then
+    G(k, j) = G(j, j) phiL(k)/phiL(j) for k <= j, mirrored for k >= j, with
+    G(j, j) = 1/(a_j - z + b (phiL(j-1)/phiL(j) + phiR(j+1)/phiR(j))).
+    Both sides sit in one (m + 2, 2, K) work array, which holds
+    (z - a_r)/b on the row after site r's and ends at site j on row m + 1,
+    so one loop of two in-place ops a row (multiply, subtract) runs both
+    inward.  The shorter side is padded at its boundary end with rows of
+    coefficient 0, which map a pair (phi_{r-1}, phi_r) to (phi_r, -phi_{r-1});
+    it starts from (0, 1) or (1, 0) by the parity of its padding, so that
+    it reaches its first real site as (0, +-1).  A zero hopping b leaves
+    the diagonal column 1/(a_j - z).
+
+    Each step grows the larger of the last two moduli at most by
+    g = (max|a| + max|z|)/|b| + 1, so at an interval of rows set by g and
+    the double range the last two rows are divided by the larger of their
+    moduli.  The moduli then take the factors of the later rescales
+    blockwise in one pass, and |G(j, j)|/|phi(j)| before squaring, so no
+    value leaves the double range.  ``rows`` maps each site to its row of
+    the flattened (2 (m + 2), K) result.
     """
 
     eigen_support = 0
@@ -410,41 +439,68 @@ class _RecursionColumn:
     def __init__(self, a: np.ndarray, hop: float, j: int):
         n = len(a)
         m = max(j, n - 1 - j)
-        self.diag = np.zeros((m + 1, 2, 1))
-        self.diag[m - j : m, 0, 0] = a[:j]
-        self.diag[m + 1 - n + j : m, 1, 0] = a[:j:-1]
-        self.diag[m, 0, 0] = a[j]
-        real = np.arange(m)[:, None] >= m - np.array([j, n - 1 - j])
-        self.numerators = list((hop * hop * real)[:, :, None])
-        self.scale = -1.0 / hop if hop else 0.0
+        self.hop, self.center, self.max_diag = hop, a[j], np.abs(a).max()
+        pads = (m - j, m + 1 + j - n)
+        self.diag = np.zeros((m + 2, 2, 1))
+        self.diag[pads[0] + 2 :, 0, 0] = a[:j]
+        self.diag[pads[1] + 2 :, 1, 0] = a[:j:-1]
+        if hop:
+            self.diag /= hop
+        self.heads = []  # the start pair, then the zero coefficients of padding
+        for pad in pads:
+            head = np.zeros((pad + 2, 1))
+            head[1 - pad % 2] = 1.0
+            self.heads.append(head)
         k = np.arange(n)
-        self.rows = np.where(k < j, 2 * (m - j + k), 2 * (m + j - k) + 1)
-        self.rows[j] = 2 * m
-        self.size = 2 * (m + 1)
+        self.rows = np.where(k <= j, 2 * (m + 1 - j + k), 2 * (m + 1 + j - k) + 1)
+        self.size = 2 * (m + 2)
+        self.energies = 0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """The column at each z, as a (2 (m + 1), K) array whose row
-        ``rows[k]`` is G(z)(k, j)."""
-        work = np.subtract(self.diag, z)
-        *sides, (center, _) = work  # views: each op is in place
-        continued_fractions(sides, self.numerators)  # the same views: new ones cost 3-5%
-        if sides:
-            center -= sides[-1][0]
-            center -= sides[-1][1]
-        np.reciprocal(center, out=center)
-        if sides:
-            work[:-1] *= self.scale
-            prev = center
-            for row in reversed(sides):
-                row *= prev
-                prev = row
-        return work.reshape(self.size, -1)
+        """The squared column at each z, as a (2 (m + 2), K) array whose row
+        ``rows[k]`` is |G(z)(k, j)|^2."""
+        self.energies += len(z)
+        if not self.hop:
+            sq = np.zeros((self.size, len(z)))
+            sq[self.size - 2] = np.abs(1.0 / (self.center - z)) ** 2  # site j
+            return sq
+        work = np.subtract(z / self.hop, self.diag)
+        for side, head in enumerate(self.heads):
+            work[: len(head), side] = head
+        views = list(work)  # each op is in place
+        # g^every stays a step short of the double range, so that rounding
+        # cannot overflow between two rescales
+        g = (self.max_diag + np.abs(z).max()) / abs(self.hop) + 1.0
+        every = max(1, int(_LOG_MAX / math.log(g)) - 1)
+        cuts = []  # (first row of a block, the factor its first rows took)
+        for r in range(2, len(views)):
+            row = views[r]
+            row *= views[r - 1]
+            row -= views[r - 2]
+            if (r - 1) % every == 0:
+                s = np.maximum(np.abs(views[r - 1]), np.abs(row))
+                views[r - 1] /= s
+                row /= s
+                cuts.append((r - 1, s))
+        last, prev = views[-1], views[-2]
+        diagonal = self.center - z + self.hop * (prev[0] / last[0] + prev[1] / last[1])
+        sq = np.abs(work)
+        factor = 1.0 / np.abs(diagonal) / sq[-1]  # |G(j, j)|/|phi(j)| per side
+        end = len(sq)
+        for start, s in reversed(cuts):
+            sq[start:end] *= factor
+            factor /= s
+            end = start
+        sq[:end] *= factor
+        sq *= sq
+        return sq.reshape(self.size, -1)
 
 
 class _EigenColumn:
-    """G(z)(., j) = U diag(1/(w - z)) U^H e_j over the box eigenbasis, for
-    boxes that are not tridiagonal; one row per site.  The sum runs over
-    the ``eigen_support`` eigenvectors that e_j overlaps."""
+    """|G(z)(., j)|^2 with G(z)(., j) = U diag(1/(w - z)) U^H e_j over the
+    box eigenbasis, for boxes that are not tridiagonal; one row per site.
+    The sum runs over the ``eigen_support`` eigenvectors that e_j
+    overlaps."""
 
     def __init__(self, w: np.ndarray, U: np.ndarray, j: int):
         source = np.zeros(len(w), dtype=np.complex128)
@@ -454,27 +510,28 @@ class _EigenColumn:
         self.eigen_support = len(self.cj)
         self.rows = np.arange(len(w))
         self.size = len(w)
+        self.energies = 0
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return _apply(self.U, self.cj[:, None] / np.subtract.outer(self.w, z))
+        self.energies += len(z)
+        sq = np.abs(_apply(self.U, self.cj[:, None] / np.subtract.outer(self.w, z)))
+        sq *= sq
+        return sq
 
 
 def _panel_integrals(column, eps: float, a: np.ndarray, b: np.ndarray,
                      weight_rows: np.ndarray):
-    """Vector integrals of |column(E + i eps)|^2 over the panels [a_p, b_p]
-    with embedded GL-15 / GL-31 rules, all panels in one evaluation.
+    """Vector integrals of the column's |G(E + i eps)|^2 over the panels
+    [a_p, b_p] with embedded GL-15 / GL-31 rules, all panels in one
+    evaluation at the 45 distinct nodes of each (``_embedded_rule``).
 
     Returns (vectors31, functionals31, per-functional error estimates), one
     row per panel.
     """
-    rules = [_leggauss(order) for order in (15, 31)]
-    x = np.concatenate([nodes for nodes, _ in rules])
-    weights = np.zeros((len(x), 2))
-    weights[:15, 0], weights[15:, 1] = rules[0][1], rules[1][1]
+    x, weights = _embedded_rule()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     energies = mid[:, None] + half[:, None] * x
-    sq = np.abs(column((energies + 1j * eps).ravel()))
-    sq *= sq
+    sq = column((energies + 1j * eps).ravel())
     sums = sq.reshape(column.size, len(a), len(x)) @ weights
     vec = (sums[column.rows] * half[:, None]).transpose(2, 1, 0)
     func = vec @ weight_rows.T
@@ -484,11 +541,12 @@ def _panel_integrals(column, eps: float, a: np.ndarray, b: np.ndarray,
 def _panels(column, eps: float, a, b, weight_rows: np.ndarray):
     """(a, b, vector31, functionals31, error estimates) of each panel
     [a_p, b_p] in order, evaluated lazily in chunks of whole panels, at
-    least one, whose nodes times the column's rows fit
+    least one, whose 45 nodes times the column's rows fit
     ``RECURSION_ENTRIES``: a consumer that stops early leaves the later
     chunks unevaluated."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    per = max(1, RECURSION_ENTRIES // (column.size * (15 + 31)))
+    nodes, _ = _embedded_rule()
+    per = max(1, RECURSION_ENTRIES // (column.size * len(nodes)))
     for s in range(0, len(a), per):
         part = slice(s, s + per)
         yield from zip(a[part], b[part], *_panel_integrals(
@@ -637,6 +695,7 @@ def amplitude_table_parseval(
         band_edge=edge,
         panels=len(heap) + tail_panels,
         eigen_support=column.eigen_support,
+        energies=column.energies,
     )
 
 

@@ -11,10 +11,10 @@ Classification picks one of two resolvers per shape (``_resolver``), and a
 resolver covers every energy of a scan (all of them share Im z).  A 1-d
 box of a real kernel with offsets |k| <= 1 (``OperatorSpec.tridiagonal``)
 at eps > 0 takes the recursive Green's-function method: one
-``continued_fractions`` sweep, shared with ``dynamics``, of an
-(n, 2, columns) array holding both directions of every (energy, translate)
-pair of a batch, O(n) per box and no n x n matrix; its residual is that of
-the column of G through the worst decay pair.  Every other box takes the
+``continued_fractions`` sweep of an (n, 2, columns) array holding both
+directions of every (energy, translate) pair of a batch, O(n) per box and
+no n x n matrix; its residual is that of the column of G through the worst
+decay pair.  Every other box takes the
 batched engine, which is ``greens`` and
 ``resolvent_norm`` batched over the translates of one shape: the Hermitian
 eigenvalues for ||G||, computed once per box for all energies since H does
@@ -482,10 +482,13 @@ def continued_fractions(work: np.ndarray, numerators) -> None:
     along the rows of ``work`` (an array, or a list of its row views), in
     place: row k holds a_k - z on entry and h_k on return, with
     c_k = ``numerators[k]`` (b^2, or 0 on a decoupled padding row, whose h
-    is then 0).  This is the one recurrence of the recursive Green's-function
-    method: G(k, k) of the last row of a chain is 1/(a_k - z - h_{k-1}), and
-    G(i, j) = -(h_i / b) G(i + 1, j) below it.  A row may hold independent
-    chains side by side, and one numpy op advances them all."""
+    is then 0).  This is the scans' recurrence of the recursive
+    Green's-function method, whose logs of h_k / b give the decay margins:
+    G(k, k) of the last row of a chain is 1/(a_k - z - h_{k-1}), and
+    G(i, j) = -(h_i / b) G(i + 1, j) below it.  (The energy route of
+    ``dynamics`` needs only |G|^2 and takes it from the linear three-term
+    recurrence instead.)  A row may hold independent chains side by side,
+    and one numpy op advances them all."""
     prev = 0.0
     for row, c in zip(work, numerators):
         row -= prev

@@ -130,6 +130,7 @@ def _task_moment_series(spec, initial, mode, ps, times, horizons, radius,
         diagnostic = {
             "tail_bound": max((run.tail_bound for run in runs), default=0.0),
             "panels": max((run.panels for run in runs), default=0),
+            "energies": max((run.energies for run in runs), default=0),
         }
     rows, fits = [], []
     for p in ps:
@@ -218,6 +219,7 @@ def _task_parseval_check(spec, source, p, T, radius, leakage_tol, rel_tol):
     flags = ["leakage"] if direct.flagged else []
     return {"main": entries, "summary": summary, "flags": flags,
             "tail_bound": parseval.tail_bound, "panels": parseval.panels,
+            "energies": parseval.energies,
             "matrix_order": len(direct.sites),
             "eigen_support": direct.eigen_support}
 
@@ -677,10 +679,10 @@ def _write_run(
     the largest truncation leakage of an evolution or moment run, the
     largest norm drift of an evolution, the largest quadrature tail bound
     of a time-averaged table, the most energy-quadrature panels of a
-    Parseval table, the order of the largest box a dynamics task
-    decomposed and the most box eigenvectors one of its sums ran over) go
-    to the manifest only, so CSV bodies stay
-    byte-identical across runs.
+    Parseval table and the most energies its column was evaluated at, the
+    order of the largest box a dynamics task decomposed and the most box
+    eigenvectors one of its sums ran over) go to the manifest only, so CSV
+    bodies stay byte-identical across runs.
     Returns the written paths and the CSV row counts.
     """
     out = Path(out_dir)
@@ -697,6 +699,7 @@ def _write_run(
                       ("norm_drift", "max_norm_drift"),
                       ("tail_bound", "max_tail_bound"),
                       ("panels", "max_quadrature_panels"),
+                      ("energies", "max_quadrature_energies"),
                       ("matrix_order", "max_matrix_order"),
                       ("eigen_support", "max_eigen_support")):
         values = [res[key] for res in results if key in res]

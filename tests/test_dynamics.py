@@ -540,7 +540,40 @@ class TestEnergyRouteEngine:
         got = column(energies + 1j * eps)[column.rows]
         for k, E in enumerate(energies):
             want = self._refined_solve(H, E + 1j * eps, j)
-            assert np.linalg.norm(got[:, k] - want) <= 1e-12 * np.linalg.norm(want)
+            # the column is |G|^2: ||g|^2 - |w|^2| <= |g - w| (|g| + |w|), so a
+            # relative 1e-12 on G is 2e-12 ||w|| max|w| on the squares
+            assert (np.linalg.norm(got[:, k] - np.abs(want) ** 2)
+                    <= 2e-12 * np.linalg.norm(want) * np.abs(want).max())
+
+    @pytest.mark.parametrize("eps", [1e-4, 1.0])
+    @pytest.mark.parametrize("source", [0, 512, -512])
+    @pytest.mark.parametrize("spec", [AMO3, NEGATIVE_HOP3],
+                             ids=["amo3", "negative-hopping"])
+    def test_recursion_column_rescales_at_large_radius(self, spec, source, eps):
+        # at r = 1024 the growth of the regular solutions in the band passes
+        # the double range (an unscaled recurrence over the box overflows),
+        # so the rescales fire at band energies and not only at +-1e12
+        radius = 1024
+        sites, _, w, U = _box_eigh(spec, radius)
+        _, _, a, hop = dynamics._box_diagonals(spec, radius)
+        gap = np.argmax(np.diff(w))
+        mid = len(w) // 2
+        energies = np.array([
+            0.5 * (w[mid] + w[mid + 1]),  # in the band
+            0.5 * (w[gap] + w[gap + 1]),  # in the widest gap
+            w[mid], w[mid] + 1e-9,  # at and next to a box eigenvalue
+            -1e12, 1e12])
+        with np.errstate(over="ignore", invalid="ignore"):
+            prev, phi = 0.0, 1.0
+            for ak in a:
+                prev, phi = phi, (energies[0] + 1j * eps - ak) / hop * phi - prev
+        assert not np.isfinite(phi)
+        j = sites.index((source,))
+        column = dynamics._RecursionColumn(a, hop, j)
+        z = energies + 1j * eps
+        got = column(z)[column.rows]
+        want = dynamics._EigenColumn(w, U, j)(z)
+        assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0))
 
     @pytest.mark.parametrize("T", [2.0, 20.0, 200.0])
     @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
@@ -565,6 +598,23 @@ class TestEnergyRouteEngine:
         values, panels = oracle_parseval_table(spec, source, 20.0, radius)
         assert table.panels == panels
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+
+    @pytest.mark.parametrize("spec,radius", [(AMO3, 64), (free_laplacian(2), 6)],
+                             ids=["recursion", "eigen-sum"])
+    def test_table_counts_the_energies_its_column_saw(self, spec, radius,
+                                                      monkeypatch):
+        seen = []
+        for cls in (dynamics._RecursionColumn, dynamics._EigenColumn):
+            monkeypatch.setattr(cls, "__call__",
+                                lambda self, z, call=cls.__call__:
+                                seen.append(len(z)) or call(self, z))
+        table = amplitude_table_parseval(spec, (0,) * spec.dimension, 200.0, radius)
+        # 45 distinct nodes a panel; bisections evaluate a panel again with
+        # its halves, so the count passes 45 per panel kept
+        assert table.energies == sum(seen) > 45 * table.panels
+        assert all(k % 45 == 0 for k in seen)
+        assert amplitude_table_direct(spec, StateVector.delta((0,) * spec.dimension),
+                                      200.0, radius).energies == 0
 
     def test_band_cap_counts_bisections_not_breaks(self, monkeypatch):
         # r = 64 has 130 panels between eigenvalue breaks and T = 200 needs
@@ -686,12 +736,13 @@ class TestEigenSupport:
         assert column.eigen_support == (nonzero if restricted else len(w))
         energies = np.append(w[:: max(1, len(w) // 16)], 0.123)
         z = np.concatenate([energies + 1e-3j, energies + 1j])
-        full = _apply(U, U[j].conj()[:, None] / np.subtract.outer(w, z))
+        full = np.abs(_apply(U, U[j].conj()[:, None] / np.subtract.outer(w, z)))
         got = column(z)[column.rows]
+        # the column is |G|^2: a relative 1e-13 on G is 2e-13 max|G|^2 here
         if restricted:
-            assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+            assert np.abs(got - full**2).max() <= 2e-13 * full.max() ** 2
         else:
-            assert np.array_equal(got, full)
+            assert np.array_equal(got, full**2)
 
 
 class TestAmplitudeInequality:

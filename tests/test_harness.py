@@ -1024,6 +1024,7 @@ class TestRecipes:
         assert manifest["max_tail_bound"] == max(t.tail_bound for t in tables) > 0.0
         # the band starts from the 66 panels between eigenvalue breaks
         assert manifest["max_quadrature_panels"] == max(t.panels for t in tables) > 66
+        assert manifest["max_quadrature_energies"] == max(t.energies for t in tables)
         assert manifest["max_matrix_order"] == 65  # the box [-32, 32]
 
     @pytest.mark.parametrize("recipe,body,summed", [
@@ -1068,6 +1069,7 @@ class TestRecipes:
         run_experiment(load_config(direct), tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "dir_manifest.json").read_text())
         assert manifest["max_quadrature_panels"] == 0
+        assert manifest["max_quadrature_energies"] == 0
         check = write(
             tmp_path,
             "par.cfg",
@@ -1082,9 +1084,12 @@ class TestRecipes:
         run_experiment(load_config(check), tmp_path / "b")
         manifest = json.loads((tmp_path / "b" / "par_manifest.json").read_text())
         amo = almost_mathieu(3.0, float(GOLDEN), 0.3)
-        panels = [amplitude_table_parseval(amo, (0,), T, 16).panels
-                  for T in (5.0, 50.0)]
+        tables = [amplitude_table_parseval(amo, (0,), T, 16) for T in (5.0, 50.0)]
+        panels = [t.panels for t in tables]
         assert manifest["max_quadrature_panels"] == max(panels) > 34
+        # 45 energies a panel evaluated, bisections and unused tail panels too
+        energies = max(t.energies for t in tables)
+        assert manifest["max_quadrature_energies"] == energies > 45 * max(panels)
 
     @pytest.mark.parametrize("recipe,body,message", [
         ("moment-growth", "moments.times = 1.0,2.0",
