@@ -28,8 +28,8 @@ a(j, n, T) = (1/(T pi)) integral |G(E + i/T)(j, n)|^2 dE at eps = 1/T by
 adaptive quadrature.  On a tridiagonal box the energy route takes the
 column |G(E + i/T)(., j)|^2 from the two regular solutions of the
 three-term recurrence in O(n) per energy and its panel breaks from
-eigenvalues it computes itself, so it shares only the box's diagonal and
-hopping with the direct route, and their agreement (the tests enforce
+eigenvalues it computes itself, once per box, so it shares only the box's
+diagonal and hopping with the direct route, and their agreement (the tests enforce
 1e-6 relative) checks the direct route's eigenvectors too.  On every other box both routes take their
 eigenpairs from the same ``_box_eigh``, and their agreement checks the
 time integral and the energy quadrature, not the eigenvectors; the tests
@@ -123,6 +123,18 @@ def _box_diagonals(spec: OperatorSpec, radius: int):
     onsite, hop = spec.tridiagonal
     sites = site_list(ElementaryRegion((0,) * spec.dimension, radius))
     return sites, sup_norms(sites), onsite + potential_values(spec, sites), hop
+
+
+@lru_cache(maxsize=4)
+def _box_eigenvalues(spec: OperatorSpec, radius: int) -> np.ndarray:
+    """The eigenvalues of a tridiagonal box, read-only, from its diagonals
+    by ``sterf`` (no eigenvectors), cached by (spec, radius) as the
+    diagonals are, so every horizon of a run and every doubling retry at
+    the same radius takes them once."""
+    _, _, a, hop = _box_diagonals(spec, radius)
+    w = eigvalsh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="sterf")
+    w.flags.writeable = False
+    return w
 
 
 def check_box_order(spec: OperatorSpec, radius: int) -> None:
@@ -556,10 +568,12 @@ def _panels(column, eps: float, a, b, weight_rows: np.ndarray):
 def _source_column(spec: OperatorSpec, radius: int, source: Coords):
     """Sites, sup norms and eigenvalues of the box, and its column
     z -> G(z)(., source): the recursion for a tridiagonal box, which never
-    forms U, and the eigenvector sum for every other box."""
+    forms U, with the box's cached ``sterf`` eigenvalues
+    (``_box_eigenvalues``), never those of the direct route's ``stevd``;
+    and the eigenvector sum for every other box."""
     if spec.tridiagonal is not None:
         sites, norms, a, hop = _box_diagonals(spec, radius)
-        w = eigvalsh_tridiagonal(a, np.full(len(a) - 1, hop), lapack_driver="sterf")
+        w = _box_eigenvalues(spec, radius)
         return sites, norms, w, _RecursionColumn(a, hop, sites.index(source))
     sites, norms, w, U = _box_eigh(spec, radius)
     return sites, norms, w, _EigenColumn(w, U, sites.index(source))

@@ -19,8 +19,8 @@ batched engine, which is ``greens`` and
 ``resolvent_norm`` batched over the translates of one shape: the Hermitian
 eigenvalues for ||G||, computed once per box for all energies since H does
 not depend on z, then at each energy G = (H - z)^-1 and the Frobenius
-residual ||(H - z) G - I||_F, taken in one pass over the product.  With
-real hopping H - z is complex symmetric, and a box whose order lies in
+residual ||(H - z) G - I||_F, taken as H G - z G - I, a real H in one real
+product.  With real hopping H - z is complex symmetric, and a box whose order lies in
 ``LDL_ORDERS`` is inverted by a Bunch-Kaufman LDL^T factorisation (LAPACK
 ``zsytrf`` and ``zsytri``, about n^3 flops to LU's 8/3 n^3 against I);
 every other box, complex hopping included, by one batched LU solve of
@@ -96,10 +96,11 @@ class GreensMatrix:
     """Dense resolvent of one volume with a solve-quality diagnostic.
 
     ``residual`` is the Frobenius norm ||(H - z) G - I||_F of the whole
-    LU-solved matrix, an upper bound on its spectral norm.  The batched
-    engine's box residuals are the same norm of its own G, from LDL^T or LU
-    (see ``_TranslateEngine``); a box of the 1-d recursion reports a single
-    column's residual instead (see ``BoxVerdict``).
+    LU-solved matrix, an upper bound on its spectral norm, taken from the
+    complex product A G with A = H - z.  The batched engine's box residuals
+    are the same norm of its own G, from LDL^T or LU, taken as
+    H G - z G - I (see ``_TranslateEngine``); a box of the 1-d recursion
+    reports a single column's residual instead (see ``BoxVerdict``).
     """
 
     sites: tuple[Coords, ...]
@@ -139,16 +140,29 @@ def _singular(z: complex) -> str:
     return f"volume is singular at z={z}; use epsilon > 0 away from eigenvalues"
 
 
-def _residual_norm(A: np.ndarray, G: np.ndarray):
-    """Frobenius norm of the residual A G - I, or of each of a stack of
-    them: an upper bound on its spectral norm.  One pass over the product,
-    taken in place: subtract 1 on its diagonal and sum the squares of its
-    real and imaginary parts."""
-    R = A @ G
+def _frobenius_from_identity(R: np.ndarray):
+    """Frobenius norm of R - I for a complex R, or of each of a stack of
+    them: an upper bound on its spectral norm.  One pass, taken in place on
+    R: subtract 1 on its diagonal and sum the squares of its real and
+    imaginary parts."""
     n = R.shape[-1]
     R[..., np.arange(n), np.arange(n)] -= 1.0
     parts = R.view(np.float64).reshape(*R.shape[:-2], -1)
     return np.sqrt(np.square(parts, out=parts).sum(axis=-1))
+
+
+def _residual_norm(H: np.ndarray, G: np.ndarray, z: complex):
+    """The engine's residual ||(H - z) G - I||_F of each box of a stack,
+    taken as H G - z G - I so that no shifted copy of H is kept: a real H
+    enters as one real product against the float64 view of G, whose rows
+    interleave Re G and Im G, half the flops of the complex product.  It
+    differs from ``greens``' (A G - I, A = H - z) at the rounding level."""
+    if np.iscomplexobj(H):
+        R = H @ G
+    else:
+        R = (H @ G.view(np.float64)).view(np.complex128)
+    R -= z * G
+    return _frobenius_from_identity(R)
 
 
 def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
@@ -168,7 +182,7 @@ def greens(spec: OperatorSpec, region_or_points, z) -> GreensMatrix:
         raise np.linalg.LinAlgError(singular) from exc
     if not np.isfinite(G).all():  # scipy may hand back inf/nan with a warning
         raise np.linalg.LinAlgError(singular)
-    return GreensMatrix(sites, zc, G, float(_residual_norm(A, G)))
+    return GreensMatrix(sites, zc, G, float(_frobenius_from_identity(A @ G)))
 
 
 def resolvent_norm(spec: OperatorSpec, region_or_points, z) -> float:
@@ -392,9 +406,11 @@ class _TranslateEngine(_BatchResolver):
     ``resolvent_norm`` does; H and its spectrum do not depend on z, so one
     spectrum per box serves every energy.  At each energy, for the
     translates wanted there, ||G|| = 1/min|w - z| comes from that spectrum,
-    and a complex copy A of H shifted on its diagonal gives G = A^-1.  The
-    worst decay pair and the Frobenius residual ||(H - z) G - I||_F come
-    from G.
+    and one complex stack per energy, H shifted on its diagonal, is
+    inverted into G (in place on the LDL^T path).  The worst decay pair
+    comes from G, a far entry that underflowed to 0 entering at
+    log(2^-1074), and the Frobenius residual ||(H - z) G - I||_F from H and
+    G as H G - z G - I (``_residual_norm``).
 
     ``__init__`` picks the inverse once per shape.  With real hopping A is
     complex symmetric, and a shape whose order lies in ``LDL_ORDERS`` takes
@@ -444,28 +460,31 @@ class _TranslateEngine(_BatchResolver):
             nearest = np.hypot(wz - z.real, z.imag).min(axis=1)
             if not nearest.all():
                 raise np.linalg.LinAlgError(_singular(z))
-            A = Hz.astype(np.complex128)
-            A[:, diag, diag] -= z
-            G = self._invert(A, z)
-            # the worst far pair by the margin it reports, -inf where G(i, j) = 0
-            with np.errstate(divide="ignore"):
-                margins = np.log(np.abs(G.reshape(len(A), -1)[:, self.far])) + self.decay
+            G = Hz.astype(np.complex128)
+            G[:, diag, diag] -= z
+            G = self._invert(G, z)
+            # the worst far pair by the margin it reports; a far entry that
+            # is 0 is only known to lie below 2^-1074, the least subnormal,
+            # so it enters at log(2^-1074) = -744.44, not at -inf
+            moduli = np.abs(G.reshape(len(G), -1)[:, self.far])
+            margins = np.log(np.maximum(moduli, math.ulp(0.0), out=moduli), out=moduli)
+            margins += self.decay
             k = margins.argmax(axis=1)
             i, j = np.divmod(self.far[k], n)
-            margin = margins[np.arange(len(A)), k]
-            parts.append((i, j, margin, _residual_norm(A, G), 1.0 / nearest))
+            margin = margins[np.arange(len(G)), k]
+            parts.append((i, j, margin, _residual_norm(Hz, G, z), 1.0 / nearest))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
     def _invert(self, A: np.ndarray, z: complex) -> np.ndarray:
         """G = A^-1 of each box of the stack A = H - z: by LU (the solve of
-        A G = I), or on the LDL^T path one box at a time, in place on a copy,
-        with the computed triangle mirrored into G."""
+        A G = I, into a new stack), or on the LDL^T path one box at a time
+        in place, with the computed triangle mirrored, so that the stack
+        returned is A itself."""
         if not self.ldl:
             return np.linalg.inv(A)
-        G = A.copy()
         sytrf, sytri = sla.lapack.zsytrf, sla.lapack.zsytri
         lower, upper = self.mirror
-        for g in G:
+        for g in A:
             # g.T is g in Fortran order, its lower triangle g's upper one
             ldu, ipiv, info = sytrf(g.T, lower=1, lwork=self.lwork, overwrite_a=1)
             if info == 0:
@@ -474,7 +493,7 @@ class _TranslateEngine(_BatchResolver):
                 raise np.linalg.LinAlgError(_singular(z))
             flat = g.reshape(-1)
             flat[lower] = flat[upper]
-        return G
+        return A
 
 
 def continued_fractions(work: np.ndarray, numerators) -> None:

@@ -646,19 +646,40 @@ RECIPES: dict[str, Callable[[ExperimentConfig], Plan]] = {
 
 
 def _format_cell(v) -> str:
+    """The CSV text of one cell: ``true`` or ``false`` for a Python bool,
+    the repr of the Python float for a float (``np.float64`` too, whose own
+    repr names its type), and ``str`` of anything else, so None reads
+    ``None``.  For a cell of exact type float, int or str this is what csv
+    writes by itself."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):  # np.float64 too, whose repr names its type
+    if isinstance(v, float):
         return repr(float(v))
     return str(v)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """The header and the rows as CSV, every cell as ``_format_cell`` writes
+    it.  csv writes ``str(x)`` of a cell, which for a Python float is
+    ``repr(x)``, so a column whose cells are all of exact type float, int
+    or str goes to csv as it is.  Only the cells of the other columns
+    (bools, NumPy scalars, None) pass through ``_format_cell``, row by row
+    as csv takes the rows; no formatted copy of a column is held, and a
+    row longer than others keeps every cell."""
+    formatted = [c for c, column in enumerate(itertools.zip_longest(*rows, fillvalue=""))
+                 if not set(map(type, column)) <= {float, int, str}]
+
+    def cells(row):
+        row = list(row)
+        for c in formatted:
+            if c < len(row):
+                row[c] = _format_cell(row[c])
+        return row
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(map(cells, rows) if formatted else rows)
 
 
 def _write_run(

@@ -116,7 +116,9 @@ def oracle_worst_pair(sites, G, min_dist, c2):
     """The worst decay pair of a volume's resolvent G, by a loop over every
     ordered pair of sites at sup-distance >= min_dist: the ``DecayWitness``
     of the largest log|G(m, m')| + c2 |m - m'|, the first among ties, or
-    None when no pair is that far apart."""
+    None when no pair is that far apart.  An entry that is 0 in double
+    precision is only known to lie below 2^-1074, the least subnormal, and
+    enters at log(2^-1074) = -744.44."""
     from qpdyn.greens import DecayWitness
 
     worst, largest = None, -math.inf
@@ -126,7 +128,7 @@ def oracle_worst_pair(sites, G, min_dist, c2):
             if dist < min_dist:
                 continue
             value = float(abs(G[i, j]))
-            margin = (math.log(value) if value > 0.0 else -math.inf) + c2 * dist
+            margin = math.log(max(value, math.ulp(0.0))) + c2 * dist
             if worst is None or margin > largest:
                 worst = DecayWitness((tuple(m), tuple(mp)), margin, c2 * dist)
                 largest = margin

@@ -501,6 +501,34 @@ class TestParseval:
         assert amplitude_table_parseval(free_laplacian(1), (0,), 20.0, 16).flagged
         assert not amplitude_table_parseval(AMO3, (0,), 20.0, 32).flagged
 
+    def test_ten_horizons_take_the_box_eigenvalues_once(self, monkeypatch):
+        # every horizon at one radius reads the box's cached sterf
+        # eigenvalues; the tables are those of runs that take them afresh
+        horizons = np.geomspace(2.0, 2000.0, 10)
+        radius = 48
+
+        def fresh():
+            dynamics._box_eigenvalues.cache_clear()
+            dynamics._box_diagonals.cache_clear()
+
+        want = []
+        for T in horizons:
+            fresh()
+            want.append(amplitude_table_parseval(AMO3, (0,), T, radius))
+        calls = []
+        sterf = dynamics.eigvalsh_tridiagonal
+        monkeypatch.setattr(
+            dynamics, "eigvalsh_tridiagonal",
+            lambda *args, **kwargs: calls.append(args) or sterf(*args, **kwargs))
+        fresh()
+        got = [amplitude_table_parseval(AMO3, (0,), T, radius) for T in horizons]
+        assert len(calls) == 1
+        assert not dynamics._box_eigenvalues(AMO3, radius).flags.writeable
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+            assert ((g.leakage, g.tail_bound, g.panels, g.energies)
+                    == (w.leakage, w.tail_bound, w.panels, w.energies))
+
 
 COMPLEX_HOPPING = _amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0))
 

@@ -895,13 +895,13 @@ def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
 @pytest.mark.parametrize("spec, sub, energy, c2, pair", [
     (free_laplacian(1), 200, 6.8, 2.0, None),
     (free_laplacian(1), 500, 2.64, 0.8, None),
-    (constant_diag(1.0), 20, 0.5, 0.8, ((-20,), (-18,))),
+    (constant_diag(1.0), 20, 0.5, 0.8, ((-20,), (20,))),
 ], ids=["laplacian-200", "laplacian-500", "zero-kernel"])
 def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, pair):
     # eps = 0 takes the engine.  Off the spectrum the Laplacian's far entries
-    # underflow to 0 before they fall below exp(-c2 |n - n'|); the largest
-    # margin is at a representable entry, and a box whose far entries are all
-    # 0 names its first far pair, as the oracle does
+    # underflow to 0 before they fall below exp(-c2 |n - n'|); a 0 enters at
+    # log(2^-1074), in the engine as in the oracle, so a box whose far
+    # entries are all 0 names its farthest far pair, the first among ties
     region, z = ElementaryRegion((0,), sub), complex(energy, 0.0)
     params = ClassificationParams(c2=c2, sigma=0.5)
     norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)
@@ -919,7 +919,7 @@ def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, 
         assert not classify_box(spec, region, complex(energy, 1e-12), params).good
     else:
         assert witness.pair == pair
-        assert (good, witness.margin) == (True, -math.inf)
+        assert (good, witness.margin) == (True, math.log(math.ulp(0.0)) + c2 * 2 * sub)
 
 
 def cos6(kernel):
@@ -970,6 +970,73 @@ def test_engine_matches_lu_oracle_on_either_factorisation(spec, sub, ldl):
             at_pair = math.log(value) + params.c2 * oracle_sup_dist(*pair)
             assert at_pair == pytest.approx(oracle.margin, rel=1e-9, abs=1e-9)
             assert i[0] < j[0] or not ldl
+
+
+RESIDUAL_PATHS = {k: ENGINE_PATHS[k] for k in (
+    "real-2d-orders-40-49", "real-order-9", "real-order-601", "complex-1d")}
+
+
+def engine_box(spec, sub, z):
+    """The engine of the full cube of size ``sub`` at ``z``, the cube's H
+    centered at 7 as the engine builds it, and A = H - z."""
+    cube = ElementaryRegion((0,) * spec.dimension, sub)
+    engine = GREENS._resolver(spec, cube, z, 0.8)
+    H = assemble(spec, cube.translate((7,) * spec.dimension))
+    A = H.astype(np.complex128)
+    A[np.diag_indices(len(H))] -= z
+    return engine, H, A
+
+
+@pytest.mark.parametrize("spec, sub, ldl", RESIDUAL_PATHS.values(),
+                         ids=RESIDUAL_PATHS.keys())
+def test_engine_residual_is_the_complex_product_residual(spec, sub, ldl):
+    # the engine takes ||(H - z) G - I||_F as H G - z G - I, a real H in one
+    # real product; it must read the complex product's residual, at rounding
+    # level for the engine's own G and to 1e-9 relative for a G that is off
+    # by 1e-6 in one entry.  The LDL^T path inverts the stack it is given
+    z = 0.5 + 1e-3j
+    engine, H, A = engine_box(spec, sub, z)
+    assert engine.ldl == ldl
+    stack = A[None].copy()
+    G = engine._invert(stack, z)
+    assert np.shares_memory(G, stack) == ldl
+
+    def complex_product(G):
+        return np.linalg.norm(A @ G[0] - np.eye(len(A)), "fro")
+
+    assert GREENS._residual_norm(H[None], G, z)[0] < 1e-12
+    assert complex_product(G) < 1e-12
+    G[0, 2, 5] += 1e-6
+    assert (GREENS._residual_norm(H[None], G, z)[0]
+            == pytest.approx(complex_product(G), rel=1e-9))
+
+
+def test_an_underflowed_far_entry_does_not_certify_decay():
+    # at z = 6.8 the free Laplacian's G decays at rate acosh(3.4) = 1.8946,
+    # just below c2, so its margin grows with |n - n'| and turns positive
+    # only past the |n - n'| of about 390 where G underflows to 0.  A 0
+    # enters at log(2^-1074), so the box reads not good, as the recursion,
+    # which has no floor, reads it
+    spec, region = free_laplacian(1), ElementaryRegion((0,), 500)
+    params = ClassificationParams(c2=1.897, sigma=0.5)
+    engine = classify_box(spec, region, 6.8 + 0.0j, params)
+    recursion = classify_box(spec, region, 6.8 + 1e-12j, params)
+    assert not engine.good and not recursion.good
+    assert engine.witness.pair == ((-500,), (500,))
+    assert engine.witness.margin == math.log(math.ulp(0.0)) + 1.897 * 1000
+
+
+@pytest.mark.parametrize("spec, sub, ldl", RESIDUAL_PATHS.values(),
+                         ids=RESIDUAL_PATHS.keys())
+def test_an_engine_box_with_no_zero_far_entry_keeps_its_margin(spec, sub, ldl):
+    # where no far entry of G is 0 the floor changes nothing: the margin is
+    # the largest log|G(i, j)| + c2 |i - j| over the far pairs, bit for bit
+    z = 0.5 + 1e-3j
+    engine, _, A = engine_box(spec, sub, z)
+    G = engine._invert(A[None].copy(), z)[0].reshape(-1)[engine.far]
+    assert np.all(G != 0.0)
+    margin = (np.log(np.abs(G)) + engine.decay).max()
+    assert engine.resolve([(7,) * spec.dimension])[1][0, 0] == margin
 
 
 @pytest.mark.parametrize("spec, z, sub", [

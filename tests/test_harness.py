@@ -1345,6 +1345,53 @@ class TestSweep:
         assert ref == got
 
 
+def format_cell_by_cell(path, header, rows):
+    """The CSV of ``header`` and ``rows`` with every cell passed through
+    ``recipes._format_cell``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([recipes._format_cell(v) for v in row])
+
+
+MIXED_ROWS = [
+    (math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-05, 0.1, 10**30, True,
+     np.bool_(False), np.float64(9.29e-07), np.int64(-7), None, "a,b"),
+    (0.5, 1.0, 2.0, 0.0, -1e16, 2.5e-300, 1 / 3, -(10**30), False,
+     np.bool_(True), np.float64(0.1), np.int64(3), None, 'say "hi"'),
+    (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8, True,
+     np.bool_(True), np.float64(-0.0), np.int64(0), None, "two\nlines"),
+]
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("rows", [
+        MIXED_ROWS,
+        # one column mixing exact floats with a NumPy float and an int
+        [(0.1, "x"), (np.float64(0.2), "y"), (3, "z")],
+        # a Python bool among ints, and a row longer than the others
+        [(1, 2), (True, 2, None), (0, 3)],
+        [],
+    ], ids=["mixed", "mixed-column", "ragged", "no-rows"])
+    def test_write_csv_is_the_cell_by_cell_format(self, tmp_path, rows):
+        # csv writes exact floats, ints and strs as _format_cell does, so
+        # _write_csv hands those columns over untouched: the bytes must be
+        # those of formatting every cell
+        header = [f"c{k}" for k in range(max(map(len, rows), default=2))]
+        recipes._write_csv(tmp_path / "got.csv", header, rows)
+        format_cell_by_cell(tmp_path / "want.csv", header, rows)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        lines = got.decode().splitlines(keepends=True)
+        assert len(list(csv.reader(lines))) == len(rows) + 1
+        if rows is MIXED_ROWS:
+            first = next(csv.reader(lines[1:]))
+            assert first == ["nan", "inf", "-inf", "-0.0", "1e+16", "1e-05", "0.1",
+                             str(10**30), "true", "False", "9.29e-07", "-7", "None",
+                             "a,b"]
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         p = write(
