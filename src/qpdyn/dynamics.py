@@ -62,7 +62,7 @@ from .operators import (
 )
 
 DEFAULT_LEAKAGE_TOL = 1e-8
-MAX_PANELS = 4000  # band bisections after the eigenvalue breaks before giving up
+MAX_PANELS = 4000  # band bisections past the merged eigenvalue breaks before giving up
 POOR_FIT_RMS = 0.05  # log-fit residual above which growth is not logarithmic
 RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
 _LOG_MAX = math.log(np.finfo(float).max)  # the double range, for rescaling
@@ -579,6 +579,27 @@ def _source_column(spec: OperatorSpec, radius: int, source: Coords):
     return sites, norms, w, _EigenColumn(w, U, sites.index(source))
 
 
+def _band_breaks(w: np.ndarray, edge: float, width: float) -> np.ndarray:
+    """The starting breaks of the band [-edge, edge]: +-edge and the box
+    eigenvalues ``w`` clipped to the band, sorted and unique, with the
+    breaks of each cluster closer than ``width`` (1/T) merged.  A walk
+    keeps an interior break when it lies at least ``width`` past the last
+    kept break or the next break lies at least ``width`` away (it ends a
+    cluster).  So every eigenvalue next to a gap of ``width`` stays a
+    break, and a panel inside a cluster is shorter than 2 ``width``: every
+    pole w + i/T lies outside the Bernstein ellipse of parameter 1 + sqrt 2
+    of its panel, where GL-15 agrees with GL-31 to about 3e-12 of the
+    panel."""
+    points = np.unique(
+        np.concatenate(([-edge, edge], np.clip(w, -edge, edge)))).tolist()
+    kept = points[:1]
+    for x, after in zip(points[1:-1], points[2:]):
+        if x - kept[-1] >= width or after - x >= width:
+            kept.append(x)
+    kept += points[-1:]
+    return np.array(kept)
+
+
 def amplitude_table_parseval(
     spec: OperatorSpec,
     source: Coords,
@@ -593,9 +614,11 @@ def amplitude_table_parseval(
 
     The band [-K', K'] (K' = spectral bound + 2 by default) holds all the
     Lorentzian structure.  It starts from panels broken at the box
-    eigenvalues, evaluated in chunks, and is refined by bisecting the panel
-    of largest error estimate, at most ``MAX_PANELS`` times, controlling
-    the error of sum_n |n|^q a(j, n, T) for each q in ``control_orders``.
+    eigenvalues, the breaks of each cluster closer than 1/T merged
+    (``_band_breaks``), evaluated in chunks, and is refined by bisecting
+    the panel of largest error estimate, at most ``MAX_PANELS`` times,
+    controlling the error of sum_n |n|^q a(j, n, T) for each q in
+    ``control_orders``.
     An open panel keeps its functionals but not its n-vector: a bisection
     evaluates the panel again with its two halves in one call and swaps
     its vector for theirs.  The smooth out-of-band tails are integrated
@@ -627,10 +650,9 @@ def amplitude_table_parseval(
     def integrals(a, b):
         return _panels(column, eps, a, b, weight_rows)
 
-    # initial band panels: break at eigenvalues so peaks start resolved
-    breaks = np.unique(
-        np.concatenate(([-edge, edge], np.clip(w, -edge, edge)))
-    )
+    # initial band panels: break at eigenvalues, clusters closer than 1/T
+    # merged, so peaks start resolved
+    breaks = _band_breaks(w, edge, eps)
     heap: list = []  # (-largest error, push order, panel) per open panel
     order = itertools.count()
     total_vec = np.zeros(len(sites))

@@ -409,8 +409,11 @@ class _TranslateEngine(_BatchResolver):
     and one complex stack per energy, H shifted on its diagonal, is
     inverted into G (in place on the LDL^T path).  The worst decay pair
     comes from G, a far entry that underflowed to 0 entering at
-    log(2^-1074), and the Frobenius residual ||(H - z) G - I||_F from H and
-    G as H G - z G - I (``_residual_norm``).
+    log(2^-1074); a shape whose hopping block has no nonzero entry has an
+    exactly diagonal G, and names its first far pair (i < j) at margin
+    -inf, as the recursion does at zero hopping.  The Frobenius residual
+    ||(H - z) G - I||_F comes from H and G as H G - z G - I
+    (``_residual_norm``).
 
     ``__init__`` picks the inverse once per shape.  With real hopping A is
     complex symmetric, and a shape whose order lies in ``LDL_ORDERS`` takes
@@ -429,6 +432,7 @@ class _TranslateEngine(_BatchResolver):
         n = len(sites)
         super().__init__(spec, shape, z, c2, sites, BATCH_ENTRIES // n**2)
         self.hopping = hopping_block(spec, self.sites)
+        self.diagonal = not self.hopping.any()  # so G is diagonal, exactly
         # H - z is complex symmetric when the hopping is real
         self.ldl = spec.is_real and n in LDL_ORDERS
         dist = sup_norms(self.sites[:, None, :] - self.sites[None, :, :])
@@ -463,15 +467,19 @@ class _TranslateEngine(_BatchResolver):
             G = Hz.astype(np.complex128)
             G[:, diag, diag] -= z
             G = self._invert(G, z)
-            # the worst far pair by the margin it reports; a far entry that
-            # is 0 is only known to lie below 2^-1074, the least subnormal,
-            # so it enters at log(2^-1074) = -744.44, not at -inf
-            moduli = np.abs(G.reshape(len(G), -1)[:, self.far])
-            margins = np.log(np.maximum(moduli, math.ulp(0.0), out=moduli), out=moduli)
-            margins += self.decay
-            k = margins.argmax(axis=1)
+            if self.diagonal:  # G is diagonal: the first far pair, at |G| = 0
+                k, margin = np.zeros(len(G), np.int64), np.full(len(G), -np.inf)
+            else:
+                # the worst far pair by the margin it reports; a far entry
+                # that is 0 is only known to lie below 2^-1074, the least
+                # subnormal, so it enters at log(2^-1074) = -744.44, not -inf
+                moduli = np.abs(G.reshape(len(G), -1)[:, self.far])
+                margins = np.log(np.maximum(moduli, math.ulp(0.0), out=moduli),
+                                 out=moduli)
+                margins += self.decay
+                k = margins.argmax(axis=1)
+                margin = margins[np.arange(len(G)), k]
             i, j = np.divmod(self.far[k], n)
-            margin = margins[np.arange(len(G)), k]
             parts.append((i, j, margin, _residual_norm(Hz, G, z), 1.0 / nearest))
         return tuple(np.concatenate(p) for p in zip(*parts))
 

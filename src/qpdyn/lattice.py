@@ -133,6 +133,10 @@ class ElementaryRegion:
         return all(abs(r) <= self.size for r in rel) and not self._in_sector(rel)
 
     def points(self) -> Iterator[Coords]:
+        if not any(self.sector):  # the full cube: no point to test
+            yield from itertools.product(
+                *(range(c - self.size, c + self.size + 1) for c in self.center))
+            return
         rng = range(-self.size, self.size + 1)
         for rel in itertools.product(rng, repeat=self.dimension):
             if not self._in_sector(rel):

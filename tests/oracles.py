@@ -118,9 +118,14 @@ def oracle_worst_pair(sites, G, min_dist, c2):
     of the largest log|G(m, m')| + c2 |m - m'|, the first among ties, or
     None when no pair is that far apart.  An entry that is 0 in double
     precision is only known to lie below 2^-1074, the least subnormal, and
-    enters at log(2^-1074) = -744.44."""
+    enters at log(2^-1074) = -744.44; but when every entry off the diagonal
+    is 0, G is the resolvent of a box with no hopping, its far entries are
+    exact zeros, and every far pair enters at -inf, so the first one is
+    named."""
     from qpdyn.greens import DecayWitness
 
+    diagonal = all(G[i, j] == 0 for i in range(len(sites))
+                   for j in range(len(sites)) if i != j)
     worst, largest = None, -math.inf
     for i, m in enumerate(sites):
         for j, mp in enumerate(sites):
@@ -128,7 +133,10 @@ def oracle_worst_pair(sites, G, min_dist, c2):
             if dist < min_dist:
                 continue
             value = float(abs(G[i, j]))
-            margin = math.log(max(value, math.ulp(0.0))) + c2 * dist
+            if diagonal:
+                margin = -math.inf
+            else:
+                margin = math.log(max(value, math.ulp(0.0))) + c2 * dist
             if worst is None or margin > largest:
                 worst = DecayWitness((tuple(m), tuple(mp)), margin, c2 * dist)
                 largest = margin
@@ -166,15 +174,33 @@ def oracle_bad_centers(spec, size, sub_size, z, params):
     return bad
 
 
+def oracle_band_breaks(w, edge, width, merged=True):
+    """The band's starting breaks as a sorted list: -edge, edge and every
+    eigenvalue clipped to [-edge, edge], each value once.  ``merged`` drops,
+    in one pass from the left, each interior break that lies less than
+    ``width`` past the last break kept and less than ``width`` before the
+    next break; the two edges always stay."""
+    points = sorted({min(max(float(x), -edge), edge) for x in w} | {-edge, edge})
+    if not merged:
+        return points
+    kept = [points[0]]
+    for k in range(1, len(points) - 1):
+        if points[k] - kept[-1] >= width or points[k + 1] - points[k] >= width:
+            kept.append(points[k])
+    return kept + [points[-1]]
+
+
 def oracle_parseval_table(spec, source, T, radius, control_orders=(0.0, 2.0),
-                          rel_tol=1e-9, max_panels=4000):
+                          rel_tol=1e-9, max_panels=4000, merged=True):
     """(values, panels) of the energy route by its per-panel loop: every
     GL-15 / GL-31 panel on its own, each column G(E + i/T) e_j summed over
     the box eigenvectors of ``_box_eigh``.  The band starts from panels
-    broken at the eigenvalues and bisects the panel of largest error; the
-    tails double until the measured remainder, times 10, is below the
-    tolerance.  ``panels`` counts the band panels after refinement and the
-    tail panels used."""
+    between the breaks of ``oracle_band_breaks`` at width 1/T, merged as
+    the route merges them, or with ``merged=False`` one break at every
+    eigenvalue, and bisects the panel of largest error; the tails double
+    until the measured remainder, times 10, is below the tolerance.
+    ``panels`` counts the band panels after refinement and the tail panels
+    used."""
     import heapq
 
     import numpy as np
@@ -198,7 +224,7 @@ def oracle_parseval_table(spec, source, T, radius, control_orders=(0.0, 2.0),
         return out[1], func31, np.abs(func31 - func15)
 
     edge = spec.spectral_bound + 2.0
-    breaks = np.unique(np.concatenate(([-edge, edge], np.clip(w, -edge, edge))))
+    breaks = oracle_band_breaks(w, edge, eps, merged)
     heap, counter = [], 0
     total_vec = np.zeros(len(sites))
     total_func = np.zeros(len(control_orders))

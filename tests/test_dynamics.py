@@ -23,7 +23,12 @@ from qpdyn.dynamics import (
     _leggauss,
 )
 from qpdyn.lattice import sup_norm
-from oracles import oracle_assemble, oracle_parseval_table, oracle_time_average
+from oracles import (
+    oracle_assemble,
+    oracle_band_breaks,
+    oracle_parseval_table,
+    oracle_time_average,
+)
 from qpdyn.greens import RECURSION_ENTRIES
 from qpdyn.operators import (
     LINEAR_FORM,
@@ -531,6 +536,24 @@ class TestParseval:
 
 
 COMPLEX_HOPPING = _amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j}, math.e, 1.0))
+# (spec, radius) of the boxes whose energy route sums over eigenvectors
+EIGEN_SUM_BOXES = {
+    "free-2d": (free_laplacian(2), 6),
+    "complex-hopping": (COMPLEX_HOPPING, 64),
+    # a gauge transform makes complex nearest-neighbour hopping real, so
+    # |G|^2 cannot see a conjugation slip in U; range 2 carries flux
+    "complex-range-2": (_amo_type(KernelSpec.toeplitz(
+        {(1,): 0.3 + 0.6j, (2,): 0.2}, math.e, 1.0)), 32),
+}
+# (spec, radius, T) of every route's table checked against the oracle that
+# breaks the band at every eigenvalue
+MERGED_TABLES = {
+    **{f"{name}-{T:g}": (spec, 64, T)
+       for name, spec in (("amo3", AMO3), ("free-1d", free_laplacian(1)))
+       for T in (2.0, 20.0, 200.0)},
+    "amo1-r256-3": (almost_mathieu(1.0, GOLDEN, 0.3), 256, 3.0),
+    **{name: (spec, radius, 20.0) for name, (spec, radius) in EIGEN_SUM_BOXES.items()},
+}
 
 
 class TestEnergyRouteEngine:
@@ -612,20 +635,62 @@ class TestEnergyRouteEngine:
         assert table.panels == panels
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
 
-    @pytest.mark.parametrize("spec,radius", [
-        (free_laplacian(2), 6),
-        (COMPLEX_HOPPING, 64),
-        # a gauge transform makes complex nearest-neighbour hopping real, so
-        # |G|^2 cannot see a conjugation slip in U; range 2 carries flux
-        (_amo_type(KernelSpec.toeplitz({(1,): 0.3 + 0.6j, (2,): 0.2},
-                                       math.e, 1.0)), 32),
-    ], ids=["free-2d", "complex-hopping", "complex-range-2"])
+    @pytest.mark.parametrize("spec,radius", EIGEN_SUM_BOXES.values(),
+                             ids=EIGEN_SUM_BOXES.keys())
     def test_eigen_sum_route_matches_per_panel_oracle(self, spec, radius):
         source = (0,) * spec.dimension
         table = amplitude_table_parseval(spec, source, 20.0, radius)
         values, panels = oracle_parseval_table(spec, source, 20.0, radius)
         assert table.panels == panels
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+
+    @pytest.mark.parametrize("spec,radius,T", MERGED_TABLES.values(),
+                             ids=MERGED_TABLES.keys())
+    def test_merged_breaks_match_the_per_eigenvalue_oracle(self, spec, radius, T):
+        # the merged band starts from fewer panels than one between every
+        # two eigenvalues and ends with fewer, and its table stays within
+        # 1e-12 of the largest entry of the oracle that breaks at every
+        # eigenvalue
+        source = (0,) * spec.dimension
+        table = amplitude_table_parseval(spec, source, T, radius)
+        values, panels = oracle_parseval_table(spec, source, T, radius, merged=False)
+        assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+        assert table.panels < panels
+
+    @pytest.mark.parametrize("spec,radius", [
+        (AMO3, 128), (free_laplacian(1), 64),
+        (almost_mathieu(1.0, GOLDEN, 0.3), 256),
+    ], ids=["amo3", "free-1d", "amo1"])
+    def test_band_breaks_merge_clusters_closer_than_one_over_T(self, spec, radius):
+        w = _box_eigh(spec, radius)[2]
+        edge = spec.spectral_bound + 2.0
+        every = oracle_band_breaks(w, edge, 0.0, merged=False)
+        for T in (2.0, 20.0, 200.0):
+            breaks = dynamics._band_breaks(w, edge, 1.0 / T).tolist()
+            assert breaks == oracle_band_breaks(w, edge, 1.0 / T)
+            assert breaks[0] == -edge and breaks[-1] == edge
+            assert set(breaks) <= set(every)
+            # a panel that holds a merged eigenvalue is shorter than 2/T
+            kept = np.array(breaks)
+            inside = np.unique(np.searchsorted(kept, np.setdiff1d(every, kept)))
+            assert len(inside) and np.all(kept[inside] - kept[inside - 1] < 2.0 / T)
+            # an eigenvalue next to a gap of at least 1/T stays a break
+            gaps = np.diff(every)
+            lonely = [x for i, x in enumerate(every[1:-1], 1)
+                      if gaps[i - 1] >= 1.0 / T or gaps[i] >= 1.0 / T]
+            assert set(lonely) <= set(breaks)
+        # at T = 1e12 every eigenvalue is a break: no two lie that close
+        assert np.diff(every).min() > 1e-12
+        assert dynamics._band_breaks(w, edge, 1e-12).tolist() == every
+
+    def test_band_breaks_by_hand(self):
+        # 0.3 lies within 0.5 of 0 and of 0.6; 0.9 and 2.05 end clusters
+        w = np.array([2.05, 0.0, 0.3, 0.6, 0.9, 2.0, 5.0, 0.3])
+        assert dynamics._band_breaks(w, 10.0, 0.5).tolist() == [
+            -10.0, 0.0, 0.6, 0.9, 2.0, 2.05, 5.0, 10.0]
+        # an eigenvalue past the edge is clipped onto it
+        assert dynamics._band_breaks(np.array([-0.1, 0.0, 12.0]), 1.0, 0.5).tolist() == [
+            -1.0, -0.1, 0.0, 1.0]
 
     @pytest.mark.parametrize("spec,radius", [(AMO3, 64), (free_laplacian(2), 6)],
                              ids=["recursion", "eigen-sum"])
@@ -645,9 +710,9 @@ class TestEnergyRouteEngine:
                                       200.0, radius).energies == 0
 
     def test_band_cap_counts_bisections_not_breaks(self, monkeypatch):
-        # r = 64 has 130 panels between eigenvalue breaks and T = 200 needs
-        # 37 bisections: a cap of 100 is reached by the breaks alone when
-        # it counts panels
+        # r = 64 starts from 129 panels between merged breaks at T = 200 and
+        # needs 37 bisections: a cap of 100 is reached by the breaks alone
+        # when it counts panels
         free = amplitude_table_parseval(AMO3, (0,), 200.0, 64)
         monkeypatch.setattr(dynamics, "MAX_PANELS", 100)
         capped = amplitude_table_parseval(AMO3, (0,), 200.0, 64)
@@ -665,13 +730,14 @@ class TestEnergyRouteEngine:
         # peak of one table with the box cache warm: the complex work array
         # and the real squares of one chunk of RECURSION_ENTRIES entries,
         # a few n-vectors and 1 MiB for the rest; one n-vector per panel
-        # (8.4 MB here, the per-panel loop's heap) or the whole band in one
-        # evaluation would not fit
+        # (7.7 MB here at 935 panels, the per-panel loop's heap) or the
+        # whole band in one evaluation would not fit.  At T = 200 the merged
+        # breaks still leave about one panel per eigenvalue
         radius = 512
         sites, _, _, _ = dynamics._box_diagonals(AMO3, radius)
         tracemalloc.start()
         try:
-            table = amplitude_table_parseval(AMO3, (0,), 20.0, radius)
+            table = amplitude_table_parseval(AMO3, (0,), 200.0, radius)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

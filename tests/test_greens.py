@@ -895,13 +895,14 @@ def test_tridiagonal_box_on_an_eigenvalue_raises(entry):
 @pytest.mark.parametrize("spec, sub, energy, c2, pair", [
     (free_laplacian(1), 200, 6.8, 2.0, None),
     (free_laplacian(1), 500, 2.64, 0.8, None),
-    (constant_diag(1.0), 20, 0.5, 0.8, ((-20,), (20,))),
+    (constant_diag(1.0), 20, 0.5, 0.8, ((-20,), (-18,))),
 ], ids=["laplacian-200", "laplacian-500", "zero-kernel"])
 def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, pair):
     # eps = 0 takes the engine.  Off the spectrum the Laplacian's far entries
     # underflow to 0 before they fall below exp(-c2 |n - n'|); a 0 enters at
-    # log(2^-1074), in the engine as in the oracle, so a box whose far
-    # entries are all 0 names its farthest far pair, the first among ties
+    # log(2^-1074), in the engine as in the oracle.  A box with no hopping
+    # has an exactly diagonal G, whose far entries are exact zeros: it names
+    # its first far pair at -inf
     region, z = ElementaryRegion((0,), sub), complex(energy, 0.0)
     params = ClassificationParams(c2=c2, sigma=0.5)
     norm, witness, good, strongly_good = lu_verdict(spec, region, z, params)
@@ -919,7 +920,7 @@ def test_engine_ranks_far_pairs_by_the_margin_it_reports(spec, sub, energy, c2, 
         assert not classify_box(spec, region, complex(energy, 1e-12), params).good
     else:
         assert witness.pair == pair
-        assert (good, witness.margin) == (True, math.log(math.ulp(0.0)) + c2 * 2 * sub)
+        assert (good, witness.margin) == (True, -math.inf)
 
 
 def cos6(kernel):
@@ -1024,6 +1025,21 @@ def test_an_underflowed_far_entry_does_not_certify_decay():
     assert not engine.good and not recursion.good
     assert engine.witness.pair == ((-500,), (500,))
     assert engine.witness.margin == math.log(math.ulp(0.0)) + 1.897 * 1000
+
+
+def test_an_exactly_diagonal_engine_box_names_its_first_far_pair():
+    # with no hopping G is diagonal, so its far entries are exact zeros and
+    # not underflow: the engine (order 1001, the LU path) names the first
+    # far pair at -inf, as the recursion does off the real axis
+    spec, region = constant_diag(1.0), ElementaryRegion((0,), 500)
+    params = ClassificationParams(c2=0.8, sigma=0.5)
+    engine = classify_box(spec, region, 0.5 + 0.0j, params)
+    recursion = classify_box(spec, region, 0.5 + 1e-3j, params)
+    for verdict in (engine, recursion):
+        assert verdict.good
+        assert verdict.witness.pair == ((-500,), (-450,))
+        assert verdict.witness.margin == -math.inf
+    assert is_good(spec, region, 0.5 + 0.0j, params.c2) == (True, engine.witness)
 
 
 @pytest.mark.parametrize("spec, sub, ldl", RESIDUAL_PATHS.values(),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_assemble
+from oracles import elementary_point_set, generalized_point_set, oracle_assemble
 from qpdyn.dynamics import evolve
 from qpdyn.lattice import ElementaryRegion, GeneralizedRegion, site
 from qpdyn.operators import (
@@ -433,5 +433,12 @@ def test_a_region_lists_its_points_as_sorted_sites(region):
     # so site_list takes them as they come
     sites = site_list(region)
     assert sites == tuple(sorted(map(site, region.points())))
+    # a full cube lists its points without the sector test; cut or not, they
+    # are the points of the sector-filtered enumeration
+    if isinstance(region, ElementaryRegion):
+        want = elementary_point_set(region.center, region.size, region.sector)
+    else:
+        want = generalized_point_set(region.center, region.half_widths, region.cut)
+    assert sites == tuple(sorted(want))
     assert all(type(c) is int for p in sites for c in p)
     assert site_list(reversed(sites)) == sites
