@@ -24,8 +24,10 @@ occupations
 are computed two ways.  The direct route evaluates the time integral in
 closed form in the box eigenbasis, so it has no quadrature and no cut in
 time.  The energy route integrates the identity
-a(j, n, T) = (1/(T pi)) integral |G(E + i/T)(j, n)|^2 dE at eps = 1/T by
-adaptive quadrature.  On a tridiagonal box the energy route takes the
+a(j, n, T) = (1/(T pi)) integral |G(E + i/T)(j, n)|^2 dE at eps = 1/T over
+the whole real line by adaptive quadrature: the band around the spectrum
+and the two tails beyond it, each mapped onto (0, 1], are panels of one
+heap under one stop rule.  On a tridiagonal box the energy route takes the
 column |G(E + i/T)(., j)|^2 from the two regular solutions of the
 three-term recurrence in O(n) per energy and its panel breaks from
 eigenvalues it computes itself, once per box, so it shares only the box's
@@ -62,7 +64,7 @@ from .operators import (
 )
 
 DEFAULT_LEAKAGE_TOL = 1e-8
-MAX_PANELS = 4000  # band bisections past the merged eigenvalue breaks before giving up
+MAX_PANELS = 4000  # bisections, band and tail, past the first panels before giving up
 POOR_FIT_RMS = 0.05  # log-fit residual above which growth is not logarithmic
 RENORM_EVERY = 8  # transfer-matrix steps between renormalisations
 _LOG_MAX = math.log(np.finfo(float).max)  # the double range, for rescaling
@@ -315,8 +317,8 @@ class AmplitudeTable:
     ``eigen_support`` is the number of box eigenvectors the table summed
     over: none for the 1-d energy route, which forms no eigenvectors.
     ``energies`` is the number of energies the energy route evaluated its
-    column at, 45 a panel: band panels, bisections and speculative tail
-    panels, used or not; none for a direct table.
+    column at, 45 a panel: the first band and tail panels, and each
+    bisected panel again with its two halves; none for a direct table.
     """
 
     source: Coords | None
@@ -330,7 +332,7 @@ class AmplitudeTable:
     flagged: bool
     tail_bound: float
     band_edge: float | None = None
-    panels: int = 0  # quadrature panels of a parseval table: band + tails
+    panels: int = 0  # parseval panels after refinement: band + tails
     eigen_support: int = 0
     energies: int = 0
 
@@ -532,10 +534,14 @@ class _EigenColumn:
 
 
 def _panel_integrals(column, eps: float, a: np.ndarray, b: np.ndarray,
-                     weight_rows: np.ndarray):
+                     maps: np.ndarray, weight_rows: np.ndarray):
     """Vector integrals of the column's |G(E + i eps)|^2 over the panels
     [a_p, b_p] with embedded GL-15 / GL-31 rules, all panels in one
     evaluation at the 45 distinct nodes of each (``_embedded_rule``).
+    A band panel (``maps`` 0) runs over E itself.  A tail panel runs over
+    u in (0, 1] with E = c / u for its map c = +-K', and the Jacobian
+    |c| / u^2 scales its own rows only, so band panels cost what they
+    would alone.
 
     Returns (vectors31, functionals31, per-functional error estimates), one
     row per panel.
@@ -543,26 +549,30 @@ def _panel_integrals(column, eps: float, a: np.ndarray, b: np.ndarray,
     x, weights = _embedded_rule()
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     energies = mid[:, None] + half[:, None] * x
-    sq = column((energies + 1j * eps).ravel())
-    sums = sq.reshape(column.size, len(a), len(x)) @ weights
+    tails = np.flatnonzero(maps)
+    u = energies[tails]
+    energies[tails] = maps[tails, None] / u
+    sq = column((energies + 1j * eps).ravel()).reshape(column.size, len(a), len(x))
+    sq[:, tails] *= np.abs(maps[tails, None]) / (u * u)
+    sums = sq @ weights
     vec = (sums[column.rows] * half[:, None]).transpose(2, 1, 0)
     func = vec @ weight_rows.T
     return vec[1], func[1], np.abs(func[1] - func[0])
 
 
-def _panels(column, eps: float, a, b, weight_rows: np.ndarray):
-    """(a, b, vector31, functionals31, error estimates) of each panel
-    [a_p, b_p] in order, evaluated lazily in chunks of whole panels, at
-    least one, whose 45 nodes times the column's rows fit
-    ``RECURSION_ENTRIES``: a consumer that stops early leaves the later
-    chunks unevaluated."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+def _panels(column, eps: float, a, b, maps, weight_rows: np.ndarray):
+    """(a, b, map, vector31, functionals31, error estimates) of each panel
+    [a_p, b_p] in order (``_panel_integrals``), evaluated in chunks of
+    whole panels, at least one, whose 45 nodes times the column's rows fit
+    ``RECURSION_ENTRIES``: a consumer that drops each vector as it reads it
+    holds one chunk's vectors at a time."""
+    a, b, maps = (np.asarray(v, dtype=float) for v in (a, b, maps))
     nodes, _ = _embedded_rule()
     per = max(1, RECURSION_ENTRIES // (column.size * len(nodes)))
     for s in range(0, len(a), per):
         part = slice(s, s + per)
-        yield from zip(a[part], b[part], *_panel_integrals(
-            column, eps, a[part], b[part], weight_rows))
+        yield from zip(a[part], b[part], maps[part], *_panel_integrals(
+            column, eps, a[part], b[part], maps[part], weight_rows))
 
 
 def _source_column(spec: OperatorSpec, radius: int, source: Coords):
@@ -612,23 +622,23 @@ def amplitude_table_parseval(
 ) -> AmplitudeTable:
     """Energy route: adaptive quadrature of |G(E + i/T)(j, n)|^2 / (T pi).
 
-    The band [-K', K'] (K' = spectral bound + 2 by default) holds all the
-    Lorentzian structure.  It starts from panels broken at the box
-    eigenvalues, the breaks of each cluster closer than 1/T merged
-    (``_band_breaks``), evaluated in chunks, and is refined by bisecting
-    the panel of largest error estimate, at most ``MAX_PANELS`` times,
-    controlling the error of sum_n |n|^q a(j, n, T) for each q in
-    ``control_orders``.
-    An open panel keeps its functionals but not its n-vector: a bisection
-    evaluates the panel again with its two halves in one call and swaps
-    its vector for theirs.  The smooth out-of-band tails are integrated
-    over geometrically doubling panels until the measured remainder, with
-    a safety factor, drops below the tolerance; the doublings are evaluated
-    in speculative chunks and replayed in order, and the panels past the
-    stopping one are never used.  The returned table therefore does not
-    depend on the band edge beyond the quadrature tolerance.  A ``rel_tol``
-    that is not positive and finite, or control orders that are none or
-    not finite and >= 0, raise ``ValueError`` before the box is decomposed.
+    The band [-K', K'] (K' = spectral bound + 2 by default) starts from
+    panels broken at the box eigenvalues, the breaks of each cluster closer
+    than 1/T merged (``_band_breaks``).  Each tail beyond +-K' is one more
+    panel, over u in (0, 1] with E = +-K'/u and the Jacobian K'/u^2 (the
+    map of QUADPACK's ``qagi``); the integrand times the Jacobian tends to
+    a constant at u = 0.  All panels are evaluated in chunks and sit in
+    one heap, refined by bisecting the panel of largest error estimate,
+    band or tail, at most ``MAX_PANELS`` times, until the summed error of
+    sum_n |n|^q a(j, n, T) is within ``rel_tol`` for each q in
+    ``control_orders``.  An open panel keeps its functionals but not its
+    n-vector: a bisection evaluates the panel again with its two halves in
+    one call and swaps its vector for theirs.  ``tail_bound`` is the tail
+    panels' error estimate.  The returned table therefore does not depend
+    on the band edge beyond the quadrature tolerance, an edge inside the
+    spectrum included.  A ``rel_tol`` that is not positive and finite, or
+    control orders that are none or not finite and >= 0, raise
+    ``ValueError`` before the box is decomposed.
     """
     _check_positive(T, "averaging horizon T")
     if band_edge is not None:  # a negative edge reverses the band panels
@@ -647,28 +657,28 @@ def amplitude_table_parseval(
     weight_rows = np.vstack([norms**q for q in control_orders])
     edge = band_edge if band_edge is not None else spec.spectral_bound + 2.0
 
-    def integrals(a, b):
-        return _panels(column, eps, a, b, weight_rows)
-
-    # initial band panels: break at eigenvalues, clusters closer than 1/T
-    # merged, so peaks start resolved
+    # the band's panels between its breaks, clusters closer than 1/T
+    # merged so peaks start resolved, then one tail panel a side
     breaks = _band_breaks(w, edge, eps)
+    starts = np.append(breaks[:-1], [0.0, 0.0])
+    ends = np.append(breaks[1:], [1.0, 1.0])
+    maps = np.append(np.zeros(len(breaks) - 1), [edge, -edge])
     heap: list = []  # (-largest error, push order, panel) per open panel
     order = itertools.count()
     total_vec = np.zeros(len(sites))
     total_func = np.zeros(len(control_orders))
     total_err = np.zeros(len(control_orders))
 
-    def push(a, b, vec, func, err):
+    def push(a, b, c, vec, func, err):
         # an open panel keeps no vector: a bisection evaluates it again
         nonlocal total_func, total_err, total_vec
-        heapq.heappush(heap, (-float(err.max()), next(order), (a, b, func, err)))
+        heapq.heappush(heap, (-float(err.max()), next(order), (a, b, c, func, err)))
         total_func += func
         total_err += err
         total_vec += vec
 
     bisections = 0
-    for panel in integrals(breaks[:-1], breaks[1:]):
+    for panel in _panels(column, eps, starts, ends, maps, weight_rows):
         push(*panel)
 
     while True:
@@ -677,44 +687,21 @@ def amplitude_table_parseval(
             break
         if bisections == MAX_PANELS:
             raise QuadratureError(
-                f"band quadrature did not converge in {bisections} "
+                f"energy quadrature did not converge in {bisections} "
                 f"bisections; errors {total_err} vs scale {scale}"
             )
-        a, b, func, err = heapq.heappop(heap)[2]
+        a, b, c, func, err = heapq.heappop(heap)[2]
         mid = 0.5 * (a + b)
-        whole, *halves = integrals([a, a, mid], [b, mid, b])
+        whole, *halves = _panels(column, eps, [a, a, mid], [b, mid, b], [c] * 3,
+                                 weight_rows)
         total_func -= func
         total_err -= err
-        total_vec -= whole[2]
+        total_vec -= whole[3]
         bisections += 1
         for panel in halves:
             push(*panel)
 
-    # out-of-band tails: doubling panels with a measured-decay remainder stop
-    tail_bound = 0.0
-    tail_panels = 0
-    doublings = edge * 2.0 ** np.arange(80)
-    for lo, hi in ((doublings, 2.0 * doublings), (-2.0 * doublings, -doublings)):
-        prev_func = None
-        for _, _, vec, func, _ in integrals(lo, hi):
-            tail_panels += 1
-            total_vec += vec
-            total_func += func
-            if prev_func is not None:
-                # panel sums decay geometrically (integrand ~ E^-2 or faster)
-                ratio = np.where(
-                    prev_func > 0.0, func / np.maximum(prev_func, 1e-300), 0.0
-                )
-                ratio = np.minimum(ratio, 0.9)
-                remainder = func * ratio / (1.0 - ratio)
-                scale = np.maximum(np.abs(total_func), 1e-30)
-                if np.all(remainder * 10.0 <= rel_tol * scale):
-                    tail_bound += float(np.max(remainder))
-                    break
-            prev_func = func
-        else:
-            raise QuadratureError("tail integration did not converge")
-
+    tail_err = sum(err for _, _, (_, _, c, _, err) in heap if c)
     values = prefactor * total_vec
     leakage, flagged = _table_leakage(values, norms, radius, leakage_tol)
     return AmplitudeTable(
@@ -727,9 +714,9 @@ def amplitude_table_parseval(
         route="parseval",
         leakage=leakage,
         flagged=flagged,
-        tail_bound=prefactor * tail_bound,
+        tail_bound=prefactor * float(np.max(tail_err)),
         band_edge=edge,
-        panels=len(heap) + tail_panels,
+        panels=len(heap),
         eigen_support=column.eigen_support,
         energies=column.energies,
     )

@@ -755,7 +755,9 @@ def _run(
     **manifest: Any,
 ) -> RunResult:
     """Plan every (axis values, config) run, execute all their tasks in one
-    pool, and write the merged CSVs and the manifest.
+    pool, and write the merged CSVs and the manifest.  The manifest's
+    ``workers`` is the number of processes the pool used, never more than
+    the tasks.
 
     Each run's rows come from its plan's ``aggregate`` or else its tasks'
     rows in plan order; a row starts with the run's axis values, experiment
@@ -764,9 +766,8 @@ def _run(
     """
     start = time.time()
     plans = [(combo, run, RECIPES[run.experiment](run)) for combo, run in runs]
-    results, seconds = execute_tasks(
-        [t for _, _, plan in plans for t in plan.tasks], workers
-    )
+    tasks = [t for _, _, plan in plans for t in plan.tasks]
+    results, seconds = execute_tasks(tasks, workers)
     leading = [f"axis.{a}" for a in sweep_axes] + ["experiment", "config_hash"]
     headers: dict[str, tuple[str, list[str]]] = {}
     rows: dict[str, list[tuple]] = {}
@@ -789,6 +790,7 @@ def _run(
     files, counts = _write_run(
         out_dir, stem, headers, rows, results, flags, start,
         experiment=experiment, config_hash=config_hash, task_seconds=seconds,
+        workers=min(workers, len(tasks)),
         seed=seeds[0] if len(set(seeds)) == 1 else seeds, **manifest,
     )
     return RunResult(experiment, config_hash, files, flags, counts)

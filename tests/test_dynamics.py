@@ -477,6 +477,16 @@ class TestParseval:
         )
         assert np.abs(base.values - wide.values).max() < 1e-8
 
+    @pytest.mark.parametrize("edge", [1.0, 4.0])
+    def test_band_edge_inside_the_spectrum(self, edge):
+        # the spectrum reaches past +-4 at lambda = 3: the tail panels hold
+        # eigenvalues, and their bisections resolve the poles there
+        base = amplitude_table_parseval(AMO3, (0,), 20.0, 32)
+        inside = amplitude_table_parseval(AMO3, (0,), 20.0, 32, band_edge=edge)
+        assert np.abs(base.values - inside.values).max() <= 1e-12
+        w = dynamics._box_eigenvalues(AMO3, 32)
+        assert inside.panels > len(dynamics._band_breaks(w, edge, 1.0 / 20.0)) + 1
+
     def test_localized_moment_bounded_in_horizon(self):
         values = []
         for T in (10.0, 100.0, 1000.0, 10000.0):
@@ -630,9 +640,10 @@ class TestEnergyRouteEngine:
     @pytest.mark.parametrize("spec", [AMO3, free_laplacian(1)],
                              ids=["amo3", "free-1d"])
     def test_recursion_route_matches_per_panel_oracle(self, spec, T):
+        # the oracle counts band panels; the route adds one panel a tail
         table = amplitude_table_parseval(spec, (0,), T, 64)
-        values, panels = oracle_parseval_table(spec, (0,), T, 64)
-        assert table.panels == panels
+        values, band = oracle_parseval_table(spec, (0,), T, 64)
+        assert table.panels == band + 2
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
 
     @pytest.mark.parametrize("spec,radius", EIGEN_SUM_BOXES.values(),
@@ -640,8 +651,8 @@ class TestEnergyRouteEngine:
     def test_eigen_sum_route_matches_per_panel_oracle(self, spec, radius):
         source = (0,) * spec.dimension
         table = amplitude_table_parseval(spec, source, 20.0, radius)
-        values, panels = oracle_parseval_table(spec, source, 20.0, radius)
-        assert table.panels == panels
+        values, band = oracle_parseval_table(spec, source, 20.0, radius)
+        assert table.panels == band + 2
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
 
     @pytest.mark.parametrize("spec,radius,T", MERGED_TABLES.values(),
@@ -650,12 +661,30 @@ class TestEnergyRouteEngine:
         # the merged band starts from fewer panels than one between every
         # two eigenvalues and ends with fewer, and its table stays within
         # 1e-12 of the largest entry of the oracle that breaks at every
-        # eigenvalue
+        # eigenvalue; the route's panels count its two tails too
         source = (0,) * spec.dimension
         table = amplitude_table_parseval(spec, source, T, radius)
-        values, panels = oracle_parseval_table(spec, source, T, radius, merged=False)
+        values, band = oracle_parseval_table(spec, source, T, radius, merged=False)
         assert np.abs(table.values - values).max() <= 1e-12 * values.max()
-        assert table.panels < panels
+        assert table.panels - 2 < band
+
+    def test_short_horizon_bisects_a_tail_panel(self):
+        # at T = 0.05 the poles E = w +- 20i map to u = K'/(w +- 20i), close
+        # to the tails' segment (0, 1], so a tail panel is bisected
+        spec = free_laplacian(1)
+        table = amplitude_table_parseval(spec, (0,), 0.05, 32)
+        values, band = oracle_parseval_table(spec, (0,), 0.05, 32)
+        assert table.panels > band + 2
+        assert np.abs(table.values - values).max() <= 1e-12 * values.max()
+
+    def test_time_averaged_workload_tables_hold_their_mass(self):
+        # the ten horizons of the time-averaged moment workload: the mapped
+        # tails leave no mass behind, and their error estimate is within
+        # the tolerance and not exactly zero
+        for T in np.logspace(math.log10(2.0), math.log10(200.0), 10):
+            table = amplitude_table_parseval(AMO3, (0,), T, 128)
+            assert abs(table.total() - 1.0) <= 1e-12
+            assert 0.0 < table.tail_bound <= 1e-9
 
     @pytest.mark.parametrize("spec,radius", [
         (AMO3, 128), (free_laplacian(1), 64),
@@ -702,8 +731,8 @@ class TestEnergyRouteEngine:
                                 lambda self, z, call=cls.__call__:
                                 seen.append(len(z)) or call(self, z))
         table = amplitude_table_parseval(spec, (0,) * spec.dimension, 200.0, radius)
-        # 45 distinct nodes a panel; bisections evaluate a panel again with
-        # its halves, so the count passes 45 per panel kept
+        # 45 distinct nodes a panel, band or tail; bisections evaluate a
+        # panel again with its halves, so the count passes 45 per panel kept
         assert table.energies == sum(seen) > 45 * table.panels
         assert all(k % 45 == 0 for k in seen)
         assert amplitude_table_direct(spec, StateVector.delta((0,) * spec.dimension),

@@ -674,6 +674,29 @@ class TestRecipes:
         for n in (40, 60, 80):
             assert got[n] == bad_set(spec, n, 3, 1e-3j, params).count
 
+    def test_manifest_records_the_workers_the_pool_used(self, tmp_path):
+        # three tasks: --workers 1 and 2 run that many processes, --workers 4
+        # only three, and every worker count writes the same CSV bytes
+        p = write(tmp_path, "sub.cfg", f"""
+            experiment = sublinear
+            {AMO_MODEL}
+            scan.sizes = 40,60,80
+            scan.sub_size = 3
+            scan.energies = 0.0
+            scan.epsilon = 0.001
+            output.prefix = sub
+            """)
+        assert len(RECIPES["sublinear"](load_config(p)).tasks) == 3
+        counts = []
+        for workers, used in ((1, 1), (2, 2), (4, 3)):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["sublinear", "--config", str(p), "--out", str(out),
+                             "--workers", str(workers)]) == 0
+            manifest = json.loads((out / "sub_manifest.json").read_text())
+            assert manifest["workers"] == used
+            counts.append((out / "sub_counts.csv").read_bytes())
+        assert counts[0] == counts[1] == counts[2]
+
     def test_sublinear_tasks_that_split_a_scale_sum_to_one_bad_sets(self,
                                                                      tmp_path):
         # 129-site boxes at two energies keep the fewest centers a task, so
@@ -1087,7 +1110,7 @@ class TestRecipes:
         tables = [amplitude_table_parseval(amo, (0,), T, 16) for T in (5.0, 50.0)]
         panels = [t.panels for t in tables]
         assert manifest["max_quadrature_panels"] == max(panels) > 34
-        # 45 energies a panel evaluated, bisections and unused tail panels too
+        # 45 energies a panel evaluated, each bisected panel again too
         energies = max(t.energies for t in tables)
         assert manifest["max_quadrature_energies"] == energies > 45 * max(panels)
 
